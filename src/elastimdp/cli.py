@@ -152,6 +152,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         raise ElastimdpError("query needs exactly one of --model-dump or --config")
     if args.model_dump:
         model = MdpModel.loads(Path(args.model_dump).read_text(encoding="utf-8"))
+        violations = validate_model(model).violations
+        if violations:
+            raise ElastimdpError(f"{args.model_dump} fails validation: " + "; ".join(violations))
     else:
         config = harness.read_config(args.config)
         records = harness.load_dataset(config)

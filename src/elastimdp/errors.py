@@ -18,7 +18,7 @@ class NoDataError(ElastimdpError):
 
 
 class SolverError(ElastimdpError):
-    """The solver hit a structurally invalid model (builder bug guard)."""
+    """A model is outside what a solver routine accepts (oracle scale)."""
 
 
 class QueryParseError(ElastimdpError):

@@ -112,10 +112,6 @@ class LogStore:
         )
 
 
-def select_logs(store: LogStore, vms_num: int, load: float) -> LogSelection:
-    return store.select_logs(vms_num, load)
-
-
 def parse_records_csv(text: str, source: str = "<string>") -> list[MeasurementRecord]:
     """Parse the `time,vms,load,latency_ms,throughput` CSV format.
 

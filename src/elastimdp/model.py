@@ -20,9 +20,10 @@ Transition probabilities are stored per sized action (``add_2``, ``rem_1``,
 within its action type, so that the total mass of one action *type* from a
 state sums to 1.  The per-entry probability is therefore
 ``type_share * target_behavior_weight``, which is exactly the edge label a
-reader expects next to each arrow in a drawing of the model.  Solvers that
-treat a sized action as a single nondeterministic choice must renormalize
-its row by the row mass (see :mod:`elastimdp.solver`).
+reader expects next to each arrow in a drawing of the model.  The map is
+implied by the config and the behavior weights (`implied_transitions`), so
+the solver never reads it; it serves dumps, `validate_model` and the
+brute-force oracles.
 
 Models are immutable after construction and safe to share between threads.
 """
@@ -30,7 +31,7 @@ Models are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -131,6 +132,15 @@ class ModelConfig:
     def clamp(self, vms: int) -> int:
         return max(self.min_vms, min(self.max_vms, vms))
 
+    def deltas(self, size: int, kind: ActionKind) -> range:
+        """Sized `kind` deltas enabled at `size`: up to the per-step limit,
+        or on M3 every delta up to the range edge (clipped when enacted)."""
+        if kind is ActionKind.ADD:
+            room, limit = self.max_vms - size, self.add_limit
+        else:
+            room, limit = size - self.min_vms, self.rem_limit
+        return range(1, (room if self.variant is Variant.M3 else min(limit, room)) + 1)
+
 
 @dataclass(frozen=True)
 class MdpState:
@@ -194,9 +204,6 @@ class MdpModel:
     initial: MdpState
     transitions: Mapping[tuple[StateKey, Action], TransitionRow]
     state_rewards: Mapping[StateKey, float]
-    action_rewards: Mapping[tuple[StateKey, Action, StateKey], float] = field(
-        default_factory=dict
-    )
 
     def ordered_states(self) -> list[MdpState]:
         return [self.states[k] for k in sorted(self.states)]
@@ -217,9 +224,6 @@ class MdpModel:
             out.append(action)
         out.sort(key=Action.sort_key)
         return out
-
-    def row(self, key: StateKey, action: Action) -> TransitionRow:
-        return self.transitions[(key, action)]
 
     def outcome_distribution(self, key: StateKey, action: Action) -> list[tuple[StateKey, float]]:
         """Normalized outcome distribution of choosing one sized action."""
@@ -380,44 +384,51 @@ def build_model(
             states[state.key] = state
             state_rewards[state.key] = behavior.reward
 
-    transitions: dict[tuple[StateKey, Action], TransitionRow] = {}
-    action_rewards: dict[tuple[StateKey, Action, StateKey], float] = {}
-    for size in config.sizes:
-        if config.variant is Variant.M3:
-            add_deltas = range(1, config.max_vms - size + 1)
-            rem_deltas = range(1, size - config.min_vms + 1)
-        else:
-            add_deltas = range(1, min(config.add_limit, config.max_vms - size) + 1)
-            rem_deltas = range(1, min(config.rem_limit, size - config.min_vms) + 1)
-        for idx in range(len(per_size[size])):
-            key = (size, idx)
-            for kind, deltas in ((ActionKind.ADD, add_deltas), (ActionKind.REM, rem_deltas)):
-                deltas = list(deltas)
-                if not deltas:
-                    continue
-                share = 1.0 / len(deltas)
-                for delta in deltas:
-                    target_size = size + delta if kind is ActionKind.ADD else size - delta
-                    action = Action(kind, delta)
-                    row = tuple(
-                        ((target_size, t_idx), share * b.weight)
-                        for t_idx, b in enumerate(per_size[target_size])
-                    )
-                    transitions[(key, action)] = row
-                    for target, _ in row:
-                        action_rewards[(key, action, target)] = 0.0
-            transitions[(key, NO_OP)] = ((key, 1.0),)
-            action_rewards[(key, NO_OP, key)] = 0.0
-
     initial_idx = _match_behavior(per_size[current], current_behavior)
     return MdpModel(
         config=config,
         states=states,
         initial=states[(current, initial_idx)],
-        transitions=transitions,
+        transitions=implied_transitions(config, states),
         state_rewards=state_rewards,
-        action_rewards=action_rewards,
     )
+
+
+def behaviors_by_size(states: Mapping[StateKey, MdpState]) -> dict[int, list[MdpState]]:
+    """The states of each size, in behavior order."""
+    by_size: dict[int, list[MdpState]] = {}
+    for key in sorted(states):
+        by_size.setdefault(key[0], []).append(states[key])
+    return by_size
+
+
+def implied_transitions(
+    config: ModelConfig, states: Mapping[StateKey, MdpState]
+) -> dict[tuple[StateKey, Action], TransitionRow]:
+    """The transition map that `config` and the behavior weights imply.
+
+    Each sized action from any behavior of a size leads to the target
+    size's behaviors, each entry `type_share * target_weight`; no_op is a
+    probability-1 self-loop.
+    """
+    by_size = behaviors_by_size(states)
+    transitions: dict[tuple[StateKey, Action], TransitionRow] = {}
+    for size, sources in by_size.items():
+        for kind in (ActionKind.ADD, ActionKind.REM):
+            deltas = config.deltas(size, kind)
+            for delta in deltas:
+                share = 1.0 / len(deltas)
+                action = Action(kind, delta)
+                target_size = size + action.signed_delta
+                row = tuple(
+                    (target.key, share * target.weight)
+                    for target in by_size.get(target_size, ())
+                )
+                for source in sources:
+                    transitions[(source.key, action)] = row
+        for source in sources:
+            transitions[(source.key, NO_OP)] = ((source.key, 1.0),)
+    return transitions
 
 
 @dataclass(frozen=True)
@@ -450,9 +461,6 @@ def validate_model(model: MdpModel) -> ValidationReport:
                 f"state {state.label} has unknown previous_action"
                 f" {state.previous_action!r}"
             )
-        noop_row = model.transitions.get((key, NO_OP))
-        if noop_row != ((key, 1.0),):
-            bad.append(f"state {state.label} lacks a probability-1 no_op self-loop")
 
     # Per-size behavior weights form a distribution.
     by_size: dict[int, float] = {}
@@ -462,7 +470,7 @@ def validate_model(model: MdpModel) -> ValidationReport:
         if abs(mass - 1.0) > _MASS_TOL:
             bad.append(f"behavior weights at size {size} sum to {mass:.10g} != 1")
 
-    # Action-type mass, target direction, and monotonicity metadata.
+    # Action-type mass and monotonicity metadata.
     type_mass: dict[tuple[StateKey, ActionKind], float] = {}
     for (key, action), row in model.transitions.items():
         if key not in model.states:
@@ -470,34 +478,11 @@ def validate_model(model: MdpModel) -> ValidationReport:
             continue
         state = model.states[key]
         for target, p in row:
-            if target not in model.states:
-                bad.append(f"{labels[key]} {action.label} targets unknown key {target}")
-                continue
             if p < 0:
                 bad.append(f"negative probability at ({labels[key]}, {action.label})")
-            tsize = model.states[target].vms_num
-            if action.kind is ActionKind.ADD and tsize <= state.vms_num:
-                bad.append(
-                    f"add transition {labels[key]} -> {labels[target]} does not grow the cluster"
-                )
-            if action.kind is ActionKind.REM and tsize >= state.vms_num:
-                bad.append(
-                    f"rem transition {labels[key]} -> {labels[target]} does not shrink the cluster"
-                )
             if (
-                action.kind is not ActionKind.NO_OP
-                and cfg.variant is not Variant.M3
-                and tsize != state.vms_num + action.signed_delta
-            ):
-                bad.append(
-                    f"{action.label} from {labels[key]} targets size {tsize},"
-                    f" expected {state.vms_num + action.signed_delta}"
-                )
-        for target, _ in row:
-            if target not in model.states:
-                continue
-            if (
-                PHASES.index(model.states[target].phase_label)
+                target in model.states
+                and PHASES.index(model.states[target].phase_label)
                 < PHASES.index(state.phase_label)
                 and target != key
             ):
@@ -526,69 +511,89 @@ def validate_model(model: MdpModel) -> ValidationReport:
                 f"probability mass {mass:.10g} != 1 at ({labels[key]}, {kind.value})"
             )
 
-    for (key, action, target), r in model.action_rewards.items():
-        if r != 0.0:
-            bad.append(
-                f"action reward {r} != 0 on {labels.get(key, key)}"
-                f" {action.label} -> {labels.get(target, target)}"
-            )
+    # The solver assumes the map that config and weights imply; this also
+    # fixes each action's targets (known states, direction, size) and the
+    # no_op self-loops.
+    implied = implied_transitions(cfg, model.states)
+    differing = [
+        entry
+        for entry in model.transitions.keys() | implied.keys()
+        if model.transitions.get(entry) != implied.get(entry)
+    ]
+
+    def show(row: TransitionRow | None) -> str:
+        return ", ".join(f"{labels.get(t, t)}:{p:.6g}" for t, p in row or ()) or "nothing"
+
+    for key, action in sorted(differing, key=lambda e: (e[0], e[1].sort_key())):
+        bad.append(
+            f"({labels.get(key, key)}, {action.label}) leads to"
+            f" {show(model.transitions.get((key, action)))}, but config and"
+            f" behavior weights imply {show(implied.get((key, action)))}"
+        )
 
     return ValidationReport(tuple(bad))
 
 
 def _parse_dump(text: str) -> MdpModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split() != ["mdpdump", "1"]:
+    lines = [(n, line.split()) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if not lines or lines[0][1] != ["mdpdump", "1"]:
         raise InstantiationError("not a model dump (missing 'mdpdump 1' header)")
 
-    def fields(line: str, prefix: str) -> dict[str, str]:
-        parts = line[len(prefix):].split()
-        return dict(part.split("=", 1) for part in parts)
-
-    cfg_fields = fields(lines[1], "config ")
-    config = ModelConfig(
-        min_vms=int(cfg_fields["min_vms"]),
-        max_vms=int(cfg_fields["max_vms"]),
-        add_limit=int(cfg_fields["add_limit"]),
-        rem_limit=int(cfg_fields["rem_limit"]),
-        variant=Variant(cfg_fields["variant"]),
-        k=int(cfg_fields["k"]),
-    )
-    initial_label = lines[2].split()[1]
-
+    config: ModelConfig | None = None
+    initial_label: str | None = None
     states: dict[StateKey, MdpState] = {}
     rewards: dict[StateKey, float] = {}
     by_label: dict[str, StateKey] = {}
     transitions: dict[tuple[StateKey, Action], list[tuple[StateKey, float]]] = {}
-    action_rewards: dict[tuple[StateKey, Action, StateKey], float] = {}
-    for line in lines[3:]:
-        if line.startswith("state "):
-            label = line.split()[1]
-            attrs = dict(part.split("=", 1) for part in line.split()[2:])
-            center = None
-            if attrs["center"] != "-":
-                lat, thr = attrs["center"].split(",")
-                center = (float(lat), float(thr))
-            state = MdpState(
-                vms_num=int(attrs["vms"]),
-                behavior_index=int(attrs["behavior"]),
-                weight=float(attrs["weight"]),
-                center=center,
-                phase_label=attrs["phase"],
-                previous_action=attrs["prev"],
-            )
-            states[state.key] = state
-            rewards[state.key] = float(attrs["reward"])
-            by_label[label] = state.key
-        elif line.startswith("trans "):
-            _, src, action_label, dst, prob = line.split()
-            action = Action.from_label(action_label)
-            entry = (by_label[dst], float(prob))
-            transitions.setdefault((by_label[src], action), []).append(entry)
-            action_rewards[(by_label[src], action, by_label[dst])] = 0.0
-        else:
-            raise InstantiationError(f"unrecognized dump line: {line!r}")
 
+    for number, words in lines[1:]:
+        try:
+            if words[0] == "trans":
+                _, src, action_label, dst, prob = words
+                if src not in by_label or dst not in by_label:
+                    raise ValueError(f"undefined state {dst if src in by_label else src}")
+                action = Action.from_label(action_label)
+                entry = (by_label[dst], _finite(prob))
+                transitions.setdefault((by_label[src], action), []).append(entry)
+            elif words[0] == "state":
+                _, label, *fields = words
+                attrs = dict(field.split("=", 1) for field in fields if "=" in field)
+                center = None
+                if attrs["center"] != "-":
+                    lat, thr = attrs["center"].split(",")
+                    center = (_finite(lat), _finite(thr))
+                state = MdpState(
+                    vms_num=int(attrs["vms"]),
+                    behavior_index=int(attrs["behavior"]),
+                    weight=_finite(attrs["weight"]),
+                    center=center,
+                    phase_label=attrs["phase"],
+                    previous_action=attrs["prev"],
+                )
+                states[state.key] = state
+                rewards[state.key] = _finite(attrs["reward"])
+                by_label[label] = state.key
+            elif words[0] == "config":
+                attrs = dict(field.split("=", 1) for field in words if "=" in field)
+                config = ModelConfig(
+                    min_vms=int(attrs["min_vms"]),
+                    max_vms=int(attrs["max_vms"]),
+                    add_limit=int(attrs["add_limit"]),
+                    rem_limit=int(attrs["rem_limit"]),
+                    variant=Variant(attrs["variant"]),
+                    k=int(attrs["k"]),
+                )
+            elif words[0] == "initial":
+                _, initial_label = words
+            else:
+                raise ValueError(f"unrecognized dump line {' '.join(words)!r}")
+        except KeyError as exc:
+            raise InstantiationError(f"model dump line {number}: missing {exc.args[0]}=") from exc
+        except (ValueError, ConfigurationError) as exc:
+            raise InstantiationError(f"model dump line {number}: {exc}") from exc
+
+    if config is None or initial_label is None:
+        raise InstantiationError("model dump lacks its config or initial line")
     if initial_label not in by_label:
         raise InstantiationError(f"initial state {initial_label} not defined")
     return MdpModel(
@@ -597,5 +602,11 @@ def _parse_dump(text: str) -> MdpModel:
         initial=states[by_label[initial_label]],
         transitions={k: tuple(v) for k, v in transitions.items()},
         state_rewards=rewards,
-        action_rewards=action_rewards,
     )
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value

@@ -129,13 +129,12 @@ class PostProcessConfig:
 
 
 def permitted_actions(current: ClusterSize, limits: ModelConfig) -> list[Action]:
-    """no_op plus every sized add/rem allowed by the limits and the range."""
-    actions = [NO_OP]
-    for delta in range(1, min(limits.add_limit, limits.max_vms - current) + 1):
-        actions.append(Action(ActionKind.ADD, delta))
-    for delta in range(1, min(limits.rem_limit, current - limits.min_vms) + 1):
-        actions.append(Action(ActionKind.REM, delta))
-    return actions
+    """no_op plus every sized add/rem that `limits` enables at `current`."""
+    return [NO_OP] + [
+        Action(kind, delta)
+        for kind in (ActionKind.ADD, ActionKind.REM)
+        for delta in limits.deltas(current, kind)
+    ]
 
 
 def re_decide(

@@ -5,25 +5,28 @@ strategy repeatedly picks one enabled sized action.  Once the first add
 (resp. rem) is taken, only further adds (removals) or no_op remain
 enabled, so every path walks monotonically through cluster sizes and the
 reachable graph is acyclic.  Choosing no_op ends the episode, and the
-*only* reward collected is the current state's reward at that moment;
-action rewards are zero throughout.  The value of a state is therefore
+*only* reward collected is the current state's reward at that moment.
+A sized action's outcome is the target size's behavior distribution,
+whatever the source behavior, so with `L(s) = sum_b w_b * V(s, b)`
 
-    V(s) = max( r(s),  max over sized actions a of  E[ V(s') | s, a ] )
+    V(s, b) = max( r(s, b),  max over enabled deltas d of  L(s +- d) )
 
-computed exactly by dynamic programming along the two monotone branches.
-Reachability probabilities for Pmax/Pmin queries follow the same scheme
-with the value replaced by the probability of having visited a state
-satisfying the query predicate.
+`_arrival_values` computes `L` by backward induction over sizes along each
+monotone branch, reading only the config, the behavior weights
+(normalized per size) and a payoff per state.  The same sweep answers
+Pmax/Pmin queries, with payoff 1 on states satisfying the predicate
+(where the episode ends) and 0 elsewhere.
 
-`brute_force_oracle` re-derives the same quantities by expanding the full
-decision tree top-down without memoization; it exists so tests can check
-the dynamic program against an independently structured computation.
+`brute_force_oracle` and `brute_force_reachability` re-derive the same
+quantities from the explicit transition map by expanding the full
+decision tree without memoization, so tests can check the sweep against
+an independently structured computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Collection, Mapping
 
 from .errors import SolverError
 from .model import (
@@ -34,6 +37,7 @@ from .model import (
     MdpState,
     NO_OP,
     StateKey,
+    behaviors_by_size,
 )
 
 # Two candidate actions whose values differ by less than this (relative to
@@ -103,49 +107,63 @@ class PolicyDecision:
         return self.action.kind is ActionKind.NO_OP
 
 
-def _directional_values(model: MdpModel, kind: ActionKind) -> dict[StateKey, float]:
-    """Values of the `kind`-locked branch, filled in target-first order."""
-    descending = kind is ActionKind.ADD
-    values: dict[StateKey, float] = {}
-    keys = sorted(model.states, reverse=descending)
-    for key in keys:
-        best = model.state_rewards[key]
-        for action in model.actions_from(key, lock=kind):
-            if action.kind is ActionKind.NO_OP:
-                continue
-            expected = 0.0
-            for target, p in model.outcome_distribution(key, action):
-                if target not in values:
-                    raise SolverError(
-                        f"{action.label} from {model.states[key].label} reaches"
-                        f" {model.states[target].label} against the size order;"
-                        " the reachable graph is not acyclic"
-                    )
-                expected += p * values[target]
-            best = max(best, expected)
-        values[key] = best
-    return values
+def _arrival_values(
+    model: MdpModel,
+    payoff: Mapping[StateKey, float],
+    final: Collection[StateKey],
+    best_of: Callable,
+) -> list[dict[int, float]]:
+    """Backward induction over sizes along both monotone branches: the
+    expected payoff of arriving at each size on an add-locked and on a
+    rem-locked path.
+
+    A state in `final` ends the episode with its payoff; any other state
+    takes the `best_of` its payoff (stopping) and the arrival values of
+    the sizes its direction's deltas reach.
+    """
+    cfg = model.config
+    behaviors = behaviors_by_size(model.states)
+    branches = []
+    directions = ((ActionKind.ADD, 1, reversed(cfg.sizes)), (ActionKind.REM, -1, cfg.sizes))
+    for kind, sign, sizes in directions:
+        arrive: dict[int, float] = {}
+        for size in sizes:
+            onward = [arrive[size + sign * d] for d in cfg.deltas(size, kind)]
+            states = behaviors[size]
+            mass = sum(state.weight for state in states)
+            total = 0.0
+            for state in states:
+                value = payoff[state.key]
+                if onward and state.key not in final:
+                    value = best_of(value, best_of(onward))
+                total += state.weight / mass * value
+            arrive[size] = total
+        branches.append(arrive)
+    return branches
+
+
+def _first_moves(
+    model: MdpModel, size: int, arrivals: list[dict[int, float]]
+) -> list[tuple[float, Action]]:
+    """Each sized action enabled at `size`, valued by its target's arrival."""
+    moves = []
+    for kind, arrive in zip((ActionKind.ADD, ActionKind.REM), arrivals):
+        for delta in model.config.deltas(size, kind):
+            action = Action(kind, delta)
+            moves.append((arrive[size + action.signed_delta], action))
+    return moves
 
 
 def max_expected_reward(model: MdpModel) -> ValueMap:
     """Maximum expected terminal reward of every state, with an optimal
     first action, as if the decision episode started fresh there."""
-    v_add = _directional_values(model, ActionKind.ADD)
-    v_rem = _directional_values(model, ActionKind.REM)
+    arrivals = _arrival_values(model, model.state_rewards, (), max)
     out: dict[StateKey, StateValue] = {}
-    for key in model.states:
-        candidates = [(model.state_rewards[key], NO_OP)]
-        for action in model.actions_from(key):
-            if action.kind is ActionKind.NO_OP:
-                continue
-            branch = v_add if action.kind is ActionKind.ADD else v_rem
-            expected = sum(
-                p * branch[target]
-                for target, p in model.outcome_distribution(key, action)
-            )
-            candidates.append((expected, action))
-        value, action = _pick(candidates)
-        out[key] = StateValue(value, action)
+    for size, states in behaviors_by_size(model.states).items():
+        moves = _first_moves(model, size, arrivals)
+        for state in states:
+            value, action = _pick([(model.state_rewards[state.key], NO_OP)] + moves)
+            out[state.key] = StateValue(value, action)
     return ValueMap(out)
 
 
@@ -165,13 +183,15 @@ def decide(model: MdpModel) -> PolicyDecision:
     reported expected utility is the model optimum that motivated the
     action, not the value of the clipped step.
     """
-    values = max_expected_reward(model)
-    sv = values.values[model.initial.key]
-    action, bounded = clip_action(sv.action, model.config)
+    key = model.initial.key
+    arrivals = _arrival_values(model, model.state_rewards, (), max)
+    moves = _first_moves(model, model.initial.vms_num, arrivals)
+    value, first = _pick([(model.state_rewards[key], NO_OP)] + moves)
+    action, bounded = clip_action(first, model.config)
     target = model.config.clamp(model.initial.vms_num + action.signed_delta)
     return PolicyDecision(
         action=action,
-        expected_utility=sv.value,
+        expected_utility=value,
         target_size=target,
         bounded=bounded,
     )
@@ -190,48 +210,18 @@ class ReachabilityQuery:
             raise ValueError(f"mode must be 'max' or 'min', got {self.mode!r}")
 
 
-def _directional_reach(
-    model: MdpModel,
-    kind: ActionKind,
-    sat: Mapping[StateKey, bool],
-    best_of: Callable,
-) -> dict[StateKey, float]:
-    descending = kind is ActionKind.ADD
-    probs: dict[StateKey, float] = {}
-    for key in sorted(model.states, reverse=descending):
-        if sat[key]:
-            probs[key] = 1.0
-            continue
-        candidates = [0.0]  # no_op terminates without reaching the target set
-        for action in model.actions_from(key, lock=kind):
-            if action.kind is ActionKind.NO_OP:
-                continue
-            candidates.append(
-                sum(p * probs[t] for t, p in model.outcome_distribution(key, action))
-            )
-        probs[key] = best_of(candidates)
-    return probs
-
-
 def reachability_probability(model: MdpModel, query: ReachabilityQuery) -> float:
     """Maximum (or minimum) probability over strategies of eventually
     visiting a state satisfying the query predicate."""
     best_of = max if query.mode == "max" else min
-    sat = {key: bool(query.predicate(state)) for key, state in model.states.items()}
-    p_add = _directional_reach(model, ActionKind.ADD, sat, best_of)
-    p_rem = _directional_reach(model, ActionKind.REM, sat, best_of)
-    key = model.initial.key
-    if sat[key]:
+    sat = {key for key, state in model.states.items() if query.predicate(state)}
+    if model.initial.key in sat:
         return 1.0
-    candidates = [0.0]
-    for action in model.actions_from(key):
-        if action.kind is ActionKind.NO_OP:
-            continue
-        branch = p_add if action.kind is ActionKind.ADD else p_rem
-        candidates.append(
-            sum(p * branch[t] for t, p in model.outcome_distribution(key, action))
-        )
-    return best_of(candidates)
+    payoff = {key: 1.0 if key in sat else 0.0 for key in model.states}
+    arrivals = _arrival_values(model, payoff, sat, best_of)
+    moves = _first_moves(model, model.initial.vms_num, arrivals)
+    # no_op terminates without reaching the target set
+    return best_of([0.0] + [p for p, _ in moves])
 
 
 def _check_oracle_scale(model: MdpModel) -> None:

@@ -270,6 +270,15 @@ class TestCli:
         dump.write_text(text, encoding="utf-8")
         assert self.run_cli("validate", "--model-dump", str(dump)) == 1
 
+    def test_validate_malformed_dump_exit_code(self, tmp_path, capsys):
+        config = ModelConfig(4, 6)
+        model = build_model(config, {v: 1.0 for v in config.sizes}, 4)
+        dump = tmp_path / "model.txt"
+        dump.write_text(model.dump().replace(" center=-", "", 1), encoding="utf-8")
+        assert self.run_cli("validate", "--model-dump", str(dump)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing center=" in err
+
     def test_replay_rescoring(self, tmp_path, capsys):
         lines = ["tick,load,vms,latency_ms,throughput,utility,violation,decision,decision_ms"]
         lines.append("0,10000.0,4,50.0,8000.0,2000.0,0,,0.0")

@@ -70,11 +70,6 @@ class TestSingleBehaviorModel:
         model = chain_model(min_vms=3, max_vms=4, current=3)
         assert model.type_distribution((3, 0), ADD) == {(4, 0): 1.0}
 
-    def test_action_rewards_all_zero(self):
-        model = chain_model()
-        assert model.action_rewards
-        assert set(model.action_rewards.values()) == {0.0}
-
 
 class TestMultiBehaviorModel:
     def weights_model(self, add_limit=1):
@@ -90,7 +85,7 @@ class TestMultiBehaviorModel:
 
     def test_outcomes_follow_target_weights(self):
         model = self.weights_model()
-        assert model.row((3, 0), Action(ADD, 1)) == (((4, 0), 0.7), ((4, 1), 0.3))
+        assert model.transitions[((3, 0), Action(ADD, 1))] == (((4, 0), 0.7), ((4, 1), 0.3))
 
     def test_transition_probability_is_share_times_weight(self):
         config = ModelConfig(3, 5, add_limit=2, rem_limit=1, variant=Variant.M2, k=2)
@@ -101,8 +96,11 @@ class TestMultiBehaviorModel:
         }
         model = build_model(config, rewards, current=3)
         # Two adds from s3 split the type mass; each entry is share * weight.
-        assert model.row((3, 0), Action(ADD, 1)) == (((4, 0), 0.5 * 0.6), ((4, 1), 0.5 * 0.4))
-        assert model.row((3, 0), Action(ADD, 2)) == (((5, 0), 0.5),)
+        assert model.transitions[((3, 0), Action(ADD, 1))] == (
+            ((4, 0), 0.5 * 0.6),
+            ((4, 1), 0.5 * 0.4),
+        )
+        assert model.transitions[((3, 0), Action(ADD, 2))] == (((5, 0), 0.5),)
         assert model.type_distribution((3, 0), ADD) == pytest.approx(
             {(4, 0): 0.3, (4, 1): 0.2, (5, 0): 0.5}
         )
@@ -225,14 +223,6 @@ class TestValidation:
         report = validate_model(dataclasses.replace(model, transitions=transitions))
         assert any("no_op" in v and "s7" in v for v in report.violations)
 
-    def test_nonzero_action_reward(self):
-        model = chain_model()
-        action_rewards = dict(model.action_rewards)
-        key = next(iter(action_rewards))
-        action_rewards[key] = 0.5
-        report = validate_model(dataclasses.replace(model, action_rewards=action_rewards))
-        assert any("action reward" in v for v in report.violations)
-
     def test_accepted_state_must_be_terminal(self):
         model = chain_model()
         states = dict(model.states)
@@ -271,6 +261,25 @@ class TestDump:
         a = chain_model().dump()
         b = chain_model().dump()
         assert a == b
+
+    @pytest.mark.parametrize(
+        "prefix, old, new, line, message",
+        [
+            ("state s4", " center=-", "", 5, "missing center="),
+            ("trans s3 add_1", "add_1", "add_0", 9, "not an action label"),
+            ("trans s3 add_1", " s4 ", " s9 ", 9, "undefined state s9"),
+            ("state s4", "reward=4.0", "reward=abc", 5, "abc"),
+            ("config", "min_vms=3 ", "", 2, "missing min_vms="),
+            ("state s4", "reward=4.0", "reward=nan", 5, "non-finite"),
+            ("state s5", "weight=1.0", "weight=inf", 6, "non-finite"),
+        ],
+    )
+    def test_malformed_dump_names_its_line(self, prefix, old, new, line, message):
+        lines = chain_model().dump().splitlines()
+        n = next(i for i, text in enumerate(lines) if text.startswith(prefix))
+        lines[n] = lines[n].replace(old, new)
+        with pytest.raises(InstantiationError, match=f"line {line}: .*{message}"):
+            MdpModel.loads("\n".join(lines))
 
 
 @st.composite

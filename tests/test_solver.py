@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from elastimdp import cli
 from elastimdp.errors import SolverError
 from elastimdp.model import (
     Action,
@@ -11,15 +12,20 @@ from elastimdp.model import (
     ModelConfig,
     NO_OP,
     Variant,
+    behaviors_by_size,
     build_model,
+    validate_model,
 )
 from elastimdp.solver import (
+    TIE_TOL,
     ReachabilityQuery,
+    _tree_value,
     brute_force_oracle,
     brute_force_reachability,
     decide,
     max_expected_reward,
     reachability_probability,
+    tie_break_key,
 )
 
 from instances import random_instance
@@ -81,14 +87,26 @@ class TestMaxExpectedReward:
             for key in model.states:
                 assert values.value(key) >= model.state_rewards[key] - 1e-12
 
-    def test_cycle_guard(self):
+    def test_cycle_guard(self, tmp_path, capsys):
+        # The solver never reads the transition map, so a map that breaks
+        # the size order is refused where maps enter: validation, and
+        # `query --model-dump` before it answers.
         model = chain({3: 1, 4: 2, 5: 3})
         transitions = dict(model.transitions)
         # An "add" that fails to grow the cluster would make the graph cyclic.
         transitions[((4, 0), Action(ADD, 1))] = (((4, 0), 1.0),)
         broken = dataclasses.replace(model, transitions=transitions)
-        with pytest.raises(SolverError):
-            max_expected_reward(broken)
+        assert (
+            "(s4, add_1) leads to s4:1, but config and behavior weights imply s5:1"
+            in validate_model(broken).violations
+        )
+
+        dump = tmp_path / "broken.txt"
+        dump.write_text(broken.dump(), encoding="utf-8")
+        assert cli.main(["query", "Pmax=? [ F vms_num=5 ]", "--model-dump", str(dump)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "(s4, add_1) leads to s4:1" in err
+        assert "Traceback" not in err
 
 
 class TestDecide:
@@ -130,6 +148,59 @@ class TestDecide:
         for _ in range(20):
             model = random_instance(rng)
             assert decide(model) == decide(model)
+
+
+def rebuild(model, variant):
+    """The same sizes, limits, rewards and weights as another variant."""
+    config = dataclasses.replace(model.config, variant=variant)
+    rewards = {
+        size: [BehaviorReward(model.state_rewards[s.key], s.weight, s.center) for s in states]
+        for size, states in behaviors_by_size(model.states).items()
+    }
+    return build_model(config, rewards, model.initial.vms_num)
+
+
+def first_move_value(model, key, action):
+    """Value of taking `action` first at `key`, by the brute-force tree."""
+    return sum(
+        p * _tree_value(model, target, action.kind)
+        for target, p in model.outcome_distribution(key, action)
+    )
+
+
+class TestM3TieBreak:
+    def test_m3_decides_like_m2_except_on_ties(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(150):
+            model = random_instance(rng)
+            m2, m3 = rebuild(model, Variant.M2), rebuild(model, Variant.M3)
+            v2, v3 = max_expected_reward(m2), max_expected_reward(m3)
+            for key in model.states:
+                best = v3.value(key)
+                assert best == pytest.approx(v2.value(key), rel=0.0, abs=1e-12)
+                a2, a3 = v2.action(key), v3.action(key)
+                if a2 != a3:
+                    # M2's choice is an optimum of M3 too; M3 took a tied
+                    # action that comes first in the tie-break order.
+                    tol = TIE_TOL * max(1.0, abs(best))
+                    assert abs(first_move_value(m3, key, a2) - best) <= tol
+                    assert tie_break_key(a3) < tie_break_key(a2)
+
+    def test_m3_clips_a_larger_tied_step(self):
+        # Found by a seeded search over small integer rewards.  From s5,
+        # rem_1 (to s4) and add_1 (on to s8) tie at 2: M2 removes.  M3 can
+        # reach s8 in one add_3, the largest tied step, clipped to add_1.
+        config = ModelConfig(4, 8, add_limit=1, rem_limit=2, variant=Variant.M2)
+        rewards = {4: 2.0, 5: 0.0, 6: 0.0, 7: 1.0, 8: 2.0}
+        m2 = build_model(config, rewards, current=5)
+        m3 = rebuild(m2, Variant.M3)
+        d2 = decide(m2)
+        assert (d2.action, d2.expected_utility, d2.bounded) == (Action(REM, 1), 2.0, False)
+        assert max_expected_reward(m3).action((5, 0)) == Action(ADD, 3)
+        d3 = decide(m3)
+        assert (d3.action, d3.expected_utility, d3.target_size, d3.bounded) == (
+            Action(ADD, 1), 2.0, 6, True,
+        )
 
 
 class TestOracleAgreement:
