@@ -19,8 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NoDataError
+from .errors import ConfigurationError, DataFormatError, NoDataError
 from .logs import LogStore, MeasurementRecord
+from .model import finite_float
 from .policies import Policy, PostProcessConfig, apply_benefit_threshold
 from .rewards import UtilityConfig, utility_eval
 
@@ -168,7 +169,7 @@ class ScheduleConfig:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TickRecord:
     """One emulated time unit of an episode."""
 
@@ -219,25 +220,33 @@ def trace_to_csv(trace: ExperimentTrace) -> str:
 
 
 def trace_from_csv(text: str, policy: str = "", seed: int = 0) -> ExperimentTrace:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ConfigurationError(f"expected trace header {TRACE_HEADER!r}")
+    """Parse `trace_to_csv` output; a malformed row raises DataFormatError
+    naming its 1-based line."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != TRACE_HEADER:
+        raise DataFormatError(f"expected trace header {TRACE_HEADER!r}")
+    fields = TRACE_HEADER.count(",") + 1
     records = []
-    for line in lines[1:]:
+    for number, line in lines[1:]:
         parts = line.split(",")
-        records.append(
-            TickRecord(
-                tick=int(parts[0]),
-                load=float(parts[1]),
-                vms=int(parts[2]),
-                latency_ms=float(parts[3]),
-                throughput=float(parts[4]),
-                utility=float(parts[5]),
-                violation=bool(int(parts[6])),
-                decision=parts[7],
-                decision_ms=float(parts[8]),
+        try:
+            if len(parts) != fields:
+                raise ValueError(f"expected {fields} fields, got {len(parts)}")
+            records.append(
+                TickRecord(
+                    tick=int(parts[0]),
+                    load=finite_float(parts[1]),
+                    vms=int(parts[2]),
+                    latency_ms=finite_float(parts[3]),
+                    throughput=finite_float(parts[4]),
+                    utility=finite_float(parts[5]),
+                    violation=bool(int(parts[6])),
+                    decision=parts[7],
+                    decision_ms=finite_float(parts[8]),
+                )
             )
-        )
+        except ValueError as exc:
+            raise DataFormatError(f"trace line {number}: {exc}") from exc
     return ExperimentTrace(policy=policy, seed=seed, records=records)
 
 

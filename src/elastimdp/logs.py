@@ -19,7 +19,7 @@ from .errors import DataFormatError, NoDataError
 CSV_HEADER = ("time", "vms", "load", "latency_ms", "throughput")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementRecord:
     """One monitoring sample (one tick is 30 s in the default schedule)."""
 
@@ -32,8 +32,24 @@ class MeasurementRecord:
     def __post_init__(self) -> None:
         if self.vms < 1:
             raise ValueError(f"vms must be >= 1, got {self.vms}")
-        if min(self.time, self.load, self.latency_ms, self.throughput) < 0:
-            raise ValueError("measurement fields must be nonnegative")
+        if self.time < 0:
+            raise ValueError(f"time must be >= 0, got {self.time}")
+        # One chained test per field rejects negatives, NaN and infinities.
+        if not (
+            0 <= self.load < math.inf
+            and 0 <= self.latency_ms < math.inf
+            and 0 <= self.throughput < math.inf
+        ):
+            bad = [
+                f"{name}={value!r}"
+                for name, value in (
+                    ("load", self.load),
+                    ("latency_ms", self.latency_ms),
+                    ("throughput", self.throughput),
+                )
+                if not 0 <= value < math.inf
+            ]
+            raise ValueError(f"measurements must be finite and >= 0: {', '.join(bad)}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +65,13 @@ class LogSelection:
 class LogStore:
     """Bucketed measurement log, single writer / many readers.
 
-    Appends happen only during ingestion; selections never mutate state,
-    so a built store can be shared freely across concurrent episodes.
+    Appends happen only during ingestion.  `cluster_memo` holds, per
+    (vms, bucket center, clustering config) cell, the behavior clusters
+    the policies derived from that cell's records (filled by
+    `policies.cell_clusters`); `add` clears it.  Filling it is idempotent,
+    since clustering is a pure function of the cell's records and the
+    config, so a built store can be shared freely across episodes,
+    policies and what-if requests.
     """
 
     def __init__(self, records: Iterable[MeasurementRecord] = (), bucket_width: float = 1000.0):
@@ -59,6 +80,7 @@ class LogStore:
         self.bucket_width = float(bucket_width)
         self._buckets: dict[tuple[int, int], list[MeasurementRecord]] = {}
         self._count = 0
+        self.cluster_memo: dict[tuple, tuple] = {}
         for record in records:
             self.add(record)
 
@@ -72,6 +94,7 @@ class LogStore:
         key = (record.vms, self._bucket(record.load))
         self._buckets.setdefault(key, []).append(record)
         self._count += 1
+        self.cluster_memo.clear()
 
     def sizes(self) -> list[int]:
         return sorted({vms for vms, _ in self._buckets})

@@ -23,9 +23,13 @@ state sums to 1.  The per-entry probability is therefore
 reader expects next to each arrow in a drawing of the model.  The map is
 implied by the config and the behavior weights (`implied_transitions`), so
 the solver never reads it; it serves dumps, `validate_model` and the
-brute-force oracles.
+brute-force oracles.  `build_model` therefore hands the model a read-only
+map that runs `implied_transitions` on first read and keeps the result;
+loaded and hand-edited models carry the explicit map they were given.
 
-Models are immutable after construction and safe to share between threads.
+Models are immutable after construction and safe to share between threads:
+the first read of a built model's map fills it idempotently, and every
+reader sees the same contents.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import ConfigurationError, InstantiationError
 
@@ -97,9 +101,10 @@ class Action:
             raise ValueError(f"not an action label: {label!r}") from exc
 
     def sort_key(self) -> tuple[int, int]:
-        order = {ActionKind.ADD: 0, ActionKind.REM: 1, ActionKind.NO_OP: 2}
-        return (order[self.kind], self.delta)
+        return (_KIND_ORDER[self.kind], self.delta)
 
+
+_KIND_ORDER = {ActionKind.ADD: 0, ActionKind.REM: 1, ActionKind.NO_OP: 2}
 
 NO_OP = Action(ActionKind.NO_OP, 0)
 
@@ -263,12 +268,14 @@ class MdpModel:
                 f" phase={state.phase_label} prev={state.previous_action}"
                 f" center={center}"
             )
-        for key in sorted(self.states):
-            for action in self.actions_from(key):
-                for target, p in self.transitions[(key, action)]:
-                    lines.append(
-                        f"trans {labels[key]} {action.label} {labels[target]} {p!r}"
-                    )
+        entries = sorted(
+            (entry for entry in self.transitions.items() if entry[0][0] in labels),
+            key=lambda entry: (entry[0][0], entry[0][1].sort_key()),
+        )
+        for (key, action), row in entries:
+            source = f"trans {labels[key]} {action.label} "
+            for target, p in row:
+                lines.append(f"{source}{labels[target]} {p!r}")
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -389,9 +396,50 @@ def build_model(
         config=config,
         states=states,
         initial=states[(current, initial_idx)],
-        transitions=implied_transitions(config, states),
+        transitions=_ImpliedTransitions(config, states),
         state_rewards=state_rewards,
     )
+
+
+class _ImpliedTransitions(Mapping[tuple[StateKey, Action], TransitionRow]):
+    """Read-only transition map of a built model, made by
+    `implied_transitions` on first read and kept; compares equal to the
+    plain dict with the same contents."""
+
+    __slots__ = ("_config", "_states", "_map")
+
+    def __init__(self, config: ModelConfig, states: Mapping[StateKey, MdpState]):
+        self._config = config
+        self._states = states
+        self._map: dict[tuple[StateKey, Action], TransitionRow] | None = None
+
+    def _built(self) -> dict[tuple[StateKey, Action], TransitionRow]:
+        if self._map is None:
+            self._map = implied_transitions(self._config, self._states)
+        return self._map
+
+    def __getitem__(self, entry: tuple[StateKey, Action]) -> TransitionRow:
+        return self._built()[entry]
+
+    def __iter__(self) -> Iterator[tuple[StateKey, Action]]:
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+    # Dumps and validation read the whole map: serve it without the
+    # per-entry lookups of the Mapping defaults.
+    def keys(self):
+        return self._built().keys()
+
+    def items(self):
+        return self._built().items()
+
+    def get(self, entry, default=None):
+        return self._built().get(entry, default)
+
+    def __repr__(self) -> str:
+        return repr(self._built())
 
 
 def behaviors_by_size(states: Mapping[StateKey, MdpState]) -> dict[int, list[MdpState]]:
@@ -545,6 +593,7 @@ def _parse_dump(text: str) -> MdpModel:
     rewards: dict[StateKey, float] = {}
     by_label: dict[str, StateKey] = {}
     transitions: dict[tuple[StateKey, Action], list[tuple[StateKey, float]]] = {}
+    actions: dict[str, Action] = {}
 
     for number, words in lines[1:]:
         try:
@@ -552,8 +601,10 @@ def _parse_dump(text: str) -> MdpModel:
                 _, src, action_label, dst, prob = words
                 if src not in by_label or dst not in by_label:
                     raise ValueError(f"undefined state {dst if src in by_label else src}")
-                action = Action.from_label(action_label)
-                entry = (by_label[dst], _finite(prob))
+                action = actions.get(action_label)
+                if action is None:
+                    action = actions[action_label] = Action.from_label(action_label)
+                entry = (by_label[dst], finite_float(prob))
                 transitions.setdefault((by_label[src], action), []).append(entry)
             elif words[0] == "state":
                 _, label, *fields = words
@@ -561,17 +612,17 @@ def _parse_dump(text: str) -> MdpModel:
                 center = None
                 if attrs["center"] != "-":
                     lat, thr = attrs["center"].split(",")
-                    center = (_finite(lat), _finite(thr))
+                    center = (finite_float(lat), finite_float(thr))
                 state = MdpState(
                     vms_num=int(attrs["vms"]),
                     behavior_index=int(attrs["behavior"]),
-                    weight=_finite(attrs["weight"]),
+                    weight=finite_float(attrs["weight"]),
                     center=center,
                     phase_label=attrs["phase"],
                     previous_action=attrs["prev"],
                 )
                 states[state.key] = state
-                rewards[state.key] = _finite(attrs["reward"])
+                rewards[state.key] = finite_float(attrs["reward"])
                 by_label[label] = state.key
             elif words[0] == "config":
                 attrs = dict(field.split("=", 1) for field in words if "=" in field)
@@ -605,7 +656,8 @@ def _parse_dump(text: str) -> MdpModel:
     )
 
 
-def _finite(text: str) -> float:
+def finite_float(text: str) -> float:
+    """`float(text)`, raising ValueError for NaN and infinities as well."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text!r}")

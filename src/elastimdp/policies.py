@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .errors import ConfigurationError, NoDataError
-from .logs import LogStore, MeasurementRecord
+from .logs import LogSelection, LogStore, MeasurementRecord
 from .model import (
     Action,
     ActionKind,
@@ -38,6 +38,7 @@ from .model import (
     build_model,
 )
 from .rewards import (
+    ClusterSummary,
     ClusteringConfig,
     RewardMode,
     UtilityConfig,
@@ -214,6 +215,23 @@ def _weighted_center(breakdown: Sequence[BehaviorReward]) -> tuple[float, float]
     return (lat, thr)
 
 
+def cell_clusters(
+    store: LogStore, selection: LogSelection, clustering: ClusteringConfig
+) -> tuple[ClusterSummary, ...]:
+    """Behavior clusters of the store cell `selection` came from.
+
+    Each (cell, clustering config) is clustered once per store and kept in
+    `store.cluster_memo`; selections of one cell carry the same records
+    until `LogStore.add` clears the memo.
+    """
+    key = (selection.vms_used, selection.bucket_center, clustering)
+    clusters = store.cluster_memo.get(key)
+    if clusters is None:
+        clusters = tuple(cluster_behavior(selection.records, clustering))
+        store.cluster_memo[key] = clusters
+    return clusters
+
+
 def _reward_inputs(
     kind: PolicyKind,
     store: LogStore,
@@ -227,7 +245,7 @@ def _reward_inputs(
     notes: list[str] = []
     for size in model_config.sizes:
         selection = store.select_logs(size, load_effective)
-        clusters = cluster_behavior(selection.records, clustering)
+        clusters = cell_clusters(store, selection, clustering)
         sr = state_reward(clusters, mode, utility, size)
         if selection.interpolated:
             notes.append(
@@ -404,7 +422,7 @@ class RLPolicy(Policy):
 
     def _mb_reward(self, size: int, load: float) -> float:
         selection = self.store.select_logs(size, load)
-        clusters = cluster_behavior(selection.records, self.clustering)
+        clusters = cell_clusters(self.store, selection, self.clustering)
         return state_reward(clusters, RewardMode.MB, self.utility, size).reward
 
     def decide(self, current: ClusterSize) -> PolicyDecision:

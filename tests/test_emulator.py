@@ -12,10 +12,11 @@ from elastimdp.emulator import (
     gen_load,
     gen_synthetic_dataset,
     run_episode,
+    TRACE_HEADER,
     trace_from_csv,
     trace_to_csv,
 )
-from elastimdp.errors import NoDataError
+from elastimdp.errors import DataFormatError, NoDataError
 from elastimdp.logs import LogStore, MeasurementRecord
 from elastimdp.model import ModelConfig, NO_OP
 from elastimdp.policies import Policy, PolicyKind, make_policy
@@ -210,3 +211,23 @@ class TestTraceCsv:
         text = trace_to_csv(trace)
         parsed = trace_from_csv(text, policy=trace.policy, seed=trace.seed)
         assert parsed.records == trace.records
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,1,2", "expected 9 fields, got 3"),
+            ("0,1000.0,4,20.0,900.0,225.0,0,no_op,0.5,9", "expected 9 fields, got 10"),
+            ("0,1000.0,four,20.0,900.0,225.0,0,no_op,0.5", "four"),
+            ("0,1000.0,4,nan,900.0,225.0,0,no_op,0.5", "non-finite"),
+            ("0,1000.0,4,20.0,900.0,225.0,0,no_op,inf", "non-finite"),
+        ],
+    )
+    def test_malformed_row_names_its_line(self, row, message):
+        good = "0,1000.0,4,20.0,900.0,225.0,0,,0.0"
+        text = "\n".join([TRACE_HEADER, good, "", row, good]) + "\n"
+        with pytest.raises(DataFormatError, match=f"trace line 4: .*{message}"):
+            trace_from_csv(text)
+
+    def test_wrong_header(self):
+        with pytest.raises(DataFormatError, match="header"):
+            trace_from_csv("tick,load\n0,1\n")

@@ -297,5 +297,14 @@ class TestCli:
         assert rescored.records[1].utility == -1.0
         assert "mean_utility" in capsys.readouterr().out
 
+    def test_replay_short_row_is_an_error_line(self, tmp_path, capsys):
+        trace_file = tmp_path / "short.csv"
+        header = "tick,load,vms,latency_ms,throughput,utility,violation,decision,decision_ms"
+        trace_file.write_text(f"{header}\n0,1,2\n", encoding="utf-8")
+        assert self.run_cli("replay", "--trace", str(trace_file), "--utility", "r1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace line 2: expected 9 fields")
+        assert "Traceback" not in err
+
     def test_replay_missing_file(self, tmp_path):
         assert self.run_cli("replay", "--trace", str(tmp_path / "nope.csv"), "--utility", "r2") == 2

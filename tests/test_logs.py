@@ -22,6 +22,15 @@ class TestRecord:
     def test_rejects_negative_fields(self):
         with pytest.raises(ValueError):
             MeasurementRecord(0, 4, 1000.0, -1.0, 100.0)
+        with pytest.raises(ValueError):
+            MeasurementRecord(-1, 4, 1000.0, 1.0, 100.0)
+
+    @pytest.mark.parametrize("field", ["load", "latency_ms", "throughput"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_fields(self, field, value):
+        fields = {"load": 1000.0, "latency_ms": 20.0, "throughput": 100.0, field: value}
+        with pytest.raises(ValueError, match=f"{field}="):
+            MeasurementRecord(0, 4, **fields)
 
 
 class TestSelection:
@@ -100,6 +109,15 @@ class TestCsv:
         message = str(err.value)
         assert "line 3" in message
         assert "line 4" in message
+
+    def test_non_finite_rows_reported_with_line_numbers(self):
+        text = CSV_OK + "2,4,nan,5,100\n3,4,1000,inf,100\n4,4,1000,5,-inf\n5,4,1000,5,100\n"
+        with pytest.raises(DataFormatError, match="rejected 3 row") as err:
+            parse_records_csv(text)
+        message = str(err.value)
+        for line, field in ((4, "load"), (5, "latency_ms"), (6, "throughput")):
+            assert f"line {line}: measurements must be finite and >= 0: {field}=" in message
+        assert "line 7" not in message
 
     def test_bad_header(self):
         with pytest.raises(DataFormatError, match="header"):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elastimdp import model as model_module
 from elastimdp.errors import ConfigurationError, InstantiationError
 from elastimdp.model import (
     Action,
@@ -14,8 +15,11 @@ from elastimdp.model import (
     NO_OP,
     Variant,
     build_model,
+    implied_transitions,
     validate_model,
 )
+from elastimdp.queries import parse_query
+from elastimdp.solver import decide, reachability_probability
 
 ADD = ActionKind.ADD
 REM = ActionKind.REM
@@ -344,3 +348,91 @@ class TestProperties:
         assert build_model(config, rewards, current).dump() == build_model(
             config, rewards, current
         ).dump()
+
+
+class TestImpliedMap:
+    """A built model's transition map is made on first read.  It must equal
+    the map `implied_transitions` builds eagerly, and dumps and validation
+    must not tell the two apart."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(config_and_rewards())
+    def test_built_map_equals_the_implied_map(self, instance):
+        config, rewards, current = instance
+        model = build_model(config, rewards, current)
+        implied = implied_transitions(config, model.states)
+        assert model.transitions == implied
+        assert implied == model.transitions
+        assert len(model.transitions) == len(implied)
+        assert dict(model.transitions.items()) == implied
+        eager = dataclasses.replace(model, transitions=implied)
+        assert eager == model
+        assert eager.dump() == model.dump()
+        assert validate_model(model).ok
+
+    @settings(max_examples=30, deadline=None)
+    @given(config_and_rewards())
+    def test_dump_order_matches_a_scan_per_state(self, instance):
+        # The order of the `trans` lines before they were written in one
+        # sorted pass: states in key order, each state's actions by sort key.
+        config, rewards, current = instance
+        model = build_model(config, rewards, current)
+        labels = {key: state.label for key, state in model.states.items()}
+        expected = [
+            f"trans {labels[key]} {action.label} {labels[target]} {p!r}"
+            for key in sorted(model.states)
+            for action in model.actions_from(key)
+            for target, p in model.transitions[(key, action)]
+        ]
+        lines = model.dump().splitlines()
+        assert [line for line in lines if line.startswith("trans ")] == expected
+
+    @pytest.mark.parametrize("variant, k", [(Variant.M1, 1), (Variant.M2, 2), (Variant.M3, 2)])
+    def test_map_is_built_on_first_read_only(self, monkeypatch, variant, k):
+        calls = []
+        real = model_module.implied_transitions
+        monkeypatch.setattr(
+            model_module,
+            "implied_transitions",
+            lambda config, states: calls.append(1) or real(config, states),
+        )
+        config = ModelConfig(3, 7, add_limit=2, rem_limit=1, variant=variant, k=k)
+        weights = (1.0,) if k == 1 else (0.25, 0.75)
+        rewards = {
+            v: [
+                BehaviorReward(float(v * (i + 1)), w, (20.0 + i, 100.0 * v))
+                for i, w in enumerate(weights)
+            ]
+            for v in config.sizes
+        }
+        model = build_model(config, rewards, current=4)
+        decide(model)
+        reachability_probability(model, parse_query("Pmax=? [ F vms_num=6 ]"))
+        assert calls == []
+        first = model.transitions[((4, 0), NO_OP)]
+        assert calls == [1]
+        assert model.transitions[((4, 0), NO_OP)] is first
+        model.dump()
+        validate_model(model)
+        assert calls == [1, 1]  # validate_model builds its own reference map
+        with pytest.raises(TypeError):
+            model.transitions[((4, 0), NO_OP)] = first  # type: ignore[index]
+
+    def test_hand_edited_map_still_fails_validation(self):
+        config = ModelConfig(3, 5, add_limit=2, rem_limit=1, variant=Variant.M2, k=2)
+        rewards = {
+            3: [BehaviorReward(1.0, 1.0)],
+            4: [BehaviorReward(2.0, 0.6), BehaviorReward(3.0, 0.4)],
+            5: [BehaviorReward(4.0, 1.0)],
+        }
+        model = build_model(config, rewards, current=3)
+        entry = ((3, 0), Action(ADD, 1))
+        # Same type mass, but the outcome ignores the target weights.
+        edited = {**model.transitions, entry: (((4, 0), 0.25), ((4, 1), 0.25))}
+        report = validate_model(dataclasses.replace(model, transitions=edited))
+        assert any(
+            v.startswith("(s3, add_1) leads to s4a:0.25, s4b:0.25")
+            and "imply s4a:0.3, s4b:0.2" in v
+            for v in report.violations
+        )
+        assert validate_model(model).ok

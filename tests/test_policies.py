@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from elastimdp import policies
 from elastimdp.errors import ConfigurationError, NoDataError
+from elastimdp.harness import build_store, default_config, load_dataset
 from elastimdp.logs import LogStore, MeasurementRecord
 from elastimdp.model import Action, ActionKind, ModelConfig, NO_OP
 from elastimdp.policies import (
@@ -14,6 +16,7 @@ from elastimdp.policies import (
     RLConfig,
     RLPolicy,
     apply_benefit_threshold,
+    cell_clusters,
     instantiate_model,
     make_policy,
     mdp_decide,
@@ -23,7 +26,7 @@ from elastimdp.policies import (
     rl_update,
     smooth_load,
 )
-from elastimdp.rewards import ClusteringConfig, UtilityConfig, UtilityKind
+from elastimdp.rewards import ClusteringConfig, UtilityConfig, UtilityKind, cluster_behavior
 from elastimdp.solver import PolicyDecision
 
 ADD = ActionKind.ADD
@@ -273,3 +276,60 @@ class TestPolicyObjects:
         assert Action(ADD, 1) in actions
         assert Action(ADD, 2) not in actions
         assert Action(REM, 2) in actions
+
+
+def count_clustering(monkeypatch) -> list[int]:
+    """Record the record count of every real `cluster_behavior` run."""
+    calls: list[int] = []
+    real = policies.cluster_behavior
+
+    def counted(records, config):
+        calls.append(len(records))
+        return real(records, config)
+
+    monkeypatch.setattr(policies, "cluster_behavior", counted)
+    return calls
+
+
+class TestClusterMemo:
+    """Each store cell is clustered once per clustering config; the memo
+    must agree with a fresh k-means run and follow `LogStore.add`."""
+
+    def test_memo_matches_fresh_clustering_on_every_default_cell(self):
+        config = default_config()
+        store = build_store(config, load_dataset(config))
+        cells = sorted(store._buckets)  # every (vms, load bucket) cell
+        configs = (ClusteringConfig(k=1), ClusteringConfig(k=4))
+        for clustering in configs:
+            for vms, bucket in cells:
+                selection = store.select_logs(vms, bucket * store.bucket_width)
+                assert not selection.interpolated
+                memoized = cell_clusters(store, selection, clustering)
+                assert memoized == tuple(cluster_behavior(selection.records, clustering))
+                assert cell_clusters(store, selection, clustering) is memoized
+        assert len(store.cluster_memo) == len(configs) * len(cells)
+
+    def test_add_into_a_cell_reclusters_it(self, monkeypatch):
+        calls = count_clustering(monkeypatch)
+        store = store_with({4: (30.0, 8000.0), 5: (25.0, 9000.0)})
+        before = cell_clusters(store, store.select_logs(4, 10000.0), CLUSTERING)
+        cell_clusters(store, store.select_logs(4, 10200.0), CLUSTERING)
+        assert calls == [3]
+        store.add(MeasurementRecord(9, 4, 10000.0, 90.0, 100.0))
+        selection = store.select_logs(4, 10000.0)
+        after = cell_clusters(store, selection, CLUSTERING)
+        assert calls == [3, 4]
+        assert after == tuple(cluster_behavior(selection.records, CLUSTERING))
+        assert after != before
+
+    def test_policies_share_one_clustering_per_cell(self, monkeypatch):
+        calls = count_clustering(monkeypatch)
+        store = store_with({v: (30.0, float(v * v)) for v in LIMITS.sizes})
+        for kind in (PolicyKind.MDP_MB, PolicyKind.MDP_EB, PolicyKind.MDP_MB):
+            mdp_decide(kind, store, 10000.0, 5, None, LIMITS, R1, CLUSTERING)
+        rl = RLPolicy(store, LIMITS, R1, CLUSTERING)
+        rl.observe(MeasurementRecord(0, 5, 10000.0, 30.0, 25.0))
+        rl.decide(5)
+        assert len(calls) == len(LIMITS.sizes)
+        mdp_decide(PolicyKind.MDP2, store, 10000.0, 5, None, LIMITS, R1, ClusteringConfig(k=3))
+        assert len(calls) == 2 * len(LIMITS.sizes)
