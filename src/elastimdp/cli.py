@@ -8,13 +8,15 @@ Subcommands:
 * ``validate``    -- check a config file or a model dump
 * ``replay``      -- re-score a trace CSV under a different utility
 
-Exit status is 0 on success and nonzero on any configuration, parse, or
-run error.
+Exit status is 0 on success, 1 when `validate` finds violations or a run
+aborts, and 2 with one `error:` line on stderr for any configuration,
+parse or input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from . import harness
 from .emulator import SyntheticModelParams, gen_synthetic_dataset, trace_from_csv, trace_to_csv
 from .errors import ElastimdpError
 from .logs import write_records_csv
-from .model import MdpModel, validate_model
+from .model import MdpModel, ModelConfig, validate_model
 from .policies import PolicyKind, instantiate_model, MDP_KINDS
 from .rewards import UtilityConfig, UtilityKind, utility_eval
 
@@ -131,14 +133,25 @@ def _cmd_gen_dataset(args: argparse.Namespace) -> int:
         noise_stddev_fraction=args.noise,
         samples_per_point=args.samples,
     )
+    sizes = ModelConfig(args.min_vms, args.max_vms).sizes
+    bounds = (args.load_min, args.load_max, args.load_step)
+    if not all(math.isfinite(value) for value in bounds) or args.load_step <= 0:
+        raise ElastimdpError(
+            "--load-min, --load-max and --load-step must be finite and the step"
+            f" positive, got {args.load_min!r}, {args.load_max!r}, {args.load_step!r}"
+        )
     loads = []
     load = args.load_min
     while load <= args.load_max + 1e-9:
         loads.append(load)
         load += args.load_step
+    if not loads:
+        raise ElastimdpError(
+            f"empty load grid: --load-min {args.load_min!r} > --load-max {args.load_max!r}"
+        )
     records = gen_synthetic_dataset(
         params,
-        range(args.min_vms, args.max_vms + 1),
+        sizes,
         loads,
         seed=args.seed if args.seed is not None else 99,
     )
@@ -160,6 +173,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         records = harness.load_dataset(config)
         store = harness.build_store(config, records)
         load = args.load if args.load is not None else harness.synthetic_load_grid(config)[0]
+        if not math.isfinite(load):
+            raise ElastimdpError(f"--load must be finite, got {load!r}")
         vms = args.vms if args.vms is not None else config.schedule.initial_vms
         model, _ = instantiate_model(
             PolicyKind(args.policy),
@@ -236,11 +251,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ElastimdpError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (ElastimdpError, OSError, UnicodeDecodeError) as exc:
+        # One line, even for multi-line parser messages.
+        sys.stderr.write(f"error: {' '.join(str(exc).splitlines())}\n")
         return 2
 
 

@@ -71,12 +71,15 @@ class SyntheticModelParams:
     samples_per_point: int = 12
 
     def __post_init__(self) -> None:
-        if self.per_vm_capacity <= 0:
-            raise ConfigurationError("per_vm_capacity must be positive")
-        if self.base_latency_ms <= 0:
-            raise ConfigurationError("base_latency_ms must be positive")
-        if self.noise_stddev_fraction < 0:
-            raise ConfigurationError("noise fraction must be >= 0")
+        # Chained comparisons also reject NaN and infinities.
+        if not 0 < self.per_vm_capacity < math.inf:
+            raise ConfigurationError("per_vm_capacity must be positive and finite")
+        if not 0 < self.base_latency_ms < math.inf:
+            raise ConfigurationError("base_latency_ms must be positive and finite")
+        if not math.isfinite(self.saturation_exponent):
+            raise ConfigurationError("saturation_exponent must be finite")
+        if not 0 <= self.noise_stddev_fraction < math.inf:
+            raise ConfigurationError("noise fraction must be finite and >= 0")
         if self.samples_per_point < 1:
             raise ConfigurationError("samples_per_point must be >= 1")
 

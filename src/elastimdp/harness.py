@@ -32,7 +32,7 @@ from .emulator import (
 )
 from .errors import ConfigurationError
 from .logs import LogStore, MeasurementRecord, read_records_csv
-from .model import MdpModel, ModelConfig
+from .model import MdpModel, ModelConfig, finite_float
 from .policies import (
     PolicyKind,
     PostProcessConfig,
@@ -363,6 +363,13 @@ def parse_config(
     def get(section: str, key: str, default: str) -> str:
         return parser.get(section, key, fallback=default).strip()
 
+    def number(section: str, key: str, default: str) -> float:
+        # NaN and infinities would slip past every range check below.
+        try:
+            return finite_float(get(section, key, default))
+        except ValueError as exc:
+            raise ValueError(f"{section}.{key}: {exc}") from exc
+
     try:
         policies = tuple(
             PolicyKind(name.strip())
@@ -381,57 +388,54 @@ def parse_config(
         )
         utility = UtilityConfig(
             kind=UtilityKind(get("utility", "kind", "r1")),
-            latency_threshold_ms=float(get("utility", "latency_threshold_ms", "60")),
+            latency_threshold_ms=number("utility", "latency_threshold_ms", "60"),
         )
         clustering = ClusteringConfig(
             k=int(get("clustering", "k", "4")),
             dims=int(get("clustering", "dims", "2")),
-            load_bucket_width=float(get("clustering", "load_bucket_width_reqs", "1000")),
+            load_bucket_width=number("clustering", "load_bucket_width_reqs", "1000"),
             max_iterations=int(get("clustering", "max_iterations", "50")),
             seed=int(get("clustering", "seed", "7")),
         )
         load = LoadProfile(
-            load_min=float(get("load", "load_min_reqs", "1000")),
-            load_max=float(get("load", "load_max_reqs", "46000")),
+            load_min=number("load", "load_min_reqs", "1000"),
+            load_max=number("load", "load_max_reqs", "46000"),
             period_ticks=int(get("load", "period_ticks", "315")),
             variation=LoadVariation(get("load", "variation", "LV1")),
         )
         post = PostProcessConfig(
-            benefit_threshold_pct=float(get("postprocess", "benefit_threshold_pct", "0")),
+            benefit_threshold_pct=number("postprocess", "benefit_threshold_pct", "0"),
             smoothing_window=int(get("postprocess", "smoothing_window_ticks", "1")),
         )
         schedule = ScheduleConfig(
-            tick_seconds=float(get("schedule", "tick_seconds", "30")),
+            tick_seconds=number("schedule", "tick_seconds", "30"),
             decision_every_ticks=int(get("schedule", "decision_every_ticks", "10")),
             horizon_ticks=int(get("schedule", "horizon_ticks", "630")),
             initial_vms=int(get("schedule", "initial_vms", "4")),
-            emulation_noise_fraction=float(
-                get("schedule", "emulation_noise_fraction", "0.05")
-            ),
+            emulation_noise_fraction=number("schedule", "emulation_noise_fraction", "0.05"),
         )
         step_size = get("re", "step_size", "")
         re_config = REConfig(
-            upper_latency_ms=float(get("re", "upper_latency_ms",
-                                       get("utility", "latency_threshold_ms", "60"))),
+            upper_latency_ms=number(
+                "re", "upper_latency_ms", get("utility", "latency_threshold_ms", "60")
+            ),
             lower_latency_ms=(
-                float(get("re", "lower_latency_ms", "")) if get("re", "lower_latency_ms", "") else None
+                number("re", "lower_latency_ms", "") if get("re", "lower_latency_ms", "") else None
             ),
             step_size=int(step_size) if step_size else None,
         )
         rl_config = RLConfig(
-            alpha=float(get("rl", "alpha", "0.1")),
-            gamma=float(get("rl", "gamma", "0.5")),
+            alpha=number("rl", "alpha", "0.1"),
+            gamma=number("rl", "gamma", "0.5"),
         )
         source = get("dataset", "source", "synthetic")
         if source == "synthetic":
             dataset = DatasetSpec(
                 synthetic=SyntheticModelParams(
-                    per_vm_capacity=float(get("dataset", "per_vm_capacity_reqs", "4500")),
-                    base_latency_ms=float(get("dataset", "base_latency_ms", "25")),
-                    saturation_exponent=float(get("dataset", "saturation_exponent", "2.5")),
-                    noise_stddev_fraction=float(
-                        get("dataset", "noise_stddev_fraction", "0.05")
-                    ),
+                    per_vm_capacity=number("dataset", "per_vm_capacity_reqs", "4500"),
+                    base_latency_ms=number("dataset", "base_latency_ms", "25"),
+                    saturation_exponent=number("dataset", "saturation_exponent", "2.5"),
+                    noise_stddev_fraction=number("dataset", "noise_stddev_fraction", "0.05"),
                     samples_per_point=int(get("dataset", "samples_per_point", "12")),
                 ),
                 seed=int(get("dataset", "seed", "99")),

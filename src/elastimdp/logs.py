@@ -12,9 +12,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DataFormatError, NoDataError
+
+if TYPE_CHECKING:  # rewards imports this module
+    from .rewards import StateReward
 
 CSV_HEADER = ("time", "vms", "load", "latency_ms", "throughput")
 
@@ -52,7 +55,7 @@ class MeasurementRecord:
             raise ValueError(f"measurements must be finite and >= 0: {', '.join(bad)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogSelection:
     """Records chosen for a (vms, load) query, with provenance."""
 
@@ -65,13 +68,17 @@ class LogSelection:
 class LogStore:
     """Bucketed measurement log, single writer / many readers.
 
-    Appends happen only during ingestion.  `cluster_memo` holds, per
-    (vms, bucket center, clustering config) cell, the behavior clusters
-    the policies derived from that cell's records (filled by
-    `policies.cell_clusters`); `add` clears it.  Filling it is idempotent,
-    since clustering is a pure function of the cell's records and the
-    config, so a built store can be shared freely across episodes,
-    policies and what-if requests.
+    Appends happen only during ingestion.  Everything derived from a cell
+    (the records of one vms count and load bucket) is derived once per
+    store and kept until `add` clears it: `select_logs` keeps one
+    `LogSelection` per (vms, load bucket) query, `cluster_memo` the
+    behavior clusters per (vms, bucket center, clustering config)
+    (filled by `policies.cell_clusters`), and `reward_memo` the
+    `StateReward` per cell, clustering, reward mode, utility and scored
+    size (filled by `policies.cell_reward`).  Filling them is idempotent,
+    since each is a pure function of the cell's records and its key, so
+    a built store can be shared freely across episodes, policies and
+    what-if requests.
     """
 
     def __init__(self, records: Iterable[MeasurementRecord] = (), bucket_width: float = 1000.0):
@@ -80,7 +87,9 @@ class LogStore:
         self.bucket_width = float(bucket_width)
         self._buckets: dict[tuple[int, int], list[MeasurementRecord]] = {}
         self._count = 0
+        self._selections: dict[tuple[int, int], LogSelection] = {}
         self.cluster_memo: dict[tuple, tuple] = {}
+        self.reward_memo: dict[tuple, StateReward] = {}
         for record in records:
             self.add(record)
 
@@ -94,7 +103,9 @@ class LogStore:
         key = (record.vms, self._bucket(record.load))
         self._buckets.setdefault(key, []).append(record)
         self._count += 1
+        self._selections.clear()
         self.cluster_memo.clear()
+        self.reward_memo.clear()
 
     def sizes(self) -> list[int]:
         return sorted({vms for vms, _ in self._buckets})
@@ -104,11 +115,18 @@ class LogStore:
 
         Falls back to the closest populated bucket of the same size, then
         to the closest size (ties toward fewer VMs), flagging the result
-        as interpolated.
+        as interpolated.  Repeated queries of one (vms, load bucket) pair
+        return the same selection until `add` changes the store.
         """
         if not self._buckets:
             raise NoDataError("log store is empty")
-        bucket = self._bucket(load)
+        query = (vms_num, self._bucket(load))
+        selection = self._selections.get(query)
+        if selection is None:
+            selection = self._selections[query] = self._select(*query)
+        return selection
+
+    def _select(self, vms_num: int, bucket: int) -> LogSelection:
         exact = self._buckets.get((vms_num, bucket))
         if exact:
             return LogSelection(tuple(exact), False, vms_num, bucket * self.bucket_width)

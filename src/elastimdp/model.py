@@ -64,7 +64,12 @@ class ActionKind(str, Enum):
 
 @dataclass(frozen=True)
 class Action:
-    """A sized elasticity action: add/remove `delta` VMs, or no_op."""
+    """A sized elasticity action: add/remove `delta` VMs, or no_op.
+
+    `signed_delta` (+delta, -delta or 0) is stored at construction.  It is
+    unique per action and the same in every process, so it also gives the
+    hash that keys every transition-map lookup.
+    """
 
     kind: ActionKind
     delta: int = 0
@@ -75,20 +80,18 @@ class Action:
                 raise ValueError("no_op carries no size delta")
         elif self.delta < 1:
             raise ValueError(f"{self.kind.value} requires delta >= 1")
+        signed = -self.delta if self.kind is ActionKind.REM else self.delta
+        object.__setattr__(self, "signed_delta", signed)
+
+    def __hash__(self) -> int:
+        # Doubled so that rem_1 avoids -1, which CPython turns into -2.
+        return 2 * self.signed_delta
 
     @property
     def label(self) -> str:
         if self.kind is ActionKind.NO_OP:
             return "no_op"
         return f"{self.kind.value}_{self.delta}"
-
-    @property
-    def signed_delta(self) -> int:
-        if self.kind is ActionKind.ADD:
-            return self.delta
-        if self.kind is ActionKind.REM:
-            return -self.delta
-        return 0
 
     @staticmethod
     def from_label(label: str) -> "Action":
@@ -184,7 +187,7 @@ class MdpState:
         return f"s{self.vms_num}{suffix}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BehaviorReward:
     """Reward assignment for one behavior cluster of one size."""
 
@@ -303,6 +306,11 @@ def _normalize_rewards(
                 raise InstantiationError(f"empty reward list for size {size}")
             if not all(isinstance(b, BehaviorReward) for b in behaviors):
                 raise InstantiationError(f"bad reward entry for size {size}")
+        if not all(math.isfinite(b.reward) for b in behaviors):
+            raise InstantiationError(
+                f"non-finite reward at size {size}:"
+                f" {', '.join(repr(b.reward) for b in behaviors)}"
+            )
         if config.variant is Variant.M1 and len(behaviors) > 1:
             raise InstantiationError(
                 f"variant M1 admits one behavior per size, got {len(behaviors)}"

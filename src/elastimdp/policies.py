@@ -41,6 +41,7 @@ from .rewards import (
     ClusterSummary,
     ClusteringConfig,
     RewardMode,
+    StateReward,
     UtilityConfig,
     cluster_behavior,
     state_reward,
@@ -221,8 +222,9 @@ def cell_clusters(
     """Behavior clusters of the store cell `selection` came from.
 
     Each (cell, clustering config) is clustered once per store and kept in
-    `store.cluster_memo`; selections of one cell carry the same records
-    until `LogStore.add` clears the memo.
+    `store.cluster_memo`.  Like the cell's selection and its per-size
+    rewards (`cell_reward`), the clusters last until `LogStore.add`
+    changes the store's records.
     """
     key = (selection.vms_used, selection.bucket_center, clustering)
     clusters = store.cluster_memo.get(key)
@@ -230,6 +232,29 @@ def cell_clusters(
         clusters = tuple(cluster_behavior(selection.records, clustering))
         store.cluster_memo[key] = clusters
     return clusters
+
+
+def cell_reward(
+    store: LogStore,
+    selection: LogSelection,
+    clustering: ClusteringConfig,
+    mode: RewardMode,
+    utility: UtilityConfig,
+    size: int,
+) -> StateReward:
+    """`state_reward` of the store cell `selection` came from, scored at
+    `size` (an interpolated cell is scored at the requested size, not at
+    the size its records came from).
+
+    Each (cell, clustering, mode, utility, size) is scored once per store
+    and kept in `store.reward_memo`, which `LogStore.add` clears.
+    """
+    key = (selection.vms_used, selection.bucket_center, clustering, mode, utility, size)
+    reward = store.reward_memo.get(key)
+    if reward is None:
+        clusters = cell_clusters(store, selection, clustering)
+        reward = store.reward_memo[key] = state_reward(clusters, mode, utility, size)
+    return reward
 
 
 def _reward_inputs(
@@ -245,8 +270,7 @@ def _reward_inputs(
     notes: list[str] = []
     for size in model_config.sizes:
         selection = store.select_logs(size, load_effective)
-        clusters = cell_clusters(store, selection, clustering)
-        sr = state_reward(clusters, mode, utility, size)
+        sr = cell_reward(store, selection, clustering, mode, utility, size)
         if selection.interpolated:
             notes.append(
                 f"size {size}: no logs at bucket, used {len(selection.records)}"
@@ -422,8 +446,9 @@ class RLPolicy(Policy):
 
     def _mb_reward(self, size: int, load: float) -> float:
         selection = self.store.select_logs(size, load)
-        clusters = cell_clusters(self.store, selection, self.clustering)
-        return state_reward(clusters, RewardMode.MB, self.utility, size).reward
+        return cell_reward(
+            self.store, selection, self.clustering, RewardMode.MB, self.utility, size
+        ).reward
 
     def decide(self, current: ClusterSize) -> PolicyDecision:
         if self._latest is None:

@@ -43,7 +43,7 @@ class ClusteringConfig:
             raise ConfigurationError("max_iterations must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClusterSummary:
     """One behavior cluster: center point and population share."""
 
@@ -134,8 +134,10 @@ class UtilityConfig:
     latency_threshold_ms: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.latency_threshold_ms <= 0:
-            raise ConfigurationError("latency threshold must be positive")
+        if not 0 < self.latency_threshold_ms < math.inf:
+            raise ConfigurationError(
+                f"latency threshold must be positive and finite, got {self.latency_threshold_ms!r}"
+            )
 
 
 def utility_eval(
@@ -153,7 +155,7 @@ def utility_eval(
     return 1.0 / vms_num
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateReward:
     """Aggregate reward for one candidate size plus its M2 breakdown."""
 

@@ -128,14 +128,16 @@ def _arrival_values(
     for kind, sign, sizes in directions:
         arrive: dict[int, float] = {}
         for size in sizes:
+            # The best onward arrival depends on the size alone.
             onward = [arrive[size + sign * d] for d in cfg.deltas(size, kind)]
+            best_onward = best_of(onward) if onward else None
             states = behaviors[size]
             mass = sum(state.weight for state in states)
             total = 0.0
             for state in states:
                 value = payoff[state.key]
-                if onward and state.key not in final:
-                    value = best_of(value, best_of(onward))
+                if best_onward is not None and state.key not in final:
+                    value = best_of(value, best_onward)
                 total += state.weight / mass * value
             arrive[size] = total
         branches.append(arrive)

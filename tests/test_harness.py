@@ -37,6 +37,26 @@ SMALL_INI_OVERRIDES = {
 }
 
 
+# Every key the config reads as a float.
+FLOAT_KEYS = (
+    "utility.latency_threshold_ms",
+    "clustering.load_bucket_width_reqs",
+    "load.load_min_reqs",
+    "load.load_max_reqs",
+    "postprocess.benefit_threshold_pct",
+    "schedule.tick_seconds",
+    "schedule.emulation_noise_fraction",
+    "re.upper_latency_ms",
+    "re.lower_latency_ms",
+    "rl.alpha",
+    "rl.gamma",
+    "dataset.per_vm_capacity_reqs",
+    "dataset.base_latency_ms",
+    "dataset.saturation_exponent",
+    "dataset.noise_stddev_fraction",
+)
+
+
 def small_config(**extra):
     overrides = dict(SMALL_INI_OVERRIDES)
     overrides.update(extra)
@@ -88,6 +108,12 @@ class TestConfig:
     def test_csv_source_requires_path(self):
         with pytest.raises(ConfigurationError, match="dataset.path"):
             small_config(**{"dataset.source": "csv"})
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_key_rejected(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"{key}: non-finite"):
+            small_config(**{key: value})
 
 
 class TestMetrics:
@@ -308,3 +334,75 @@ class TestCli:
 
     def test_replay_missing_file(self, tmp_path):
         assert self.run_cli("replay", "--trace", str(tmp_path / "nope.csv"), "--utility", "r2") == 2
+
+
+TRACE_HEADER = "tick,load,vms,latency_ms,throughput,utility,violation,decision,decision_ms"
+
+# Each subcommand on input it must refuse; {name} is a file in the test's
+# directory (see `cli_inputs`).
+GARBAGE = [
+    ("run", "--set", "clustering.load_bucket_width_reqs=nan"),
+    ("run", "--set", "utility.latency_threshold_ms=nan"),
+    ("run", "--set", "model.max_vms"),
+    ("run", "--config", "{garbage}"),
+    ("run", "--config", "{binary}"),
+    ("run", "--config", "{missing}"),
+    ("gen-dataset", "--out", "{out}", "--load-step", "0"),
+    ("gen-dataset", "--out", "{out}", "--load-step", "-500"),
+    ("gen-dataset", "--out", "{out}", "--load-step", "nan"),
+    ("gen-dataset", "--out", "{out}", "--load-max", "inf"),
+    ("gen-dataset", "--out", "{out}", "--load-min", "5000", "--load-max", "1000"),
+    ("gen-dataset", "--out", "{out}", "--min-vms", "0"),
+    ("gen-dataset", "--out", "{out}", "--min-vms", "9", "--max-vms", "4"),
+    ("gen-dataset", "--out", "{out}", "--capacity", "nan"),
+    ("gen-dataset", "--out", "{out}", "--exponent", "inf"),
+    ("gen-dataset", "--out", "{out}", "--samples", "0"),
+    ("query", "Pmax=? [ F vms_num=5 ]", "--model-dump", "{garbage}"),
+    ("query", "Pmax=? [ F vms_num=5 ]", "--model-dump", "{binary}"),
+    ("query", "Pmax=? [ F vms_num=5 ]", "--config", "{garbage}"),
+    ("query", "Pmax=? [ F vms_num=5 ]", "--config", "{ini}", "--load", "nan"),
+    ("query", "Pmax=? [ F vms_num=5 ]", "--config", "{ini}", "--vms", "99"),
+    ("query", "Pmax=? [ F vms_num=", "--config", "{ini}"),
+    ("validate",),
+    ("validate", "--config", "{garbage}"),
+    ("validate", "--model-dump", "{garbage}"),
+    ("validate", "--model-dump", "{missing}"),
+    ("replay", "--trace", "{garbage}", "--utility", "r1"),
+    ("replay", "--trace", "{binary}", "--utility", "r2"),
+    ("replay", "--trace", "{trace}", "--utility", "r1", "--latency-threshold-ms", "nan"),
+    ("replay", "--trace", "{trace}", "--utility", "r1", "--latency-threshold-ms", "0"),
+]
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    garbage = tmp_path / "garbage.txt"
+    garbage.write_text("mdpdump 1\n[model\n0,1,2\nnot = valid\n", encoding="utf-8")
+    binary = tmp_path / "binary.bin"
+    binary.write_bytes(b"\xff\xfe\x00garbage\x9c")
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"{TRACE_HEADER}\n0,10000.0,4,50.0,8000.0,2000.0,0,,0.0\n", encoding="utf-8")
+    return {
+        "garbage": garbage,
+        "binary": binary,
+        "missing": tmp_path / "missing.txt",
+        "ini": write_small_ini(tmp_path),
+        "trace": trace,
+        "out": tmp_path / "out.csv",
+    }
+
+
+@pytest.mark.parametrize("argv", GARBAGE, ids=lambda argv: " ".join(argv))
+def test_cli_refuses_garbage_with_an_error_line(argv, cli_inputs, capsys):
+    """The CLI contract: every subcommand turns bad input into exit 2 and
+    one `error:` line on stderr, never a traceback."""
+    code = cli.main([arg.format(**cli_inputs) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not cli_inputs["out"].exists()
+
+
+def test_every_subcommand_has_a_garbage_case():
+    assert {argv[0] for argv in GARBAGE} == set(cli._COMMANDS)

@@ -197,6 +197,42 @@ class TestBuildErrors:
         with pytest.raises(ConfigurationError):
             ModelConfig(0, 3)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda bad: bad,
+            lambda bad: BehaviorReward(bad),
+            lambda bad: [BehaviorReward(1.0, 0.5), BehaviorReward(bad, 0.5)],
+        ],
+        ids=["float", "behavior", "behavior-list"],
+    )
+    def test_non_finite_reward_names_its_size(self, entry, bad):
+        config = ModelConfig(3, 6, variant=Variant.M2, k=2)
+        rewards = {v: 1.0 for v in config.sizes}
+        rewards[5] = entry(bad)
+        with pytest.raises(InstantiationError, match="non-finite reward at size 5"):
+            build_model(config, rewards, current=4)
+
+
+class TestAction:
+    def test_parsed_and_constructed_actions_are_one_dict_key(self):
+        table = {Action(ADD, 2): "built", NO_OP: "stay"}
+        assert table[Action.from_label("add_2")] == "built"
+        assert table[Action.from_label("no_op")] == "stay"
+        table[Action.from_label("add_2")] = "parsed"
+        assert table == {Action(ADD, 2): "parsed", NO_OP: "stay"}
+        assert hash(Action.from_label("rem_3")) == hash(Action(REM, 3))
+        assert {Action(ADD, 1), Action(REM, 1), NO_OP} == {
+            Action.from_label(label) for label in ("add_1", "rem_1", "no_op")
+        }
+        # equal kinds and deltas hash alike whatever the object; distinct
+        # actions hash apart
+        actions = [NO_OP] + [Action(kind, d) for kind in (ADD, REM) for d in (1, 2, 3)]
+        assert len(set(actions)) == len({hash(a) for a in actions}) == 7
+        assert [a.signed_delta for a in actions] == [0, 1, 2, 3, -1, -2, -3]
+        assert dataclasses.replace(Action(ADD, 1), delta=2) in table
+
 
 class TestValidation:
     def test_valid_model_yields_empty_report(self):

@@ -17,6 +17,7 @@ from elastimdp.policies import (
     RLPolicy,
     apply_benefit_threshold,
     cell_clusters,
+    cell_reward,
     instantiate_model,
     make_policy,
     mdp_decide,
@@ -26,7 +27,14 @@ from elastimdp.policies import (
     rl_update,
     smooth_load,
 )
-from elastimdp.rewards import ClusteringConfig, UtilityConfig, UtilityKind, cluster_behavior
+from elastimdp.rewards import (
+    ClusteringConfig,
+    RewardMode,
+    UtilityConfig,
+    UtilityKind,
+    cluster_behavior,
+    state_reward,
+)
 from elastimdp.solver import PolicyDecision
 
 ADD = ActionKind.ADD
@@ -333,3 +341,119 @@ class TestClusterMemo:
         assert len(calls) == len(LIMITS.sizes)
         mdp_decide(PolicyKind.MDP2, store, 10000.0, 5, None, LIMITS, R1, ClusteringConfig(k=3))
         assert len(calls) == 2 * len(LIMITS.sizes)
+
+
+def default_store(keep=lambda record: True):
+    config = default_config()
+    records = [r for r in load_dataset(config) if keep(r)]
+    return config, build_store(config, records)
+
+
+def sparse_record(record) -> bool:
+    """Drops every log of sizes 6 and 7 and the upper loads of size 10,
+    so queries there borrow a neighboring cell."""
+    if record.vms in (6, 7):
+        return False
+    return not (record.vms == 10 and record.load > 30000)
+
+
+class TestRewardMemo:
+    """A cell's selection and its per-size rewards are derived once per
+    store; the memos must agree with the uncached path and follow
+    `LogStore.add`."""
+
+    @pytest.mark.parametrize("keep", [lambda r: True, sparse_record], ids=["full", "sparse"])
+    def test_cell_reward_matches_a_fresh_state_reward(self, keep):
+        config, store = default_store(keep)
+        clustering = config.clustering
+        utilities = (UtilityConfig(UtilityKind.R1), UtilityConfig(UtilityKind.R2))
+        loads = [1000.0 * b for b in range(1, 47)]
+        interpolated = set()
+        scored = set()
+        for size in config.model.sizes:
+            for load in loads:
+                selection = store.select_logs(size, load)
+                scored.add((selection.vms_used, selection.bucket_center, size))
+                if selection.interpolated:
+                    interpolated.add((selection.vms_used, size))
+                fresh = cluster_behavior(selection.records, clustering)
+                for mode in RewardMode:
+                    for utility in utilities:
+                        memoized = cell_reward(store, selection, clustering, mode, utility, size)
+                        assert memoized == state_reward(fresh, mode, utility, size)
+        if keep is sparse_record:
+            # borrowed cells are scored at the requested size
+            assert {(5, 6), (8, 7), (10, 10)} <= interpolated
+        else:
+            assert not interpolated
+        assert len(store.reward_memo) == len(scored) * 4
+
+    def test_repeated_selection_is_one_object_until_add(self):
+        store = store_with({4: (30.0, 8000.0), 5: (25.0, 9000.0)})
+        selection = store.select_logs(4, 10000.0)
+        assert store.select_logs(4, 10200.0) is selection
+        assert store.select_logs(5, 10000.0) is not selection
+        before = cell_reward(store, selection, CLUSTERING, RewardMode.EB, R1, 4)
+        extra = MeasurementRecord(9, 4, 10000.0, 90.0, 100.0)
+        store.add(extra)
+        after_add = store.select_logs(4, 10000.0)
+        assert after_add is not selection
+        assert after_add.records == selection.records + (extra,)
+        assert store.select_logs(4, 10000.0) is after_add
+        after = cell_reward(store, after_add, CLUSTERING, RewardMode.EB, R1, 4)
+        fresh = state_reward(
+            cluster_behavior(after_add.records, CLUSTERING), RewardMode.EB, R1, 4
+        )
+        assert after == fresh and after != before
+
+    @pytest.mark.parametrize("kind", MDP_KINDS)
+    def test_warm_store_instantiates_like_a_cold_store(self, kind):
+        config, warm = default_store(sparse_record)
+        records = load_dataset(config)
+        queries = [(3000.0, 4), (17500.0, 9), (30400.0, 12), (46000.0, 16), (17500.0, 6)]
+        # warm the memos with every policy kind, then compare to a fresh store
+        for other in MDP_KINDS:
+            for load, current in queries:
+                instantiate_model(
+                    other, warm, load, current, None,
+                    config.model, config.utility, config.clustering,
+                )
+        for load, current in queries:
+            cold = build_store(config, [r for r in records if sparse_record(r)])
+            dumps = [
+                instantiate_model(
+                    kind, store, load, current, None,
+                    config.model, config.utility, config.clustering,
+                )[0].dump()
+                for store in (warm, cold)
+            ]
+            assert dumps[0] == dumps[1]
+
+    def test_state_reward_runs_once_per_distinct_key(self, monkeypatch):
+        calls = []
+        real = policies.state_reward
+
+        def counted(clusters, mode, utility, size):
+            calls.append((clusters, mode, utility, size))
+            return real(clusters, mode, utility, size)
+
+        monkeypatch.setattr(policies, "state_reward", counted)
+        config, store = default_store()
+
+        def decisions():
+            for kind in MDP_KINDS:
+                for load in (5000.0, 20000.0, 20400.0):
+                    mdp_decide(
+                        kind, store, load, 8, None,
+                        config.model, config.utility, config.clustering,
+                    )
+            rl = RLPolicy(store, config.model, config.utility, config.clustering)
+            for load, current in ((5000.0, 8), (20000.0, 8), (20000.0, 9)):
+                rl.observe(MeasurementRecord(0, current, load, 30.0, load))
+                rl.decide(current)
+
+        decisions()
+        first_round = len(calls)
+        decisions()
+        assert len(calls) == first_round == len(store.reward_memo)
+        assert len(set(calls)) == len(calls)
