@@ -77,7 +77,6 @@ from .harness import (
     ComparisonResult,
     ExperimentConfig,
     compute_metrics,
-    default_config,
     evaluate_query,
     parse_config,
     run_comparison,

@@ -8,9 +8,11 @@ Subcommands:
 * ``validate``    -- check a config file or a model dump
 * ``replay``      -- re-score a trace CSV under a different utility
 
-Exit status is 0 on success, 1 when `validate` finds violations or a run
-aborts, and 2 with one `error:` line on stderr for any configuration,
-parse or input error.
+Exit status is 0 on success, 1 when `validate` finds violations in a
+loaded model or a run aborts, and 2 with one `error:` line on stderr for
+any configuration, parse or input error, including a model dump that
+`MdpModel.loads` refuses, such as one whose `trans` lines disagree with its
+config and state weights.
 """
 
 from __future__ import annotations

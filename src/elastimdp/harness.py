@@ -92,10 +92,6 @@ class ExperimentConfig:
             )
 
 
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
-
-
 def load_dataset(config: ExperimentConfig) -> list[MeasurementRecord]:
     spec = config.dataset
     if spec.path is not None:

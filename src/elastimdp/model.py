@@ -15,29 +15,32 @@ function evaluated on logged behavior.  Three variants are supported:
   enacted.  With k=1 this is the classic "all targets" model; with k>1 it
   combines the multi-behavior structure with all-target transitions.
 
-Transition probabilities are stored per sized action (``add_2``, ``rem_1``,
+Transition probabilities are given per sized action (``add_2``, ``rem_1``,
 ``no_op``) and are scaled by the equal share each sized action receives
 within its action type, so that the total mass of one action *type* from a
 state sums to 1.  The per-entry probability is therefore
 ``type_share * target_behavior_weight``, which is exactly the edge label a
 reader expects next to each arrow in a drawing of the model.  The map is
 implied by the config and the behavior weights (`implied_transitions`), so
-the solver never reads it; it serves dumps, `validate_model` and the
-brute-force oracles.  `build_model` therefore hands the model a read-only
-map that runs `implied_transitions` on first read and keeps the result;
-loaded and hand-edited models carry the explicit map they were given.
+a model does not store it: `MdpModel.transitions` is a read-only view made
+on first read, for dumps, `validate_model` and the brute-force oracles
+(the solver never reads it).  `MdpModel.loads` refuses a dump whose
+`trans` lines, the one map from outside, disagree with that view.
 
 Models are immutable after construction and safe to share between threads:
-the first read of a built model's map fills it idempotently, and every
-reader sees the same contents.
+the first read of a model's map fills it idempotently, and every reader
+sees the same contents.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .errors import ConfigurationError, InstantiationError
 
@@ -162,6 +165,9 @@ class MdpState:
     explicit state variables; here they are metadata, and the solver
     enforces their semantics (direction lock, termination at no_op)
     directly on paths.
+
+    `key`, `(vms_num, behavior_index)`, is stored at construction, so maps
+    keyed by the state share one tuple; it is not a field.
     """
 
     vms_num: int
@@ -171,9 +177,8 @@ class MdpState:
     phase_label: str = "decision"
     previous_action: str = "none"
 
-    @property
-    def key(self) -> StateKey:
-        return (self.vms_num, self.behavior_index)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (self.vms_num, self.behavior_index))
 
     @property
     def label(self) -> str:
@@ -200,18 +205,32 @@ class BehaviorReward:
 TransitionRow = tuple[tuple[StateKey, float], ...]
 
 PHASES = ("decision", "control", "accepted")
+# (source, target) phase pairs that step back in PHASES; pairs with an
+# unknown phase are not among them (validation reports those phases).
+_BACKWARD_PHASES = {(src, dst) for i, src in enumerate(PHASES) for dst in PHASES[:i]}
 PREVIOUS_ACTIONS = ("none", "add", "rem", "no_op")
 
 
 @dataclass(frozen=True)
 class MdpModel:
-    """An instantiated decision model.  Do not mutate the mappings."""
+    """An instantiated decision model: the config, the states and their
+    rewards.  Do not mutate the mappings; `transitions` is a view of them."""
 
     config: ModelConfig
     states: Mapping[StateKey, MdpState]
     initial: MdpState
-    transitions: Mapping[tuple[StateKey, Action], TransitionRow]
     state_rewards: Mapping[StateKey, float]
+
+    @cached_property
+    def transitions(self) -> Mapping[tuple[StateKey, Action], TransitionRow]:
+        """The read-only map that the config and the behavior weights
+        imply, made on first read and kept."""
+        return MappingProxyType(implied_transitions(self.config, self.states))
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles leave the map out (a view cannot be pickled)
+        # and make their own on first read.
+        return {name: value for name, value in vars(self).items() if name != "transitions"}
 
     def ordered_states(self) -> list[MdpState]:
         return [self.states[k] for k in sorted(self.states)]
@@ -272,8 +291,7 @@ class MdpModel:
                 f" center={center}"
             )
         entries = sorted(
-            (entry for entry in self.transitions.items() if entry[0][0] in labels),
-            key=lambda entry: (entry[0][0], entry[0][1].sort_key()),
+            self.transitions.items(), key=lambda entry: (entry[0][0], entry[0][1].sort_key())
         )
         for (key, action), row in entries:
             source = f"trans {labels[key]} {action.label} "
@@ -404,50 +422,8 @@ def build_model(
         config=config,
         states=states,
         initial=states[(current, initial_idx)],
-        transitions=_ImpliedTransitions(config, states),
         state_rewards=state_rewards,
     )
-
-
-class _ImpliedTransitions(Mapping[tuple[StateKey, Action], TransitionRow]):
-    """Read-only transition map of a built model, made by
-    `implied_transitions` on first read and kept; compares equal to the
-    plain dict with the same contents."""
-
-    __slots__ = ("_config", "_states", "_map")
-
-    def __init__(self, config: ModelConfig, states: Mapping[StateKey, MdpState]):
-        self._config = config
-        self._states = states
-        self._map: dict[tuple[StateKey, Action], TransitionRow] | None = None
-
-    def _built(self) -> dict[tuple[StateKey, Action], TransitionRow]:
-        if self._map is None:
-            self._map = implied_transitions(self._config, self._states)
-        return self._map
-
-    def __getitem__(self, entry: tuple[StateKey, Action]) -> TransitionRow:
-        return self._built()[entry]
-
-    def __iter__(self) -> Iterator[tuple[StateKey, Action]]:
-        return iter(self._built())
-
-    def __len__(self) -> int:
-        return len(self._built())
-
-    # Dumps and validation read the whole map: serve it without the
-    # per-entry lookups of the Mapping defaults.
-    def keys(self):
-        return self._built().keys()
-
-    def items(self):
-        return self._built().items()
-
-    def get(self, entry, default=None):
-        return self._built().get(entry, default)
-
-    def __repr__(self) -> str:
-        return repr(self._built())
 
 
 def behaviors_by_size(states: Mapping[StateKey, MdpState]) -> dict[int, list[MdpState]]:
@@ -536,15 +512,11 @@ def validate_model(model: MdpModel) -> ValidationReport:
         for target, p in row:
             if p < 0:
                 bad.append(f"negative probability at ({labels[key]}, {action.label})")
-            if (
-                target in model.states
-                and PHASES.index(model.states[target].phase_label)
-                < PHASES.index(state.phase_label)
-                and target != key
-            ):
+            target_phase = model.states[target].phase_label if target in model.states else None
+            if target != key and (state.phase_label, target_phase) in _BACKWARD_PHASES:
                 bad.append(
                     f"phase order: {labels[key]} ({state.phase_label}) ->"
-                    f" {labels[target]} ({model.states[target].phase_label})"
+                    f" {labels[target]} ({target_phase})"
                 )
         kind_key = (key, action.kind)
         type_mass[kind_key] = type_mass.get(kind_key, 0.0) + sum(p for _, p in row)
@@ -566,26 +538,6 @@ def validate_model(model: MdpModel) -> ValidationReport:
             bad.append(
                 f"probability mass {mass:.10g} != 1 at ({labels[key]}, {kind.value})"
             )
-
-    # The solver assumes the map that config and weights imply; this also
-    # fixes each action's targets (known states, direction, size) and the
-    # no_op self-loops.
-    implied = implied_transitions(cfg, model.states)
-    differing = [
-        entry
-        for entry in model.transitions.keys() | implied.keys()
-        if model.transitions.get(entry) != implied.get(entry)
-    ]
-
-    def show(row: TransitionRow | None) -> str:
-        return ", ".join(f"{labels.get(t, t)}:{p:.6g}" for t, p in row or ()) or "nothing"
-
-    for key, action in sorted(differing, key=lambda e: (e[0], e[1].sort_key())):
-        bad.append(
-            f"({labels.get(key, key)}, {action.label}) leads to"
-            f" {show(model.transitions.get((key, action)))}, but config and"
-            f" behavior weights imply {show(implied.get((key, action)))}"
-        )
 
     return ValidationReport(tuple(bad))
 
@@ -655,13 +607,58 @@ def _parse_dump(text: str) -> MdpModel:
         raise InstantiationError("model dump lacks its config or initial line")
     if initial_label not in by_label:
         raise InstantiationError(f"initial state {initial_label} not defined")
-    return MdpModel(
+
+    # Bound the work of the map check below by the size of the dump: every
+    # size has a state, and the dump lists as many entries as the view has.
+    per_size = Counter(size for size, _ in states)
+    for size in config.sizes:
+        if size not in per_size:
+            raise InstantiationError(f"model dump has no state of size {size}")
+    expected = sum(
+        count
+        * (len(config.deltas(size, ActionKind.ADD)) + len(config.deltas(size, ActionKind.REM)) + 1)
+        for size, count in per_size.items()
+    )
+    if len(transitions) != expected:
+        raise InstantiationError(
+            f"model dump lists {len(transitions)} (state, action) entries, but its"
+            f" config and states imply {expected}"
+        )
+
+    model = MdpModel(
         config=config,
         states=states,
         initial=states[by_label[initial_label]],
-        transitions={k: tuple(v) for k, v in transitions.items()},
         state_rewards=rewards,
     )
+    parsed = {entry: tuple(row) for entry, row in transitions.items()}
+    if parsed != model.transitions:
+        raise InstantiationError(_disagreement(parsed, model))
+    return model
+
+
+def _disagreement(
+    parsed: Mapping[tuple[StateKey, Action], TransitionRow], model: MdpModel
+) -> str:
+    """Name the entries where a dump's map differs from the model's view."""
+    implied = model.transitions
+    labels = {key: state.label for key, state in model.states.items()}
+
+    def show(row: TransitionRow | None) -> str:
+        return ", ".join(f"{labels[t]}:{p:.6g}" for t, p in row or ()) or "nothing"
+
+    differing = sorted(
+        (entry for entry in parsed.keys() | implied.keys() if parsed.get(entry) != implied.get(entry)),
+        key=lambda entry: (entry[0], entry[1].sort_key()),
+    )
+    details = [
+        f"({labels[key]}, {action.label}) leads to {show(parsed.get((key, action)))},"
+        f" but config and behavior weights imply {show(implied.get((key, action)))}"
+        for key, action in differing[:3]
+    ]
+    if len(differing) > 3:
+        details.append(f"and {len(differing) - 3} more entries differ")
+    return "; ".join(details)
 
 
 def finite_float(text: str) -> float:

@@ -288,13 +288,23 @@ class TestCli:
         dump.write_text(model.dump(), encoding="utf-8")
         assert self.run_cli("validate", "--model-dump", str(dump)) == 0
 
-    def test_validate_broken_dump_fails(self, tmp_path):
+    def test_validate_broken_dump_fails(self, tmp_path, capsys):
+        # A map that disagrees with the weights is refused where it is read.
         config = ModelConfig(4, 6)
         model = build_model(config, {v: 1.0 for v in config.sizes}, 4)
         text = model.dump().replace("no_op s4 1.0", "no_op s4 0.7")
         dump = tmp_path / "model.txt"
         dump.write_text(text, encoding="utf-8")
-        assert self.run_cli("validate", "--model-dump", str(dump)) == 1
+        assert self.run_cli("validate", "--model-dump", str(dump)) == 2
+        assert capsys.readouterr().err == (
+            "error: (s4, no_op) leads to s4:0.7, but config and behavior weights imply s4:1\n"
+        )
+
+    def test_validate_reports_an_unknown_phase(self, cli_inputs, capsys):
+        code = self.run_cli("validate", "--model-dump", str(cli_inputs["phase"]))
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert out == "violation: state s5 has unknown phase 'bogus'\n"
 
     def test_validate_malformed_dump_exit_code(self, tmp_path, capsys):
         config = ModelConfig(4, 6)
@@ -359,6 +369,7 @@ GARBAGE = [
     ("gen-dataset", "--out", "{out}", "--samples", "0"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--model-dump", "{garbage}"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--model-dump", "{binary}"),
+    ("query", "Pmax=? [ F vms_num=5 ]", "--model-dump", "{phase}"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--config", "{garbage}"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--config", "{ini}", "--load", "nan"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--config", "{ini}", "--vms", "99"),
@@ -382,7 +393,13 @@ def cli_inputs(tmp_path):
     binary.write_bytes(b"\xff\xfe\x00garbage\x9c")
     trace = tmp_path / "trace.csv"
     trace.write_text(f"{TRACE_HEADER}\n0,10000.0,4,50.0,8000.0,2000.0,0,,0.0\n", encoding="utf-8")
+    config = ModelConfig(4, 6)
+    text = build_model(config, {v: 1.0 for v in config.sizes}, 4).dump()
+    s5 = "state s5 vms=5 behavior=0 weight=1.0 reward=1.0 phase="
+    phase = tmp_path / "phase.txt"  # s5 is the source and the target of transitions
+    phase.write_text(text.replace(f"{s5}decision", f"{s5}bogus"), encoding="utf-8")
     return {
+        "phase": phase,
         "garbage": garbage,
         "binary": binary,
         "missing": tmp_path / "missing.txt",

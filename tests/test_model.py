@@ -1,16 +1,20 @@
+import copy
 import dataclasses
+import pickle
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastimdp import model as model_module
-from elastimdp.errors import ConfigurationError, InstantiationError
+from elastimdp.errors import ConfigurationError, ElastimdpError, InstantiationError
 from elastimdp.model import (
     Action,
     ActionKind,
     BehaviorReward,
     MdpModel,
+    MdpState,
     ModelConfig,
     NO_OP,
     Variant,
@@ -30,6 +34,13 @@ def chain_model(min_vms=3, max_vms=7, add_limit=2, rem_limit=1, rewards=None, cu
     if rewards is None:
         rewards = {v: float(v) for v in config.sizes}
     return build_model(config, rewards, current)
+
+
+def edited_dump(model, old, new):
+    """`model`'s dump with the one occurrence of `old` replaced."""
+    text = model.dump()
+    assert text.count(old) == 1, old
+    return text.replace(old, new)
 
 
 class TestSingleBehaviorModel:
@@ -240,13 +251,20 @@ class TestValidation:
 
     def test_bad_probability_mass(self):
         model = chain_model()
-        transitions = dict(model.transitions)
-        transitions[((4, 0), Action(ADD, 1))] = (((5, 0), 0.5),)
-        transitions[((4, 0), Action(ADD, 2))] = (((6, 0), 0.4),)
-        report = validate_model(dataclasses.replace(model, transitions=transitions))
+        # s6's weight is the mass of s4's add_2 row: 0.5 * 0.8, so add sums to 0.9.
+        states = dict(model.states)
+        states[(6, 0)] = dataclasses.replace(states[(6, 0)], weight=0.8)
+        report = validate_model(dataclasses.replace(model, states=states))
         assert any(
             "probability mass 0.9" in v and "(s4, add)" in v for v in report.violations
         )
+        # A dump cannot carry that mass on its own: its map must follow the weights.
+        text = edited_dump(model, "trans s4 add_2 s6 0.5", "trans s4 add_2 s6 0.4")
+        with pytest.raises(
+            InstantiationError,
+            match=r"^\(s4, add_2\) leads to s6:0.4, but config and behavior weights imply s6:0.5$",
+        ):
+            MdpModel.loads(text)
 
     def test_monotonicity_violation(self):
         model = chain_model()
@@ -257,11 +275,27 @@ class TestValidation:
 
     def test_missing_no_op_loop(self):
         model = chain_model()
-        transitions = {
-            key: row for key, row in model.transitions.items() if key != ((7, 0), NO_OP)
-        }
-        report = validate_model(dataclasses.replace(model, transitions=transitions))
-        assert any("no_op" in v and "s7" in v for v in report.violations)
+        assert model.transitions[((7, 0), NO_OP)] == (((7, 0), 1.0),)
+        with pytest.raises(
+            InstantiationError,
+            match=r"^\(s7, no_op\) leads to s6:1, but config and behavior weights imply s7:1$",
+        ):
+            MdpModel.loads(edited_dump(model, "trans s7 no_op s7 1.0", "trans s7 no_op s6 1.0"))
+        with pytest.raises(InstantiationError, match="lists 15 .* imply 16$"):
+            MdpModel.loads(edited_dump(model, "trans s7 no_op s7 1.0\n", ""))
+        # the message names the first three differing entries and counts the rest
+        text = model.dump()
+        for v in model.config.sizes:
+            text = text.replace(f"no_op s{v} 1.0", f"no_op s{v} 0.5")
+        with pytest.raises(InstantiationError) as refused:
+            MdpModel.loads(text)
+        assert str(refused.value) == "; ".join(
+            [
+                f"(s{v}, no_op) leads to s{v}:0.5, but config and behavior weights imply s{v}:1"
+                for v in (3, 4, 5)
+            ]
+            + ["and 2 more entries differ"]
+        )
 
     def test_accepted_state_must_be_terminal(self):
         model = chain_model()
@@ -347,6 +381,13 @@ def config_and_rewards(draw):
                     st.floats(min_value=-1, max_value=10, allow_nan=False)
                 ),
                 weight=w / total,
+                center=draw(
+                    st.none()
+                    | st.tuples(
+                        st.floats(min_value=1, max_value=500),
+                        st.floats(min_value=0, max_value=1e5),
+                    )
+                ),
             )
             for w in raw
         ]
@@ -387,9 +428,9 @@ class TestProperties:
 
 
 class TestImpliedMap:
-    """A built model's transition map is made on first read.  It must equal
-    the map `implied_transitions` builds eagerly, and dumps and validation
-    must not tell the two apart."""
+    """A model's transition map is a view of its compact form, made on first
+    read.  It must equal the map `implied_transitions` builds, and a dump's
+    `trans` lines are checked against it where the dump is read."""
 
     @settings(max_examples=60, deadline=None)
     @given(config_and_rewards())
@@ -401,9 +442,10 @@ class TestImpliedMap:
         assert implied == model.transitions
         assert len(model.transitions) == len(implied)
         assert dict(model.transitions.items()) == implied
-        eager = dataclasses.replace(model, transitions=implied)
-        assert eager == model
-        assert eager.dump() == model.dump()
+        loaded = MdpModel.loads(model.dump())
+        assert loaded == model
+        assert loaded.transitions == implied
+        assert loaded.dump() == model.dump()
         assert validate_model(model).ok
 
     @settings(max_examples=30, deadline=None)
@@ -448,11 +490,21 @@ class TestImpliedMap:
         first = model.transitions[((4, 0), NO_OP)]
         assert calls == [1]
         assert model.transitions[((4, 0), NO_OP)] is first
-        model.dump()
+        text = model.dump()
         validate_model(model)
-        assert calls == [1, 1]  # validate_model builds its own reference map
-        with pytest.raises(TypeError):
-            model.transitions[((4, 0), NO_OP)] = first  # type: ignore[index]
+        assert calls == [1]
+        # loading checks the dump against the loaded model's own view,
+        # which validation then reuses
+        loaded = MdpModel.loads(text)
+        validate_model(loaded)
+        assert calls == [1, 1]
+        # every entry shares its source state's key tuple
+        assert all(key is loaded.states[key].key for key, _ in loaded.transitions)
+        for built in (model, loaded):
+            with pytest.raises(TypeError):
+                built.transitions[((4, 0), NO_OP)] = first  # type: ignore[index]
+            with pytest.raises(TypeError):
+                del built.transitions[((4, 0), NO_OP)]  # type: ignore[attr-defined]
 
     def test_hand_edited_map_still_fails_validation(self):
         config = ModelConfig(3, 5, add_limit=2, rem_limit=1, variant=Variant.M2, k=2)
@@ -462,13 +514,158 @@ class TestImpliedMap:
             5: [BehaviorReward(4.0, 1.0)],
         }
         model = build_model(config, rewards, current=3)
-        entry = ((3, 0), Action(ADD, 1))
         # Same type mass, but the outcome ignores the target weights.
-        edited = {**model.transitions, entry: (((4, 0), 0.25), ((4, 1), 0.25))}
-        report = validate_model(dataclasses.replace(model, transitions=edited))
-        assert any(
-            v.startswith("(s3, add_1) leads to s4a:0.25, s4b:0.25")
-            and "imply s4a:0.3, s4b:0.2" in v
-            for v in report.violations
+        text = edited_dump(
+            model,
+            "trans s3 add_1 s4a 0.3\ntrans s3 add_1 s4b 0.2",
+            "trans s3 add_1 s4a 0.25\ntrans s3 add_1 s4b 0.25",
         )
+        with pytest.raises(
+            InstantiationError,
+            match=r"^\(s3, add_1\) leads to s4a:0.25, s4b:0.25, but config and"
+            r" behavior weights imply s4a:0.3, s4b:0.2$",
+        ):
+            MdpModel.loads(text)
         assert validate_model(model).ok
+
+    def test_copies_make_their_own_map(self):
+        model = chain_model()
+        first = model.transitions
+        for copied in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert copied == model
+            assert copied.transitions == first and copied.transitions is not first
+
+    def test_map_follows_replaced_states(self):
+        config = ModelConfig(3, 5, add_limit=2, rem_limit=1, variant=Variant.M2, k=2)
+        rewards = {
+            3: [BehaviorReward(1.0, 1.0)],
+            4: [BehaviorReward(2.0, 0.6), BehaviorReward(3.0, 0.4)],
+            5: [BehaviorReward(4.0, 1.0)],
+        }
+        model = build_model(config, rewards, current=3)
+        assert model.transitions[((3, 0), Action(ADD, 1))] == (((4, 0), 0.3), ((4, 1), 0.2))
+        states = dict(model.states)
+        states[(4, 0)] = dataclasses.replace(states[(4, 0)], weight=0.25)
+        states[(4, 1)] = dataclasses.replace(states[(4, 1)], weight=0.75)
+        reweighted = dataclasses.replace(model, states=states)
+        assert validate_model(reweighted).ok
+        assert reweighted.transitions[((3, 0), Action(ADD, 1))] == (
+            ((4, 0), 0.125),
+            ((4, 1), 0.375),
+        )
+        text = reweighted.dump()
+        assert "trans s3 add_1 s4a 0.125\ntrans s3 add_1 s4b 0.375\n" in text
+        assert MdpModel.loads(text) == reweighted
+        # the original keeps its own map
+        assert model.transitions[((3, 0), Action(ADD, 1))] == (((4, 0), 0.3), ((4, 1), 0.2))
+
+
+class TestState:
+    def test_key_is_stored_and_follows_replace(self):
+        state = MdpState(4, 1, weight=0.5)
+        assert state.key == (4, 1)
+        assert state.key is state.key
+        assert dataclasses.replace(state, behavior_index=2).key == (4, 2)
+        assert dataclasses.replace(MdpState(4), vms_num=7).key == (7, 0)
+
+    def test_key_is_not_a_field(self):
+        state = MdpState(4, 1, weight=0.5)
+        assert "key" not in {field.name for field in dataclasses.fields(MdpState)}
+        assert "key" not in repr(state)
+        other = MdpState(4, 1, weight=0.5)
+        object.__setattr__(other, "key", (9, 9))
+        assert other == state and hash(other) == hash(state)
+
+
+def dump_tokens(text):
+    """Every word and every `key=value` value of a dump."""
+    return sorted({w.partition("=")[2] or w for line in text.splitlines() for w in line.split()})
+
+
+# Replacement tokens beyond the dump's own words: junk, edge values, and
+# sizes far outside any test range.
+EDIT_TOKENS = ("bogus", "", "-1", "0", "0.5", "2", "nan", "1e308", "3000000", "s99", "add_0", "rem_9")
+
+
+@st.composite
+def edited_dumps(draw):
+    """A real dump with one to three random line edits: delete a line,
+    duplicate it, or replace one of its words or `key=value` values."""
+    config, rewards, current = draw(config_and_rewards())
+    text = build_model(config, rewards, current).dump()
+    pool = EDIT_TOKENS + tuple(dump_tokens(text))
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        edit = draw(st.sampled_from(("delete", "duplicate", "word", "value")))
+        if edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            words = lines[i].split()
+            j = draw(st.integers(min_value=0, max_value=len(words) - 1))
+            new = draw(st.sampled_from(pool))
+            name, sep, _ = words[j].partition("=")
+            words[j] = f"{name}={new}" if edit == "value" and sep else new
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+class TestDumpBoundary:
+    """Whatever a dump holds, loading either refuses it with a typed error
+    or yields a model that validation reports on without raising."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edited_dumps())
+    def test_edited_dump_is_refused_or_reported(self, text):
+        try:
+            model = MdpModel.loads(text)
+        except ElastimdpError:
+            return
+        report = validate_model(model)
+        if report.ok:
+            decide(model)
+            top = f"vms_num={model.config.max_vms}"
+            reachability_probability(model, parse_query(f"Pmax=? [ F {top} ]"))
+            reachability_probability(model, parse_query(f"Pmin=? [ F {top} ]"))
+
+    def test_unknown_phase_is_a_violation(self):
+        # s5 is the source and the target of transitions
+        text = edited_dump(chain_model(), "reward=5.0 phase=decision", "reward=5.0 phase=bogus")
+        report = validate_model(MdpModel.loads(text))
+        assert report.violations == ("state s5 has unknown phase 'bogus'",)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("no s5", "no state of size 5$"),
+            ("extra entry", "lists 17 .* entries, but its config and states imply 16$"),
+            ("3M sizes", "no state of size 4$"),
+            ("1500 states", "lists 0 .* entries, but its config and states imply 2250000$"),
+        ],
+    )
+    def test_loads_work_is_bounded_by_the_dump(self, case, message):
+        lines = chain_model().dump().splitlines()
+        if case == "no s5":
+            lines = [line for line in lines if "s5" not in line.split()]
+        elif case == "extra entry":
+            lines.append("trans s7 add_1 s7 1.0")
+        elif case == "3M sizes":
+            config = ModelConfig(1, 3, variant=Variant.M3)
+            lines = build_model(config, {1: 1.0, 2: 1.0, 3: 1.0}, 1).dump().splitlines()
+            lines[1] = lines[1].replace("max_vms=3", "max_vms=3000000")
+        else:
+            lines = [
+                "mdpdump 1",
+                "config min_vms=1 max_vms=1500 add_limit=3 rem_limit=2 variant=M3 k=1",
+                "initial s1",
+            ] + [
+                f"state s{v} vms={v} behavior=0 weight=1.0 reward=1.0 phase=decision"
+                " prev=none center=-"
+                for v in range(1, 1501)
+            ]
+        started = time.perf_counter()
+        with pytest.raises(InstantiationError, match=message):
+            MdpModel.loads("\n".join(lines))
+        assert time.perf_counter() - started < 1.0

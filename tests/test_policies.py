@@ -3,7 +3,7 @@ import pytest
 
 from elastimdp import policies
 from elastimdp.errors import ConfigurationError, NoDataError
-from elastimdp.harness import build_store, default_config, load_dataset
+from elastimdp.harness import build_store, default_config_ini, load_dataset, parse_config
 from elastimdp.logs import LogStore, MeasurementRecord
 from elastimdp.model import Action, ActionKind, ModelConfig, NO_OP
 from elastimdp.policies import (
@@ -304,7 +304,7 @@ class TestClusterMemo:
     must agree with a fresh k-means run and follow `LogStore.add`."""
 
     def test_memo_matches_fresh_clustering_on_every_default_cell(self):
-        config = default_config()
+        config = parse_config(default_config_ini())
         store = build_store(config, load_dataset(config))
         cells = sorted(store._buckets)  # every (vms, load bucket) cell
         configs = (ClusteringConfig(k=1), ClusteringConfig(k=4))
@@ -344,7 +344,7 @@ class TestClusterMemo:
 
 
 def default_store(keep=lambda record: True):
-    config = default_config()
+    config = parse_config(default_config_ini())
     records = [r for r in load_dataset(config) if keep(r)]
     return config, build_store(config, records)
 

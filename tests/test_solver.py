@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from elastimdp import cli
-from elastimdp.errors import SolverError
+from elastimdp.errors import InstantiationError, SolverError
 from elastimdp.model import (
     Action,
     ActionKind,
     BehaviorReward,
+    MdpModel,
     ModelConfig,
     NO_OP,
     Variant,
     behaviors_by_size,
     build_model,
-    validate_model,
 )
 from elastimdp.solver import (
     TIE_TOL,
@@ -89,24 +89,23 @@ class TestMaxExpectedReward:
 
     def test_cycle_guard(self, tmp_path, capsys):
         # The solver never reads the transition map, so a map that breaks
-        # the size order is refused where maps enter: validation, and
-        # `query --model-dump` before it answers.
+        # the size order is refused where maps enter: loading a dump, which
+        # `query --model-dump` does before it answers.
         model = chain({3: 1, 4: 2, 5: 3})
-        transitions = dict(model.transitions)
         # An "add" that fails to grow the cluster would make the graph cyclic.
-        transitions[((4, 0), Action(ADD, 1))] = (((4, 0), 1.0),)
-        broken = dataclasses.replace(model, transitions=transitions)
-        assert (
-            "(s4, add_1) leads to s4:1, but config and behavior weights imply s5:1"
-            in validate_model(broken).violations
-        )
+        text = model.dump()
+        assert text.count("trans s4 add_1 s5 1.0") == 1
+        text = text.replace("trans s4 add_1 s5 1.0", "trans s4 add_1 s4 1.0")
+        message = "(s4, add_1) leads to s4:1, but config and behavior weights imply s5:1"
+        with pytest.raises(InstantiationError) as refused:
+            MdpModel.loads(text)
+        assert str(refused.value) == message
 
         dump = tmp_path / "broken.txt"
-        dump.write_text(broken.dump(), encoding="utf-8")
+        dump.write_text(text, encoding="utf-8")
         assert cli.main(["query", "Pmax=? [ F vms_num=5 ]", "--model-dump", str(dump)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "(s4, add_1) leads to s4:1" in err
-        assert "Traceback" not in err
+        assert err == f"error: {message}\n"
 
 
 class TestDecide:
