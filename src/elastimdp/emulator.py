@@ -274,7 +274,6 @@ def run_episode(
     rng = np.random.default_rng(rng_seed)
     seed_repr = rng_seed if isinstance(rng_seed, int) else 0
     trace = ExperimentTrace(policy=policy.kind.value, seed=seed_repr)
-    limits = getattr(policy, "limits", None)
     vms = schedule.initial_vms
     pending: int | None = None
     try:
@@ -297,11 +296,8 @@ def run_episode(
                 decision_ms = (time.perf_counter() - started) * 1000.0
                 decision = apply_benefit_threshold(decision, realized, post)
                 decision_label = decision.action.label
-                target = decision.target_size
-                if limits is not None:
-                    target = limits.clamp(target)
-                if target != vms:
-                    pending = target
+                if decision.target_size != vms:
+                    pending = decision.target_size
             trace.records.append(
                 TickRecord(
                     tick=tick,

@@ -61,25 +61,20 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    policies: tuple[PolicyKind, ...] = (
-        PolicyKind.RE,
-        PolicyKind.RL_MB,
-        PolicyKind.MDP_MB,
-        PolicyKind.MDP_EB,
-        PolicyKind.MDP2,
-        PolicyKind.MDP3,
-    )
-    runs: int = 10
-    base_seed: int = 20240
-    model: ModelConfig = ModelConfig(min_vms=4, max_vms=16, add_limit=3, rem_limit=2)
-    utility: UtilityConfig = UtilityConfig()
-    clustering: ClusteringConfig = ClusteringConfig()
-    load: LoadProfile = LoadProfile()
-    post: PostProcessConfig = PostProcessConfig()
-    schedule: ScheduleConfig = ScheduleConfig()
-    re_config: REConfig = REConfig()
-    rl_config: RLConfig = RLConfig()
-    dataset: DatasetSpec = DatasetSpec(synthetic=SyntheticModelParams())
+    """A parsed experiment; `parse_config` builds it from the INI."""
+
+    policies: tuple[PolicyKind, ...]
+    runs: int
+    base_seed: int
+    model: ModelConfig
+    utility: UtilityConfig
+    clustering: ClusteringConfig
+    load: LoadProfile
+    post: PostProcessConfig
+    schedule: ScheduleConfig
+    re_config: REConfig
+    rl_config: RLConfig
+    dataset: DatasetSpec
 
     def __post_init__(self) -> None:
         if self.runs < 1:
@@ -281,6 +276,7 @@ emulation_noise_fraction = 0.05
 
 [dataset]
 source = synthetic
+path =
 per_vm_capacity_reqs = 4500
 base_latency_ms = 25
 saturation_exponent = 2.5
@@ -289,7 +285,9 @@ samples_per_point = 12
 seed = 99
 
 [re]
-upper_latency_ms = 60
+upper_latency_ms =
+lower_latency_ms =
+step_size =
 
 [rl]
 alpha = 0.1
@@ -306,10 +304,14 @@ def parse_config(
 ) -> ExperimentConfig:
     """Parse the sectioned key-value experiment configuration.
 
-    `overrides` maps "section.key" to replacement values (CLI flags).
-    Unknown sections or keys are rejected so typos fail loudly.
+    `text` is read over the built-in defaults (`default_config_ini`), the
+    one source of every default; `overrides` maps "section.key" to
+    replacement values (CLI flags).  Sections and keys the defaults lack
+    are rejected so typos fail loudly.
     """
     parser = configparser.ConfigParser()
+    parser.read_string(_DEFAULT_INI)
+    known = {section: set(parser[section]) for section in parser.sections()}
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -322,33 +324,6 @@ def parse_config(
             parser.add_section(section)
         parser.set(section, key, value)
 
-    known = {
-        "experiment": {"policies", "runs", "base_seed"},
-        "model": {"min_vms", "max_vms", "add_limit", "rem_limit"},
-        "utility": {"kind", "latency_threshold_ms"},
-        "clustering": {"k", "dims", "load_bucket_width_reqs", "max_iterations", "seed"},
-        "load": {"load_min_reqs", "load_max_reqs", "period_ticks", "variation"},
-        "postprocess": {"benefit_threshold_pct", "smoothing_window_ticks"},
-        "schedule": {
-            "tick_seconds",
-            "decision_every_ticks",
-            "horizon_ticks",
-            "initial_vms",
-            "emulation_noise_fraction",
-        },
-        "dataset": {
-            "source",
-            "path",
-            "per_vm_capacity_reqs",
-            "base_latency_ms",
-            "saturation_exponent",
-            "noise_stddev_fraction",
-            "samples_per_point",
-            "seed",
-        },
-        "re": {"upper_latency_ms", "lower_latency_ms", "step_size"},
-        "rl": {"alpha", "gamma"},
-    }
     for section in parser.sections():
         if section not in known:
             raise ConfigurationError(f"unknown config section [{section}]")
@@ -356,20 +331,20 @@ def parse_config(
             if key not in known[section]:
                 raise ConfigurationError(f"unknown config key {section}.{key}")
 
-    def get(section: str, key: str, default: str) -> str:
-        return parser.get(section, key, fallback=default).strip()
+    def get(section: str, key: str) -> str:
+        return parser.get(section, key).strip()
 
-    def number(section: str, key: str, default: str) -> float:
+    def number(section: str, key: str) -> float:
         # NaN and infinities would slip past every range check below.
         try:
-            return finite_float(get(section, key, default))
+            return finite_float(get(section, key))
         except ValueError as exc:
             raise ValueError(f"{section}.{key}: {exc}") from exc
 
     try:
         policies = tuple(
             PolicyKind(name.strip())
-            for name in get("experiment", "policies", "re, rl_mb, mdp_mb, mdp_eb, mdp2, mdp3").split(",")
+            for name in get("experiment", "policies").split(",")
             if name.strip()
         )
     except ValueError as exc:
@@ -377,78 +352,81 @@ def parse_config(
 
     try:
         model = ModelConfig(
-            min_vms=int(get("model", "min_vms", "4")),
-            max_vms=int(get("model", "max_vms", "16")),
-            add_limit=int(get("model", "add_limit", "3")),
-            rem_limit=int(get("model", "rem_limit", "2")),
+            min_vms=int(get("model", "min_vms")),
+            max_vms=int(get("model", "max_vms")),
+            add_limit=int(get("model", "add_limit")),
+            rem_limit=int(get("model", "rem_limit")),
         )
         utility = UtilityConfig(
-            kind=UtilityKind(get("utility", "kind", "r1")),
-            latency_threshold_ms=number("utility", "latency_threshold_ms", "60"),
+            kind=UtilityKind(get("utility", "kind")),
+            latency_threshold_ms=number("utility", "latency_threshold_ms"),
         )
         clustering = ClusteringConfig(
-            k=int(get("clustering", "k", "4")),
-            dims=int(get("clustering", "dims", "2")),
-            load_bucket_width=number("clustering", "load_bucket_width_reqs", "1000"),
-            max_iterations=int(get("clustering", "max_iterations", "50")),
-            seed=int(get("clustering", "seed", "7")),
+            k=int(get("clustering", "k")),
+            dims=int(get("clustering", "dims")),
+            load_bucket_width=number("clustering", "load_bucket_width_reqs"),
+            max_iterations=int(get("clustering", "max_iterations")),
+            seed=int(get("clustering", "seed")),
         )
         load = LoadProfile(
-            load_min=number("load", "load_min_reqs", "1000"),
-            load_max=number("load", "load_max_reqs", "46000"),
-            period_ticks=int(get("load", "period_ticks", "315")),
-            variation=LoadVariation(get("load", "variation", "LV1")),
+            load_min=number("load", "load_min_reqs"),
+            load_max=number("load", "load_max_reqs"),
+            period_ticks=int(get("load", "period_ticks")),
+            variation=LoadVariation(get("load", "variation")),
         )
         post = PostProcessConfig(
-            benefit_threshold_pct=number("postprocess", "benefit_threshold_pct", "0"),
-            smoothing_window=int(get("postprocess", "smoothing_window_ticks", "1")),
+            benefit_threshold_pct=number("postprocess", "benefit_threshold_pct"),
+            smoothing_window=int(get("postprocess", "smoothing_window_ticks")),
         )
         schedule = ScheduleConfig(
-            tick_seconds=number("schedule", "tick_seconds", "30"),
-            decision_every_ticks=int(get("schedule", "decision_every_ticks", "10")),
-            horizon_ticks=int(get("schedule", "horizon_ticks", "630")),
-            initial_vms=int(get("schedule", "initial_vms", "4")),
-            emulation_noise_fraction=number("schedule", "emulation_noise_fraction", "0.05"),
+            tick_seconds=number("schedule", "tick_seconds"),
+            decision_every_ticks=int(get("schedule", "decision_every_ticks")),
+            horizon_ticks=int(get("schedule", "horizon_ticks")),
+            initial_vms=int(get("schedule", "initial_vms")),
+            emulation_noise_fraction=number("schedule", "emulation_noise_fraction"),
         )
-        step_size = get("re", "step_size", "")
+        # An empty upper latency follows the utility's threshold.
+        step_size = get("re", "step_size")
         re_config = REConfig(
-            upper_latency_ms=number(
-                "re", "upper_latency_ms", get("utility", "latency_threshold_ms", "60")
+            upper_latency_ms=(
+                number("re", "upper_latency_ms")
+                if get("re", "upper_latency_ms")
+                else utility.latency_threshold_ms
             ),
             lower_latency_ms=(
-                number("re", "lower_latency_ms", "") if get("re", "lower_latency_ms", "") else None
+                number("re", "lower_latency_ms") if get("re", "lower_latency_ms") else None
             ),
             step_size=int(step_size) if step_size else None,
         )
         rl_config = RLConfig(
-            alpha=number("rl", "alpha", "0.1"),
-            gamma=number("rl", "gamma", "0.5"),
+            alpha=number("rl", "alpha"),
+            gamma=number("rl", "gamma"),
         )
-        source = get("dataset", "source", "synthetic")
+        source = get("dataset", "source")
         if source == "synthetic":
             dataset = DatasetSpec(
                 synthetic=SyntheticModelParams(
-                    per_vm_capacity=number("dataset", "per_vm_capacity_reqs", "4500"),
-                    base_latency_ms=number("dataset", "base_latency_ms", "25"),
-                    saturation_exponent=number("dataset", "saturation_exponent", "2.5"),
-                    noise_stddev_fraction=number("dataset", "noise_stddev_fraction", "0.05"),
-                    samples_per_point=int(get("dataset", "samples_per_point", "12")),
+                    per_vm_capacity=number("dataset", "per_vm_capacity_reqs"),
+                    base_latency_ms=number("dataset", "base_latency_ms"),
+                    saturation_exponent=number("dataset", "saturation_exponent"),
+                    noise_stddev_fraction=number("dataset", "noise_stddev_fraction"),
+                    samples_per_point=int(get("dataset", "samples_per_point")),
                 ),
-                seed=int(get("dataset", "seed", "99")),
+                seed=int(get("dataset", "seed")),
             )
         elif source == "csv":
-            path = get("dataset", "path", "")
+            path = get("dataset", "path")
             if not path:
                 raise ConfigurationError("dataset.source=csv requires dataset.path")
-            dataset = DatasetSpec(path=path, seed=int(get("dataset", "seed", "99")))
+            dataset = DatasetSpec(path=path, seed=int(get("dataset", "seed")))
         else:
             raise ConfigurationError(
                 f"dataset.source must be 'synthetic' or 'csv', got {source!r}"
             )
         return ExperimentConfig(
             policies=policies,
-            runs=int(get("experiment", "runs", "10")),
-            base_seed=int(get("experiment", "base_seed", "20240")),
+            runs=int(get("experiment", "runs")),
+            base_seed=int(get("experiment", "base_seed")),
             model=model,
             utility=utility,
             clustering=clustering,

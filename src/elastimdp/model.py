@@ -23,9 +23,14 @@ state sums to 1.  The per-entry probability is therefore
 reader expects next to each arrow in a drawing of the model.  The map is
 implied by the config and the behavior weights (`implied_transitions`), so
 a model does not store it: `MdpModel.transitions` is a read-only view made
-on first read, for dumps, `validate_model` and the brute-force oracles
-(the solver never reads it).  `MdpModel.loads` refuses a dump whose
-`trans` lines, the one map from outside, disagree with that view.
+on first read, for dumps and the brute-force oracles (the solver never
+reads it).  `MdpModel.loads` refuses a dump whose `trans` lines, the one
+map from outside, disagree with that view.
+
+`MdpModel`'s constructor is the one check of a model's structure (see
+`_violations`), and `build_model`, `MdpModel.loads` and
+`dataclasses.replace` all go through it.  So the implied map of any model
+is a distribution per action type whose targets lie in the size range.
 
 Models are immutable after construction and safe to share between threads:
 the first read of a model's map fills it idempotently, and every reader
@@ -35,12 +40,11 @@ sees the same contents.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import ConfigurationError, InstantiationError
 
@@ -160,11 +164,9 @@ class MdpState:
     `weight` is the probability of encountering this behavior at this size
     (1.0 when the size has a single state).  `center` carries the behavior
     cluster's (latency_ms, throughput) point when known, used by metric
-    predicates in reachability queries.  `phase_label` and
-    `previous_action` mirror the bookkeeping a model checker would carry as
-    explicit state variables; here they are metadata, and the solver
-    enforces their semantics (direction lock, termination at no_op)
-    directly on paths.
+    predicates in reachability queries.  The solver enforces a model
+    checker's phase and previous-action bookkeeping (direction lock,
+    termination at no_op) on paths, so a state does not hold them.
 
     `key`, `(vms_num, behavior_index)`, is stored at construction, so maps
     keyed by the state share one tuple; it is not a field.
@@ -174,8 +176,6 @@ class MdpState:
     behavior_index: int = 0
     weight: float = 1.0
     center: tuple[float, float] | None = None
-    phase_label: str = "decision"
-    previous_action: str = "none"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "key", (self.vms_num, self.behavior_index))
@@ -204,22 +204,22 @@ class BehaviorReward:
 # One transition row: ((target key, probability), ...).
 TransitionRow = tuple[tuple[StateKey, float], ...]
 
-PHASES = ("decision", "control", "accepted")
-# (source, target) phase pairs that step back in PHASES; pairs with an
-# unknown phase are not among them (validation reports those phases).
-_BACKWARD_PHASES = {(src, dst) for i, src in enumerate(PHASES) for dst in PHASES[:i]}
-PREVIOUS_ACTIONS = ("none", "add", "rem", "no_op")
-
 
 @dataclass(frozen=True)
 class MdpModel:
     """An instantiated decision model: the config, the states and their
-    rewards.  Do not mutate the mappings; `transitions` is a view of them."""
+    rewards.  Construction raises InstantiationError on the first broken
+    invariant.  Do not mutate the mappings; `transitions` is a view of them."""
 
     config: ModelConfig
     states: Mapping[StateKey, MdpState]
     initial: MdpState
     state_rewards: Mapping[StateKey, float]
+
+    def __post_init__(self) -> None:
+        problem = next(_violations(self), None)
+        if problem is not None:
+            raise InstantiationError(problem)
 
     @cached_property
     def transitions(self) -> Mapping[tuple[StateKey, Action], TransitionRow]:
@@ -286,8 +286,7 @@ class MdpModel:
             lines.append(
                 f"state {state.label} vms={state.vms_num}"
                 f" behavior={state.behavior_index} weight={state.weight!r}"
-                f" reward={self.state_rewards[state.key]!r}"
-                f" phase={state.phase_label} prev={state.previous_action}"
+                f" reward={self.state_rewards[state.key]!r} phase=decision prev=none"
                 f" center={center}"
             )
         entries = sorted(
@@ -324,25 +323,6 @@ def _normalize_rewards(
                 raise InstantiationError(f"empty reward list for size {size}")
             if not all(isinstance(b, BehaviorReward) for b in behaviors):
                 raise InstantiationError(f"bad reward entry for size {size}")
-        if not all(math.isfinite(b.reward) for b in behaviors):
-            raise InstantiationError(
-                f"non-finite reward at size {size}:"
-                f" {', '.join(repr(b.reward) for b in behaviors)}"
-            )
-        if config.variant is Variant.M1 and len(behaviors) > 1:
-            raise InstantiationError(
-                f"variant M1 admits one behavior per size, got {len(behaviors)}"
-                f" for size {size}"
-            )
-        if len(behaviors) > max(config.k, 1):
-            raise InstantiationError(
-                f"{len(behaviors)} behaviors for size {size} exceed k={config.k}"
-            )
-        mass = sum(b.weight for b in behaviors)
-        if not math.isclose(mass, 1.0, rel_tol=0.0, abs_tol=_MASS_TOL):
-            raise InstantiationError(
-                f"behavior weights at size {size} sum to {mass}, expected 1"
-            )
         out[size] = behaviors
     return out
 
@@ -475,71 +455,56 @@ class ValidationReport:
 
 
 def validate_model(model: MdpModel) -> ValidationReport:
-    """Check every structural invariant; never raises."""
-    bad: list[str] = []
-    cfg = model.config
-    labels = {key: state.label for key, state in model.states.items()}
+    """Every structural invariant `model` breaks; never raises.  The
+    constructor refuses a model that breaks one, so this finds something
+    only in a model whose mappings were changed after construction."""
+    return ValidationReport(tuple(_violations(model)))
 
-    if model.initial.key not in model.states:
-        bad.append(f"initial state {model.initial.label} not among model states")
 
-    for key, state in model.states.items():
-        if not cfg.min_vms <= state.vms_num <= cfg.max_vms:
-            bad.append(f"state {state.label} size outside [{cfg.min_vms}, {cfg.max_vms}]")
-        if state.phase_label not in PHASES:
-            bad.append(f"state {state.label} has unknown phase {state.phase_label!r}")
-        if state.previous_action not in PREVIOUS_ACTIONS:
-            bad.append(
-                f"state {state.label} has unknown previous_action"
-                f" {state.previous_action!r}"
+def _violations(model: MdpModel) -> Iterator[str]:
+    """The invariants `model` breaks, found in one pass over its states:
+    every size of the range has behaviors numbered 0..n-1 with n <= k (1 on
+    M1), whose weights lie in [0, 1] and sum to 1; rewards and centers are
+    finite; the initial state is one of the states.  The size check stops
+    at the first size without a state, so the work is bounded by the
+    states, not by the range."""
+    cfg, states, rewards = model.config, model.states, model.state_rewards
+    per_size = 1 if cfg.variant is Variant.M1 else cfg.k
+    mass: dict[int, float] = {}
+    for key, state in states.items():
+        size, index = state.key
+        if key != state.key:
+            yield f"state {state.label} is stored under key {key}"
+        if not cfg.min_vms <= size <= cfg.max_vms:
+            yield f"state {state.label} size outside [{cfg.min_vms}, {cfg.max_vms}]"
+        if not 0 <= index < per_size:
+            yield (
+                f"state {state.label} has behavior {index}, but variant"
+                f" {cfg.variant.value} with k={cfg.k} admits {per_size} per size"
             )
-
-    # Per-size behavior weights form a distribution.
-    by_size: dict[int, float] = {}
-    for state in model.states.values():
-        by_size[state.vms_num] = by_size.get(state.vms_num, 0.0) + state.weight
-    for size, mass in sorted(by_size.items()):
-        if abs(mass - 1.0) > _MASS_TOL:
-            bad.append(f"behavior weights at size {size} sum to {mass:.10g} != 1")
-
-    # Action-type mass and monotonicity metadata.
-    type_mass: dict[tuple[StateKey, ActionKind], float] = {}
-    for (key, action), row in model.transitions.items():
-        if key not in model.states:
-            bad.append(f"transition out of unknown state key {key}")
-            continue
-        state = model.states[key]
-        for target, p in row:
-            if p < 0:
-                bad.append(f"negative probability at ({labels[key]}, {action.label})")
-            target_phase = model.states[target].phase_label if target in model.states else None
-            if target != key and (state.phase_label, target_phase) in _BACKWARD_PHASES:
-                bad.append(
-                    f"phase order: {labels[key]} ({state.phase_label}) ->"
-                    f" {labels[target]} ({target_phase})"
-                )
-        kind_key = (key, action.kind)
-        type_mass[kind_key] = type_mass.get(kind_key, 0.0) + sum(p for _, p in row)
-        if state.previous_action == "add" and action.kind is ActionKind.REM:
-            bad.append(
-                f"monotonicity: rem enabled at {labels[key]} after a previous add"
-            )
-        if state.previous_action == "rem" and action.kind is ActionKind.ADD:
-            bad.append(
-                f"monotonicity: add enabled at {labels[key]} after a previous rem"
-            )
-        if state.phase_label == "accepted" and action.kind is not ActionKind.NO_OP:
-            bad.append(
-                f"end component: {action.label} enabled at accepted state {labels[key]}"
-            )
-
-    for (key, kind), mass in sorted(type_mass.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-        if abs(mass - 1.0) > _MASS_TOL:
-            bad.append(
-                f"probability mass {mass:.10g} != 1 at ({labels[key]}, {kind.value})"
-            )
-
-    return ValidationReport(tuple(bad))
+        elif index and (size, index - 1) not in states:
+            yield f"state {state.label} has behavior {index}, but size {size} lacks {index - 1}"
+        if not 0.0 <= state.weight <= 1.0:
+            yield f"behavior weight {state.weight!r} of state {state.label} outside [0, 1]"
+        mass[size] = mass.get(size, 0.0) + state.weight
+        reward = rewards.get(key)
+        if reward is None:
+            yield f"state {state.label} has no reward"
+        elif not math.isfinite(reward):
+            yield f"non-finite reward at size {size}: {reward!r}"
+        center = state.center
+        if center is not None and not (math.isfinite(center[0]) and math.isfinite(center[1])):
+            yield f"non-finite center at state {state.label}: {center!r}"
+    if len(rewards) != len(states):
+        yield f"{len(rewards)} rewards for {len(states)} states"
+    for size in cfg.sizes:
+        if size not in mass:
+            yield f"no state of size {size}"
+            break
+        if not math.isclose(mass[size], 1.0, rel_tol=0.0, abs_tol=_MASS_TOL):
+            yield f"behavior weights at size {size} sum to {mass[size]}, expected 1"
+    if states.get(model.initial.key) != model.initial:
+        yield f"initial state {model.initial.label} not among model states"
 
 
 def _parse_dump(text: str) -> MdpModel:
@@ -573,14 +538,21 @@ def _parse_dump(text: str) -> MdpModel:
                 if attrs["center"] != "-":
                     lat, thr = attrs["center"].split(",")
                     center = (finite_float(lat), finite_float(thr))
+                if (attrs["phase"], attrs["prev"]) != ("decision", "none"):
+                    raise ValueError(
+                        f"phase={attrs['phase']} prev={attrs['prev']}, but every state"
+                        " has phase=decision prev=none"
+                    )
                 state = MdpState(
                     vms_num=int(attrs["vms"]),
                     behavior_index=int(attrs["behavior"]),
                     weight=finite_float(attrs["weight"]),
                     center=center,
-                    phase_label=attrs["phase"],
-                    previous_action=attrs["prev"],
                 )
+                if label != state.label:
+                    raise ValueError(f"state {label} has the fields of {state.label}")
+                if state.key in states:
+                    raise ValueError(f"state {label} is defined twice")
                 states[state.key] = state
                 rewards[state.key] = finite_float(attrs["reward"])
                 by_label[label] = state.key
@@ -608,16 +580,17 @@ def _parse_dump(text: str) -> MdpModel:
     if initial_label not in by_label:
         raise InstantiationError(f"initial state {initial_label} not defined")
 
-    # Bound the work of the map check below by the size of the dump: every
-    # size has a state, and the dump lists as many entries as the view has.
-    per_size = Counter(size for size, _ in states)
-    for size in config.sizes:
-        if size not in per_size:
-            raise InstantiationError(f"model dump has no state of size {size}")
+    model = MdpModel(
+        config=config,
+        states=states,
+        initial=states[by_label[initial_label]],
+        state_rewards=rewards,
+    )
+    # Bound the work of the map check below by the size of the dump: the
+    # dump lists as many entries as the view has.
     expected = sum(
-        count
-        * (len(config.deltas(size, ActionKind.ADD)) + len(config.deltas(size, ActionKind.REM)) + 1)
-        for size, count in per_size.items()
+        len(config.deltas(size, ActionKind.ADD)) + len(config.deltas(size, ActionKind.REM)) + 1
+        for size, _ in states
     )
     if len(transitions) != expected:
         raise InstantiationError(
@@ -625,12 +598,6 @@ def _parse_dump(text: str) -> MdpModel:
             f" config and states imply {expected}"
         )
 
-    model = MdpModel(
-        config=config,
-        states=states,
-        initial=states[by_label[initial_label]],
-        state_rewards=rewards,
-    )
     parsed = {entry: tuple(row) for entry, row in transitions.items()}
     if parsed != model.transitions:
         raise InstantiationError(_disagreement(parsed, model))

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from elastimdp import cli
+from elastimdp import cli, emulator
 from elastimdp.emulator import TickRecord, ExperimentTrace, trace_from_csv
 from elastimdp.errors import ConfigurationError
 from elastimdp.harness import (
@@ -74,6 +74,15 @@ class TestConfig:
         assert config.schedule.initial_vms == 4
         assert config.runs == 10
         assert len(config.policies) == 6
+
+    def test_every_default_comes_from_the_built_in_ini(self):
+        assert parse_config("") == parse_config(default_config_ini())
+        assert parse_config("").clustering.seed == 7
+        # an empty re.upper_latency_ms follows the utility threshold
+        config = parse_config("[utility]\nlatency_threshold_ms = 80\n")
+        assert config.re_config.upper_latency_ms == 80.0
+        config = parse_config("", {"re.upper_latency_ms": "70"})
+        assert config.re_config.upper_latency_ms == 70.0
 
     def test_overrides(self):
         config = small_config(**{"model.max_vms": "8", "rl.gamma": "0.9"})
@@ -171,6 +180,46 @@ class TestComparison:
                         doubled.summaries[PolicyKind.RE].per_run):
             assert a.mean_utility == b.mean_utility
             assert a.violations == b.violations
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"experiment.runs": "2"},
+            {
+                "experiment.policies": "mdp_mb, mdp2, mdp3",
+                "experiment.runs": "2",
+                "model.max_vms": "32",
+                "model.add_limit": "6",
+                "model.rem_limit": "4",
+                "load.variation": "LV2",
+                "load.load_min_reqs": "2000",
+                "load.load_max_reqs": "90000",
+                "clustering.load_bucket_width_reqs": "2000",
+                "postprocess.benefit_threshold_pct": "5",
+                "postprocess.smoothing_window_ticks": "3",
+            },
+        ],
+        ids=["defaults", "scaleout"],
+    )
+    def test_every_decision_targets_a_size_in_range(self, overrides, monkeypatch):
+        # The episode enacts a decision's target as it is, so every
+        # policy must keep its targets, raw and after the benefit
+        # threshold, inside the model range.
+        targets = []
+        real = emulator.apply_benefit_threshold
+
+        def recording(decision, realized, post):
+            enacted = real(decision, realized, post)
+            targets.append((decision.target_size, enacted.target_size))
+            return enacted
+
+        monkeypatch.setattr(emulator, "apply_benefit_threshold", recording)
+        config = parse_config(default_config_ini(), overrides)
+        assert run_comparison(config).all_valid
+        decisions = len(config.schedule.decision_ticks())
+        assert len(targets) == len(config.policies) * config.runs * decisions
+        sizes = config.model.sizes
+        assert all(raw in sizes and enacted in sizes for raw, enacted in targets)
 
     def test_summary_mean_is_mean_of_run_means(self):
         result = run_comparison(small_config())
@@ -300,11 +349,14 @@ class TestCli:
             "error: (s4, no_op) leads to s4:0.7, but config and behavior weights imply s4:1\n"
         )
 
-    def test_validate_reports_an_unknown_phase(self, cli_inputs, capsys):
+    def test_validate_refuses_an_unknown_phase(self, cli_inputs, capsys):
         code = self.run_cli("validate", "--model-dump", str(cli_inputs["phase"]))
         out, err = capsys.readouterr()
-        assert code == 1 and err == ""
-        assert out == "violation: state s5 has unknown phase 'bogus'\n"
+        assert code == 2 and out == ""
+        assert err == (
+            "error: model dump line 5: phase=bogus prev=none,"
+            " but every state has phase=decision prev=none\n"
+        )
 
     def test_validate_malformed_dump_exit_code(self, tmp_path, capsys):
         config = ModelConfig(4, 6)
@@ -396,7 +448,7 @@ def cli_inputs(tmp_path):
     config = ModelConfig(4, 6)
     text = build_model(config, {v: 1.0 for v in config.sizes}, 4).dump()
     s5 = "state s5 vms=5 behavior=0 weight=1.0 reward=1.0 phase="
-    phase = tmp_path / "phase.txt"  # s5 is the source and the target of transitions
+    phase = tmp_path / "phase.txt"
     phase.write_text(text.replace(f"{s5}decision", f"{s5}bogus"), encoding="utf-8")
     return {
         "phase": phase,

@@ -43,6 +43,13 @@ def edited_dump(model, old, new):
     return text.replace(old, new)
 
 
+def refusal(text):
+    """The message `MdpModel.loads` refuses `text` with."""
+    with pytest.raises(InstantiationError) as refused:
+        MdpModel.loads(text)
+    return str(refused.value)
+
+
 class TestSingleBehaviorModel:
     def test_state_count(self):
         model = chain_model()
@@ -246,18 +253,21 @@ class TestAction:
 
 
 class TestValidation:
+    """The model's constructor is the one structural check: a model that
+    breaks an invariant cannot be built, replaced into or loaded."""
+
     def test_valid_model_yields_empty_report(self):
         assert validate_model(chain_model()).ok
 
     def test_bad_probability_mass(self):
         model = chain_model()
-        # s6's weight is the mass of s4's add_2 row: 0.5 * 0.8, so add sums to 0.9.
+        # s6's weight scales s4's add_2 row: 0.5 * 0.8 would make add sum to 0.9.
         states = dict(model.states)
         states[(6, 0)] = dataclasses.replace(states[(6, 0)], weight=0.8)
-        report = validate_model(dataclasses.replace(model, states=states))
-        assert any(
-            "probability mass 0.9" in v and "(s4, add)" in v for v in report.violations
-        )
+        with pytest.raises(
+            InstantiationError, match=r"^behavior weights at size 6 sum to 0.8, expected 1$"
+        ):
+            dataclasses.replace(model, states=states)
         # A dump cannot carry that mass on its own: its map must follow the weights.
         text = edited_dump(model, "trans s4 add_2 s6 0.5", "trans s4 add_2 s6 0.4")
         with pytest.raises(
@@ -267,11 +277,13 @@ class TestValidation:
             MdpModel.loads(text)
 
     def test_monotonicity_violation(self):
-        model = chain_model()
-        states = dict(model.states)
-        states[(4, 0)] = dataclasses.replace(states[(4, 0)], previous_action="rem")
-        report = validate_model(dataclasses.replace(model, states=states))
-        assert any("monotonicity" in v for v in report.violations)
+        # A state holds no previous action that could contradict the
+        # actions enabled at it (the solver locks the direction on paths).
+        with pytest.raises(TypeError):
+            dataclasses.replace(chain_model().states[(4, 0)], previous_action="rem")
+        old, new = "reward=4.0 phase=decision prev=none", "reward=4.0 phase=decision prev=rem"
+        text = edited_dump(chain_model(), old, new)
+        assert refusal(text).startswith("model dump line 5: phase=decision prev=rem, but")
 
     def test_missing_no_op_loop(self):
         model = chain_model()
@@ -298,18 +310,85 @@ class TestValidation:
         )
 
     def test_accepted_state_must_be_terminal(self):
-        model = chain_model()
-        states = dict(model.states)
-        states[(4, 0)] = dataclasses.replace(states[(4, 0)], phase_label="accepted")
-        report = validate_model(dataclasses.replace(model, states=states))
-        assert any("end component" in v for v in report.violations)
+        # No state is an accepting end component: each is a decision state
+        # whose no_op ends a path.
+        with pytest.raises(TypeError):
+            dataclasses.replace(chain_model().states[(4, 0)], phase_label="accepted")
+        text = edited_dump(chain_model(), "reward=4.0 phase=decision", "reward=4.0 phase=accepted")
+        assert refusal(text).startswith("model dump line 5: phase=accepted prev=none, but")
 
     def test_phase_order_violation(self):
+        text = edited_dump(chain_model(), "reward=5.0 phase=decision", "reward=5.0 phase=control")
+        assert refusal(text).startswith("model dump line 6: phase=control prev=none, but")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"state_rewards": {(5, 0): float("nan")}}, "^non-finite reward at size 5: nan$"),
+            ({"state_rewards": {(5, 0): None}}, "^state s5 has no reward$"),
+            ({"state_rewards": {(8, 0): 1.0}}, "^6 rewards for 5 states$"),
+            ({"states": {(5, 0): None}, "state_rewards": {(5, 0): None}}, "^no state of size 5$"),
+            (
+                {"states": {(5, 0): MdpState(5, center=(float("inf"), 1.0))}},
+                "^non-finite center at state s5: \\(inf, 1.0\\)$",
+            ),
+            ({"states": {(5, 0): MdpState(6)}}, "^state s6 is stored under key \\(5, 0\\)$"),
+            ({"states": {(8, 0): MdpState(8)}}, "^state s8 size outside \\[3, 7\\]$"),
+            (
+                {"states": {(5, 1): MdpState(5, 1, weight=0.0)}},
+                "^state s5b has behavior 1, but variant M1 with k=1 admits 1 per size$",
+            ),
+            ({"initial": MdpState(4, weight=0.5)}, "^initial state s4a not among model states$"),
+        ],
+        ids=[
+            "nan-reward", "no-reward", "extra-reward", "no-size", "inf-center",
+            "wrong-key", "outside-range", "m1-two-behaviors", "initial",
+        ],
+    )
+    def test_constructor_refuses_a_broken_model(self, edit, message):
+        # `edit` sets (or, with None, drops) entries of a field's mapping.
         model = chain_model()
-        states = dict(model.states)
-        states[(5, 0)] = dataclasses.replace(states[(5, 0)], phase_label="control")
-        report = validate_model(dataclasses.replace(model, states=states))
-        assert any("phase order" in v for v in report.violations)
+        changes = {}
+        for name, value in edit.items():
+            if isinstance(value, MdpState):
+                changes[name] = value
+                continue
+            changes[name] = {**getattr(model, name), **value}
+            for key in [key for key, entry in value.items() if entry is None]:
+                del changes[name][key]
+        with pytest.raises(InstantiationError, match=message):
+            dataclasses.replace(model, **changes)
+
+    def test_negative_weights_are_refused(self):
+        config = ModelConfig(3, 4, variant=Variant.M2, k=2)
+        rewards = {3: 1.0, 4: [BehaviorReward(1.0, 1.5), BehaviorReward(2.0, -0.5)]}
+        with pytest.raises(
+            InstantiationError, match=r"^behavior weight 1.5 of state s4a outside \[0, 1\]$"
+        ):
+            build_model(config, rewards, current=3)
+
+    def two_behavior_model(self):
+        config = ModelConfig(3, 5, add_limit=2, rem_limit=1, variant=Variant.M2, k=2)
+        rewards = {3: 1.0, 4: [BehaviorReward(2.0, 0.6), BehaviorReward(3.0, 0.4)], 5: 4.0}
+        return build_model(config, rewards, current=3)
+
+    def test_m1_edited_dump_is_refused(self):
+        text = edited_dump(self.two_behavior_model(), "variant=M2 k=2", "variant=M1 k=1")
+        with pytest.raises(
+            InstantiationError, match=r"^state s4b has behavior 1, but variant M1 with k=1 admits 1"
+        ):
+            MdpModel.loads(text)
+
+    def test_behavior_outside_k_is_refused(self):
+        text = self.two_behavior_model().dump()
+        # the label must name the state its fields make
+        seven = text.replace("vms=4 behavior=1", "vms=4 behavior=7")
+        assert refusal(seven) == "model dump line 6: state s4b has the fields of s4h"
+        assert refusal(seven.replace("s4b", "s4h")) == (
+            "state s4h has behavior 7, but variant M2 with k=2 admits 2 per size"
+        )
+        twice = text.replace("s4a vms=4 behavior=0", "s4b vms=4 behavior=1")
+        assert refusal(twice) == "model dump line 6: state s4b is defined twice"
 
 
 class TestDump:
@@ -427,6 +506,29 @@ class TestProperties:
         ).dump()
 
 
+def map_violations(model):
+    """Walk the explicit map: every (state, action type) carries mass 1, no
+    entry is negative, and every target is a state inside the size range.
+    The model's constructor makes these checks unnecessary; this oracle
+    keeps them, independent of it."""
+    cfg = model.config
+    bad = []
+    mass = {}
+    for (key, action), row in model.transitions.items():
+        for target, p in row:
+            if p < 0:
+                bad.append(f"negative probability at ({key}, {action.label})")
+            if target not in model.states or not cfg.min_vms <= target[0] <= cfg.max_vms:
+                bad.append(f"({key}, {action.label}) leads outside the model to {target}")
+        mass[(key, action.kind)] = mass.get((key, action.kind), 0.0) + sum(p for _, p in row)
+    bad += [
+        f"probability mass {m!r} at ({key}, {kind.value})"
+        for (key, kind), m in mass.items()
+        if abs(m - 1.0) > 1e-9
+    ]
+    return bad
+
+
 class TestImpliedMap:
     """A model's transition map is a view of its compact form, made on first
     read.  It must equal the map `implied_transitions` builds, and a dump's
@@ -505,6 +607,44 @@ class TestImpliedMap:
                 built.transitions[((4, 0), NO_OP)] = first  # type: ignore[index]
             with pytest.raises(TypeError):
                 del built.transitions[((4, 0), NO_OP)]  # type: ignore[attr-defined]
+
+    @settings(max_examples=60, deadline=None)
+    @given(config_and_rewards())
+    def test_checked_models_pass_the_map_oracle(self, instance):
+        # Differential: the constructor's checks against the map-walking
+        # oracle, on built and on round-tripped models; validation reads
+        # no map.
+        calls = []
+        real = model_module.implied_transitions
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                model_module,
+                "implied_transitions",
+                lambda config, states: calls.append(1) or real(config, states),
+            )
+            built = build_model(*instance)
+            assert validate_model(built).ok
+            assert calls == []
+            loaded = MdpModel.loads(built.dump())
+            assert validate_model(loaded).ok
+            assert calls == [1, 1]
+        assert map_violations(built) == map_violations(loaded) == []
+
+    def test_validation_reports_a_model_changed_after_construction(self):
+        model = chain_model()
+        changed = copy.copy(model)  # copies skip the constructor
+        states = dict(model.states)
+        states[(6, 0)] = dataclasses.replace(states[(6, 0)], weight=0.8)
+        object.__setattr__(changed, "states", states)
+        assert validate_model(changed).violations == (
+            "behavior weights at size 6 sum to 0.8, expected 1",
+        )
+        assert map_violations(changed) == [
+            "probability mass 0.9 at ((4, 0), add)",
+            "probability mass 0.9 at ((5, 0), add)",
+            "probability mass 0.8 at ((7, 0), rem)",
+        ]
+        assert map_violations(model) == []
 
     def test_hand_edited_map_still_fails_validation(self):
         config = ModelConfig(3, 5, add_limit=2, rem_limit=1, variant=Variant.M2, k=2)
@@ -614,7 +754,7 @@ def edited_dumps(draw):
 
 class TestDumpBoundary:
     """Whatever a dump holds, loading either refuses it with a typed error
-    or yields a model that validation reports on without raising."""
+    or yields a valid model that the solver decides and queries on."""
 
     @settings(max_examples=300, deadline=None)
     @given(edited_dumps())
@@ -623,18 +763,17 @@ class TestDumpBoundary:
             model = MdpModel.loads(text)
         except ElastimdpError:
             return
-        report = validate_model(model)
-        if report.ok:
-            decide(model)
-            top = f"vms_num={model.config.max_vms}"
-            reachability_probability(model, parse_query(f"Pmax=? [ F {top} ]"))
-            reachability_probability(model, parse_query(f"Pmin=? [ F {top} ]"))
+        assert validate_model(model).ok
+        decide(model)
+        top = f"vms_num={model.config.max_vms}"
+        reachability_probability(model, parse_query(f"Pmax=? [ F {top} ]"))
+        reachability_probability(model, parse_query(f"Pmin=? [ F {top} ]"))
 
-    def test_unknown_phase_is_a_violation(self):
-        # s5 is the source and the target of transitions
+    def test_unknown_phase_is_refused(self):
         text = edited_dump(chain_model(), "reward=5.0 phase=decision", "reward=5.0 phase=bogus")
-        report = validate_model(MdpModel.loads(text))
-        assert report.violations == ("state s5 has unknown phase 'bogus'",)
+        assert refusal(text) == (
+            "model dump line 6: phase=bogus prev=none, but every state has phase=decision prev=none"
+        )
 
     @pytest.mark.parametrize(
         "case, message",
