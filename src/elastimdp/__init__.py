@@ -45,7 +45,6 @@ from .queries import parse_predicate, parse_query
 from .rewards import (
     ClusterSummary,
     ClusteringConfig,
-    RewardMode,
     UtilityConfig,
     UtilityKind,
     cluster_behavior,

@@ -32,11 +32,6 @@ from .rewards import UtilityConfig, UtilityKind, utility_eval
 import dataclasses
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="override the base seed")
-    parser.add_argument("--out-dir", default=None, help="directory for output files")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="elastimdp",
@@ -54,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SECTION.KEY=VALUE",
         help="override a config key",
     )
-    _common(run)
+    run.add_argument("--seed", type=int, default=None, help="override the base seed")
+    run.add_argument("--out-dir", default="results", help="directory for output files")
 
     gen = sub.add_parser("gen-dataset", help="write a synthetic measurement CSV")
     gen.add_argument("--out", required=True, help="output CSV path")
@@ -68,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--exponent", type=float, default=2.5)
     gen.add_argument("--noise", type=float, default=0.05)
     gen.add_argument("--samples", type=int, default=12, help="samples per grid point")
-    _common(gen)
+    gen.add_argument("--seed", type=int, default=99, help="generator seed")
 
     query = sub.add_parser("query", help="evaluate a reachability query")
     query.add_argument("query", help='e.g. "Pmax=? [ F latency<30 & vms_num=7 ]"')
@@ -85,19 +81,16 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--dump-model", help="also write the instantiated model's text dump here"
     )
-    _common(query)
 
     validate = sub.add_parser("validate", help="check a config or a model dump")
     validate.add_argument("--config", help="experiment config file")
     validate.add_argument("--model-dump", help="model dump file")
-    _common(validate)
 
     replay = sub.add_parser("replay", help="re-score a trace under another utility")
     replay.add_argument("--trace", required=True, help="trace CSV to re-score")
     replay.add_argument("--utility", required=True, choices=["r1", "r2"])
     replay.add_argument("--latency-threshold-ms", type=float, default=60.0)
     replay.add_argument("--out", help="where to write the re-scored trace CSV")
-    _common(replay)
 
     return parser
 
@@ -116,7 +109,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         config = harness.parse_config(harness.default_config_ini(), overrides)
     result = harness.run_comparison(config)
-    out_dir = harness.write_outputs(result, args.out_dir or "results")
+    out_dir = harness.write_outputs(result, args.out_dir)
     report = harness.text_report(result)
     sys.stdout.write(report)
     sys.stdout.write(f"\noutputs written to {out_dir}\n")
@@ -141,21 +134,12 @@ def _cmd_gen_dataset(args: argparse.Namespace) -> int:
             "--load-min, --load-max and --load-step must be finite and the step"
             f" positive, got {args.load_min!r}, {args.load_max!r}, {args.load_step!r}"
         )
-    loads = []
-    load = args.load_min
-    while load <= args.load_max + 1e-9:
-        loads.append(load)
-        load += args.load_step
+    loads = harness.load_grid(args.load_min, args.load_max, args.load_step)
     if not loads:
         raise ElastimdpError(
             f"empty load grid: --load-min {args.load_min!r} > --load-max {args.load_max!r}"
         )
-    records = gen_synthetic_dataset(
-        params,
-        sizes,
-        loads,
-        seed=args.seed if args.seed is not None else 99,
-    )
+    records = gen_synthetic_dataset(params, sizes, loads, seed=args.seed)
     write_records_csv(args.out, records)
     sys.stdout.write(f"wrote {len(records)} records to {args.out}\n")
     return 0
@@ -170,7 +154,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         config = harness.read_config(args.config)
         records = harness.load_dataset(config)
         store = harness.build_store(config, records)
-        load = args.load if args.load is not None else harness.synthetic_load_grid(config)[0]
+        load = args.load if args.load is not None else config.load.load_min
         if not math.isfinite(load):
             raise ElastimdpError(f"--load must be finite, got {load!r}")
         vms = args.vms if args.vms is not None else config.schedule.initial_vms

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DataFormatError, NoDataError
+from .errors import ConfigurationError, DataFormatError
 from .logs import LogStore, MeasurementRecord
 from .model import finite_float
 from .policies import Policy, PostProcessConfig, apply_benefit_threshold
@@ -131,8 +131,6 @@ def emulate_state(
     invocation (one integer draw, two normals), so episodes sharing a run
     seed face the same stochastic environment tick for tick.
     """
-    if len(store) == 0:
-        raise NoDataError("emulation dataset is empty")
     selection = store.select_logs(vms, load)
     record = selection.records[int(rng.integers(len(selection.records)))]
     lat_noise, thr_noise = rng.normal(1.0, noise_fraction, size=2)
@@ -199,9 +197,6 @@ class ExperimentTrace:
 
     def loads(self) -> list[float]:
         return [r.load for r in self.records]
-
-    def utilities(self) -> list[float]:
-        return [r.utility for r in self.records]
 
     def decisions(self) -> list[str]:
         return [r.decision for r in self.records if r.decision]

@@ -92,17 +92,19 @@ def load_dataset(config: ExperimentConfig) -> list[MeasurementRecord]:
     if spec.path is not None:
         return read_records_csv(spec.path)
     assert spec.synthetic is not None
-    loads = synthetic_load_grid(config)
+    loads = load_grid(
+        config.load.load_min, config.load.load_max, config.clustering.load_bucket_width
+    )
     return gen_synthetic_dataset(
         spec.synthetic, list(config.model.sizes), loads, seed=spec.seed
     )
 
 
-def synthetic_load_grid(config: ExperimentConfig) -> list[float]:
-    step = config.clustering.load_bucket_width
+def load_grid(lo: float, hi: float, step: float) -> list[float]:
+    """Loads from `lo` up to `hi` (inclusive, within 1e-9) every `step`."""
     grid = []
-    load = config.load.load_min
-    while load <= config.load.load_max + 1e-9:
+    load = lo
+    while load <= hi + 1e-9:
         grid.append(float(load))
         load += step
     return grid

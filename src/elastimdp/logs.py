@@ -71,14 +71,13 @@ class LogStore:
     Appends happen only during ingestion.  Everything derived from a cell
     (the records of one vms count and load bucket) is derived once per
     store and kept until `add` clears it: `select_logs` keeps one
-    `LogSelection` per (vms, load bucket) query, `cluster_memo` the
-    behavior clusters per (vms, bucket center, clustering config)
-    (filled by `policies.cell_clusters`), and `reward_memo` the
-    `StateReward` per cell, clustering, reward mode, utility and scored
-    size (filled by `policies.cell_reward`).  Filling them is idempotent,
-    since each is a pure function of the cell's records and its key, so
-    a built store can be shared freely across episodes, policies and
-    what-if requests.
+    `LogSelection` per (vms, load bucket) query, and `reward_memo` one
+    `StateReward` (the cell's behavior clusters scored for MB, EB and
+    multi-behavior models) per cell, clustering config, utility and
+    scored size (filled by `policies.cell_reward`).  Filling them is
+    idempotent, since each is a pure function of the cell's records and
+    its key, so a built store can be shared freely across episodes,
+    policies and what-if requests.
     """
 
     def __init__(self, records: Iterable[MeasurementRecord] = (), bucket_width: float = 1000.0):
@@ -88,7 +87,6 @@ class LogStore:
         self._buckets: dict[tuple[int, int], list[MeasurementRecord]] = {}
         self._count = 0
         self._selections: dict[tuple[int, int], LogSelection] = {}
-        self.cluster_memo: dict[tuple, tuple] = {}
         self.reward_memo: dict[tuple, StateReward] = {}
         for record in records:
             self.add(record)
@@ -104,11 +102,7 @@ class LogStore:
         self._buckets.setdefault(key, []).append(record)
         self._count += 1
         self._selections.clear()
-        self.cluster_memo.clear()
         self.reward_memo.clear()
-
-    def sizes(self) -> list[int]:
-        return sorted({vms for vms, _ in self._buckets})
 
     def select_logs(self, vms_num: int, load: float) -> LogSelection:
         """Records for `vms_num` in the load bucket nearest `load`.

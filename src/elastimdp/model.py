@@ -557,6 +557,8 @@ def _parse_dump(text: str) -> MdpModel:
                 rewards[state.key] = finite_float(attrs["reward"])
                 by_label[label] = state.key
             elif words[0] == "config":
+                if config is not None:
+                    raise ValueError("second config line")
                 attrs = dict(field.split("=", 1) for field in words if "=" in field)
                 config = ModelConfig(
                     min_vms=int(attrs["min_vms"]),
@@ -567,6 +569,8 @@ def _parse_dump(text: str) -> MdpModel:
                     k=int(attrs["k"]),
                 )
             elif words[0] == "initial":
+                if initial_label is not None:
+                    raise ValueError("second initial line")
                 _, initial_label = words
             else:
                 raise ValueError(f"unrecognized dump line {' '.join(words)!r}")

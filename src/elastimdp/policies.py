@@ -29,7 +29,6 @@ from .logs import LogSelection, LogStore, MeasurementRecord
 from .model import (
     Action,
     ActionKind,
-    BehaviorReward,
     ClusterSize,
     MdpModel,
     ModelConfig,
@@ -38,9 +37,7 @@ from .model import (
     build_model,
 )
 from .rewards import (
-    ClusterSummary,
     ClusteringConfig,
-    RewardMode,
     StateReward,
     UtilityConfig,
     cluster_behavior,
@@ -210,50 +207,26 @@ def rl_update(
     qtable.visits[key] = qtable.visits.get(key, 0) + 1
 
 
-def _weighted_center(breakdown: Sequence[BehaviorReward]) -> tuple[float, float]:
-    lat = sum(b.weight * b.center[0] for b in breakdown)
-    thr = sum(b.weight * b.center[1] for b in breakdown)
-    return (lat, thr)
-
-
-def cell_clusters(
-    store: LogStore, selection: LogSelection, clustering: ClusteringConfig
-) -> tuple[ClusterSummary, ...]:
-    """Behavior clusters of the store cell `selection` came from.
-
-    Each (cell, clustering config) is clustered once per store and kept in
-    `store.cluster_memo`.  Like the cell's selection and its per-size
-    rewards (`cell_reward`), the clusters last until `LogStore.add`
-    changes the store's records.
-    """
-    key = (selection.vms_used, selection.bucket_center, clustering)
-    clusters = store.cluster_memo.get(key)
-    if clusters is None:
-        clusters = tuple(cluster_behavior(selection.records, clustering))
-        store.cluster_memo[key] = clusters
-    return clusters
-
-
 def cell_reward(
     store: LogStore,
     selection: LogSelection,
     clustering: ClusteringConfig,
-    mode: RewardMode,
     utility: UtilityConfig,
     size: int,
 ) -> StateReward:
-    """`state_reward` of the store cell `selection` came from, scored at
-    `size` (an interpolated cell is scored at the requested size, not at
-    the size its records came from).
+    """Scored behavior clusters of the store cell `selection` came from,
+    at `size` (an interpolated cell is scored at the requested size, not
+    at the size its records came from).
 
-    Each (cell, clustering, mode, utility, size) is scored once per store
-    and kept in `store.reward_memo`, which `LogStore.add` clears.
+    Each (cell, clustering, utility, size) is clustered and scored once
+    per store and kept in `store.reward_memo`, which `LogStore.add`
+    clears.  One entry serves the MB, EB and multi-behavior policies.
     """
-    key = (selection.vms_used, selection.bucket_center, clustering, mode, utility, size)
+    key = (selection.vms_used, selection.bucket_center, clustering, utility, size)
     reward = store.reward_memo.get(key)
     if reward is None:
-        clusters = cell_clusters(store, selection, clustering)
-        reward = store.reward_memo[key] = state_reward(clusters, mode, utility, size)
+        clusters = cluster_behavior(selection.records, clustering)
+        reward = store.reward_memo[key] = state_reward(clusters, utility, size)
     return reward
 
 
@@ -265,12 +238,11 @@ def _reward_inputs(
     utility: UtilityConfig,
     clustering: ClusteringConfig,
 ) -> tuple[dict[int, object], tuple[str, ...]]:
-    mode = RewardMode.EB if kind is PolicyKind.MDP_EB else RewardMode.MB
     rewards: dict[int, object] = {}
     notes: list[str] = []
     for size in model_config.sizes:
         selection = store.select_logs(size, load_effective)
-        sr = cell_reward(store, selection, clustering, mode, utility, size)
+        sr = cell_reward(store, selection, clustering, utility, size)
         if selection.interpolated:
             notes.append(
                 f"size {size}: no logs at bucket, used {len(selection.records)}"
@@ -280,12 +252,7 @@ def _reward_inputs(
         if kind in (PolicyKind.MDP2, PolicyKind.MDP3):
             rewards[size] = sr.per_cluster
         else:
-            center = (
-                sr.per_cluster[sr.mode_index].center
-                if mode is RewardMode.MB
-                else _weighted_center(sr.per_cluster)
-            )
-            rewards[size] = BehaviorReward(sr.reward, 1.0, center)
+            rewards[size] = sr.eb if kind is PolicyKind.MDP_EB else sr.mb
     return rewards, tuple(notes)
 
 
@@ -446,9 +413,7 @@ class RLPolicy(Policy):
 
     def _mb_reward(self, size: int, load: float) -> float:
         selection = self.store.select_logs(size, load)
-        return cell_reward(
-            self.store, selection, self.clustering, RewardMode.MB, self.utility, size
-        ).reward
+        return cell_reward(self.store, selection, self.clustering, self.utility, size).mb.reward
 
     def decide(self, current: ClusterSize) -> PolicyDecision:
         if self._latest is None:

@@ -1,11 +1,12 @@
 """State rewards from clustered log behavior and utility functions.
 
 Measurements selected for one (size, load bucket) are clustered with
-k-means over min-max-normalized (latency, throughput) points.  A state's
-reward is then either the utility of the biggest cluster's center (mode
-behaviour, MB) or the population-weighted average of per-cluster-center
-utilities (expected behaviour, EB); the per-cluster breakdown feeds the
-multi-behavior model builder directly.
+k-means over min-max-normalized (latency, throughput) points.  Scoring the
+clusters gives each center's utility and weight, which feed the
+multi-behavior model builder directly, and two one-state summaries of the
+same clusters: the biggest cluster's center (mode behaviour, MB) and the
+population-weighted average of the centers and their utilities (expected
+behaviour, EB).
 """
 
 from __future__ import annotations
@@ -123,11 +124,6 @@ class UtilityKind(str, Enum):
     R2 = "r2"  # inverse VM count, -1 past the latency threshold
 
 
-class RewardMode(str, Enum):
-    MB = "MB"
-    EB = "EB"
-
-
 @dataclass(frozen=True)
 class UtilityConfig:
     kind: UtilityKind = UtilityKind.R1
@@ -157,25 +153,26 @@ def utility_eval(
 
 @dataclass(frozen=True, slots=True)
 class StateReward:
-    """Aggregate reward for one candidate size plus its M2 breakdown."""
+    """A size's scored behavior clusters: the M2 breakdown and its MB and
+    EB summaries, each a one-state behavior of weight 1."""
 
-    reward: float
     per_cluster: tuple[BehaviorReward, ...]
-    mode_index: int = 0
+    mb: BehaviorReward
+    eb: BehaviorReward
 
 
 def state_reward(
     clusters: Sequence[ClusterSummary],
-    mode: RewardMode,
     utility: UtilityConfig,
     vms_num: int,
 ) -> StateReward:
-    """Reward of a size from its behavior clusters.
+    """Rewards of a size from its behavior clusters.
 
-    MB scores the center of the heaviest cluster (weight ties resolved
-    toward the lower-latency center); EB scores every center and averages
-    by cluster weight.  The per-cluster list carries each center's utility
-    and weight for the multi-behavior model builder.
+    The per-cluster list carries each center's utility and weight for the
+    multi-behavior model builder.  MB is the heaviest cluster's reward and
+    center (weight ties resolved toward the lower-latency center); EB
+    averages every center's utility and the centers themselves by cluster
+    weight.
     """
     if not clusters:
         raise NoDataError("state_reward needs at least one cluster")
@@ -191,12 +188,12 @@ def state_reward(
         )
         for c in clusters
     )
-    mode_index = min(
-        range(len(clusters)),
-        key=lambda i: (-clusters[i].weight, clusters[i].latency_ms),
+    mode = min(per_cluster, key=lambda b: (-b.weight, b.center[0]))
+    expected = BehaviorReward(
+        reward=sum(b.reward * b.weight for b in per_cluster),
+        center=(
+            sum(b.weight * b.center[0] for b in per_cluster),
+            sum(b.weight * b.center[1] for b in per_cluster),
+        ),
     )
-    if mode is RewardMode.MB:
-        value = per_cluster[mode_index].reward
-    else:
-        value = sum(b.reward * b.weight for b in per_cluster)
-    return StateReward(reward=value, per_cluster=per_cluster, mode_index=mode_index)
+    return StateReward(per_cluster, BehaviorReward(mode.reward, 1.0, mode.center), expected)

@@ -8,13 +8,14 @@ from elastimdp.errors import ConfigurationError
 from elastimdp.harness import (
     compute_metrics,
     default_config_ini,
+    load_dataset,
     parse_config,
     run_comparison,
     summary_csv,
     text_report,
     write_outputs,
 )
-from elastimdp.logs import read_records_csv
+from elastimdp.logs import read_records_csv, write_records_csv
 from elastimdp.model import ModelConfig, build_model, BehaviorReward
 from elastimdp.policies import PolicyKind
 from elastimdp.rewards import UtilityConfig, UtilityKind, utility_eval
@@ -284,6 +285,33 @@ class TestCli:
         records = read_records_csv(str(out))
         assert len(records) == 3 * 3 * 2
         assert {r.vms for r in records} == {4, 5, 6}
+
+    def test_gen_dataset_defaults_write_the_default_ini_dataset(self, tmp_path):
+        out = tmp_path / "ds.csv"
+        assert self.run_cli("gen-dataset", "--out", str(out)) == 0
+        expected = tmp_path / "expected.csv"
+        write_records_csv(str(expected), load_dataset(parse_config(default_config_ini())))
+        assert out.read_text(encoding="utf-8") == expected.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen-dataset", "--out", "{out}", "--out-dir", "elsewhere"),
+            ("query", "Pmax=? [ F vms_num=5 ]", "--config", "{ini}", "--seed", "3"),
+            ("query", "Pmax=? [ F vms_num=5 ]", "--config", "{ini}", "--out-dir", "elsewhere"),
+            ("validate", "--config", "{ini}", "--seed", "3"),
+            ("validate", "--config", "{ini}", "--out-dir", "elsewhere"),
+            ("replay", "--trace", "{trace}", "--utility", "r1", "--seed", "3"),
+            ("replay", "--trace", "{trace}", "--utility", "r1", "--out-dir", "elsewhere"),
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-2]}",
+    )
+    def test_flag_the_subcommand_does_not_read_exits_2(self, argv, cli_inputs, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            self.run_cli(*(arg.format(**cli_inputs) for arg in argv))
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+        assert not cli_inputs["out"].exists()
 
     def test_query_on_model_dump(self, tmp_path, capsys):
         config = ModelConfig(4, 7, add_limit=2, rem_limit=1)

@@ -425,6 +425,12 @@ class TestDump:
             ("config", "min_vms=3 ", "", 2, "missing min_vms="),
             ("state s4", "reward=4.0", "reward=nan", 5, "non-finite"),
             ("state s5", "weight=1.0", "weight=inf", 6, "non-finite"),
+            ("initial", "s4", "s4\ninitial s3", 4, "second initial line"),
+            (
+                "config", "k=1",
+                "k=1\nconfig min_vms=3 max_vms=7 add_limit=1 rem_limit=1 variant=M1 k=1",
+                3, "second config line",
+            ),
         ],
     )
     def test_malformed_dump_names_its_line(self, prefix, old, new, line, message):

@@ -16,7 +16,6 @@ from elastimdp.policies import (
     RLConfig,
     RLPolicy,
     apply_benefit_threshold,
-    cell_clusters,
     cell_reward,
     instantiate_model,
     make_policy,
@@ -29,7 +28,6 @@ from elastimdp.policies import (
 )
 from elastimdp.rewards import (
     ClusteringConfig,
-    RewardMode,
     UtilityConfig,
     UtilityKind,
     cluster_behavior,
@@ -299,50 +297,6 @@ def count_clustering(monkeypatch) -> list[int]:
     return calls
 
 
-class TestClusterMemo:
-    """Each store cell is clustered once per clustering config; the memo
-    must agree with a fresh k-means run and follow `LogStore.add`."""
-
-    def test_memo_matches_fresh_clustering_on_every_default_cell(self):
-        config = parse_config(default_config_ini())
-        store = build_store(config, load_dataset(config))
-        cells = sorted(store._buckets)  # every (vms, load bucket) cell
-        configs = (ClusteringConfig(k=1), ClusteringConfig(k=4))
-        for clustering in configs:
-            for vms, bucket in cells:
-                selection = store.select_logs(vms, bucket * store.bucket_width)
-                assert not selection.interpolated
-                memoized = cell_clusters(store, selection, clustering)
-                assert memoized == tuple(cluster_behavior(selection.records, clustering))
-                assert cell_clusters(store, selection, clustering) is memoized
-        assert len(store.cluster_memo) == len(configs) * len(cells)
-
-    def test_add_into_a_cell_reclusters_it(self, monkeypatch):
-        calls = count_clustering(monkeypatch)
-        store = store_with({4: (30.0, 8000.0), 5: (25.0, 9000.0)})
-        before = cell_clusters(store, store.select_logs(4, 10000.0), CLUSTERING)
-        cell_clusters(store, store.select_logs(4, 10200.0), CLUSTERING)
-        assert calls == [3]
-        store.add(MeasurementRecord(9, 4, 10000.0, 90.0, 100.0))
-        selection = store.select_logs(4, 10000.0)
-        after = cell_clusters(store, selection, CLUSTERING)
-        assert calls == [3, 4]
-        assert after == tuple(cluster_behavior(selection.records, CLUSTERING))
-        assert after != before
-
-    def test_policies_share_one_clustering_per_cell(self, monkeypatch):
-        calls = count_clustering(monkeypatch)
-        store = store_with({v: (30.0, float(v * v)) for v in LIMITS.sizes})
-        for kind in (PolicyKind.MDP_MB, PolicyKind.MDP_EB, PolicyKind.MDP_MB):
-            mdp_decide(kind, store, 10000.0, 5, None, LIMITS, R1, CLUSTERING)
-        rl = RLPolicy(store, LIMITS, R1, CLUSTERING)
-        rl.observe(MeasurementRecord(0, 5, 10000.0, 30.0, 25.0))
-        rl.decide(5)
-        assert len(calls) == len(LIMITS.sizes)
-        mdp_decide(PolicyKind.MDP2, store, 10000.0, 5, None, LIMITS, R1, ClusteringConfig(k=3))
-        assert len(calls) == 2 * len(LIMITS.sizes)
-
-
 def default_store(keep=lambda record: True):
     config = parse_config(default_config_ini())
     records = [r for r in load_dataset(config) if keep(r)]
@@ -358,9 +312,23 @@ def sparse_record(record) -> bool:
 
 
 class TestRewardMemo:
-    """A cell's selection and its per-size rewards are derived once per
-    store; the memos must agree with the uncached path and follow
-    `LogStore.add`."""
+    """Each store cell is clustered and scored once per (clustering,
+    utility, scored size); the memo must agree with the uncached path
+    and follow `LogStore.add`."""
+
+    def test_memo_matches_a_fresh_score_on_every_default_cell(self):
+        config, store = default_store()
+        cells = sorted(store._buckets)  # every (vms, load bucket) cell
+        configs = (ClusteringConfig(k=1), ClusteringConfig(k=4))
+        for clustering in configs:
+            for vms, bucket in cells:
+                selection = store.select_logs(vms, bucket * store.bucket_width)
+                assert not selection.interpolated
+                memoized = cell_reward(store, selection, clustering, R1, vms)
+                fresh = cluster_behavior(selection.records, clustering)
+                assert memoized == state_reward(fresh, R1, vms)
+                assert cell_reward(store, selection, clustering, R1, vms) is memoized
+        assert len(store.reward_memo) == len(configs) * len(cells)
 
     @pytest.mark.parametrize("keep", [lambda r: True, sparse_record], ids=["full", "sparse"])
     def test_cell_reward_matches_a_fresh_state_reward(self, keep):
@@ -377,33 +345,56 @@ class TestRewardMemo:
                 if selection.interpolated:
                     interpolated.add((selection.vms_used, size))
                 fresh = cluster_behavior(selection.records, clustering)
-                for mode in RewardMode:
-                    for utility in utilities:
-                        memoized = cell_reward(store, selection, clustering, mode, utility, size)
-                        assert memoized == state_reward(fresh, mode, utility, size)
+                for utility in utilities:
+                    memoized = cell_reward(store, selection, clustering, utility, size)
+                    assert memoized == state_reward(fresh, utility, size)
         if keep is sparse_record:
             # borrowed cells are scored at the requested size
             assert {(5, 6), (8, 7), (10, 10)} <= interpolated
         else:
             assert not interpolated
-        assert len(store.reward_memo) == len(scored) * 4
+        assert len(store.reward_memo) == len(scored) * len(utilities)
+
+    def test_add_into_a_cell_rescores_it(self, monkeypatch):
+        calls = count_clustering(monkeypatch)
+        store = store_with({4: (30.0, 8000.0), 5: (25.0, 9000.0)})
+        before = cell_reward(store, store.select_logs(4, 10000.0), CLUSTERING, R1, 4)
+        cell_reward(store, store.select_logs(4, 10200.0), CLUSTERING, R1, 4)
+        assert calls == [3]
+        store.add(MeasurementRecord(9, 4, 10000.0, 90.0, 100.0))
+        selection = store.select_logs(4, 10000.0)
+        after = cell_reward(store, selection, CLUSTERING, R1, 4)
+        assert calls == [3, 4]
+        assert after == state_reward(cluster_behavior(selection.records, CLUSTERING), R1, 4)
+        assert after != before
+
+    def test_policies_share_one_clustering_per_cell(self, monkeypatch):
+        calls = count_clustering(monkeypatch)
+        store = store_with({v: (30.0, float(v * v)) for v in LIMITS.sizes})
+        for kind in (PolicyKind.MDP_MB, PolicyKind.MDP_EB, PolicyKind.MDP_MB):
+            mdp_decide(kind, store, 10000.0, 5, None, LIMITS, R1, CLUSTERING)
+        rl = RLPolicy(store, LIMITS, R1, CLUSTERING)
+        rl.observe(MeasurementRecord(0, 5, 10000.0, 30.0, 25.0))
+        rl.decide(5)
+        assert len(calls) == len(LIMITS.sizes)
+        assert len(store.reward_memo) == len(LIMITS.sizes)
+        mdp_decide(PolicyKind.MDP2, store, 10000.0, 5, None, LIMITS, R1, ClusteringConfig(k=3))
+        assert len(calls) == 2 * len(LIMITS.sizes)
 
     def test_repeated_selection_is_one_object_until_add(self):
         store = store_with({4: (30.0, 8000.0), 5: (25.0, 9000.0)})
         selection = store.select_logs(4, 10000.0)
         assert store.select_logs(4, 10200.0) is selection
         assert store.select_logs(5, 10000.0) is not selection
-        before = cell_reward(store, selection, CLUSTERING, RewardMode.EB, R1, 4)
+        before = cell_reward(store, selection, CLUSTERING, R1, 4)
         extra = MeasurementRecord(9, 4, 10000.0, 90.0, 100.0)
         store.add(extra)
         after_add = store.select_logs(4, 10000.0)
         assert after_add is not selection
         assert after_add.records == selection.records + (extra,)
         assert store.select_logs(4, 10000.0) is after_add
-        after = cell_reward(store, after_add, CLUSTERING, RewardMode.EB, R1, 4)
-        fresh = state_reward(
-            cluster_behavior(after_add.records, CLUSTERING), RewardMode.EB, R1, 4
-        )
+        after = cell_reward(store, after_add, CLUSTERING, R1, 4)
+        fresh = state_reward(cluster_behavior(after_add.records, CLUSTERING), R1, 4)
         assert after == fresh and after != before
 
     @pytest.mark.parametrize("kind", MDP_KINDS)
@@ -433,9 +424,9 @@ class TestRewardMemo:
         calls = []
         real = policies.state_reward
 
-        def counted(clusters, mode, utility, size):
-            calls.append((clusters, mode, utility, size))
-            return real(clusters, mode, utility, size)
+        def counted(clusters, utility, size):
+            calls.append((tuple(clusters), utility, size))
+            return real(clusters, utility, size)
 
         monkeypatch.setattr(policies, "state_reward", counted)
         config, store = default_store()

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from elastimdp.errors import NoDataError
 from elastimdp.logs import MeasurementRecord
+from elastimdp.model import BehaviorReward
 from elastimdp.rewards import (
     ClusterSummary,
     ClusteringConfig,
-    RewardMode,
     UtilityConfig,
     UtilityKind,
     cluster_behavior,
@@ -153,39 +153,39 @@ class TestStateReward:
         ]
 
     def test_mode_behaviour(self):
-        result = state_reward(self.clusters(), RewardMode.MB, R1, 4)
-        assert result.reward == 250.0
-        assert result.mode_index == 0
+        result = state_reward(self.clusters(), R1, 4)
+        assert result.mb == BehaviorReward(250.0, 1.0, (50.0, 1000.0))
 
     def test_expected_behaviour(self):
-        result = state_reward(self.clusters(), RewardMode.EB, R1, 4)
-        assert result.reward == pytest.approx(0.75 * 250.0 + 0.25 * -1.0)
-        assert result.reward == pytest.approx(187.25)
+        result = state_reward(self.clusters(), R1, 4)
+        assert result.eb.reward == pytest.approx(0.75 * 250.0 + 0.25 * -1.0)
+        # 0.75 * (50, 1000) + 0.25 * (70, 2000); every term is exact
+        assert result.eb == BehaviorReward(187.25, 1.0, (55.0, 1250.0))
 
-    def test_single_cluster_modes_agree(self):
+    def test_single_cluster_summaries_agree(self):
         single = [ClusterSummary((40.0, 1200.0), 1.0)]
-        mb = state_reward(single, RewardMode.MB, R1, 4).reward
-        eb = state_reward(single, RewardMode.EB, R1, 4).reward
-        assert mb == eb == 300.0
+        result = state_reward(single, R1, 4)
+        assert result.mb == result.eb == BehaviorReward(300.0, 1.0, (40.0, 1200.0))
 
     def test_all_violating(self):
         violating = [
             ClusterSummary((70.0, 1000.0), 0.5),
             ClusterSummary((90.0, 2000.0), 0.5),
         ]
-        assert state_reward(violating, RewardMode.MB, R1, 4).reward == -1.0
-        assert state_reward(violating, RewardMode.EB, R1, 4).reward == -1.0
+        result = state_reward(violating, R1, 4)
+        assert result.mb.reward == result.eb.reward == -1.0
 
     def test_mode_tie_prefers_lower_latency(self):
         tied = [
             ClusterSummary((70.0, 9000.0), 0.5),
             ClusterSummary((30.0, 1000.0), 0.5),
         ]
-        result = state_reward(tied, RewardMode.MB, R1, 4)
-        assert result.reward == 250.0  # the 30 ms center wins the tie
+        result = state_reward(tied, R1, 4)
+        # the 30 ms center wins the tie
+        assert result.mb == BehaviorReward(250.0, 1.0, (30.0, 1000.0))
 
     def test_per_cluster_breakdown_for_model_building(self):
-        result = state_reward(self.clusters(), RewardMode.EB, R1, 4)
+        result = state_reward(self.clusters(), R1, 4)
         assert [b.weight for b in result.per_cluster] == [0.75, 0.25]
         assert [b.reward for b in result.per_cluster] == [250.0, -1.0]
         assert result.per_cluster[0].center == (50.0, 1000.0)
@@ -207,6 +207,11 @@ class TestStateReward:
         clusters = [
             ClusterSummary((lat, thr), w / total) for lat, thr, w in raw
         ]
-        result = state_reward(clusters, RewardMode.EB, R1, 4)
-        per = [b.reward for b in result.per_cluster]
-        assert min(per) - 1e-9 <= result.reward <= max(per) + 1e-9
+        result = state_reward(clusters, R1, 4)
+        for values, summary in (
+            ([b.reward for b in result.per_cluster], result.eb.reward),
+            ([lat for lat, _, _ in raw], result.eb.center[0]),
+            ([thr for _, thr, _ in raw], result.eb.center[1]),
+        ):
+            slack = 1e-9 * max(1.0, max(values))
+            assert min(values) - slack <= summary <= max(values) + slack
