@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DataFormatError, NoDataError
 
-if TYPE_CHECKING:  # rewards imports this module
+if TYPE_CHECKING:  # rewards and policies import this module
+    from .policies import SolvedModel
     from .rewards import StateReward
 
 CSV_HEADER = ("time", "vms", "load", "latency_ms", "throughput")
@@ -68,16 +69,22 @@ class LogSelection:
 class LogStore:
     """Bucketed measurement log, single writer / many readers.
 
-    Appends happen only during ingestion.  Everything derived from a cell
-    (the records of one vms count and load bucket) is derived once per
-    store and kept until `add` clears it: `select_logs` keeps one
-    `LogSelection` per (vms, load bucket) query, and `reward_memo` one
-    `StateReward` (the cell's behavior clusters scored for MB, EB and
-    multi-behavior models) per cell, clustering config, utility and
-    scored size (filled by `policies.cell_reward`).  Filling them is
-    idempotent, since each is a pure function of the cell's records and
-    its key, so a built store can be shared freely across episodes,
-    policies and what-if requests.
+    Appends happen only during ingestion.  Three memos keep what is
+    derived from the records, and `add` clears all three:
+
+    * the selections: one `LogSelection` per (vms, load bucket) query
+      (filled by `select_logs`);
+    * `reward_memo`: one `StateReward` (a cell's behavior clusters scored
+      for MB, EB and multi-behavior models) per cell, clustering config,
+      utility and scored size (filled by `policies.cell_reward`);
+    * `solve_memo`: one `SolvedModel` (the instantiated model, its
+      interpolation notes and arrival values) per MDP policy kind, model
+      config, clustering config, utility and load bucket (filled by
+      `policies.mdp_decide`).
+
+    Filling them is idempotent, since each entry is a pure function of the
+    records and its key, so a built store can be shared freely across
+    episodes, policies and what-if requests.
     """
 
     def __init__(self, records: Iterable[MeasurementRecord] = (), bucket_width: float = 1000.0):
@@ -88,21 +95,24 @@ class LogStore:
         self._count = 0
         self._selections: dict[tuple[int, int], LogSelection] = {}
         self.reward_memo: dict[tuple, StateReward] = {}
+        self.solve_memo: dict[tuple, SolvedModel] = {}
         for record in records:
             self.add(record)
 
     def __len__(self) -> int:
         return self._count
 
-    def _bucket(self, load: float) -> int:
+    def bucket(self, load: float) -> int:
+        """Index of the load bucket `load` falls in (nearest bucket center)."""
         return math.floor(load / self.bucket_width + 0.5)
 
     def add(self, record: MeasurementRecord) -> None:
-        key = (record.vms, self._bucket(record.load))
+        key = (record.vms, self.bucket(record.load))
         self._buckets.setdefault(key, []).append(record)
         self._count += 1
         self._selections.clear()
         self.reward_memo.clear()
+        self.solve_memo.clear()
 
     def select_logs(self, vms_num: int, load: float) -> LogSelection:
         """Records for `vms_num` in the load bucket nearest `load`.
@@ -114,7 +124,7 @@ class LogStore:
         """
         if not self._buckets:
             raise NoDataError("log store is empty")
-        query = (vms_num, self._bucket(load))
+        query = (vms_num, self.bucket(load))
         selection = self._selections.get(query)
         if selection is None:
             selection = self._selections[query] = self._select(*query)

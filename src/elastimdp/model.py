@@ -144,9 +144,6 @@ class ModelConfig:
     def sizes(self) -> range:
         return range(self.min_vms, self.max_vms + 1)
 
-    def clamp(self, vms: int) -> int:
-        return max(self.min_vms, min(self.max_vms, vms))
-
     def deltas(self, size: int, kind: ActionKind) -> range:
         """Sized `kind` deltas enabled at `size`: up to the per-step limit,
         or on M3 every delta up to the range edge (clipped when enacted)."""
@@ -327,11 +324,12 @@ def _normalize_rewards(
     return out
 
 
-def _match_behavior(
-    behaviors: Sequence[BehaviorReward],
+def match_behavior(
+    behaviors: Sequence[BehaviorReward | MdpState],
     observation: tuple[float, float] | None,
 ) -> int:
-    """Pick the behavior index the current observation is closest to.
+    """Pick the behavior index the current observation is closest to,
+    among one size's behaviors (read for their weights and centers).
 
     Distance is Euclidean after min-max normalizing each dimension over
     this size's cluster centers; falls back to the heaviest cluster when no
@@ -397,7 +395,7 @@ def build_model(
             states[state.key] = state
             state_rewards[state.key] = behavior.reward
 
-    initial_idx = _match_behavior(per_size[current], current_behavior)
+    initial_idx = match_behavior(per_size[current], current_behavior)
     return MdpModel(
         config=config,
         states=states,

@@ -31,10 +31,13 @@ from .model import (
     ActionKind,
     ClusterSize,
     MdpModel,
+    MdpState,
     ModelConfig,
     NO_OP,
     Variant,
+    behaviors_by_size,
     build_model,
+    match_behavior,
 )
 from .rewards import (
     ClusteringConfig,
@@ -44,7 +47,7 @@ from .rewards import (
     state_reward,
     utility_eval,
 )
-from .solver import PolicyDecision, decide as solve_decide, tie_break_key
+from .solver import PolicyDecision, decide as solve_decide, reward_arrivals, tie_break_key
 
 
 class PolicyKind(str, Enum):
@@ -256,6 +259,12 @@ def _reward_inputs(
     return rewards, tuple(notes)
 
 
+def _observation(measurement: MeasurementRecord | None) -> tuple[float, float] | None:
+    if measurement is None:
+        return None
+    return (measurement.latency_ms, measurement.throughput)
+
+
 def instantiate_model(
     kind: PolicyKind,
     store: LogStore,
@@ -278,12 +287,29 @@ def instantiate_model(
     rewards, notes = _reward_inputs(
         kind, store, load_effective, config, utility, clustering
     )
-    observation = (
-        (current_measurement.latency_ms, current_measurement.throughput)
-        if current_measurement is not None
-        else None
-    )
-    return build_model(config, rewards, current, observation), notes
+    return build_model(config, rewards, current, _observation(current_measurement)), notes
+
+
+@dataclass(frozen=True)
+class SolvedModel:
+    """The model an MDP policy solves at one load bucket, its
+    interpolation notes, its `reward_arrivals` and its states per size.
+    Only the initial state depends on the current size and observation,
+    and `state_at` picks it as `build_model` does."""
+
+    model: MdpModel
+    notes: tuple[str, ...]
+    arrivals: list[dict[int, float]]
+    behaviors: dict[int, list[MdpState]]
+
+    def state_at(self, current: ClusterSize, observation: tuple[float, float] | None) -> MdpState:
+        states = self.behaviors.get(current)
+        if states is None:
+            cfg = self.model.config
+            raise ConfigurationError(
+                f"current size {current} outside [{cfg.min_vms}, {cfg.max_vms}]"
+            )
+        return states[match_behavior(states, observation)]
 
 
 def mdp_decide(
@@ -296,16 +322,28 @@ def mdp_decide(
     utility: UtilityConfig,
     clustering: ClusteringConfig,
 ) -> PolicyDecision:
-    """One full elasticity step of an MDP policy: instantiate the model
-    from the logs at the effective load, solve it, return the (possibly
-    bounded) first action."""
-    model, notes = instantiate_model(
-        kind, store, load_effective, current, current_measurement,
-        model_config, utility, clustering,
-    )
-    decision = solve_decide(model)
-    if notes:
-        decision = dataclasses.replace(decision, notes=decision.notes + notes)
+    """One elasticity step of an MDP policy: the (possibly bounded) first
+    optimal action from the current size's behavior closest to the latest
+    measurement.
+
+    The model at the effective load's bucket and its arrival values are
+    built once per store and kept in `store.solve_memo`, which
+    `LogStore.add` clears; later steps at that bucket only value the
+    current state's first moves."""
+    key = (kind, model_config, clustering, utility, store.bucket(load_effective))
+    solved = store.solve_memo.get(key)
+    if solved is None:
+        model, notes = instantiate_model(
+            kind, store, load_effective, current, current_measurement,
+            model_config, utility, clustering,
+        )
+        solved = store.solve_memo[key] = SolvedModel(
+            model, notes, reward_arrivals(model), behaviors_by_size(model.states)
+        )
+    state = solved.state_at(current, _observation(current_measurement))
+    decision = solve_decide(solved.model, state, solved.arrivals)
+    if solved.notes:
+        decision = dataclasses.replace(decision, notes=decision.notes + solved.notes)
     return decision
 
 
@@ -433,7 +471,7 @@ class RLPolicy(Policy):
 
 
 class MdpPolicy(Policy):
-    """Direct solving of a freshly instantiated model at each step."""
+    """Direct solving of the model instantiated at the effective load."""
 
     def __init__(
         self,

@@ -156,10 +156,17 @@ def _first_moves(
     return moves
 
 
+def reward_arrivals(model: MdpModel) -> list[dict[int, float]]:
+    """Maximum expected terminal reward of arriving at each size, on the
+    add-locked and on the rem-locked branch.  They do not depend on the
+    initial state, so one model's arrivals serve a decision at any state."""
+    return _arrival_values(model, model.state_rewards, (), max)
+
+
 def max_expected_reward(model: MdpModel) -> ValueMap:
     """Maximum expected terminal reward of every state, with an optimal
     first action, as if the decision episode started fresh there."""
-    arrivals = _arrival_values(model, model.state_rewards, (), max)
+    arrivals = reward_arrivals(model)
     out: dict[StateKey, StateValue] = {}
     for size, states in behaviors_by_size(model.states).items():
         moves = _first_moves(model, size, arrivals)
@@ -177,24 +184,31 @@ def clip_action(action: Action, config) -> tuple[Action, bool]:
     return Action(action.kind, limit), True
 
 
-def decide(model: MdpModel) -> PolicyDecision:
-    """First action of an optimal strategy from the initial state.
+def decide(
+    model: MdpModel,
+    state: MdpState | None = None,
+    arrivals: list[dict[int, float]] | None = None,
+) -> PolicyDecision:
+    """First action of an optimal strategy from `state` (by default the
+    initial state), given the model's `reward_arrivals` (computed when
+    not given).
 
     On all-targets models the optimal action may point beyond the per-step
     limits; it is then clipped to the limit and flagged `bounded`.  The
     reported expected utility is the model optimum that motivated the
-    action, not the value of the clipped step.
+    action, not the value of the clipped step.  A clipped target stays in
+    range, since no delta exceeds the room to the range edge.
     """
-    key = model.initial.key
-    arrivals = _arrival_values(model, model.state_rewards, (), max)
-    moves = _first_moves(model, model.initial.vms_num, arrivals)
-    value, first = _pick([(model.state_rewards[key], NO_OP)] + moves)
+    state = model.initial if state is None else state
+    if arrivals is None:
+        arrivals = reward_arrivals(model)
+    moves = _first_moves(model, state.vms_num, arrivals)
+    value, first = _pick([(model.state_rewards[state.key], NO_OP)] + moves)
     action, bounded = clip_action(first, model.config)
-    target = model.config.clamp(model.initial.vms_num + action.signed_delta)
     return PolicyDecision(
         action=action,
         expected_utility=value,
-        target_size=target,
+        target_size=state.vms_num + action.signed_delta,
         bounded=bounded,
     )
 

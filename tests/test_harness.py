@@ -1,11 +1,14 @@
+import dataclasses
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from elastimdp import cli, emulator
+from elastimdp import cli, emulator, harness, policies, solver
 from elastimdp.emulator import TickRecord, ExperimentTrace, trace_from_csv
 from elastimdp.errors import ConfigurationError
 from elastimdp.harness import (
+    build_store,
     compute_metrics,
     default_config_ini,
     load_dataset,
@@ -17,7 +20,7 @@ from elastimdp.harness import (
 )
 from elastimdp.logs import read_records_csv, write_records_csv
 from elastimdp.model import ModelConfig, build_model, BehaviorReward
-from elastimdp.policies import PolicyKind
+from elastimdp.policies import MDP_KINDS, PolicyKind
 from elastimdp.rewards import UtilityConfig, UtilityKind, utility_eval
 
 
@@ -148,6 +151,30 @@ class TestMetrics:
         assert metrics.max_decision_ms == 1.0
 
 
+# The 2-run default comparison, and the scaleout config: 4..32 VMs,
+# +6/-4, LV2, a 5% benefit threshold and 3-tick smoothing.
+COMPARISON_CONFIGS = pytest.mark.parametrize(
+    "overrides",
+    [
+        {"experiment.runs": "2"},
+        {
+            "experiment.policies": "mdp_mb, mdp2, mdp3",
+            "experiment.runs": "2",
+            "model.max_vms": "32",
+            "model.add_limit": "6",
+            "model.rem_limit": "4",
+            "load.variation": "LV2",
+            "load.load_min_reqs": "2000",
+            "load.load_max_reqs": "90000",
+            "clustering.load_bucket_width_reqs": "2000",
+            "postprocess.benefit_threshold_pct": "5",
+            "postprocess.smoothing_window_ticks": "3",
+        },
+    ],
+    ids=["defaults", "scaleout"],
+)
+
+
 class TestComparison:
     def test_shared_environment_across_policies(self):
         result = run_comparison(small_config())
@@ -182,26 +209,7 @@ class TestComparison:
             assert a.mean_utility == b.mean_utility
             assert a.violations == b.violations
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"experiment.runs": "2"},
-            {
-                "experiment.policies": "mdp_mb, mdp2, mdp3",
-                "experiment.runs": "2",
-                "model.max_vms": "32",
-                "model.add_limit": "6",
-                "model.rem_limit": "4",
-                "load.variation": "LV2",
-                "load.load_min_reqs": "2000",
-                "load.load_max_reqs": "90000",
-                "clustering.load_bucket_width_reqs": "2000",
-                "postprocess.benefit_threshold_pct": "5",
-                "postprocess.smoothing_window_ticks": "3",
-            },
-        ],
-        ids=["defaults", "scaleout"],
-    )
+    @COMPARISON_CONFIGS
     def test_every_decision_targets_a_size_in_range(self, overrides, monkeypatch):
         # The episode enacts a decision's target as it is, so every
         # policy must keep its targets, raw and after the benefit
@@ -221,6 +229,56 @@ class TestComparison:
         assert len(targets) == len(config.policies) * config.runs * decisions
         sizes = config.model.sizes
         assert all(raw in sizes and enacted in sizes for raw, enacted in targets)
+
+    @COMPARISON_CONFIGS
+    def test_memo_decisions_match_a_fresh_solve(self, overrides, monkeypatch):
+        # Every MDP decision, most of them read from the store's solve
+        # memo, equals a fresh instantiate + decide on a second store that
+        # holds the same records and whose solve memo is never read.
+        config = parse_config(default_config_ini(), overrides)
+        records = load_dataset(config)
+        fresh_store = build_store(config, records)
+        stores, pairs = set(), []
+        real = policies.mdp_decide
+
+        def compared(kind, store, load, current, measurement, *configs):
+            decision = real(kind, store, load, current, measurement, *configs)
+            model, notes = policies.instantiate_model(
+                kind, fresh_store, load, current, measurement, *configs
+            )
+            pairs.append((decision, dataclasses.replace(solver.decide(model), notes=notes)))
+            stores.add(store)
+            return decision
+
+        monkeypatch.setattr(policies, "mdp_decide", compared)
+        run_comparison(config, records)
+        mdp_kinds = [kind for kind in config.policies if kind in MDP_KINDS]
+        assert len(pairs) == len(mdp_kinds) * config.runs * len(config.schedule.decision_ticks())
+        (store,) = stores
+        assert len(store.solve_memo) < len(pairs) / 2
+        assert not fresh_store.solve_memo
+        for memo, fresh in pairs:
+            assert memo == fresh
+            assert memo.expected_utility.hex() == fresh.expected_utility.hex()
+
+    def test_solve_memo_holds_one_entry_per_mdp_policy_and_bucket(self, monkeypatch):
+        stores = []
+        real = harness.build_store
+
+        def kept(*args):
+            stores.append(real(*args))
+            return stores[-1]
+
+        monkeypatch.setattr(harness, "build_store", kept)
+        run_comparison(parse_config(default_config_ini(), {"experiment.runs": "2"}))
+        run_comparison(
+            parse_config(default_config_ini(), {"experiment.runs": "2", "experiment.policies": "re, rl_mb"})
+        )
+        full, re_and_rl = stores
+        assert len(full.solve_memo) == 112
+        assert Counter(key[0] for key in full.solve_memo) == {kind: 28 for kind in MDP_KINDS}
+        # RE and RL solve no model; RL reads the reward memo only
+        assert not re_and_rl.solve_memo and re_and_rl.reward_memo
 
     def test_summary_mean_is_mean_of_run_means(self):
         result = run_comparison(small_config())

@@ -57,6 +57,10 @@ class TestSelection:
         assert not selection.interpolated
         assert selection.bucket_center == 10000.0
 
+    def test_bucket_is_the_nearest_bucket_center(self):
+        store = self.make_store()
+        assert [store.bucket(load) for load in (0.0, 499.0, 500.0, 10400.0, 10600.0)] == [0, 0, 1, 10, 11]
+
     def test_neighboring_bucket_is_interpolated(self):
         selection = self.make_store().select_logs(4, 14000.0)
         assert selection.interpolated

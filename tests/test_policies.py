@@ -33,7 +33,7 @@ from elastimdp.rewards import (
     cluster_behavior,
     state_reward,
 )
-from elastimdp.solver import PolicyDecision
+from elastimdp.solver import PolicyDecision, decide
 
 ADD = ActionKind.ADD
 REM = ActionKind.REM
@@ -448,3 +448,35 @@ class TestRewardMemo:
         decisions()
         assert len(calls) == first_round == len(store.reward_memo)
         assert len(set(calls)) == len(calls)
+
+
+class TestSolveMemo:
+    """Each (MDP policy kind, model config, clustering, utility, load
+    bucket) is instantiated and solved once per store, until `LogStore.add`.
+    `tests.test_harness.TestComparison::test_memo_decisions_match_a_fresh_solve`
+    checks the memo against a fresh solve on every comparison decision."""
+
+    @pytest.mark.parametrize("kind", [PolicyKind.MDP_EB, PolicyKind.MDP2, PolicyKind.MDP3])
+    def test_add_into_a_bucket_cell_resolves_it(self, kind):
+        per_size = {v: (90.0, 1000.0) for v in LIMITS.sizes}
+        per_size[5] = (30.0, 1000.0)  # only the current size is healthy
+        store = store_with(per_size)
+        assert mdp_decide(kind, store, 10000.0, 5, None, LIMITS, R1, CLUSTERING).action == NO_OP
+        assert len(store.solve_memo) == 1
+        extra = MeasurementRecord(9, 8, 10000.0, 20.0, 50000.0)  # size 8 turns healthy
+        store.add(extra)
+        assert not store.solve_memo
+        after = mdp_decide(kind, store, 10400.0, 5, None, LIMITS, R1, CLUSTERING)
+        fresh_store = store_with(per_size)
+        fresh_store.add(extra)
+        model, _ = instantiate_model(kind, fresh_store, 10400.0, 5, None, LIMITS, R1, CLUSTERING)
+        assert after == decide(model)
+        assert after.action == Action(ADD, 3)
+
+    def test_current_size_outside_the_range_is_refused_on_a_hit(self):
+        store = store_with({v: (30.0, 8000.0) for v in LIMITS.sizes})
+        mdp_decide(PolicyKind.MDP2, store, 10000.0, 5, None, LIMITS, R1, CLUSTERING)
+        for current in (LIMITS.min_vms - 1, LIMITS.max_vms + 1):
+            with pytest.raises(ConfigurationError, match="outside"):
+                mdp_decide(PolicyKind.MDP2, store, 10000.0, current, None, LIMITS, R1, CLUSTERING)
+        assert len(store.solve_memo) == 1
