@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import harness
 from .emulator import SyntheticModelParams, gen_synthetic_dataset, trace_from_csv, trace_to_csv
-from .errors import ElastimdpError
+from .errors import ConfigurationError, ElastimdpError
 from .logs import write_records_csv
 from .model import MdpModel, ModelConfig
 from .policies import PolicyKind, instantiate_model, MDP_KINDS
@@ -120,6 +120,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_dataset(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
     params = SyntheticModelParams(
         per_vm_capacity=args.capacity,
         base_latency_ms=args.base_latency,

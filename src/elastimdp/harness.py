@@ -57,6 +57,8 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         if (self.path is None) == (self.synthetic is None):
             raise ConfigurationError("dataset needs exactly one of path/synthetic")
+        if self.seed < 0:
+            raise ConfigurationError(f"dataset seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ConfigurationError("runs must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigurationError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.policies:
             raise ConfigurationError("at least one policy is required")
         if not self.model.min_vms <= self.schedule.initial_vms <= self.model.max_vms:

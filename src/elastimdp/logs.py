@@ -164,7 +164,10 @@ def parse_records_csv(text: str, source: str = "<string>") -> list[MeasurementRe
     number.
     """
     reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise DataFormatError(f"{source}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise DataFormatError(f"{source}: empty file")
     if tuple(h.strip() for h in rows[0]) != CSV_HEADER:

@@ -1,12 +1,15 @@
 """State rewards from clustered log behavior and utility functions.
 
 Measurements selected for one (size, load bucket) are clustered with
-k-means over min-max-normalized (latency, throughput) points.  Scoring the
-clusters gives each center's utility and weight, which feed the
-multi-behavior model builder directly, and two one-state summaries of the
-same clusters: the biggest cluster's center (mode behaviour, MB) and the
-population-weighted average of the centers and their utilities (expected
-behaviour, EB).
+k-means over min-max-normalized (latency, throughput) points.  The k-means
+is a scalar Lloyd's loop: a cell holds about a dozen records, too few for
+numpy calls to pay off, and the loop keeps numpy's summation order for
+each `dims` (see `cluster_behavior`), so it yields the array form's
+clusters bit for bit.  Scoring the clusters gives each center's utility
+and weight, which feed the multi-behavior model builder directly, and two
+one-state summaries of the same clusters: the biggest cluster's center
+(mode behaviour, MB) and the population-weighted average of the centers
+and their utilities (expected behaviour, EB).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +46,8 @@ class ClusteringConfig:
             raise ConfigurationError("load_bucket_width must be positive")
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"clustering seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,51 +78,128 @@ def cluster_behavior(
     clusters when there are fewer distinct points.  Output is sorted by
     descending weight, then ascending latency, so index 0 is always the
     mode cluster.
+
+    The loop runs on plain floats: a cell holds a dozen records and
+    converges in two or three rounds, so numpy's per-call cost would
+    outweigh the arithmetic.  It yields the same floats as the array form
+    (an axis-0 `mean` of each cluster's members): ties go to the lowest
+    index, and a cluster's sums run in record order for dims=2 and in
+    numpy's pairwise order (`_pairwise_sum`) for dims=1.
     """
     if not records:
         raise NoDataError("cannot cluster an empty record set")
-    points = np.array(
-        [(r.latency_ms, r.throughput)[: config.dims] for r in records], dtype=float
-    )
-    lo = points.min(axis=0)
-    span = points.max(axis=0) - lo
-    span[span == 0.0] = 1.0
-    normed = (points - lo) / span
+    dims = config.dims
+    # Latency-only points get a constant 0.0 throughput: it adds exactly
+    # 0.0 to every distance and stays 0.0 in every mean.
+    columns = [
+        [r.latency_ms for r in records],
+        [r.throughput if dims == 2 else 0.0 for r in records],
+    ]
+    lo = [min(column) for column in columns]
+    span = [(max(column) - low) or 1.0 for column, low in zip(columns, lo)]
+    points = [
+        ((x - lo[0]) / span[0], (y - lo[1]) / span[1]) for x, y in zip(*columns)
+    ]
 
-    distinct = np.unique(normed, axis=0)
+    distinct = sorted(set(points))
     k = min(config.k, len(distinct))
-    rng = np.random.default_rng(config.seed)
-
-    centers = np.empty((k, normed.shape[1]))
-    centers[0] = distinct[rng.integers(len(distinct))]
-    for i in range(1, k):
-        dists = np.min(
-            ((distinct[:, None, :] - centers[None, :i, :]) ** 2).sum(axis=2), axis=1
-        )
-        centers[i] = distinct[int(np.argmax(dists))]
+    centers = [distinct[_first_seed(config.seed, len(distinct))]]
+    nearest = [math.inf] * len(distinct)
+    while len(centers) < k:
+        cx, cy = centers[-1]
+        for i, (x, y) in enumerate(distinct):
+            d = (x - cx) * (x - cx) + (y - cy) * (y - cy)
+            if d < nearest[i]:
+                nearest[i] = d
+        far = 0
+        for i in range(1, len(nearest)):
+            if nearest[i] > nearest[far]:
+                far = i
+        centers.append(distinct[far])
 
     assignment = None
     for _ in range(config.max_iterations):
-        d2 = ((normed[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assignment = np.argmin(d2, axis=1)
-        if assignment is not None and np.array_equal(new_assignment, assignment):
+        new_assignment = []
+        for x, y in points:
+            best, best_d = 0, math.inf
+            for j, (cx, cy) in enumerate(centers):
+                d = (x - cx) * (x - cx) + (y - cy) * (y - cy)
+                if d < best_d:
+                    best, best_d = j, d
+            new_assignment.append(best)
+        if new_assignment == assignment:
             break
         assignment = new_assignment
-        for j in range(k):
-            members = normed[assignment == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
+        centers = _means(points, assignment, centers, dims)
 
     summaries = []
     total = len(records)
-    for j in range(k):
-        count = int(np.sum(assignment == j))
-        if count == 0:
-            continue
-        center = centers[j] * span + lo
-        summaries.append(ClusterSummary(tuple(float(c) for c in center), count / total))
+    for j, center in enumerate(centers):
+        count = assignment.count(j)
+        if count:
+            scaled = tuple(c * s + low for c, s, low in zip(center, span, lo))
+            summaries.append(ClusterSummary(scaled[:dims], count / total))
     summaries.sort(key=lambda s: (-s.weight, s.center))
     return summaries
+
+
+@lru_cache(maxsize=1024)
+def _first_seed(seed: int, n: int) -> int:
+    """Index of the first k-means seed among n distinct points."""
+    return int(np.random.default_rng(seed).integers(n))
+
+
+def _means(
+    points: list[tuple[float, float]],
+    assignment: list[int],
+    centers: list[tuple[float, float]],
+    dims: int,
+) -> list[tuple[float, float]]:
+    """Each cluster's mean point; a cluster with no members keeps its
+    center.  numpy sums the rows of an (m, 2) array in order, but the
+    (m, 1) latency column of dims=1 pairwise."""
+    k = len(centers)
+    counts = [0] * k
+    sum_x = [0.0] * k
+    sum_y = [0.0] * k
+    for (x, y), j in zip(points, assignment):
+        counts[j] += 1
+        sum_x[j] += x
+        sum_y[j] += y
+    if dims == 1:
+        columns: list[list[float]] = [[] for _ in range(k)]
+        for (x, _), j in zip(points, assignment):
+            columns[j].append(x)
+        sum_x = [_pairwise_sum(column) for column in columns]
+    return [
+        (sx / n, sy / n) if n else center
+        for sx, sy, n, center in zip(sum_x, sum_y, counts, centers)
+    ]
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """Sum of `values` in the order of numpy's pairwise float summation:
+    in order below 8 values, in 8 interleaved partial sums up to 128,
+    and above that the two halves (split at a multiple of 8) apart."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n <= 128:
+        r = values[:8]
+        whole = n - n % 8
+        for i in range(8, whole, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for value in values[whole:]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 class UtilityKind(str, Enum):

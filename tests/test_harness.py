@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 from collections import Counter
 from pathlib import Path
@@ -18,7 +19,7 @@ from elastimdp.harness import (
     text_report,
     write_outputs,
 )
-from elastimdp.logs import read_records_csv, write_records_csv
+from elastimdp.logs import CSV_HEADER, read_records_csv, write_records_csv
 from elastimdp.model import ModelConfig, build_model, BehaviorReward
 from elastimdp.policies import MDP_KINDS, PolicyKind
 from elastimdp.rewards import UtilityConfig, UtilityKind, utility_eval
@@ -121,6 +122,13 @@ class TestConfig:
     def test_csv_source_requires_path(self):
         with pytest.raises(ConfigurationError, match="dataset.path"):
             small_config(**{"dataset.source": "csv"})
+
+    @pytest.mark.parametrize(
+        "key", ["dataset.seed", "experiment.base_seed", "clustering.seed"]
+    )
+    def test_negative_seed_rejected(self, key):
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            small_config(**{key: "-3"})
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -495,6 +503,11 @@ GARBAGE = [
     ("run", "--config", "{garbage}"),
     ("run", "--config", "{binary}"),
     ("run", "--config", "{missing}"),
+    ("run", "--set", "dataset.seed=-5"),
+    ("run", "--set", "experiment.base_seed=-3"),
+    ("run", "--seed", "-3"),
+    ("run", "--set", "clustering.seed=-1"),
+    ("run", "--set", "dataset.source=csv", "--set", "dataset.path={bigfield}"),
     ("gen-dataset", "--out", "{out}", "--load-step", "0"),
     ("gen-dataset", "--out", "{out}", "--load-step", "-500"),
     ("gen-dataset", "--out", "{out}", "--load-step", "nan"),
@@ -505,6 +518,7 @@ GARBAGE = [
     ("gen-dataset", "--out", "{out}", "--capacity", "nan"),
     ("gen-dataset", "--out", "{out}", "--exponent", "inf"),
     ("gen-dataset", "--out", "{out}", "--samples", "0"),
+    ("gen-dataset", "--out", "{out}", "--seed", "-1"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--model-dump", "{garbage}"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--model-dump", "{binary}"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--model-dump", "{phase}"),
@@ -527,6 +541,9 @@ GARBAGE = [
 def cli_inputs(tmp_path):
     garbage = tmp_path / "garbage.txt"
     garbage.write_text("mdpdump 1\n[model\n0,1,2\nnot = valid\n", encoding="utf-8")
+    bigfield = tmp_path / "bigfield.csv"
+    field = "1" * (csv.field_size_limit() + 1)
+    bigfield.write_text(f"{','.join(CSV_HEADER)}\n0,4,1000,{field},5\n", encoding="utf-8")
     binary = tmp_path / "binary.bin"
     binary.write_bytes(b"\xff\xfe\x00garbage\x9c")
     trace = tmp_path / "trace.csv"
@@ -537,6 +554,7 @@ def cli_inputs(tmp_path):
     phase = tmp_path / "phase.txt"
     phase.write_text(text.replace(f"{s5}decision", f"{s5}bogus"), encoding="utf-8")
     return {
+        "bigfield": bigfield,
         "phase": phase,
         "garbage": garbage,
         "binary": binary,

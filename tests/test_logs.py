@@ -1,7 +1,12 @@
-import pytest
+import csv
 
-from elastimdp.errors import DataFormatError, NoDataError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from elastimdp.errors import DataFormatError, ElastimdpError, NoDataError
 from elastimdp.logs import (
+    CSV_HEADER,
     LogStore,
     MeasurementRecord,
     parse_records_csv,
@@ -130,3 +135,37 @@ class TestCsv:
     def test_empty_file(self):
         with pytest.raises(DataFormatError):
             parse_records_csv("")
+
+    def test_oversized_field_is_a_format_error(self):
+        field = "1" * (csv.field_size_limit() + 1)
+        with pytest.raises(DataFormatError, match="logs.csv: line 4: field larger"):
+            parse_records_csv(CSV_OK + f"2,4,1000,{field},5\n", source="logs.csv")
+
+
+# Measurement-CSV-like text: the header or a near miss, then rows built from
+# numbers, words that float() accepts or refuses, quotes and separators.
+CSV_TOKENS = st.sampled_from(
+    ["0", "4", "-1", "1000", "20.5", "1e999", "nan", "-inf", "four", "", " ", '"',
+     '"1,2"', ",", "\n", "\r", "\x00", "9" * 5000,
+     "1" * (csv.field_size_limit() + 1)]
+)
+CSV_TEXT = st.one_of(
+    st.text(max_size=200),
+    st.builds(
+        lambda header, rows: header + "\n" + "\n".join(rows),
+        st.sampled_from(
+            [",".join(CSV_HEADER), "time,vms,load", " time , vms,load,latency_ms,throughput"]
+        ),
+        st.lists(st.lists(CSV_TOKENS, max_size=7).map(",".join), max_size=6),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CSV_TEXT)
+def test_any_csv_text_parses_or_raises_a_typed_error(text):
+    try:
+        records = parse_records_csv(text)
+    except ElastimdpError:
+        return
+    assert all(isinstance(record, MeasurementRecord) for record in records)

@@ -1,12 +1,17 @@
+import dataclasses
+import functools
 import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from elastimdp.errors import NoDataError
+import reference_kmeans
+from elastimdp.errors import ConfigurationError, NoDataError
+from elastimdp.harness import build_store, default_config_ini, load_dataset, parse_config
 from elastimdp.logs import MeasurementRecord
 from elastimdp.model import BehaviorReward
 from elastimdp.rewards import (
@@ -82,6 +87,10 @@ class TestClustering:
         clusters = cluster_behavior(recs(points), ClusteringConfig(k=2, seed=1))
         assert clusters[0].weight > clusters[1].weight
 
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            ClusteringConfig(seed=-1)
+
     def test_empty_input(self):
         with pytest.raises(NoDataError):
             cluster_behavior([], ClusteringConfig())
@@ -114,6 +123,88 @@ class TestClustering:
         assert sum(c.weight for c in clusters) == pytest.approx(1.0, abs=1e-9)
         assert all(c.weight > 0 for c in clusters)
         assert len(clusters) <= k
+
+
+# The config keys that shape each benchmark workload's log store: the
+# comparison and what-if workloads read the default store, the scaleout one
+# 4..32 VMs over 2000..90000 req/s in 2000 req/s buckets.
+STORE_OVERRIDES = {
+    "comparison": {"experiment.runs": "2"},
+    "scaleout": {
+        "model.max_vms": "32",
+        "load.load_min_reqs": "2000",
+        "load.load_max_reqs": "90000",
+        "clustering.load_bucket_width_reqs": "2000",
+    },
+    "whatif": {"dataset.seed": "99"},
+}
+
+CLUSTERING_VARIANTS = {
+    "default": {},
+    "dims1": {"dims": 1},
+    "k2": {"k": 2},
+    "iterations3": {"max_iterations": 3},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def store_cells(name):
+    """Every (size, load bucket) cell's records in a default-seed store."""
+    config = parse_config(default_config_ini(), STORE_OVERRIDES[name])
+    records = load_dataset(config)
+    store = build_store(config, records)
+    cells = defaultdict(list)
+    for record in records:
+        cells[(record.vms, store.bucket(record.load))].append(record)
+    return config.clustering, list(cells.values())
+
+
+def coarse_records():
+    """1-60 records on a coarse grid, so duplicates and equidistant points
+    (ties in the seeding and the assignment) are common."""
+    return st.builds(
+        lambda cells, lat_step, thr_step: recs(
+            [(a * lat_step, b * thr_step) for a, b in cells]
+        ),
+        st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=60
+        ),
+        st.sampled_from([1.0, 0.1, 2.5, 7.0]),
+        st.sampled_from([1.0, 0.3, 250.0, 1e-3]),
+    )
+
+
+class TestScalarMatchesArrayKmeans:
+    """`cluster_behavior` against the numpy reference in
+    `reference_kmeans`: equal clusters, float for float."""
+
+    @pytest.mark.parametrize("variant", CLUSTERING_VARIANTS)
+    @pytest.mark.parametrize("store", STORE_OVERRIDES)
+    def test_every_default_store_cell(self, store, variant):
+        clustering, cells = store_cells(store)
+        config = dataclasses.replace(clustering, **CLUSTERING_VARIANTS[variant])
+        assert len(cells) > 500
+        for records in cells:
+            assert cluster_behavior(records, config) == reference_kmeans.cluster_behavior(
+                records, config
+            )
+
+    @settings(max_examples=300, deadline=None)
+    # The middle point is equidistant from both seeds; the tie goes to the
+    # first center.
+    @example(recs([(0.0, 5.0), (1.0, 5.0), (2.0, 5.0)]), 2, 2, 0, 50)
+    @given(
+        coarse_records(),
+        st.sampled_from([1, 2]),
+        st.integers(1, 6),
+        st.integers(0, 9),
+        st.integers(1, 50),
+    )
+    def test_random_record_sets(self, records, dims, k, seed, max_iterations):
+        config = ClusteringConfig(k=k, dims=dims, seed=seed, max_iterations=max_iterations)
+        assert cluster_behavior(records, config) == reference_kmeans.cluster_behavior(
+            records, config
+        )
 
 
 R1 = UtilityConfig(UtilityKind.R1, 60.0)
