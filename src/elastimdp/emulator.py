@@ -219,7 +219,9 @@ def trace_to_csv(trace: ExperimentTrace) -> str:
 
 def trace_from_csv(text: str, policy: str = "", seed: int = 0) -> ExperimentTrace:
     """Parse `trace_to_csv` output; a malformed row raises DataFormatError
-    naming its 1-based line."""
+    naming its 1-based line.  A row must hold what an episode can record:
+    the tick, size and measurements within `MeasurementRecord`'s bounds, a
+    finite utility, a violation of 0 or 1 and a finite `decision_ms` >= 0."""
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != TRACE_HEADER:
         raise DataFormatError(f"expected trace header {TRACE_HEADER!r}")
@@ -230,17 +232,24 @@ def trace_from_csv(text: str, policy: str = "", seed: int = 0) -> ExperimentTrac
         try:
             if len(parts) != fields:
                 raise ValueError(f"expected {fields} fields, got {len(parts)}")
+            load, latency, throughput = (finite_float(parts[i]) for i in (1, 3, 4))
+            sample = MeasurementRecord(int(parts[0]), int(parts[2]), load, latency, throughput)
+            violation, decision_ms = int(parts[6]), finite_float(parts[8])
+            if violation not in (0, 1):
+                raise ValueError(f"violation must be 0 or 1, got {violation}")
+            if decision_ms < 0:
+                raise ValueError(f"decision_ms must be >= 0, got {decision_ms!r}")
             records.append(
                 TickRecord(
-                    tick=int(parts[0]),
-                    load=finite_float(parts[1]),
-                    vms=int(parts[2]),
-                    latency_ms=finite_float(parts[3]),
-                    throughput=finite_float(parts[4]),
+                    tick=sample.time,
+                    load=sample.load,
+                    vms=sample.vms,
+                    latency_ms=sample.latency_ms,
+                    throughput=sample.throughput,
                     utility=finite_float(parts[5]),
-                    violation=bool(int(parts[6])),
+                    violation=bool(violation),
                     decision=parts[7],
-                    decision_ms=finite_float(parts[8]),
+                    decision_ms=decision_ms,
                 )
             )
         except ValueError as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,12 +105,35 @@ def load_dataset(config: ExperimentConfig) -> list[MeasurementRecord]:
     )
 
 
+# More loads than this would be a data set no run reads in reasonable time.
+MAX_GRID_LOADS = 100_000
+
+
 def load_grid(lo: float, hi: float, step: float) -> list[float]:
-    """Loads from `lo` up to `hi` (inclusive, within 1e-9) every `step`."""
+    """Loads from `lo` up to `hi` (inclusive, within 1e-9) every `step`.
+
+    The one check of a grid's inputs: the bounds must be finite, the step
+    positive and large enough to advance every load, and the grid must
+    hold between 1 and `MAX_GRID_LOADS` loads.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < step < math.inf):
+        raise ConfigurationError(
+            "load grid bounds must be finite and its step positive,"
+            f" got {lo!r}, {hi!r}, {step!r}"
+        )
+    if lo > hi + 1e-9:
+        raise ConfigurationError(f"empty load grid: minimum {lo!r} > maximum {hi!r}")
+    if (hi - lo) / step >= MAX_GRID_LOADS:
+        raise ConfigurationError(
+            f"load grid step {step!r} would put more than {MAX_GRID_LOADS} loads"
+            f" between {lo!r} and {hi!r}"
+        )
     grid = []
     load = lo
     while load <= hi + 1e-9:
         grid.append(float(load))
+        if load + step == load:
+            raise ConfigurationError(f"load grid step {step!r} does not advance the load {load!r}")
         load += step
     return grid
 
@@ -313,9 +337,10 @@ def parse_config(
     `text` is read over the built-in defaults (`default_config_ini`), the
     one source of every default; `overrides` maps "section.key" to
     replacement values (CLI flags).  Sections and keys the defaults lack
-    are rejected so typos fail loudly.
+    are rejected so typos fail loudly.  Values are read literally: a `%`
+    is a character, not the start of an interpolation.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(_DEFAULT_INI)
     known = {section: set(parser[section]) for section in parser.sections()}
     try:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .errors import DataFormatError, NoDataError
 
 if TYPE_CHECKING:  # rewards and policies import this module
-    from .policies import SolvedModel
+    from .model import MdpModel
     from .rewards import StateReward
 
 CSV_HEADER = ("time", "vms", "load", "latency_ms", "throughput")
@@ -67,24 +67,23 @@ class LogSelection:
 
 
 class LogStore:
-    """Bucketed measurement log, single writer / many readers.
+    """Bucketed measurement log, fixed at construction.
 
-    Appends happen only during ingestion.  Three memos keep what is
-    derived from the records, and `add` clears all three:
+    The records are bucketed once, by `__init__`.  Three memos keep what
+    is derived from them:
 
     * the selections: one `LogSelection` per (vms, load bucket) query
       (filled by `select_logs`);
     * `reward_memo`: one `StateReward` (a cell's behavior clusters scored
       for MB, EB and multi-behavior models) per cell, clustering config,
       utility and scored size (filled by `policies.cell_reward`);
-    * `solve_memo`: one `SolvedModel` (the instantiated model, its
-      interpolation notes and arrival values) per MDP policy kind, model
-      config, clustering config, utility and load bucket (filled by
-      `policies.mdp_decide`).
+    * `solve_memo`: one (model, interpolation notes, arrival values)
+      entry per MDP policy kind, model config, clustering config, utility
+      and load bucket (filled by `policies.mdp_decide`).
 
-    Filling them is idempotent, since each entry is a pure function of the
-    records and its key, so a built store can be shared freely across
-    episodes, policies and what-if requests.
+    Each entry is a pure function of the fixed store and its key, so
+    filling a memo is idempotent, no entry goes stale, and a built store
+    can be shared freely across episodes, policies and what-if requests.
     """
 
     def __init__(self, records: Iterable[MeasurementRecord] = (), bucket_width: float = 1000.0):
@@ -92,27 +91,18 @@ class LogStore:
             raise ValueError("bucket_width must be positive")
         self.bucket_width = float(bucket_width)
         self._buckets: dict[tuple[int, int], list[MeasurementRecord]] = {}
-        self._count = 0
+        for record in records:
+            self._buckets.setdefault((record.vms, self.bucket(record.load)), []).append(record)
         self._selections: dict[tuple[int, int], LogSelection] = {}
         self.reward_memo: dict[tuple, StateReward] = {}
-        self.solve_memo: dict[tuple, SolvedModel] = {}
-        for record in records:
-            self.add(record)
+        self.solve_memo: dict[tuple, tuple[MdpModel, tuple[str, ...], list[dict[int, float]]]] = {}
 
     def __len__(self) -> int:
-        return self._count
+        return sum(map(len, self._buckets.values()))
 
     def bucket(self, load: float) -> int:
         """Index of the load bucket `load` falls in (nearest bucket center)."""
         return math.floor(load / self.bucket_width + 0.5)
-
-    def add(self, record: MeasurementRecord) -> None:
-        key = (record.vms, self.bucket(record.load))
-        self._buckets.setdefault(key, []).append(record)
-        self._count += 1
-        self._selections.clear()
-        self.reward_memo.clear()
-        self.solve_memo.clear()
 
     def select_logs(self, vms_num: int, load: float) -> LogSelection:
         """Records for `vms_num` in the load bucket nearest `load`.
@@ -120,7 +110,7 @@ class LogStore:
         Falls back to the closest populated bucket of the same size, then
         to the closest size (ties toward fewer VMs), flagging the result
         as interpolated.  Repeated queries of one (vms, load bucket) pair
-        return the same selection until `add` changes the store.
+        return the same selection.
         """
         if not self._buckets:
             raise NoDataError("log store is empty")

@@ -2,7 +2,7 @@
 
 A model is a small Markov decision process whose states describe cluster
 sizes (optionally split into behavior clusters), whose actions add or
-remove VMs or do nothing, and whose state rewards come from a utility
+remove VMs or do nothing, and whose states each carry a reward, a utility
 function evaluated on logged behavior.  Three variants are supported:
 
 * M1 -- one state per cluster size, actions bounded by the per-step
@@ -31,10 +31,12 @@ map from outside, disagree with that view.
 `_violations`), and `build_model`, `MdpModel.loads` and
 `dataclasses.replace` all go through it.  So the implied map of any model
 is a distribution per action type whose targets lie in the size range.
+`current_state` is the one pick of the state a decision starts from, for
+`build_model`'s initial state and for a decision on a kept model.
 
 Models are immutable after construction and safe to share between threads:
-the first read of a model's map fills it idempotently, and every reader
-sees the same contents.
+the first read of a model's map or of its states per size fills it
+idempotently, and every reader sees the same contents.
 """
 
 from __future__ import annotations
@@ -161,8 +163,9 @@ class MdpState:
     `weight` is the probability of encountering this behavior at this size
     (1.0 when the size has a single state).  `center` carries the behavior
     cluster's (latency_ms, throughput) point when known, used by metric
-    predicates in reachability queries.  The solver enforces a model
-    checker's phase and previous-action bookkeeping (direction lock,
+    predicates in reachability queries.  `reward` is the utility an
+    episode collects when it ends in this state.  The solver enforces a
+    model checker's phase and previous-action bookkeeping (direction lock,
     termination at no_op) on paths, so a state does not hold them.
 
     `key`, `(vms_num, behavior_index)`, is stored at construction, so maps
@@ -173,6 +176,7 @@ class MdpState:
     behavior_index: int = 0
     weight: float = 1.0
     center: tuple[float, float] | None = None
+    reward: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "key", (self.vms_num, self.behavior_index))
@@ -204,14 +208,14 @@ TransitionRow = tuple[tuple[StateKey, float], ...]
 
 @dataclass(frozen=True)
 class MdpModel:
-    """An instantiated decision model: the config, the states and their
-    rewards.  Construction raises InstantiationError on the first broken
-    invariant.  Do not mutate the mappings; `transitions` is a view of them."""
+    """An instantiated decision model: the config and the states, each
+    with its reward.  Construction raises InstantiationError on the first
+    broken invariant.  Do not mutate the mapping; `transitions` and
+    `by_size` are views of it."""
 
     config: ModelConfig
     states: Mapping[StateKey, MdpState]
     initial: MdpState
-    state_rewards: Mapping[StateKey, float]
 
     def __post_init__(self) -> None:
         problem = next(_violations(self), None)
@@ -222,12 +226,21 @@ class MdpModel:
     def transitions(self) -> Mapping[tuple[StateKey, Action], TransitionRow]:
         """The read-only map that the config and the behavior weights
         imply, made on first read and kept."""
-        return MappingProxyType(implied_transitions(self.config, self.states))
+        return MappingProxyType(implied_transitions(self.config, self.by_size))
+
+    @cached_property
+    def by_size(self) -> dict[int, list[MdpState]]:
+        """The states of each size, in behavior order, made on first read
+        and kept."""
+        by_size: dict[int, list[MdpState]] = {}
+        for key in sorted(self.states):
+            by_size.setdefault(key[0], []).append(self.states[key])
+        return by_size
 
     def __getstate__(self) -> dict:
-        # Copies and pickles leave the map out (a view cannot be pickled)
-        # and make their own on first read.
-        return {name: value for name, value in vars(self).items() if name != "transitions"}
+        # Copies and pickles leave the cached views out (a mappingproxy
+        # cannot be pickled) and make their own on first read.
+        return {k: v for k, v in vars(self).items() if k not in ("transitions", "by_size")}
 
     def ordered_states(self) -> list[MdpState]:
         return [self.states[k] for k in sorted(self.states)]
@@ -283,7 +296,7 @@ class MdpModel:
             lines.append(
                 f"state {state.label} vms={state.vms_num}"
                 f" behavior={state.behavior_index} weight={state.weight!r}"
-                f" reward={self.state_rewards[state.key]!r} phase=decision prev=none"
+                f" reward={state.reward!r} phase=decision prev=none"
                 f" center={center}"
             )
         entries = sorted(
@@ -325,11 +338,11 @@ def _normalize_rewards(
 
 
 def match_behavior(
-    behaviors: Sequence[BehaviorReward | MdpState],
+    behaviors: Sequence[MdpState],
     observation: tuple[float, float] | None,
 ) -> int:
     """Pick the behavior index the current observation is closest to,
-    among one size's behaviors (read for their weights and centers).
+    among one size's states (read for their weights and centers).
 
     Distance is Euclidean after min-max normalizing each dimension over
     this size's cluster centers; falls back to the heaviest cluster when no
@@ -373,55 +386,50 @@ def build_model(
     `rewards` maps each size in the configured range to its reward: a bare
     float (single behavior), a BehaviorReward, or a sequence of
     BehaviorReward whose weights sum to 1.  `current_behavior` is the
-    latest (latency_ms, throughput) observation, used to select the
-    initial state among the current size's behavior clusters.
+    latest (latency_ms, throughput) observation; `current_state` picks the
+    initial state with it.
     """
+    by_size = {
+        size: [
+            MdpState(size, index, behavior.weight, behavior.center, behavior.reward)
+            for index, behavior in enumerate(behaviors)
+        ]
+        for size, behaviors in _normalize_rewards(config, rewards).items()
+    }
+    return MdpModel(
+        config=config,
+        states={state.key: state for states in by_size.values() for state in states},
+        initial=current_state(config, by_size, current, current_behavior),
+    )
+
+
+def current_state(
+    config: ModelConfig,
+    by_size: Mapping[int, Sequence[MdpState]],
+    current: ClusterSize,
+    observation: tuple[float, float] | None,
+) -> MdpState:
+    """The state a decision at size `current` starts from: the behavior of
+    that size closest to `observation` (see `match_behavior`).  `by_size`
+    holds the states of every size in `config`'s range."""
     if not config.min_vms <= current <= config.max_vms:
         raise ConfigurationError(
             f"current size {current} outside [{config.min_vms}, {config.max_vms}]"
         )
-    per_size = _normalize_rewards(config, rewards)
-
-    states: dict[StateKey, MdpState] = {}
-    state_rewards: dict[StateKey, float] = {}
-    for size in config.sizes:
-        for idx, behavior in enumerate(per_size[size]):
-            state = MdpState(
-                vms_num=size,
-                behavior_index=idx,
-                weight=behavior.weight,
-                center=behavior.center,
-            )
-            states[state.key] = state
-            state_rewards[state.key] = behavior.reward
-
-    initial_idx = match_behavior(per_size[current], current_behavior)
-    return MdpModel(
-        config=config,
-        states=states,
-        initial=states[(current, initial_idx)],
-        state_rewards=state_rewards,
-    )
-
-
-def behaviors_by_size(states: Mapping[StateKey, MdpState]) -> dict[int, list[MdpState]]:
-    """The states of each size, in behavior order."""
-    by_size: dict[int, list[MdpState]] = {}
-    for key in sorted(states):
-        by_size.setdefault(key[0], []).append(states[key])
-    return by_size
+    states = by_size[current]
+    return states[match_behavior(states, observation)]
 
 
 def implied_transitions(
-    config: ModelConfig, states: Mapping[StateKey, MdpState]
+    config: ModelConfig, by_size: Mapping[int, Sequence[MdpState]]
 ) -> dict[tuple[StateKey, Action], TransitionRow]:
-    """The transition map that `config` and the behavior weights imply.
+    """The transition map that `config` and the behavior weights of the
+    states of each size (`MdpModel.by_size`) imply.
 
     Each sized action from any behavior of a size leads to the target
     size's behaviors, each entry `type_share * target_weight`; no_op is a
     probability-1 self-loop.
     """
-    by_size = behaviors_by_size(states)
     transitions: dict[tuple[StateKey, Action], TransitionRow] = {}
     for size, sources in by_size.items():
         for kind in (ActionKind.ADD, ActionKind.REM):
@@ -466,7 +474,7 @@ def _violations(model: MdpModel) -> Iterator[str]:
     finite; the initial state is one of the states.  The size check stops
     at the first size without a state, so the work is bounded by the
     states, not by the range."""
-    cfg, states, rewards = model.config, model.states, model.state_rewards
+    cfg, states = model.config, model.states
     per_size = 1 if cfg.variant is Variant.M1 else cfg.k
     mass: dict[int, float] = {}
     for key, state in states.items():
@@ -485,16 +493,11 @@ def _violations(model: MdpModel) -> Iterator[str]:
         if not 0.0 <= state.weight <= 1.0:
             yield f"behavior weight {state.weight!r} of state {state.label} outside [0, 1]"
         mass[size] = mass.get(size, 0.0) + state.weight
-        reward = rewards.get(key)
-        if reward is None:
-            yield f"state {state.label} has no reward"
-        elif not math.isfinite(reward):
-            yield f"non-finite reward at size {size}: {reward!r}"
+        if not math.isfinite(state.reward):
+            yield f"non-finite reward at size {size}: {state.reward!r}"
         center = state.center
         if center is not None and not (math.isfinite(center[0]) and math.isfinite(center[1])):
             yield f"non-finite center at state {state.label}: {center!r}"
-    if len(rewards) != len(states):
-        yield f"{len(rewards)} rewards for {len(states)} states"
     for size in cfg.sizes:
         if size not in mass:
             yield f"no state of size {size}"
@@ -513,7 +516,6 @@ def _parse_dump(text: str) -> MdpModel:
     config: ModelConfig | None = None
     initial_label: str | None = None
     states: dict[StateKey, MdpState] = {}
-    rewards: dict[StateKey, float] = {}
     by_label: dict[str, StateKey] = {}
     transitions: dict[tuple[StateKey, Action], list[tuple[StateKey, float]]] = {}
     actions: dict[str, Action] = {}
@@ -546,13 +548,13 @@ def _parse_dump(text: str) -> MdpModel:
                     behavior_index=int(attrs["behavior"]),
                     weight=finite_float(attrs["weight"]),
                     center=center,
+                    reward=finite_float(attrs["reward"]),
                 )
                 if label != state.label:
                     raise ValueError(f"state {label} has the fields of {state.label}")
                 if state.key in states:
                     raise ValueError(f"state {label} is defined twice")
                 states[state.key] = state
-                rewards[state.key] = finite_float(attrs["reward"])
                 by_label[label] = state.key
             elif words[0] == "config":
                 if config is not None:
@@ -586,7 +588,6 @@ def _parse_dump(text: str) -> MdpModel:
         config=config,
         states=states,
         initial=states[by_label[initial_label]],
-        state_rewards=rewards,
     )
     # Bound the work of the map check below by the size of the dump: the
     # dump lists as many entries as the view has.

@@ -31,13 +31,11 @@ from .model import (
     ActionKind,
     ClusterSize,
     MdpModel,
-    MdpState,
     ModelConfig,
     NO_OP,
     Variant,
-    behaviors_by_size,
     build_model,
-    match_behavior,
+    current_state,
 )
 from .rewards import (
     ClusteringConfig,
@@ -222,8 +220,9 @@ def cell_reward(
     at the size its records came from).
 
     Each (cell, clustering, utility, size) is clustered and scored once
-    per store and kept in `store.reward_memo`, which `LogStore.add`
-    clears.  One entry serves the MB, EB and multi-behavior policies.
+    per store and kept in `store.reward_memo`; a store's records are fixed
+    at construction, so an entry never goes stale.  One entry serves the
+    MB, EB and multi-behavior policies.
     """
     key = (selection.vms_used, selection.bucket_center, clustering, utility, size)
     reward = store.reward_memo.get(key)
@@ -290,28 +289,6 @@ def instantiate_model(
     return build_model(config, rewards, current, _observation(current_measurement)), notes
 
 
-@dataclass(frozen=True)
-class SolvedModel:
-    """The model an MDP policy solves at one load bucket, its
-    interpolation notes, its `reward_arrivals` and its states per size.
-    Only the initial state depends on the current size and observation,
-    and `state_at` picks it as `build_model` does."""
-
-    model: MdpModel
-    notes: tuple[str, ...]
-    arrivals: list[dict[int, float]]
-    behaviors: dict[int, list[MdpState]]
-
-    def state_at(self, current: ClusterSize, observation: tuple[float, float] | None) -> MdpState:
-        states = self.behaviors.get(current)
-        if states is None:
-            cfg = self.model.config
-            raise ConfigurationError(
-                f"current size {current} outside [{cfg.min_vms}, {cfg.max_vms}]"
-            )
-        return states[match_behavior(states, observation)]
-
-
 def mdp_decide(
     kind: PolicyKind,
     store: LogStore,
@@ -326,24 +303,25 @@ def mdp_decide(
     optimal action from the current size's behavior closest to the latest
     measurement.
 
-    The model at the effective load's bucket and its arrival values are
-    built once per store and kept in `store.solve_memo`, which
-    `LogStore.add` clears; later steps at that bucket only value the
-    current state's first moves."""
+    The model at the effective load's bucket, its interpolation notes and
+    its `reward_arrivals` are built once per store and kept in
+    `store.solve_memo`.  Only the initial state depends on the current
+    size and observation, so each step picks its state with
+    `current_state`, as `build_model` does, and values that state's first
+    moves."""
     key = (kind, model_config, clustering, utility, store.bucket(load_effective))
-    solved = store.solve_memo.get(key)
-    if solved is None:
+    entry = store.solve_memo.get(key)
+    if entry is None:
         model, notes = instantiate_model(
             kind, store, load_effective, current, current_measurement,
             model_config, utility, clustering,
         )
-        solved = store.solve_memo[key] = SolvedModel(
-            model, notes, reward_arrivals(model), behaviors_by_size(model.states)
-        )
-    state = solved.state_at(current, _observation(current_measurement))
-    decision = solve_decide(solved.model, state, solved.arrivals)
-    if solved.notes:
-        decision = dataclasses.replace(decision, notes=decision.notes + solved.notes)
+        entry = store.solve_memo[key] = (model, notes, reward_arrivals(model))
+    model, notes, arrivals = entry
+    state = current_state(model.config, model.by_size, current, _observation(current_measurement))
+    decision = solve_decide(model, state, arrivals)
+    if notes:
+        decision = dataclasses.replace(decision, notes=decision.notes + notes)
     return decision
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import QueryEvaluationError, QueryParseError
-from .model import MdpState
+from .model import MdpState, finite_float
 from .solver import ReachabilityQuery
 
 _TOKEN_RE = re.compile(
@@ -125,7 +125,11 @@ class _Parser:
                 f"expected a number, found {num_token.text or 'end of input'!r}",
                 num_token.position,
             )
-        return field, _OPS[op_token.text], float(num_token.text)
+        try:
+            value = finite_float(num_token.text)
+        except ValueError as exc:
+            raise QueryParseError(str(exc), num_token.position) from exc
+        return field, _OPS[op_token.text], value
 
 
 def parse_predicate(text: str) -> Callable[[MdpState], bool]:

@@ -26,6 +26,7 @@ an independently structured computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Collection, Mapping
 
 from .errors import SolverError
@@ -37,7 +38,6 @@ from .model import (
     MdpState,
     NO_OP,
     StateKey,
-    behaviors_by_size,
 )
 
 # Two candidate actions whose values differ by less than this (relative to
@@ -109,7 +109,7 @@ class PolicyDecision:
 
 def _arrival_values(
     model: MdpModel,
-    payoff: Mapping[StateKey, float],
+    payoff: Callable[[MdpState], float],
     final: Collection[StateKey],
     best_of: Callable,
 ) -> list[dict[int, float]]:
@@ -122,7 +122,6 @@ def _arrival_values(
     the sizes its direction's deltas reach.
     """
     cfg = model.config
-    behaviors = behaviors_by_size(model.states)
     branches = []
     directions = ((ActionKind.ADD, 1, reversed(cfg.sizes)), (ActionKind.REM, -1, cfg.sizes))
     for kind, sign, sizes in directions:
@@ -131,11 +130,11 @@ def _arrival_values(
             # The best onward arrival depends on the size alone.
             onward = [arrive[size + sign * d] for d in cfg.deltas(size, kind)]
             best_onward = best_of(onward) if onward else None
-            states = behaviors[size]
+            states = model.by_size[size]
             mass = sum(state.weight for state in states)
             total = 0.0
             for state in states:
-                value = payoff[state.key]
+                value = payoff(state)
                 if best_onward is not None and state.key not in final:
                     value = best_of(value, best_onward)
                 total += state.weight / mass * value
@@ -160,7 +159,7 @@ def reward_arrivals(model: MdpModel) -> list[dict[int, float]]:
     """Maximum expected terminal reward of arriving at each size, on the
     add-locked and on the rem-locked branch.  They do not depend on the
     initial state, so one model's arrivals serve a decision at any state."""
-    return _arrival_values(model, model.state_rewards, (), max)
+    return _arrival_values(model, attrgetter("reward"), (), max)
 
 
 def max_expected_reward(model: MdpModel) -> ValueMap:
@@ -168,10 +167,10 @@ def max_expected_reward(model: MdpModel) -> ValueMap:
     first action, as if the decision episode started fresh there."""
     arrivals = reward_arrivals(model)
     out: dict[StateKey, StateValue] = {}
-    for size, states in behaviors_by_size(model.states).items():
+    for size, states in model.by_size.items():
         moves = _first_moves(model, size, arrivals)
         for state in states:
-            value, action = _pick([(model.state_rewards[state.key], NO_OP)] + moves)
+            value, action = _pick([(state.reward, NO_OP)] + moves)
             out[state.key] = StateValue(value, action)
     return ValueMap(out)
 
@@ -203,7 +202,7 @@ def decide(
     if arrivals is None:
         arrivals = reward_arrivals(model)
     moves = _first_moves(model, state.vms_num, arrivals)
-    value, first = _pick([(model.state_rewards[state.key], NO_OP)] + moves)
+    value, first = _pick([(state.reward, NO_OP)] + moves)
     action, bounded = clip_action(first, model.config)
     return PolicyDecision(
         action=action,
@@ -233,8 +232,7 @@ def reachability_probability(model: MdpModel, query: ReachabilityQuery) -> float
     sat = {key for key, state in model.states.items() if query.predicate(state)}
     if model.initial.key in sat:
         return 1.0
-    payoff = {key: 1.0 if key in sat else 0.0 for key in model.states}
-    arrivals = _arrival_values(model, payoff, sat, best_of)
+    arrivals = _arrival_values(model, lambda state: float(state.key in sat), sat, best_of)
     moves = _first_moves(model, model.initial.vms_num, arrivals)
     # no_op terminates without reaching the target set
     return best_of([0.0] + [p for p, _ in moves])
@@ -249,7 +247,7 @@ def _check_oracle_scale(model: MdpModel) -> None:
 
 
 def _tree_value(model: MdpModel, key: StateKey, lock: ActionKind | None) -> float:
-    value = model.state_rewards[key]
+    value = model.states[key].reward
     for action in model.actions_from(key, lock=lock):
         if action.kind is ActionKind.NO_OP:
             continue
@@ -271,7 +269,7 @@ def brute_force_oracle(model: MdpModel) -> ValueMap:
     _check_oracle_scale(model)
     out: dict[StateKey, StateValue] = {}
     for key in model.states:
-        candidates = [(model.state_rewards[key], NO_OP)]
+        candidates = [(model.states[key].reward, NO_OP)]
         for action in model.actions_from(key):
             if action.kind is ActionKind.NO_OP:
                 continue

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastimdp.emulator import (
     LoadProfile,
@@ -16,7 +18,7 @@ from elastimdp.emulator import (
     trace_from_csv,
     trace_to_csv,
 )
-from elastimdp.errors import DataFormatError, NoDataError
+from elastimdp.errors import DataFormatError, ElastimdpError, NoDataError
 from elastimdp.logs import LogStore, MeasurementRecord
 from elastimdp.model import ModelConfig, NO_OP
 from elastimdp.policies import Policy, PolicyKind, make_policy
@@ -220,6 +222,16 @@ class TestTraceCsv:
             ("0,1000.0,four,20.0,900.0,225.0,0,no_op,0.5", "four"),
             ("0,1000.0,4,nan,900.0,225.0,0,no_op,0.5", "non-finite"),
             ("0,1000.0,4,20.0,900.0,225.0,0,no_op,inf", "non-finite"),
+            # values no episode records
+            ("0,1000.0,0,20.0,900.0,225.0,0,no_op,0.5", "vms must be >= 1, got 0"),
+            ("0,1000.0,-3,20.0,900.0,225.0,0,no_op,0.5", "vms must be >= 1, got -3"),
+            ("0,-1000.0,4,20.0,900.0,225.0,0,no_op,0.5", "load=-1000.0"),
+            ("0,1000.0,4,-20.0,900.0,225.0,0,no_op,0.5", "latency_ms=-20.0"),
+            ("0,1000.0,4,20.0,-900.0,225.0,0,no_op,0.5", "throughput=-900.0"),
+            ("0,1000.0,4,20.0,900.0,225.0,7,no_op,0.5", "violation must be 0 or 1, got 7"),
+            ("0,1000.0,4,20.0,900.0,225.0,-1,no_op,0.5", "violation must be 0 or 1, got -1"),
+            ("0,1000.0,4,20.0,900.0,225.0,0,no_op,-0.5", "decision_ms must be >= 0, got -0.5"),
+            ("-1,1000.0,4,20.0,900.0,225.0,0,no_op,0.5", "time must be >= 0, got -1"),
         ],
     )
     def test_malformed_row_names_its_line(self, row, message):
@@ -231,3 +243,46 @@ class TestTraceCsv:
     def test_wrong_header(self):
         with pytest.raises(DataFormatError, match="header"):
             trace_from_csv("tick,load\n0,1\n")
+
+
+# Trace-CSV-like text: the header or a near miss, then rows made from a
+# good row by replacing up to three fields with numbers in and out of an
+# episode's bounds, words and separators.
+GOOD_TRACE_ROW = ("0", "1000.0", "4", "20.0", "900.0", "225.0", "0", "no_op", "0.5")
+TRACE_TOKENS = st.sampled_from(
+    ["0", "1", "7", "-3", "-0.5", "1e999", "nan", "-inf", "add_2", "four", "", " ", ",",
+     "\x00", "9" * 400]
+)
+
+
+def edited_row(edits) -> str:
+    fields = list(GOOD_TRACE_ROW)
+    for index, token in edits:
+        fields[index] = token
+    return ",".join(fields)
+
+
+TRACE_TEXT = st.one_of(
+    st.text(max_size=200),
+    st.builds(
+        lambda header, rows: header + "\n" + "\n".join(rows),
+        st.sampled_from([TRACE_HEADER, "tick,load", TRACE_HEADER + ",extra"]),
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 8), TRACE_TOKENS), max_size=3).map(edited_row),
+            max_size=6,
+        ),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TRACE_TEXT)
+def test_any_trace_text_parses_or_raises_a_typed_error(text):
+    try:
+        trace = trace_from_csv(text)
+    except ElastimdpError:
+        return
+    for record in trace.records:
+        assert record.vms >= 1 and record.tick >= 0 and record.decision_ms >= 0
+        assert min(record.load, record.latency_ms, record.throughput) >= 0
+    assert trace_from_csv(trace_to_csv(trace)).records == trace.records

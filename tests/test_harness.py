@@ -4,16 +4,21 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastimdp import cli, emulator, harness, policies, solver
 from elastimdp.emulator import TickRecord, ExperimentTrace, trace_from_csv
 from elastimdp.errors import ConfigurationError
 from elastimdp.harness import (
+    MAX_GRID_LOADS,
     build_store,
     compute_metrics,
     default_config_ini,
     load_dataset,
+    load_grid,
     parse_config,
+    read_config,
     run_comparison,
     summary_csv,
     text_report,
@@ -135,6 +140,75 @@ class TestConfig:
     def test_non_finite_float_key_rejected(self, key, value):
         with pytest.raises(ConfigurationError, match=f"{key}: non-finite"):
             small_config(**{key: value})
+
+    def test_percent_is_read_literally(self, tmp_path):
+        records = load_dataset(small_config())[:40]
+        data = tmp_path / "50%data.csv"
+        write_records_csv(str(data), records)
+        ini = tmp_path / "percent.ini"
+        ini.write_text(f"[dataset]\nsource = csv\npath = {data}\n", encoding="utf-8")
+        config = read_config(str(ini))
+        assert config.dataset.path == str(data)
+        assert load_dataset(config) == records
+        with pytest.raises(ConfigurationError, match=r"rl.alpha: could not convert .*'%\(x\)s'"):
+            small_config(**{"rl.alpha": "%(x)s"})
+
+
+def accumulated_grid(lo, hi, step):
+    """The grid as a running sum, the way it has always been built."""
+    grid, load = [], lo
+    while load <= hi + 1e-9:
+        grid.append(load)
+        load += step
+    return grid
+
+
+class TestLoadGrid:
+    @pytest.mark.parametrize(
+        "lo, hi, step",
+        [(1000.0, 46000.0, 1000.0), (2000.0, 90000.0, 2500.0), (0.1, 1.0, 0.1), (7.0, 7.0, 3.0),
+         (0.0, 5.0, 0.3), (5.0, 5.0 + 1e-10, 1.0)],
+        ids=["default", "scaleout", "tenths", "one-load", "thirds", "within-1e-9"],
+    )
+    def test_working_grids_keep_their_floats(self, lo, hi, step):
+        assert load_grid(lo, hi, step) == accumulated_grid(lo, hi, step)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.0, 1e6),
+        st.floats(1e-2, 1e5),
+        st.integers(0, 300),
+        st.floats(-0.5, 0.5),
+    )
+    def test_any_working_grid_keeps_its_floats(self, lo, step, count, jitter):
+        hi = lo + (count + jitter) * step
+        grid = load_grid(lo, hi, step) if lo <= hi + 1e-9 else []
+        assert grid == accumulated_grid(lo, hi, step)
+
+    @pytest.mark.parametrize(
+        "lo, hi, step, message",
+        [
+            (float("nan"), 10.0, 1.0, "bounds must be finite and its step positive"),
+            (0.0, float("inf"), 1.0, "bounds must be finite"),
+            (0.0, 10.0, 0.0, "step positive, got 0.0, 10.0, 0.0$"),
+            (0.0, 10.0, -500.0, "step positive"),
+            (0.0, 10.0, float("nan"), "step positive"),
+            (0.0, 10.0, float("inf"), "step positive"),
+            (5000.0, 1000.0, 1000.0, "^empty load grid: minimum 5000.0 > maximum 1000.0$"),
+            (1000.0, 46000.0, 1e-300, f"would put more than {MAX_GRID_LOADS} loads"),
+            (0.0, 46000.0, 1e-11, f"would put more than {MAX_GRID_LOADS} loads"),
+            (46000.0, 46000.0, 1e-300, "^load grid step 1e-300 does not advance the load 46000.0$"),
+            (1e20, 1e20 + 1e6, 1.0, "would put more than"),
+            (1e20, 1e20, 1.0, "does not advance the load 1e\\+20$"),
+        ],
+        ids=[
+            "nan-min", "inf-max", "zero-step", "negative-step", "nan-step", "inf-step", "empty",
+            "1e-300-step", "1e-11-step", "stuck-at-46000", "1e6-at-1e20", "stuck-at-1e20",
+        ],
+    )
+    def test_bad_grids_are_refused_at_once(self, lo, hi, step, message):
+        with pytest.raises(ConfigurationError, match=message):
+            load_grid(lo, hi, step)
 
 
 class TestMetrics:
@@ -508,6 +582,8 @@ GARBAGE = [
     ("run", "--seed", "-3"),
     ("run", "--set", "clustering.seed=-1"),
     ("run", "--set", "dataset.source=csv", "--set", "dataset.path={bigfield}"),
+    ("run", "--set", "rl.alpha=%(x)s"),
+    ("run", "--set", "clustering.load_bucket_width_reqs=1e-300"),
     ("gen-dataset", "--out", "{out}", "--load-step", "0"),
     ("gen-dataset", "--out", "{out}", "--load-step", "-500"),
     ("gen-dataset", "--out", "{out}", "--load-step", "nan"),
@@ -519,6 +595,7 @@ GARBAGE = [
     ("gen-dataset", "--out", "{out}", "--exponent", "inf"),
     ("gen-dataset", "--out", "{out}", "--samples", "0"),
     ("gen-dataset", "--out", "{out}", "--seed", "-1"),
+    ("gen-dataset", "--out", "{out}", "--load-step", "1e-300"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--model-dump", "{garbage}"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--model-dump", "{binary}"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--model-dump", "{phase}"),
@@ -528,12 +605,14 @@ GARBAGE = [
     ("query", "Pmax=? [ F vms_num=", "--config", "{ini}"),
     ("validate",),
     ("validate", "--config", "{garbage}"),
+    ("validate", "--config", "{percent}"),
     ("validate", "--model-dump", "{garbage}"),
     ("validate", "--model-dump", "{missing}"),
     ("replay", "--trace", "{garbage}", "--utility", "r1"),
     ("replay", "--trace", "{binary}", "--utility", "r2"),
     ("replay", "--trace", "{trace}", "--utility", "r1", "--latency-threshold-ms", "nan"),
     ("replay", "--trace", "{trace}", "--utility", "r1", "--latency-threshold-ms", "0"),
+    ("replay", "--trace", "{vms0}", "--utility", "r1"),
 ]
 
 
@@ -548,6 +627,13 @@ def cli_inputs(tmp_path):
     binary.write_bytes(b"\xff\xfe\x00garbage\x9c")
     trace = tmp_path / "trace.csv"
     trace.write_text(f"{TRACE_HEADER}\n0,10000.0,4,50.0,8000.0,2000.0,0,,0.0\n", encoding="utf-8")
+    vms0 = tmp_path / "vms0.csv"
+    vms0.write_text(f"{TRACE_HEADER}\n0,10000.0,0,50.0,8000.0,2000.0,0,,0.0\n", encoding="utf-8")
+    # a `%` that interpolation would choke on, in the path of a missing file
+    percent = tmp_path / "percent.ini"
+    percent.write_text(
+        f"[dataset]\nsource = csv\npath = {tmp_path / '50%data.csv'}\n", encoding="utf-8"
+    )
     config = ModelConfig(4, 6)
     text = build_model(config, {v: 1.0 for v in config.sizes}, 4).dump()
     s5 = "state s5 vms=5 behavior=0 weight=1.0 reward=1.0 phase="
@@ -561,6 +647,8 @@ def cli_inputs(tmp_path):
         "missing": tmp_path / "missing.txt",
         "ini": write_small_ini(tmp_path),
         "trace": trace,
+        "vms0": vms0,
+        "percent": percent,
         "out": tmp_path / "out.csv",
     }
 

@@ -324,10 +324,15 @@ class TestValidation:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            ({"state_rewards": {(5, 0): float("nan")}}, "^non-finite reward at size 5: nan$"),
-            ({"state_rewards": {(5, 0): None}}, "^state s5 has no reward$"),
-            ({"state_rewards": {(8, 0): 1.0}}, "^6 rewards for 5 states$"),
-            ({"states": {(5, 0): None}, "state_rewards": {(5, 0): None}}, "^no state of size 5$"),
+            (
+                {"states": {(5, 0): MdpState(5, reward=float("nan"))}},
+                "^non-finite reward at size 5: nan$",
+            ),
+            (
+                {"states": {(6, 0): MdpState(6, reward=-float("inf"))}},
+                "^non-finite reward at size 6: -inf$",
+            ),
+            ({"states": {(5, 0): None}}, "^no state of size 5$"),
             (
                 {"states": {(5, 0): MdpState(5, center=(float("inf"), 1.0))}},
                 "^non-finite center at state s5: \\(inf, 1.0\\)$",
@@ -341,7 +346,7 @@ class TestValidation:
             ({"initial": MdpState(4, weight=0.5)}, "^initial state s4a not among model states$"),
         ],
         ids=[
-            "nan-reward", "no-reward", "extra-reward", "no-size", "inf-center",
+            "nan-reward", "inf-reward", "no-size", "inf-center",
             "wrong-key", "outside-range", "m1-two-behaviors", "initial",
         ],
     )
@@ -398,7 +403,8 @@ class TestDump:
         assert loaded.dump() == model.dump()
         assert loaded.initial.key == model.initial.key
         assert loaded.transitions == model.transitions
-        assert loaded.state_rewards == model.state_rewards
+        assert loaded.states == model.states
+        assert [s.reward for s in loaded.ordered_states()] == [3.0, 4.0, 5.0, 6.0, 7.0]
 
     def test_round_trip_multi_behavior(self):
         config = ModelConfig(3, 5, add_limit=2, rem_limit=2, variant=Variant.M2, k=2)
@@ -545,7 +551,7 @@ class TestImpliedMap:
     def test_built_map_equals_the_implied_map(self, instance):
         config, rewards, current = instance
         model = build_model(config, rewards, current)
-        implied = implied_transitions(config, model.states)
+        implied = implied_transitions(config, model.by_size)
         assert model.transitions == implied
         assert implied == model.transitions
         assert len(model.transitions) == len(implied)

@@ -3,9 +3,23 @@ import pytest
 
 from elastimdp import policies
 from elastimdp.errors import ConfigurationError, NoDataError
-from elastimdp.harness import build_store, default_config_ini, load_dataset, parse_config
+from elastimdp.harness import (
+    build_store,
+    default_config_ini,
+    load_dataset,
+    parse_config,
+    run_comparison,
+)
 from elastimdp.logs import LogStore, MeasurementRecord
-from elastimdp.model import Action, ActionKind, ModelConfig, NO_OP
+from elastimdp.model import (
+    Action,
+    ActionKind,
+    BehaviorReward,
+    ModelConfig,
+    NO_OP,
+    build_model,
+    current_state,
+)
 from elastimdp.policies import (
     MDP_KINDS,
     MdpPolicy,
@@ -33,7 +47,7 @@ from elastimdp.rewards import (
     cluster_behavior,
     state_reward,
 )
-from elastimdp.solver import PolicyDecision, decide
+from elastimdp.solver import PolicyDecision
 
 ADD = ActionKind.ADD
 REM = ActionKind.REM
@@ -313,8 +327,7 @@ def sparse_record(record) -> bool:
 
 class TestRewardMemo:
     """Each store cell is clustered and scored once per (clustering,
-    utility, scored size); the memo must agree with the uncached path
-    and follow `LogStore.add`."""
+    utility, scored size); the memo must agree with the uncached path."""
 
     def test_memo_matches_a_fresh_score_on_every_default_cell(self):
         config, store = default_store()
@@ -355,19 +368,6 @@ class TestRewardMemo:
             assert not interpolated
         assert len(store.reward_memo) == len(scored) * len(utilities)
 
-    def test_add_into_a_cell_rescores_it(self, monkeypatch):
-        calls = count_clustering(monkeypatch)
-        store = store_with({4: (30.0, 8000.0), 5: (25.0, 9000.0)})
-        before = cell_reward(store, store.select_logs(4, 10000.0), CLUSTERING, R1, 4)
-        cell_reward(store, store.select_logs(4, 10200.0), CLUSTERING, R1, 4)
-        assert calls == [3]
-        store.add(MeasurementRecord(9, 4, 10000.0, 90.0, 100.0))
-        selection = store.select_logs(4, 10000.0)
-        after = cell_reward(store, selection, CLUSTERING, R1, 4)
-        assert calls == [3, 4]
-        assert after == state_reward(cluster_behavior(selection.records, CLUSTERING), R1, 4)
-        assert after != before
-
     def test_policies_share_one_clustering_per_cell(self, monkeypatch):
         calls = count_clustering(monkeypatch)
         store = store_with({v: (30.0, float(v * v)) for v in LIMITS.sizes})
@@ -381,21 +381,16 @@ class TestRewardMemo:
         mdp_decide(PolicyKind.MDP2, store, 10000.0, 5, None, LIMITS, R1, ClusteringConfig(k=3))
         assert len(calls) == 2 * len(LIMITS.sizes)
 
-    def test_repeated_selection_is_one_object_until_add(self):
+    def test_repeated_selection_is_one_object(self, monkeypatch):
+        calls = count_clustering(monkeypatch)
         store = store_with({4: (30.0, 8000.0), 5: (25.0, 9000.0)})
         selection = store.select_logs(4, 10000.0)
         assert store.select_logs(4, 10200.0) is selection
         assert store.select_logs(5, 10000.0) is not selection
-        before = cell_reward(store, selection, CLUSTERING, R1, 4)
-        extra = MeasurementRecord(9, 4, 10000.0, 90.0, 100.0)
-        store.add(extra)
-        after_add = store.select_logs(4, 10000.0)
-        assert after_add is not selection
-        assert after_add.records == selection.records + (extra,)
-        assert store.select_logs(4, 10000.0) is after_add
-        after = cell_reward(store, after_add, CLUSTERING, R1, 4)
-        fresh = state_reward(cluster_behavior(after_add.records, CLUSTERING), R1, 4)
-        assert after == fresh and after != before
+        reward = cell_reward(store, selection, CLUSTERING, R1, 4)
+        assert cell_reward(store, store.select_logs(4, 10200.0), CLUSTERING, R1, 4) is reward
+        assert calls == [3]
+        assert reward == state_reward(cluster_behavior(selection.records, CLUSTERING), R1, 4)
 
     @pytest.mark.parametrize("kind", MDP_KINDS)
     def test_warm_store_instantiates_like_a_cold_store(self, kind):
@@ -452,26 +447,43 @@ class TestRewardMemo:
 
 class TestSolveMemo:
     """Each (MDP policy kind, model config, clustering, utility, load
-    bucket) is instantiated and solved once per store, until `LogStore.add`.
+    bucket) is instantiated and solved once per store.
     `tests.test_harness.TestComparison::test_memo_decisions_match_a_fresh_solve`
     checks the memo against a fresh solve on every comparison decision."""
 
-    @pytest.mark.parametrize("kind", [PolicyKind.MDP_EB, PolicyKind.MDP2, PolicyKind.MDP3])
-    def test_add_into_a_bucket_cell_resolves_it(self, kind):
-        per_size = {v: (90.0, 1000.0) for v in LIMITS.sizes}
-        per_size[5] = (30.0, 1000.0)  # only the current size is healthy
-        store = store_with(per_size)
-        assert mdp_decide(kind, store, 10000.0, 5, None, LIMITS, R1, CLUSTERING).action == NO_OP
-        assert len(store.solve_memo) == 1
-        extra = MeasurementRecord(9, 8, 10000.0, 20.0, 50000.0)  # size 8 turns healthy
-        store.add(extra)
-        assert not store.solve_memo
-        after = mdp_decide(kind, store, 10400.0, 5, None, LIMITS, R1, CLUSTERING)
-        fresh_store = store_with(per_size)
-        fresh_store.add(extra)
-        model, _ = instantiate_model(kind, fresh_store, 10400.0, 5, None, LIMITS, R1, CLUSTERING)
-        assert after == decide(model)
-        assert after.action == Action(ADD, 3)
+    def test_current_state_matches_a_fresh_build_at_every_size(self, monkeypatch):
+        # Differential: on every model the default comparison keeps, at
+        # every size and at every observation a decision at its bucket saw,
+        # the lookup a memo hit makes picks the initial state of a model
+        # built afresh from the same rewards.
+        seen, stores = {}, set()
+        real = policies.mdp_decide
+
+        def recorded(kind, store, load, current, measurement, *configs):
+            observation = (measurement.latency_ms, measurement.throughput)
+            seen.setdefault((kind, store.bucket(load)), set()).add(observation)
+            stores.add(store)
+            return real(kind, store, load, current, measurement, *configs)
+
+        monkeypatch.setattr(policies, "mdp_decide", recorded)
+        run_comparison(parse_config(default_config_ini(), {"experiment.runs": "2"}))
+        (store,) = stores
+        checked, off_heaviest = 0, 0
+        for key, (model, _, _) in store.solve_memo.items():
+            rewards = {
+                size: [BehaviorReward(s.reward, s.weight, s.center) for s in states]
+                for size, states in model.by_size.items()
+            }
+            for observation in seen[key[0], key[-1]]:
+                for size in model.config.sizes:
+                    picked = current_state(model.config, model.by_size, size, observation)
+                    assert picked == build_model(model.config, rewards, size, observation).initial
+                    heaviest = max(model.by_size[size], key=lambda s: (s.weight, -s.behavior_index))
+                    checked += 1
+                    off_heaviest += picked != heaviest
+        assert len(store.solve_memo) == len(seen) == 112
+        assert checked == 13 * sum(map(len, seen.values()))
+        assert off_heaviest > 0
 
     def test_current_size_outside_the_range_is_refused_on_a_hit(self):
         store = store_with({v: (30.0, 8000.0) for v in LIMITS.sizes})

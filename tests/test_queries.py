@@ -1,8 +1,12 @@
-import pytest
+import math
 
-from elastimdp.errors import QueryEvaluationError, QueryParseError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from elastimdp.errors import ElastimdpError, QueryEvaluationError, QueryParseError
 from elastimdp.model import BehaviorReward, MdpState, ModelConfig, Variant, build_model
-from elastimdp.queries import parse_predicate, parse_query
+from elastimdp.queries import _tokenize, parse_predicate, parse_query
 from elastimdp.solver import reachability_probability
 
 
@@ -66,6 +70,50 @@ class TestParsing:
     def test_unexpected_character(self):
         with pytest.raises(QueryParseError):
             parse_predicate("latency < #")
+
+    @pytest.mark.parametrize(
+        "number", ["1e999", "-1e999", "9" * 400], ids=["1e999", "-1e999", "400-nines"]
+    )
+    def test_non_finite_number_rejected(self, number):
+        with pytest.raises(QueryParseError, match=r"non-finite number .* \(at offset 19\)$"):
+            parse_query(f"Pmax=? [ F latency<{number} ]")
+
+
+# Query-like text: the head, brackets, fields, operators and numbers in
+# and out of float range, in a well-formed order or shuffled.
+QUERY_NUMBERS = st.sampled_from(
+    ["30", "-0", "1.5e3", "1e308", "1e309", "-1e999", "1e-999", "\u0663"]
+)
+QUERY_CLAUSE = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["vms_num", "latency", "throughput", "cpu", ""]),
+    st.sampled_from(["<", "<=", ">", ">=", "=", "==", "!=", "=?", ""]),
+    QUERY_NUMBERS,
+)
+QUERY_WORDS = st.sampled_from(
+    ["Pmax", "Pmin", "=?", "[", "]", "F", "&", "vms_num", "<", "7", "1e999", "#", "\x00"]
+)
+QUERY_TEXT = st.one_of(
+    st.text(max_size=80),
+    st.lists(QUERY_WORDS, max_size=14).map(" ".join),
+    st.builds(
+        "{}=? [ F {} ]".format,
+        st.sampled_from(["Pmax", "Pmin", "P"]),
+        st.lists(QUERY_CLAUSE, min_size=1, max_size=3).map(" & ".join),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(QUERY_TEXT)
+def test_any_query_text_parses_or_raises_a_typed_error(text):
+    try:
+        query = parse_query(text)
+    except ElastimdpError:
+        return
+    numbers = [float(token.text) for token in _tokenize(text) if token.kind == "num"]
+    assert numbers and all(math.isfinite(number) for number in numbers)
+    assert query.predicate(MdpState(5, center=(30.0, 20000.0))) in (True, False)
 
 
 class TestEvaluation:

@@ -13,7 +13,6 @@ from elastimdp.model import (
     ModelConfig,
     NO_OP,
     Variant,
-    behaviors_by_size,
     build_model,
 )
 from elastimdp.solver import (
@@ -84,8 +83,8 @@ class TestMaxExpectedReward:
         for _ in range(50):
             model = random_instance(rng)
             values = max_expected_reward(model)
-            for key in model.states:
-                assert values.value(key) >= model.state_rewards[key] - 1e-12
+            for key, state in model.states.items():
+                assert values.value(key) >= state.reward - 1e-12
 
     def test_cycle_guard(self, tmp_path, capsys):
         # The solver never reads the transition map, so a map that breaks
@@ -153,10 +152,16 @@ def rebuild(model, variant):
     """The same sizes, limits, rewards and weights as another variant."""
     config = dataclasses.replace(model.config, variant=variant)
     rewards = {
-        size: [BehaviorReward(model.state_rewards[s.key], s.weight, s.center) for s in states]
-        for size, states in behaviors_by_size(model.states).items()
+        size: [BehaviorReward(s.reward, s.weight, s.center) for s in states]
+        for size, states in model.by_size.items()
     }
     return build_model(config, rewards, model.initial.vms_num)
+
+
+def with_rewards(model, reward_of):
+    """`model` with each state's reward replaced by `reward_of(state)`."""
+    states = {key: dataclasses.replace(s, reward=reward_of(s)) for key, s in model.states.items()}
+    return dataclasses.replace(model, states=states, initial=states[model.initial.key])
 
 
 def first_move_value(model, key, action):
@@ -236,11 +241,12 @@ class TestSolverProperties:
             model = random_instance(rng)
             base = max_expected_reward(model)
             key = list(model.states)[int(rng.integers(len(model.states)))]
-            bumped_rewards = dict(model.state_rewards)
-            bumped_rewards[key] += float(rng.uniform(0.1, 5.0))
-            bumped = max_expected_reward(
-                dataclasses.replace(model, state_rewards=bumped_rewards)
+            bump = float(rng.uniform(0.1, 5.0))
+            bumped_model = with_rewards(
+                model, lambda s: s.reward + bump if s.key == key else s.reward
             )
+            assert bumped_model.states[key].reward == model.states[key].reward + bump
+            bumped = max_expected_reward(bumped_model)
             for k in model.states:
                 assert bumped.value(k) >= base.value(k) - 1e-12
 
@@ -252,11 +258,7 @@ class TestSolverProperties:
             model = random_instance(rng)
             base = max_expected_reward(model)
             scale = float(2 ** int(rng.integers(1, 6)))
-            scaled_model = dataclasses.replace(
-                model,
-                state_rewards={k: r * scale for k, r in model.state_rewards.items()},
-            )
-            scaled = max_expected_reward(scaled_model)
+            scaled = max_expected_reward(with_rewards(model, lambda s: s.reward * scale))
             for k in model.states:
                 assert scaled.value(k) == base.value(k) * scale
                 assert scaled.action(k) == base.action(k)
