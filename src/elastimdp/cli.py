@@ -11,7 +11,8 @@ Subcommands:
 Exit status is 0 on success, 1 when a run aborts, and 2 with one `error:`
 line on stderr for any configuration, parse or input error.  That includes
 a model dump that `MdpModel.loads` refuses: a dump loads only as a valid
-model, so `validate` on a dump exits 0 or 2.
+model whose `trans` lines are those `query --dump-model` writes, so
+`validate` on a dump exits 0 or 2.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import DataFormatError, NoDataError
+from .errors import ConfigurationError, DataFormatError, NoDataError
 
 if TYPE_CHECKING:  # rewards and policies import this module
     from .model import MdpModel
@@ -101,8 +101,14 @@ class LogStore:
         return sum(map(len, self._buckets.values()))
 
     def bucket(self, load: float) -> int:
-        """Index of the load bucket `load` falls in (nearest bucket center)."""
-        return math.floor(load / self.bucket_width + 0.5)
+        """Index of the load bucket `load` falls in (nearest bucket center).
+        A width too small for `load` puts it in no finite bucket."""
+        try:
+            return math.floor(load / self.bucket_width + 0.5)
+        except OverflowError:
+            raise ConfigurationError(
+                f"load {load!r} over bucket width {self.bucket_width!r} has no finite bucket"
+            ) from None
 
     def select_logs(self, vms_num: int, load: float) -> LogSelection:
         """Records for `vms_num` in the load bucket nearest `load`.

@@ -20,12 +20,15 @@ Transition probabilities are given per sized action (``add_2``, ``rem_1``,
 within its action type, so that the total mass of one action *type* from a
 state sums to 1.  The per-entry probability is therefore
 ``type_share * target_behavior_weight``, which is exactly the edge label a
-reader expects next to each arrow in a drawing of the model.  The map is
-implied by the config and the behavior weights (`implied_transitions`), so
-a model does not store it: `MdpModel.transitions` is a read-only view made
-on first read, for dumps and the brute-force oracles (the solver never
-reads it).  `MdpModel.loads` refuses a dump whose `trans` lines, the one
-map from outside, disagree with that view.
+reader expects next to each arrow in a drawing of the model.  An action's
+outcome does not depend on the source behavior, so `size_rows`, the one
+home of that arithmetic, makes each row once per size.  The map is implied
+by the config and the behavior weights, so a model does not store it:
+`MdpModel.transitions` is a read-only view made on first read
+(`implied_transitions`), for the brute-force oracles (the solver never
+reads it).  A dump's `trans` lines are `trans_lines`, written from the rows
+and never from the map; `MdpModel.loads` refuses a dump whose `trans`
+lines differ from them, naming the first differing line.
 
 `MdpModel`'s constructor is the one check of a model's structure (see
 `_violations`), and `build_model`, `MdpModel.loads` and
@@ -288,7 +291,6 @@ class MdpModel:
             f" variant={cfg.variant.value} k={cfg.k}",
             f"initial {self.initial.label}",
         ]
-        labels = {key: state.label for key, state in self.states.items()}
         for state in self.ordered_states():
             center = (
                 f"{state.center[0]!r},{state.center[1]!r}" if state.center else "-"
@@ -299,13 +301,7 @@ class MdpModel:
                 f" reward={state.reward!r} phase=decision prev=none"
                 f" center={center}"
             )
-        entries = sorted(
-            self.transitions.items(), key=lambda entry: (entry[0][0], entry[0][1].sort_key())
-        )
-        for (key, action), row in entries:
-            source = f"trans {labels[key]} {action.label} "
-            for target, p in row:
-                lines.append(f"{source}{labels[target]} {p!r}")
+        lines.extend(trans_lines(self))
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -420,33 +416,55 @@ def current_state(
     return states[match_behavior(states, observation)]
 
 
-def implied_transitions(
+def size_rows(
     config: ModelConfig, by_size: Mapping[int, Sequence[MdpState]]
-) -> dict[tuple[StateKey, Action], TransitionRow]:
-    """The transition map that `config` and the behavior weights of the
-    states of each size (`MdpModel.by_size`) imply.
-
-    Each sized action from any behavior of a size leads to the target
-    size's behaviors, each entry `type_share * target_weight`; no_op is a
-    probability-1 self-loop.
-    """
-    transitions: dict[tuple[StateKey, Action], TransitionRow] = {}
-    for size, sources in by_size.items():
+) -> Iterator[tuple[int, list[tuple[Action, TransitionRow]]]]:
+    """Each size of `by_size` (as in `MdpModel.by_size`) with the rows of
+    its sized actions in `Action.sort_key` order, one row per action for
+    all of the size's behaviors: `type_share * target_weight` for each
+    behavior of the target size.  The no_op self-loop is the caller's."""
+    for size in by_size:
+        rows = []
         for kind in (ActionKind.ADD, ActionKind.REM):
             deltas = config.deltas(size, kind)
             for delta in deltas:
                 share = 1.0 / len(deltas)
                 action = Action(kind, delta)
-                target_size = size + action.signed_delta
-                row = tuple(
-                    (target.key, share * target.weight)
-                    for target in by_size.get(target_size, ())
-                )
-                for source in sources:
-                    transitions[(source.key, action)] = row
-        for source in sources:
-            transitions[(source.key, NO_OP)] = ((source.key, 1.0),)
+                targets = by_size.get(size + action.signed_delta, ())
+                rows.append((action, tuple((t.key, share * t.weight) for t in targets)))
+        yield size, rows
+
+
+def implied_transitions(
+    config: ModelConfig, by_size: Mapping[int, Sequence[MdpState]]
+) -> dict[tuple[StateKey, Action], TransitionRow]:
+    """The transition map that `config` and the behavior weights of the
+    states of each size imply: every behavior of a size shares the size's
+    rows (`size_rows`), plus its no_op self-loop."""
+    transitions: dict[tuple[StateKey, Action], TransitionRow] = {}
+    for size, rows in size_rows(config, by_size):
+        for source in by_size[size]:
+            key = source.key
+            for action, row in rows:
+                transitions[(key, action)] = row
+            transitions[(key, NO_OP)] = ((key, 1.0),)
     return transitions
+
+
+def trans_lines(model: MdpModel) -> Iterator[str]:
+    """The `trans` lines of `model`'s dump, in order, made lazily: sources
+    in key order, each source's actions by sort key.  Each row's text is
+    made once per size and written for each of the size's behaviors."""
+    labels = {key: state.label for key, state in model.states.items()}
+    for size, rows in size_rows(model.config, model.by_size):
+        tails = [
+            f" {action.label} {labels[target]} {p!r}" for action, row in rows for target, p in row
+        ]
+        for source in model.by_size[size]:
+            head = f"trans {source.label}"
+            for tail in tails:
+                yield head + tail
+            yield f"{head} no_op {source.label} 1.0"
 
 
 @dataclass(frozen=True)
@@ -509,6 +527,9 @@ def _violations(model: MdpModel) -> Iterator[str]:
 
 
 def _parse_dump(text: str) -> MdpModel:
+    """Build the model from the dump's header, config, initial and state
+    lines, then check its `trans` lines, word by word and in order,
+    against the lines `trans_lines` writes for that model."""
     lines = [(n, line.split()) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines or lines[0][1] != ["mdpdump", "1"]:
         raise InstantiationError("not a model dump (missing 'mdpdump 1' header)")
@@ -517,20 +538,12 @@ def _parse_dump(text: str) -> MdpModel:
     initial_label: str | None = None
     states: dict[StateKey, MdpState] = {}
     by_label: dict[str, StateKey] = {}
-    transitions: dict[tuple[StateKey, Action], list[tuple[StateKey, float]]] = {}
-    actions: dict[str, Action] = {}
+    trans: list[tuple[int, list[str]]] = []
 
     for number, words in lines[1:]:
         try:
             if words[0] == "trans":
-                _, src, action_label, dst, prob = words
-                if src not in by_label or dst not in by_label:
-                    raise ValueError(f"undefined state {dst if src in by_label else src}")
-                action = actions.get(action_label)
-                if action is None:
-                    action = actions[action_label] = Action.from_label(action_label)
-                entry = (by_label[dst], finite_float(prob))
-                transitions.setdefault((by_label[src], action), []).append(entry)
+                trans.append((number, words))
             elif words[0] == "state":
                 _, label, *fields = words
                 attrs = dict(field.split("=", 1) for field in fields if "=" in field)
@@ -589,46 +602,20 @@ def _parse_dump(text: str) -> MdpModel:
         states=states,
         initial=states[by_label[initial_label]],
     )
-    # Bound the work of the map check below by the size of the dump: the
-    # dump lists as many entries as the view has.
-    expected = sum(
-        len(config.deltas(size, ActionKind.ADD)) + len(config.deltas(size, ActionKind.REM)) + 1
-        for size, _ in states
-    )
-    if len(transitions) != expected:
+    # `trans_lines` is lazy, so this work is bounded by the dump's lines.
+    expected = trans_lines(model)
+    for number, words in trans:
+        want = next(expected, None)
+        if want is None:
+            raise InstantiationError(f"model dump line {number}: expected no further trans line")
+        if " ".join(words) != want:
+            raise InstantiationError(f"model dump line {number}: expected {want!r}")
+    want = next(expected, None)
+    if want is not None:
         raise InstantiationError(
-            f"model dump lists {len(transitions)} (state, action) entries, but its"
-            f" config and states imply {expected}"
+            f"model dump line {lines[-1][0] + 1}: expected {want!r}, found the end of the dump"
         )
-
-    parsed = {entry: tuple(row) for entry, row in transitions.items()}
-    if parsed != model.transitions:
-        raise InstantiationError(_disagreement(parsed, model))
     return model
-
-
-def _disagreement(
-    parsed: Mapping[tuple[StateKey, Action], TransitionRow], model: MdpModel
-) -> str:
-    """Name the entries where a dump's map differs from the model's view."""
-    implied = model.transitions
-    labels = {key: state.label for key, state in model.states.items()}
-
-    def show(row: TransitionRow | None) -> str:
-        return ", ".join(f"{labels[t]}:{p:.6g}" for t, p in row or ()) or "nothing"
-
-    differing = sorted(
-        (entry for entry in parsed.keys() | implied.keys() if parsed.get(entry) != implied.get(entry)),
-        key=lambda entry: (entry[0], entry[1].sort_key()),
-    )
-    details = [
-        f"({labels[key]}, {action.label}) leads to {show(parsed.get((key, action)))},"
-        f" but config and behavior weights imply {show(implied.get((key, action)))}"
-        for key, action in differing[:3]
-    ]
-    if len(differing) > 3:
-        details.append(f"and {len(differing) - 3} more entries differ")
-    return "; ".join(details)
 
 
 def finite_float(text: str) -> float:

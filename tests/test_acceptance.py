@@ -17,7 +17,7 @@ from elastimdp.harness import (
     parse_config,
     run_comparison,
 )
-from elastimdp.model import ActionKind, ModelConfig, build_model
+from elastimdp.model import ActionKind, MdpModel, ModelConfig, build_model
 from elastimdp.policies import (
     MDP_KINDS,
     MdpPolicy,
@@ -63,6 +63,7 @@ def test_criterion_1_reference_model_reconstruction():
         model = reference_model()
         golden = (DATA / "reference_model_dump.txt").read_text(encoding="utf-8")
         assert model.dump() == golden
+        assert MdpModel.loads(golden) == model
 
         sizes = range(3, 8)
         index = {v: i for i, v in enumerate(sizes)}

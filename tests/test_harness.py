@@ -1,5 +1,8 @@
+import configparser
+import contextlib
 import csv
 import dataclasses
+import io
 from collections import Counter
 from pathlib import Path
 
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from elastimdp import cli, emulator, harness, policies, solver
 from elastimdp.emulator import TickRecord, ExperimentTrace, trace_from_csv
-from elastimdp.errors import ConfigurationError
+from elastimdp.errors import ConfigurationError, ElastimdpError
 from elastimdp.harness import (
     MAX_GRID_LOADS,
     build_store,
@@ -514,7 +517,7 @@ class TestCli:
         dump.write_text(text, encoding="utf-8")
         assert self.run_cli("validate", "--model-dump", str(dump)) == 2
         assert capsys.readouterr().err == (
-            "error: (s4, no_op) leads to s4:0.7, but config and behavior weights imply s4:1\n"
+            "error: model dump line 9: expected 'trans s4 no_op s4 1.0'\n"
         )
 
     def test_validate_refuses_an_unknown_phase(self, cli_inputs, capsys):
@@ -584,6 +587,10 @@ GARBAGE = [
     ("run", "--set", "dataset.source=csv", "--set", "dataset.path={bigfield}"),
     ("run", "--set", "rl.alpha=%(x)s"),
     ("run", "--set", "clustering.load_bucket_width_reqs=1e-300"),
+    (
+        "run", "--set", "dataset.source=csv", "--set", "dataset.path={sizes}",
+        "--set", "model.max_vms=6", "--set", "clustering.load_bucket_width_reqs=1e-310",
+    ),
     ("gen-dataset", "--out", "{out}", "--load-step", "0"),
     ("gen-dataset", "--out", "{out}", "--load-step", "-500"),
     ("gen-dataset", "--out", "{out}", "--load-step", "nan"),
@@ -623,6 +630,11 @@ def cli_inputs(tmp_path):
     bigfield = tmp_path / "bigfield.csv"
     field = "1" * (csv.field_size_limit() + 1)
     bigfield.write_text(f"{','.join(CSV_HEADER)}\n0,4,1000,{field},5\n", encoding="utf-8")
+    sizes = tmp_path / "sizes.csv"
+    sizes.write_text(
+        f"{','.join(CSV_HEADER)}\n" + "".join(f"0,{v},1000,50,900\n" for v in (4, 5, 6)),
+        encoding="utf-8",
+    )
     binary = tmp_path / "binary.bin"
     binary.write_bytes(b"\xff\xfe\x00garbage\x9c")
     trace = tmp_path / "trace.csv"
@@ -641,6 +653,7 @@ def cli_inputs(tmp_path):
     phase.write_text(text.replace(f"{s5}decision", f"{s5}bogus"), encoding="utf-8")
     return {
         "bigfield": bigfield,
+        "sizes": sizes,
         "phase": phase,
         "garbage": garbage,
         "binary": binary,
@@ -667,3 +680,79 @@ def test_cli_refuses_garbage_with_an_error_line(argv, cli_inputs, capsys):
 
 def test_every_subcommand_has_a_garbage_case():
     assert {argv[0] for argv in GARBAGE} == set(cli._COMMANDS)
+
+
+def _rarely(strategy, otherwise):
+    """`strategy` one time in ten, else `otherwise`."""
+    return st.integers(0, 9).flatmap(lambda i: strategy if i == 0 else otherwise)
+
+
+INI_DEFAULTS = configparser.ConfigParser(interpolation=None)
+INI_DEFAULTS.read_string(default_config_ini())
+INI_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=10)
+INI_VALUES = st.sampled_from(
+    ["", "0", "-1", "3", "16", "1e-310", "nan", "inf", "%(x)s", "50%", "re, mdp2", "LV2", "csv"]
+) | INI_TEXT
+
+
+def ini_section(name):
+    """A `[name]` section of entries, mostly its known keys, with now and
+    then a stray line."""
+    keys = sorted(INI_DEFAULTS[name]) if INI_DEFAULTS.has_section(name) else ["k"]
+    entry = st.builds(
+        "{} {} {}".format,
+        _rarely(INI_TEXT, st.sampled_from(keys)),
+        st.sampled_from(["=", ":"]),
+        INI_VALUES,
+    )
+    lines = st.lists(
+        _rarely(INI_TEXT, entry), max_size=4, unique_by=lambda line: line.partition(" ")[0]
+    )
+    return lines.map(lambda lines: "\n".join([f"[{name}]", *lines]))
+
+
+INI_FILES = st.builds(
+    lambda lead, sections: "\n".join([lead, *sections]),
+    _rarely(INI_TEXT, st.just("")),
+    st.lists(
+        _rarely(INI_TEXT, st.sampled_from(INI_DEFAULTS.sections())), max_size=4, unique=True
+    ).flatmap(lambda names: st.tuples(*map(ini_section, names))),
+)
+
+
+class _Parsed(Exception):
+    """Raised in place of a run once `run --config` has read its config."""
+
+
+def _refuse_run(config):
+    raise _Parsed
+
+
+@settings(max_examples=200, deadline=None)
+@given(INI_FILES)
+def test_any_ini_text_parses_or_exits_2_with_one_error_line(tmp_path_factory, text):
+    try:
+        parse_config(text)
+    except ElastimdpError:
+        pass
+    path = tmp_path_factory.mktemp("ini") / "config.ini"
+    path.write_text(text, encoding="utf-8")
+    try:
+        # what the CLI reads (reading a file turns "\r" into "\n")
+        parse_config(path.read_text(encoding="utf-8"))
+        parsed = True
+    except ElastimdpError:
+        parsed = False
+    for argv in (["validate", "--config", str(path)], ["run", "--config", str(path)]):
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err):
+            patch.setattr(harness, "run_comparison", _refuse_run)
+            try:
+                code = cli.main(argv)
+            except _Parsed:
+                code = 0
+        assert code in (0, 2), argv
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            assert parsed and err.getvalue() == ""

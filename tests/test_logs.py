@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastimdp.errors import DataFormatError, ElastimdpError, NoDataError
+from elastimdp.errors import ConfigurationError, DataFormatError, ElastimdpError, NoDataError
 from elastimdp.logs import (
     CSV_HEADER,
     LogStore,
@@ -65,6 +65,20 @@ class TestSelection:
     def test_bucket_is_the_nearest_bucket_center(self):
         store = self.make_store()
         assert [store.bucket(load) for load in (0.0, 499.0, 500.0, 10400.0, 10600.0)] == [0, 0, 1, 10, 11]
+
+    def test_load_in_no_finite_bucket_is_refused(self):
+        # Record loads and queried loads meet the width in one place.
+        with pytest.raises(
+            ConfigurationError, match="^load 1000.0 over bucket width 1e-310 has no finite bucket$"
+        ):
+            LogStore([rec(0, 4, 1000.0)], bucket_width=1e-310)
+        store = LogStore([rec(0, 4, 1000.0)], bucket_width=1e-3)
+        with pytest.raises(
+            ConfigurationError, match="^load 1e\\+308 over bucket width 0.001 has no finite bucket$"
+        ):
+            store.select_logs(4, 1e308)
+        # a huge but finite quotient still names a bucket
+        assert self.make_store().select_logs(4, 1e308).interpolated
 
     def test_neighboring_bucket_is_interpolated(self):
         selection = self.make_store().select_logs(4, 14000.0)

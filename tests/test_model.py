@@ -271,8 +271,7 @@ class TestValidation:
         # A dump cannot carry that mass on its own: its map must follow the weights.
         text = edited_dump(model, "trans s4 add_2 s6 0.5", "trans s4 add_2 s6 0.4")
         with pytest.raises(
-            InstantiationError,
-            match=r"^\(s4, add_2\) leads to s6:0.4, but config and behavior weights imply s6:0.5$",
+            InstantiationError, match=r"^model dump line 13: expected 'trans s4 add_2 s6 0.5'$"
         ):
             MdpModel.loads(text)
 
@@ -288,26 +287,17 @@ class TestValidation:
     def test_missing_no_op_loop(self):
         model = chain_model()
         assert model.transitions[((7, 0), NO_OP)] == (((7, 0), 1.0),)
-        with pytest.raises(
-            InstantiationError,
-            match=r"^\(s7, no_op\) leads to s6:1, but config and behavior weights imply s7:1$",
-        ):
-            MdpModel.loads(edited_dump(model, "trans s7 no_op s7 1.0", "trans s7 no_op s6 1.0"))
-        with pytest.raises(InstantiationError, match="lists 15 .* imply 16$"):
-            MdpModel.loads(edited_dump(model, "trans s7 no_op s7 1.0\n", ""))
-        # the message names the first three differing entries and counts the rest
+        assert refusal(edited_dump(model, "trans s7 no_op s7 1.0", "trans s7 no_op s6 1.0")) == (
+            "model dump line 24: expected 'trans s7 no_op s7 1.0'"
+        )
+        assert refusal(edited_dump(model, "trans s7 no_op s7 1.0\n", "")) == (
+            "model dump line 24: expected 'trans s7 no_op s7 1.0', found the end of the dump"
+        )
+        # the message names the first differing line
         text = model.dump()
         for v in model.config.sizes:
             text = text.replace(f"no_op s{v} 1.0", f"no_op s{v} 0.5")
-        with pytest.raises(InstantiationError) as refused:
-            MdpModel.loads(text)
-        assert str(refused.value) == "; ".join(
-            [
-                f"(s{v}, no_op) leads to s{v}:0.5, but config and behavior weights imply s{v}:1"
-                for v in (3, 4, 5)
-            ]
-            + ["and 2 more entries differ"]
-        )
+        assert refusal(text) == "model dump line 11: expected 'trans s3 no_op s3 1.0'"
 
     def test_accepted_state_must_be_terminal(self):
         # No state is an accepting end component: each is a decision state
@@ -425,8 +415,8 @@ class TestDump:
         "prefix, old, new, line, message",
         [
             ("state s4", " center=-", "", 5, "missing center="),
-            ("trans s3 add_1", "add_1", "add_0", 9, "not an action label"),
-            ("trans s3 add_1", " s4 ", " s9 ", 9, "undefined state s9"),
+            ("trans s3 add_1", "add_1", "add_0", 9, "expected 'trans s3 add_1 s4 0.5'$"),
+            ("trans s3 add_1", " s4 ", " s9 ", 9, "expected 'trans s3 add_1 s4 0.5'$"),
             ("state s4", "reward=4.0", "reward=abc", 5, "abc"),
             ("config", "min_vms=3 ", "", 2, "missing min_vms="),
             ("state s4", "reward=4.0", "reward=nan", 5, "non-finite"),
@@ -445,6 +435,21 @@ class TestDump:
         lines[n] = lines[n].replace(old, new)
         with pytest.raises(InstantiationError, match=f"line {line}: .*{message}"):
             MdpModel.loads("\n".join(lines))
+
+    def test_trans_lines_are_compared_word_by_word_in_order(self):
+        model = chain_model()
+        # reordered lines and another spelling of the same probability
+        reordered = edited_dump(
+            model,
+            "trans s4 add_1 s5 0.5\ntrans s4 add_2 s6 0.5",
+            "trans s4 add_2 s6 0.5\ntrans s4 add_1 s5 0.5",
+        )
+        assert refusal(reordered) == "model dump line 12: expected 'trans s4 add_1 s5 0.5'"
+        respelled = edited_dump(model, "trans s4 add_2 s6 0.5", "trans s4 add_2 s6 5e-1")
+        assert refusal(respelled) == "model dump line 13: expected 'trans s4 add_2 s6 0.5'"
+        # other whitespace between the words still loads
+        spaced = edited_dump(model, "trans s4 add_2 s6 0.5", "  trans\ts4  add_2 s6 0.5 ")
+        assert MdpModel.loads(spaced) == model
 
 
 @st.composite
@@ -543,8 +548,9 @@ def map_violations(model):
 
 class TestImpliedMap:
     """A model's transition map is a view of its compact form, made on first
-    read.  It must equal the map `implied_transitions` builds, and a dump's
-    `trans` lines are checked against it where the dump is read."""
+    read.  It must equal the map `implied_transitions` builds.  A dump's
+    `trans` lines are written and checked from the rows (`size_rows`), so
+    dumping and loading never build the map."""
 
     @settings(max_examples=60, deadline=None)
     @given(config_and_rewards())
@@ -565,8 +571,9 @@ class TestImpliedMap:
     @settings(max_examples=30, deadline=None)
     @given(config_and_rewards())
     def test_dump_order_matches_a_scan_per_state(self, instance):
-        # The order of the `trans` lines before they were written in one
-        # sorted pass: states in key order, each state's actions by sort key.
+        # Differential: the `trans` lines rendered once per size's rows
+        # against a scan of the explicit map, states in key order and each
+        # state's actions by sort key.
         config, rewards, current = instance
         model = build_model(config, rewards, current)
         labels = {key: state.label for key, state in model.states.items()}
@@ -600,17 +607,18 @@ class TestImpliedMap:
         model = build_model(config, rewards, current=4)
         decide(model)
         reachability_probability(model, parse_query("Pmax=? [ F vms_num=6 ]"))
+        # dumping, loading and validating read no map
+        text = model.dump()
+        loaded = MdpModel.loads(text)
+        validate_model(model)
+        validate_model(loaded)
         assert calls == []
         first = model.transitions[((4, 0), NO_OP)]
         assert calls == [1]
         assert model.transitions[((4, 0), NO_OP)] is first
-        text = model.dump()
-        validate_model(model)
+        assert model.dump() == text
         assert calls == [1]
-        # loading checks the dump against the loaded model's own view,
-        # which validation then reuses
-        loaded = MdpModel.loads(text)
-        validate_model(loaded)
+        assert loaded.transitions == model.transitions
         assert calls == [1, 1]
         # every entry shares its source state's key tuple
         assert all(key is loaded.states[key].key for key, _ in loaded.transitions)
@@ -624,8 +632,8 @@ class TestImpliedMap:
     @given(config_and_rewards())
     def test_checked_models_pass_the_map_oracle(self, instance):
         # Differential: the constructor's checks against the map-walking
-        # oracle, on built and on round-tripped models; validation reads
-        # no map.
+        # oracle, on built and on round-tripped models; dumping, loading
+        # and validation read no map.
         calls = []
         real = model_module.implied_transitions
         with pytest.MonkeyPatch.context() as patch:
@@ -636,11 +644,11 @@ class TestImpliedMap:
             )
             built = build_model(*instance)
             assert validate_model(built).ok
-            assert calls == []
             loaded = MdpModel.loads(built.dump())
             assert validate_model(loaded).ok
+            assert calls == []
+            assert map_violations(built) == map_violations(loaded) == []
             assert calls == [1, 1]
-        assert map_violations(built) == map_violations(loaded) == []
 
     def test_validation_reports_a_model_changed_after_construction(self):
         model = chain_model()
@@ -672,12 +680,7 @@ class TestImpliedMap:
             "trans s3 add_1 s4a 0.3\ntrans s3 add_1 s4b 0.2",
             "trans s3 add_1 s4a 0.25\ntrans s3 add_1 s4b 0.25",
         )
-        with pytest.raises(
-            InstantiationError,
-            match=r"^\(s3, add_1\) leads to s4a:0.25, s4b:0.25, but config and"
-            r" behavior weights imply s4a:0.3, s4b:0.2$",
-        ):
-            MdpModel.loads(text)
+        assert refusal(text) == "model dump line 8: expected 'trans s3 add_1 s4a 0.3'"
         assert validate_model(model).ok
 
     def test_copies_make_their_own_map(self):
@@ -791,9 +794,13 @@ class TestDumpBoundary:
         "case, message",
         [
             ("no s5", "no state of size 5$"),
-            ("extra entry", "lists 17 .* entries, but its config and states imply 16$"),
+            ("extra entry", "^model dump line 25: expected no further trans line$"),
             ("3M sizes", "no state of size 4$"),
-            ("1500 states", "lists 0 .* entries, but its config and states imply 2250000$"),
+            (
+                "1500 states",
+                "^model dump line 1504: expected 'trans s1 add_1 s2 0.00066711140760507',"
+                " found the end of the dump$",
+            ),
         ],
     )
     def test_loads_work_is_bounded_by_the_dump(self, case, message):

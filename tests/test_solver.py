@@ -95,7 +95,7 @@ class TestMaxExpectedReward:
         text = model.dump()
         assert text.count("trans s4 add_1 s5 1.0") == 1
         text = text.replace("trans s4 add_1 s5 1.0", "trans s4 add_1 s4 1.0")
-        message = "(s4, add_1) leads to s4:1, but config and behavior weights imply s5:1"
+        message = "model dump line 9: expected 'trans s4 add_1 s5 1.0'"
         with pytest.raises(InstantiationError) as refused:
             MdpModel.loads(text)
         assert str(refused.value) == message
