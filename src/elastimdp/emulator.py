@@ -116,30 +116,6 @@ def gen_synthetic_dataset(
     return records
 
 
-def emulate_state(
-    store: LogStore,
-    vms: int,
-    load: float,
-    noise_fraction: float,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Realized (latency_ms, throughput) of running `vms` VMs at `load`.
-
-    Picks one logged record for the nearest (vms, load bucket) pair and
-    perturbs both metrics multiplicatively with Normal(1, noise_fraction)
-    draws, clamped at zero.  Performs the same RNG call sequence on every
-    invocation (one integer draw, two normals), so episodes sharing a run
-    seed face the same stochastic environment tick for tick.
-    """
-    selection = store.select_logs(vms, load)
-    record = selection.records[int(rng.integers(len(selection.records)))]
-    lat_noise, thr_noise = rng.normal(1.0, noise_fraction, size=2)
-    return (
-        max(0.0, float(record.latency_ms * lat_noise)),
-        max(0.0, float(record.throughput * thr_noise)),
-    )
-
-
 @dataclass(frozen=True)
 class ScheduleConfig:
     """Timing of an experiment: measurement ticks, decision cadence."""
@@ -161,13 +137,6 @@ class ScheduleConfig:
             raise ConfigurationError("initial_vms must be >= 1")
         if self.emulation_noise_fraction < 0:
             raise ConfigurationError("noise fraction must be >= 0")
-
-    def decision_ticks(self) -> list[int]:
-        return [
-            t
-            for t in range(self.horizon_ticks)
-            if t > 0 and t % self.decision_every_ticks == 0
-        ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,12 +163,6 @@ class ExperimentTrace:
     records: list[TickRecord] = field(default_factory=list)
     valid: bool = True
     error: str | None = None
-
-    def loads(self) -> list[float]:
-        return [r.load for r in self.records]
-
-    def decisions(self) -> list[str]:
-        return [r.decision for r in self.records if r.decision]
 
 
 TRACE_HEADER = (
@@ -257,6 +220,40 @@ def trace_from_csv(text: str, policy: str = "", seed: int = 0) -> ExperimentTrac
     return ExperimentTrace(policy=policy, seed=seed, records=records)
 
 
+def emulate_state(
+    record: MeasurementRecord, lat_noise: float, thr_noise: float
+) -> tuple[float, float]:
+    """Realized (latency_ms, throughput) of a logged `record` scaled by one
+    tick's multiplicative noise factors, clamped at zero."""
+    return max(0.0, record.latency_ms * lat_noise), max(0.0, record.throughput * thr_noise)
+
+
+def _draws(rng: np.random.Generator, count: int, noise: float) -> tuple[int, float, float]:
+    """One tick's draws, in order: a record index below `count`, then the
+    latency and throughput noise factors, each Normal(1, noise)."""
+    index = int(rng.integers(count))
+    return (index, *rng.normal(1.0, noise, size=2).tolist())
+
+
+def environment_tape(
+    store: LogStore, profile: LoadProfile, schedule: ScheduleConfig, rng: np.random.Generator
+) -> tuple[tuple[float, int, float, float], ...] | None:
+    """Per tick, the load and what `_draws` draws with `rng`, built once per
+    `LogStore.tape_memo` key; None if the store's cells hold uneven record
+    counts, as each tick's index bound then depends on its cell."""
+    count, noise = store.uniform_count, schedule.emulation_noise_fraction
+    if count is None:
+        return None
+    key = (repr(rng.bit_generator.state), profile, schedule.horizon_ticks, noise, count)
+    tape = store.tape_memo.get(key)
+    if tape is None:
+        tape = store.tape_memo[key] = tuple(
+            (gen_load(profile, tick), *_draws(rng, count, noise))
+            for tick in range(schedule.horizon_ticks)
+        )
+    return tape
+
+
 def run_episode(
     policy: Policy,
     profile: LoadProfile,
@@ -268,27 +265,32 @@ def run_episode(
 ) -> ExperimentTrace:
     """Run one policy against the emulated system.
 
-    Each tick generates the load, emulates the realized system state at
-    the current size, and records the realized utility and any threshold
-    violation.  At every decision tick the policy is invoked, the benefit
-    threshold applied, and the chosen size change takes effect at the next
-    tick.  Policy or emulation failures abort the run and return the
-    partial trace flagged invalid.
+    Each tick reads the load and the draws from the run's environment tape,
+    shared by every episode seeded alike, so each policy of a run faces the
+    same environment by construction (a store with uneven cells makes the
+    same draws tick by tick).  It emulates the current size and records the
+    realized utility and any threshold violation.  At every decision tick
+    the policy is invoked, the benefit threshold applied, and the chosen
+    size change takes effect at the next tick.  Policy or emulation
+    failures abort the run and return the partial trace flagged invalid.
     """
     rng = np.random.default_rng(rng_seed)
     seed_repr = rng_seed if isinstance(rng_seed, int) else 0
     trace = ExperimentTrace(policy=policy.kind.value, seed=seed_repr)
     vms = schedule.initial_vms
     pending: int | None = None
+    noise = schedule.emulation_noise_fraction
     try:
+        tape = environment_tape(store, profile, schedule, rng)
         for tick in range(schedule.horizon_ticks):
             if pending is not None:
                 vms = pending
                 pending = None
-            load = gen_load(profile, tick)
-            latency, throughput = emulate_state(
-                store, vms, load, schedule.emulation_noise_fraction, rng
-            )
+            # Without a tape, draw live, bounded by the count of this cell.
+            load, *draws = tape[tick] if tape else (gen_load(profile, tick),)
+            records = store.select_logs(vms, load).records
+            index, lat_noise, thr_noise = draws or _draws(rng, len(records), noise)
+            latency, throughput = emulate_state(records[index], lat_noise, thr_noise)
             realized = utility_eval(utility, latency, throughput, vms)
             violation = latency > utility.latency_threshold_ms
             policy.observe(MeasurementRecord(tick, vms, load, latency, throughput))

@@ -1,12 +1,11 @@
 """Experiment configuration, orchestration, and metrics.
 
 An experiment runs a list of policies for several emulated episodes each.
-Fairness across policies comes from seeding: the load wave is
-deterministic and the emulation noise stream for run index i derives from
-(base_seed, i) only, never from the policy, so every policy in run i faces
-the identical environment.  Configuration lives in a flat INI file with
-units spelled out in the key names; every key can be overridden on the
-command line.
+Run i's load wave and noise draws derive from (base_seed, i) only and are
+drawn once per store (`emulator.environment_tape`), so every policy of the
+run reads the same environment by construction.  Configuration lives in a
+flat INI file with units spelled out in the key names; every key can be
+overridden on the command line.
 """
 
 from __future__ import annotations
@@ -208,8 +207,8 @@ class ComparisonResult:
 
 
 def run_seed(base_seed: int, run_index: int) -> np.random.SeedSequence:
-    """Emulation seed for one run: a function of the run index only, so
-    every policy replays the identical noise stream."""
+    """Emulation seed of one run: a function of the run index only, so it
+    keys the one environment tape every policy's episode of the run reads."""
     return np.random.SeedSequence(entropy=base_seed, spawn_key=(run_index,))
 
 
@@ -221,7 +220,8 @@ def run_comparison(
 
     Cells execute sequentially in (policy, run) order; each cell gets a
     fresh policy instance, so cells are independent and the aggregation
-    does not depend on execution order.
+    does not depend on execution order.  They share one store, so each
+    run's environment tape is drawn by its first cell and read by the rest.
     """
     if records is None:
         records = load_dataset(config)

@@ -69,8 +69,9 @@ class LogSelection:
 class LogStore:
     """Bucketed measurement log, fixed at construction.
 
-    The records are bucketed once, by `__init__`.  Three memos keep what
-    is derived from them:
+    The records are bucketed once, by `__init__`, which also notes the
+    `uniform_count` of records in every cell (None if uneven or empty).
+    Four memos keep what is derived from them:
 
     * the selections: one `LogSelection` per (vms, load bucket) query
       (filled by `select_logs`);
@@ -79,7 +80,11 @@ class LogStore:
       utility and scored size (filled by `policies.cell_reward`);
     * `solve_memo`: one (model, interpolation notes, arrival values)
       entry per MDP policy kind, model config, clustering config, utility
-      and load bucket (filled by `policies.mdp_decide`).
+      and load bucket (filled by `policies.mdp_decide`);
+    * `tape_memo`: a run's (load, record index, latency noise, throughput
+      noise) per tick, per seeded bit-generator state, load profile,
+      horizon, noise fraction and `uniform_count` (filled by
+      `emulator.environment_tape`).
 
     Each entry is a pure function of the fixed store and its key, so
     filling a memo is idempotent, no entry goes stale, and a built store
@@ -93,9 +98,12 @@ class LogStore:
         self._buckets: dict[tuple[int, int], list[MeasurementRecord]] = {}
         for record in records:
             self._buckets.setdefault((record.vms, self.bucket(record.load)), []).append(record)
+        counts = set(map(len, self._buckets.values()))
+        self.uniform_count = counts.pop() if len(counts) == 1 else None
         self._selections: dict[tuple[int, int], LogSelection] = {}
         self.reward_memo: dict[tuple, StateReward] = {}
         self.solve_memo: dict[tuple, tuple[MdpModel, tuple[str, ...], list[dict[int, float]]]] = {}
+        self.tape_memo: dict[tuple, tuple[tuple[float, int, float, float], ...]] = {}
 
     def __len__(self) -> int:
         return sum(map(len, self._buckets.values()))

@@ -271,16 +271,6 @@ class MdpModel:
         mass = sum(p for _, p in row)
         return [(t, p / mass) for t, p in row]
 
-    def type_distribution(self, key: StateKey, kind: ActionKind) -> dict[StateKey, float]:
-        """Aggregate distribution of an action type, e.g. P(s4, add, .)."""
-        dist: dict[StateKey, float] = {}
-        for (skey, action), row in self.transitions.items():
-            if skey != key or action.kind is not kind:
-                continue
-            for target, p in row:
-                dist[target] = dist.get(target, 0.0) + p
-        return dist
-
     def dump(self) -> str:
         """Deterministic text serialization (round-trips via `loads`)."""
         cfg = self.config

@@ -1,0 +1,52 @@
+"""Readers of traces, schedules and models that only tests call, and stub
+policies."""
+
+from __future__ import annotations
+
+from elastimdp.emulator import ExperimentTrace, ScheduleConfig
+from elastimdp.model import NO_OP, ActionKind, MdpModel, StateKey
+from elastimdp.policies import Policy, PolicyKind
+from elastimdp.solver import PolicyDecision
+
+
+class NoOpStub(Policy):
+    def __init__(self):
+        super().__init__(PolicyKind.MDP_MB)
+
+    def decide(self, current):
+        return PolicyDecision(action=NO_OP, expected_utility=0.0, target_size=current)
+
+
+class BoomStub(Policy):
+    def __init__(self):
+        super().__init__(PolicyKind.MDP_MB)
+
+    def decide(self, current):
+        raise RuntimeError("boom")
+
+
+def loads(trace: ExperimentTrace) -> list[float]:
+    return [r.load for r in trace.records]
+
+
+def decisions(trace: ExperimentTrace) -> list[str]:
+    return [r.decision for r in trace.records if r.decision]
+
+
+def decision_ticks(schedule: ScheduleConfig) -> list[int]:
+    return [
+        t
+        for t in range(schedule.horizon_ticks)
+        if t > 0 and t % schedule.decision_every_ticks == 0
+    ]
+
+
+def type_distribution(model: MdpModel, key: StateKey, kind: ActionKind) -> dict[StateKey, float]:
+    """Aggregate distribution of an action type, e.g. P(s4, add, .)."""
+    dist: dict[StateKey, float] = {}
+    for (skey, action), row in model.transitions.items():
+        if skey != key or action.kind is not kind:
+            continue
+        for target, p in row:
+            dist[target] = dist.get(target, 0.0) + p
+    return dist

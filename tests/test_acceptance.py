@@ -34,6 +34,7 @@ from elastimdp.solver import (
     reachability_probability,
 )
 
+from helpers import decisions as trace_decisions, type_distribution
 from instances import random_instance, random_query_text
 
 DATA = Path(__file__).parent / "data"
@@ -71,7 +72,7 @@ def test_criterion_1_reference_model_reconstruction():
         def matrix(kind):
             rows = [[0.0] * 5 for _ in sizes]
             for v in sizes:
-                for (target, _), p in model.type_distribution((v, 0), kind).items():
+                for (target, _), p in type_distribution(model, (v, 0), kind).items():
                     rows[index[v]][index[target]] += p
             return rows
 
@@ -228,7 +229,7 @@ def test_criterion_7_post_processing_degenerate_settings():
         result = run_comparison(config)
         assert result.all_valid
         for trace in result.traces.values():
-            decisions = trace.decisions()
+            decisions = trace_decisions(trace)
             assert decisions and all(d == "no_op" for d in decisions)
             assert all(r.vms == 4 for r in trace.records)
 

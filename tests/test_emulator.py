@@ -11,6 +11,7 @@ from elastimdp.emulator import (
     ScheduleConfig,
     SyntheticModelParams,
     emulate_state,
+    environment_tape,
     gen_load,
     gen_synthetic_dataset,
     run_episode,
@@ -20,10 +21,11 @@ from elastimdp.emulator import (
 )
 from elastimdp.errors import DataFormatError, ElastimdpError, NoDataError
 from elastimdp.logs import LogStore, MeasurementRecord
-from elastimdp.model import ModelConfig, NO_OP
-from elastimdp.policies import Policy, PolicyKind, make_policy
+from elastimdp.model import ModelConfig
+from elastimdp.policies import PolicyKind, make_policy
 from elastimdp.rewards import ClusteringConfig, UtilityConfig, UtilityKind
-from elastimdp.solver import PolicyDecision
+
+from helpers import BoomStub, NoOpStub, decision_ticks
 
 LV1 = LoadProfile()
 LV2 = LoadProfile(variation=LoadVariation.LV2)
@@ -86,44 +88,33 @@ class TestEmulateState:
         )
 
     def test_exact_match_no_noise(self):
-        rng = np.random.default_rng(0)
-        assert emulate_state(self.store(), 4, 10000.0, 0.0, rng) == (25.0, 9900.0)
+        record = self.store().select_logs(4, 10000.0).records[0]
+        assert emulate_state(record, 1.0, 1.0) == (25.0, 9900.0)
 
     def test_missing_pair_uses_neighbors(self):
-        rng = np.random.default_rng(0)
-        latency, throughput = emulate_state(self.store(), 5, 14000.0, 0.0, rng)
+        record = self.store().select_logs(5, 14000.0).records[0]
+        latency, throughput = emulate_state(record, 1.0, 1.0)
         assert (latency, throughput) in {(25.0, 9900.0), (35.0, 19000.0)}
 
     def test_empty_dataset(self):
         with pytest.raises(NoDataError):
-            emulate_state(LogStore(), 4, 1000.0, 0.0, np.random.default_rng(0))
+            LogStore().select_logs(4, 1000.0)
 
     def test_noise_distribution(self):
         rng = np.random.default_rng(1234)
         store = self.store()
+        record = store.select_logs(4, 10000.0).records[0]
+        schedule = ScheduleConfig(horizon_ticks=10_000, emulation_noise_fraction=0.05)
         draws = np.array(
-            [emulate_state(store, 4, 10000.0, 0.05, rng) for _ in range(10_000)]
+            [
+                emulate_state(record, lat_noise, thr_noise)
+                for _, _, lat_noise, thr_noise in environment_tape(store, LV1, schedule, rng)
+            ]
         )
         # multiplicative N(1, 0.05): everything inside +-5 sigma for this seed
         assert np.all(draws[:, 0] > 25.0 * 0.75) and np.all(draws[:, 0] < 25.0 * 1.25)
         assert np.mean(draws[:, 0]) == pytest.approx(25.0, rel=0.01)
         assert np.mean(draws[:, 1]) == pytest.approx(9900.0, rel=0.01)
-
-
-class _NoOpStub(Policy):
-    def __init__(self):
-        super().__init__(PolicyKind.MDP_MB)
-
-    def decide(self, current):
-        return PolicyDecision(action=NO_OP, expected_utility=0.0, target_size=current)
-
-
-class _BoomStub(Policy):
-    def __init__(self):
-        super().__init__(PolicyKind.MDP_MB)
-
-    def decide(self, current):
-        raise RuntimeError("boom")
 
 
 def default_store(noise=0.05, seed=9):
@@ -138,12 +129,12 @@ class TestRunEpisode:
 
     def test_decision_count(self):
         schedule = self.schedule(horizon=315)
-        assert len(schedule.decision_ticks()) == 31
-        trace = run_episode(_NoOpStub(), LV1, default_store(), schedule, R1, rng_seed=1)
+        assert len(decision_ticks(schedule)) == 31
+        trace = run_episode(NoOpStub(), LV1, default_store(), schedule, R1, rng_seed=1)
         assert sum(1 for r in trace.records if r.decision) == 31
 
     def test_no_op_policy_keeps_initial_size(self):
-        trace = run_episode(_NoOpStub(), LV1, default_store(), self.schedule(), R1, rng_seed=1)
+        trace = run_episode(NoOpStub(), LV1, default_store(), self.schedule(), R1, rng_seed=1)
         assert {r.vms for r in trace.records} == {4}
         assert trace.valid
 
@@ -187,7 +178,7 @@ class TestRunEpisode:
             assert all(4 <= r.vms <= 16 for r in trace.records)
 
     def test_policy_failure_flags_partial_trace(self):
-        trace = run_episode(_BoomStub(), LV1, default_store(), self.schedule(50), R1, rng_seed=1)
+        trace = run_episode(BoomStub(), LV1, default_store(), self.schedule(50), R1, rng_seed=1)
         assert not trace.valid
         assert "boom" in trace.error
         assert 0 < len(trace.records) < 50
@@ -207,7 +198,7 @@ class TestRunEpisode:
 class TestTraceCsv:
     def test_round_trip(self):
         trace = run_episode(
-            _NoOpStub(), LV1, default_store(),
+            NoOpStub(), LV1, default_store(),
             ScheduleConfig(horizon_ticks=25, emulation_noise_fraction=0.0), R1, rng_seed=1,
         )
         text = trace_to_csv(trace)

@@ -6,12 +6,22 @@ import io
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastimdp import cli, emulator, harness, policies, solver
-from elastimdp.emulator import TickRecord, ExperimentTrace, trace_from_csv
+from elastimdp.emulator import (
+    ExperimentTrace,
+    LoadProfile,
+    LoadVariation,
+    ScheduleConfig,
+    TickRecord,
+    gen_load,
+    trace_from_csv,
+    trace_to_csv,
+)
 from elastimdp.errors import ConfigurationError, ElastimdpError
 from elastimdp.harness import (
     MAX_GRID_LOADS,
@@ -27,10 +37,18 @@ from elastimdp.harness import (
     text_report,
     write_outputs,
 )
-from elastimdp.logs import CSV_HEADER, read_records_csv, write_records_csv
+from elastimdp.logs import (
+    CSV_HEADER,
+    LogStore,
+    MeasurementRecord,
+    read_records_csv,
+    write_records_csv,
+)
 from elastimdp.model import ModelConfig, build_model, BehaviorReward
 from elastimdp.policies import MDP_KINDS, PolicyKind
-from elastimdp.rewards import UtilityConfig, UtilityKind, utility_eval
+from elastimdp.rewards import ClusteringConfig, UtilityConfig, UtilityKind, utility_eval
+
+from helpers import BoomStub, decision_ticks, loads
 
 
 def tick(t, lat, utility=1.0, vms=4, decision=""):
@@ -238,25 +256,21 @@ class TestMetrics:
 
 # The 2-run default comparison, and the scaleout config: 4..32 VMs,
 # +6/-4, LV2, a 5% benefit threshold and 3-tick smoothing.
+SCALEOUT_OVERRIDES = {
+    "experiment.policies": "mdp_mb, mdp2, mdp3",
+    "experiment.runs": "2",
+    "model.max_vms": "32",
+    "model.add_limit": "6",
+    "model.rem_limit": "4",
+    "load.variation": "LV2",
+    "load.load_min_reqs": "2000",
+    "load.load_max_reqs": "90000",
+    "clustering.load_bucket_width_reqs": "2000",
+    "postprocess.benefit_threshold_pct": "5",
+    "postprocess.smoothing_window_ticks": "3",
+}
 COMPARISON_CONFIGS = pytest.mark.parametrize(
-    "overrides",
-    [
-        {"experiment.runs": "2"},
-        {
-            "experiment.policies": "mdp_mb, mdp2, mdp3",
-            "experiment.runs": "2",
-            "model.max_vms": "32",
-            "model.add_limit": "6",
-            "model.rem_limit": "4",
-            "load.variation": "LV2",
-            "load.load_min_reqs": "2000",
-            "load.load_max_reqs": "90000",
-            "clustering.load_bucket_width_reqs": "2000",
-            "postprocess.benefit_threshold_pct": "5",
-            "postprocess.smoothing_window_ticks": "3",
-        },
-    ],
-    ids=["defaults", "scaleout"],
+    "overrides", [{"experiment.runs": "2"}, SCALEOUT_OVERRIDES], ids=["defaults", "scaleout"]
 )
 
 
@@ -266,7 +280,7 @@ class TestComparison:
         for run in range(2):
             re_trace = result.traces[(PolicyKind.RE, run)]
             mdp_trace = result.traces[(PolicyKind.MDP_MB, run)]
-            assert re_trace.loads() == mdp_trace.loads()
+            assert loads(re_trace) == loads(mdp_trace)
             # before the first decision both policies hold 4 VMs, so the
             # shared noise stream must yield identical realized metrics
             for a, b in zip(re_trace.records[:11], mdp_trace.records[:11]):
@@ -310,7 +324,7 @@ class TestComparison:
         monkeypatch.setattr(emulator, "apply_benefit_threshold", recording)
         config = parse_config(default_config_ini(), overrides)
         assert run_comparison(config).all_valid
-        decisions = len(config.schedule.decision_ticks())
+        decisions = len(decision_ticks(config.schedule))
         assert len(targets) == len(config.policies) * config.runs * decisions
         sizes = config.model.sizes
         assert all(raw in sizes and enacted in sizes for raw, enacted in targets)
@@ -338,7 +352,7 @@ class TestComparison:
         monkeypatch.setattr(policies, "mdp_decide", compared)
         run_comparison(config, records)
         mdp_kinds = [kind for kind in config.policies if kind in MDP_KINDS]
-        assert len(pairs) == len(mdp_kinds) * config.runs * len(config.schedule.decision_ticks())
+        assert len(pairs) == len(mdp_kinds) * config.runs * len(decision_ticks(config.schedule))
         (store,) = stores
         assert len(store.solve_memo) < len(pairs) / 2
         assert not fresh_store.solve_memo
@@ -386,6 +400,174 @@ class TestComparison:
         assert (out / "trace_mdp_mb_0.csv").exists()
         assert "policy" in summary_csv(result).splitlines()[0]
         assert "re" in text_report(result)
+
+
+UNEVEN_LOGS = Path(__file__).parent / "data" / "uneven_logs.csv"
+
+
+def comparable(trace: ExperimentTrace) -> tuple[str, bool, str | None]:
+    """Every field of a trace but its records' `decision_ms`; the CSV writes
+    each float as its exact repr, so equal texts are equal bit for bit."""
+    records = [dataclasses.replace(r, decision_ms=0.0) for r in trace.records]
+    text = trace_to_csv(ExperimentTrace(trace.policy, trace.seed, records))
+    return text, trace.valid, trace.error
+
+
+def run_keeping_store(monkeypatch, config, records=None, live=False):
+    """`run_comparison`, with the store it built.  `live` hides the store's
+    uniform record count, so every episode draws its environment tick by
+    tick instead of reading a tape."""
+    stores = []
+    real = harness.build_store
+
+    def build(config, records):
+        store = real(config, records)
+        if live:
+            monkeypatch.setattr(store, "uniform_count", None)
+        stores.append(store)
+        return store
+
+    monkeypatch.setattr(harness, "build_store", build)
+    result = run_comparison(config, records)
+    (store,) = stores
+    return result, store
+
+
+def tape_and_live(monkeypatch, config, records=None):
+    """Comparable traces of a comparison with tapes, checked equal to those
+    drawn live, and the store that held the tapes."""
+    (taped, store), (live, live_store) = (
+        run_keeping_store(monkeypatch, config, records, live) for live in (False, True)
+    )
+    assert not live_store.tape_memo
+    traces = {key: comparable(t) for key, t in taped.traces.items()}
+    assert traces == {key: comparable(t) for key, t in live.traces.items()}
+    return traces, store
+
+
+class TestEnvironmentTape:
+    @pytest.mark.parametrize(
+        "overrides", [{}, SCALEOUT_OVERRIDES], ids=["defaults-10-runs", "scaleout"]
+    )
+    def test_tape_and_live_draws_give_identical_traces(self, overrides, monkeypatch):
+        config = parse_config(default_config_ini(), overrides)
+        traces, store = tape_and_live(monkeypatch, config, load_dataset(config))
+        assert len(store.tape_memo) == config.runs
+        assert len(traces) == len(config.policies) * config.runs
+        assert all(valid for _, valid, _ in traces.values())
+
+    def test_environment_is_drawn_once_per_run(self, monkeypatch):
+        config = parse_config(default_config_ini(), {"experiment.runs": "2"})
+        assert len(config.policies) == 6
+        result, store = run_keeping_store(monkeypatch, config)
+        assert len(store.tape_memo) == 2
+        tapes = dict(store.tape_memo)
+        # An episode run outside `run_comparison`, on the same store, reads
+        # the same tapes and adds none.
+        for run in range(2):
+            policy = policies.make_policy(
+                PolicyKind.MDP2, store, config.model, config.utility, config.clustering
+            )
+            trace = harness.run_episode(
+                policy, config.load, store, config.schedule, config.utility,
+                post=config.post, rng_seed=harness.run_seed(config.base_seed, run),
+            )
+            assert comparable(trace) == comparable(result.traces[(PolicyKind.MDP2, run)])
+        assert store.tape_memo.keys() == tapes.keys()
+        assert all(store.tape_memo[key] is tape for key, tape in tapes.items())
+
+    def test_seed_forms_share_a_tape_and_other_keys_do_not(self):
+        config = small_config()
+        store = build_store(config, load_dataset(config))
+        load, schedule = config.load, config.schedule
+
+        def tape(seed, load=load, schedule=schedule):
+            return emulator.environment_tape(store, load, schedule, np.random.default_rng(seed))
+
+        first = tape(5)
+        assert tape(np.random.SeedSequence(5)) is first
+        assert len(first) == schedule.horizon_ticks
+        others = [
+            tape(6),
+            tape(5, load=dataclasses.replace(load, variation=LoadVariation.LV2)),
+            tape(5, schedule=dataclasses.replace(schedule, horizon_ticks=64)),
+            tape(5, schedule=dataclasses.replace(schedule, emulation_noise_fraction=0.1)),
+        ]
+        assert all(other != first for other in others)
+        assert len(store.tape_memo) == 5
+
+    def test_uneven_store_draws_live_as_episodes_always_did(self):
+        # The vms-4 cell holds two records and the vms-5 cell one, so the
+        # bound of each tick's record index depends on the current size.
+        store = LogStore([
+            MeasurementRecord(0, 4, 10000.0, 100.0, 9000.0),
+            MeasurementRecord(1, 4, 10000.0, 120.0, 9500.0),
+            MeasurementRecord(2, 5, 10000.0, 10.0, 9900.0),
+        ])
+        assert store.uniform_count is None
+        limits = ModelConfig(4, 5, add_limit=1, rem_limit=1)
+        utility = UtilityConfig(UtilityKind.R1, 60.0)
+        policy = policies.make_policy(PolicyKind.RE, store, limits, utility, ClusteringConfig())
+        profile = LoadProfile()
+        schedule = ScheduleConfig(horizon_ticks=63, emulation_noise_fraction=0.05)
+        trace = harness.run_episode(policy, profile, store, schedule, utility, rng_seed=5)
+        assert trace.valid and not store.tape_memo
+        assert {r.vms for r in trace.records} == {4, 5}
+        # The draws an episode made tick by tick before runs had tapes.
+        rng = np.random.default_rng(5)
+        for r in trace.records:
+            cell = store.select_logs(r.vms, gen_load(profile, r.tick)).records
+            record = cell[int(rng.integers(len(cell)))]
+            lat_noise, thr_noise = rng.normal(1.0, 0.05, size=2)
+            assert r.latency_ms == max(0.0, float(record.latency_ms * lat_noise))
+            assert r.throughput == max(0.0, float(record.throughput * thr_noise))
+
+    def test_uneven_logs_leave_no_tape(self, monkeypatch):
+        config = small_config(**{
+            "dataset.source": "csv", "dataset.path": str(UNEVEN_LOGS), "model.max_vms": "6",
+        })
+        result, store = run_keeping_store(monkeypatch, config, load_dataset(config))
+        assert store.uniform_count is None and not store.tape_memo
+        assert result.all_valid
+
+    def test_empty_store_fails_alike(self, monkeypatch):
+        traces, _ = tape_and_live(monkeypatch, small_config(), [])
+        assert set(traces.values()) == {
+            (TRACE_HEADER + "\n", False, "NoDataError: log store is empty")
+        }
+
+    def test_policy_failure_fails_alike(self):
+        config = small_config()
+        records = load_dataset(config)
+        traces = []
+        for live in (False, True):
+            store = build_store(config, records)
+            if live:
+                store.uniform_count = None
+            traces.append(comparable(harness.run_episode(
+                BoomStub(), config.load, store, config.schedule, config.utility, rng_seed=1
+            )))
+            assert len(store.tape_memo) == (not live)
+        assert traces[0] == traces[1]
+        text, valid, error = traces[0]
+        assert not valid and error == "RuntimeError: boom"
+        assert len(text.splitlines()) == 1 + config.schedule.decision_every_ticks
+
+    def test_bucket_overflow_fails_alike(self, tmp_path, monkeypatch):
+        # Zero loads land in bucket 0 at any width; the wave's loads do not.
+        logs = tmp_path / "zero_loads.csv"
+        logs.write_text(
+            f"{','.join(CSV_HEADER)}\n" + "".join(f"0,{v},0,50,900\n" for v in (4, 5, 6)),
+            encoding="utf-8",
+        )
+        config = small_config(**{
+            "dataset.source": "csv", "dataset.path": str(logs), "model.max_vms": "6",
+            "clustering.load_bucket_width_reqs": "1e-310",
+        })
+        traces, store = tape_and_live(monkeypatch, config, load_dataset(config))
+        assert len(store.tape_memo) == config.runs
+        error = "ConfigurationError: load 1000.0 over bucket width 1e-310 has no finite bucket"
+        assert set(traces.values()) == {(TRACE_HEADER + "\n", False, error)}
 
 
 def write_small_ini(path: Path, **extra) -> Path:

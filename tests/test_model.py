@@ -25,6 +25,8 @@ from elastimdp.model import (
 from elastimdp.queries import parse_query
 from elastimdp.solver import decide, reachability_probability
 
+from helpers import type_distribution
+
 ADD = ActionKind.ADD
 REM = ActionKind.REM
 
@@ -67,7 +69,7 @@ class TestSingleBehaviorModel:
             7: {},
         }
         for size, row in expected.items():
-            assert model.type_distribution((size, 0), ADD) == row
+            assert type_distribution(model, (size, 0), ADD) == row
 
     def test_rem_matrix(self):
         model = chain_model()
@@ -79,7 +81,7 @@ class TestSingleBehaviorModel:
             7: {(6, 0): 1.0},
         }
         for size, row in expected.items():
-            assert model.type_distribution((size, 0), REM) == row
+            assert type_distribution(model, (size, 0), REM) == row
 
     def test_no_op_identity(self):
         model = chain_model()
@@ -90,7 +92,7 @@ class TestSingleBehaviorModel:
         # add_limit=2 but only one valid target: the lone transition gets
         # the full probability.
         model = chain_model(min_vms=3, max_vms=4, current=3)
-        assert model.type_distribution((3, 0), ADD) == {(4, 0): 1.0}
+        assert type_distribution(model, (3, 0), ADD) == {(4, 0): 1.0}
 
 
 class TestMultiBehaviorModel:
@@ -123,7 +125,7 @@ class TestMultiBehaviorModel:
             ((4, 1), 0.5 * 0.4),
         )
         assert model.transitions[((3, 0), Action(ADD, 2))] == (((5, 0), 0.5),)
-        assert model.type_distribution((3, 0), ADD) == pytest.approx(
+        assert type_distribution(model, (3, 0), ADD) == pytest.approx(
             {(4, 0): 0.3, (4, 1): 0.2, (5, 0): 0.5}
         )
 
@@ -158,10 +160,10 @@ class TestAllTargetsModel:
     def test_equal_probability_per_target(self):
         config = ModelConfig(3, 7, add_limit=2, rem_limit=1, variant=Variant.M3)
         model = build_model(config, {v: float(v) for v in config.sizes}, current=4)
-        add = model.type_distribution((4, 0), ADD)
+        add = type_distribution(model, (4, 0), ADD)
         assert add == pytest.approx({(5, 0): 1 / 3, (6, 0): 1 / 3, (7, 0): 1 / 3})
-        assert model.type_distribution((4, 0), REM) == {(3, 0): 1.0}
-        assert model.type_distribution((7, 0), REM) == pytest.approx(
+        assert type_distribution(model, (4, 0), REM) == {(3, 0): 1.0}
+        assert type_distribution(model, (7, 0), REM) == pytest.approx(
             {(v, 0): 0.25 for v in (3, 4, 5, 6)}
         )
 
@@ -499,7 +501,7 @@ class TestProperties:
         model = build_model(config, rewards, current)
         for key in model.states:
             for kind in (ADD, REM):
-                dist = model.type_distribution(key, kind)
+                dist = type_distribution(model, key, kind)
                 if dist:
                     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
         assert validate_model(model).ok
