@@ -76,7 +76,6 @@ from .harness import (
     ComparisonResult,
     ExperimentConfig,
     compute_metrics,
-    evaluate_query,
     parse_config,
     run_comparison,
 )

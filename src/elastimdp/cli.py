@@ -3,10 +3,12 @@
 Subcommands:
 
 * ``run``         -- policy-comparison experiment from a config file
-* ``gen-dataset`` -- write a synthetic measurement CSV
+* ``gen-dataset`` -- write the measurement CSV a config's runs read
 * ``query``       -- evaluate a Pmax/Pmin reachability query
 * ``validate``    -- check a config file or a model dump
 * ``replay``      -- re-score a trace CSV under a different utility
+
+``run`` and ``gen-dataset`` read ``--config`` (else the defaults) under every ``--set``.
 
 Exit status is 0 on success, 1 when a run aborts, and 2 with one `error:`
 line on stderr for any configuration, parse or input error.  That includes
@@ -18,19 +20,20 @@ model whose `trans` lines are those `query --dump-model` writes, so
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
 
 from . import harness
-from .emulator import SyntheticModelParams, gen_synthetic_dataset, trace_from_csv, trace_to_csv
-from .errors import ConfigurationError, ElastimdpError
+from .emulator import trace_from_csv, trace_to_csv
+from .errors import ElastimdpError
 from .logs import write_records_csv
-from .model import MdpModel, ModelConfig
+from .model import MdpModel
 from .policies import PolicyKind, instantiate_model, MDP_KINDS
+from .queries import parse_query
 from .rewards import UtilityConfig, UtilityKind, utility_eval
-
-import dataclasses
+from .solver import reachability_probability
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,31 +44,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a policy-comparison experiment")
-    run.add_argument("--config", help="experiment config file (defaults built in)")
-    run.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="SECTION.KEY=VALUE",
-        help="override a config key",
-    )
+    _add_config_flags(run)
     run.add_argument("--seed", type=int, default=None, help="override the base seed")
     run.add_argument("--out-dir", default="results", help="directory for output files")
 
-    gen = sub.add_parser("gen-dataset", help="write a synthetic measurement CSV")
+    gen = sub.add_parser("gen-dataset", help="write the configured dataset as a CSV")
+    _add_config_flags(gen)
     gen.add_argument("--out", required=True, help="output CSV path")
-    gen.add_argument("--min-vms", type=int, default=4)
-    gen.add_argument("--max-vms", type=int, default=16)
-    gen.add_argument("--load-min", type=float, default=1000.0)
-    gen.add_argument("--load-max", type=float, default=46000.0)
-    gen.add_argument("--load-step", type=float, default=1000.0)
-    gen.add_argument("--capacity", type=float, default=4500.0, help="req/s per VM")
-    gen.add_argument("--base-latency", type=float, default=25.0, help="ms")
-    gen.add_argument("--exponent", type=float, default=2.5)
-    gen.add_argument("--noise", type=float, default=0.05)
-    gen.add_argument("--samples", type=int, default=12, help="samples per grid point")
-    gen.add_argument("--seed", type=int, default=99, help="generator seed")
 
     query = sub.add_parser("query", help="evaluate a reachability query")
     query.add_argument("query", help='e.g. "Pmax=? [ F latency<30 & vms_num=7 ]"')
@@ -96,23 +81,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _add_config_flags(command: argparse.ArgumentParser) -> None:
+    command.add_argument("--config", help="experiment config file (defaults built in)")
+    command.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="SECTION.KEY=VALUE",
+        help="override a config key",
+    )
+
+
+def _config(args: argparse.Namespace) -> harness.ExperimentConfig:
+    """The `--config` file (else the built-in defaults) under every `--set`."""
     overrides = {}
     for item in args.overrides:
         dotted, sep, value = item.partition("=")
         if not sep:
             raise ElastimdpError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
         overrides[dotted.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["experiment.base_seed"] = str(args.seed)
     if args.config:
-        config = harness.read_config(args.config, overrides)
-    else:
-        config = harness.parse_config(harness.default_config_ini(), overrides)
-    result = harness.run_comparison(config)
+        return harness.read_config(args.config, overrides)
+    return harness.parse_config(harness.default_config_ini(), overrides)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    if args.seed is not None:
+        args.overrides.append(f"experiment.base_seed={args.seed}")
+    result = harness.run_comparison(_config(args))
     out_dir = harness.write_outputs(result, args.out_dir)
-    report = harness.text_report(result)
-    sys.stdout.write(report)
+    sys.stdout.write(harness.text_report(result))
     sys.stdout.write(f"\noutputs written to {out_dir}\n")
     if not result.all_valid:
         sys.stderr.write("error: one or more runs aborted; see report\n")
@@ -121,18 +120,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_dataset(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
-    params = SyntheticModelParams(
-        per_vm_capacity=args.capacity,
-        base_latency_ms=args.base_latency,
-        saturation_exponent=args.exponent,
-        noise_stddev_fraction=args.noise,
-        samples_per_point=args.samples,
-    )
-    sizes = ModelConfig(args.min_vms, args.max_vms).sizes
-    loads = harness.load_grid(args.load_min, args.load_max, args.load_step)
-    records = gen_synthetic_dataset(params, sizes, loads, seed=args.seed)
+    records = harness.load_dataset(_config(args))
     write_records_csv(args.out, records)
     sys.stdout.write(f"wrote {len(records)} records to {args.out}\n")
     return 0
@@ -145,8 +133,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         model = MdpModel.loads(Path(args.model_dump).read_text(encoding="utf-8"))
     else:
         config = harness.read_config(args.config)
-        records = harness.load_dataset(config)
-        store = harness.build_store(config, records)
+        store = harness.build_store(config, harness.load_dataset(config))
         load = args.load if args.load is not None else config.load.load_min
         if not math.isfinite(load):
             raise ElastimdpError(f"--load must be finite, got {load!r}")
@@ -163,7 +150,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         )
     if args.dump_model:
         Path(args.dump_model).write_text(model.dump(), encoding="utf-8")
-    probability = harness.evaluate_query(model, args.query)
+    probability = reachability_probability(model, parse_query(args.query))
     sys.stdout.write(f"{probability!r}\n")
     return 0
 
@@ -186,7 +173,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         latency_threshold_ms=args.latency_threshold_ms,
     )
     trace = trace_from_csv(Path(args.trace).read_text(encoding="utf-8"))
-    rescored = [
+    trace.records = [
         dataclasses.replace(
             record,
             utility=utility_eval(utility, record.latency_ms, record.throughput, record.vms),
@@ -194,7 +181,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         )
         for record in trace.records
     ]
-    trace.records = rescored
     metrics = harness.compute_metrics(trace)
     if args.out:
         Path(args.out).write_text(trace_to_csv(trace), encoding="utf-8")
@@ -215,8 +201,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ElastimdpError, OSError, UnicodeDecodeError) as exc:

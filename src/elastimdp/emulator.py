@@ -41,6 +41,8 @@ class LoadProfile:
     variation: LoadVariation = LoadVariation.LV1
 
     def __post_init__(self) -> None:
+        if self.load_min < 0:
+            raise ConfigurationError(f"load_min must be >= 0, got {self.load_min!r}")
         if self.load_min >= self.load_max:
             raise ConfigurationError("load_min must be below load_max")
         if self.period_ticks < 2:

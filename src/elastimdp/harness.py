@@ -4,8 +4,8 @@ An experiment runs a list of policies for several emulated episodes each.
 Run i's load wave and noise draws derive from (base_seed, i) only and are
 drawn once per store (`emulator.environment_tape`), so every policy of the
 run reads the same environment by construction.  Configuration lives in a
-flat INI file with units spelled out in the key names; every key can be
-overridden on the command line.
+flat INI file with units spelled out in the key names; one table gives each
+key's parser and the object it fills, and every key can be overridden.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .emulator import (
 )
 from .errors import ConfigurationError
 from .logs import LogStore, MeasurementRecord, read_records_csv
-from .model import MdpModel, ModelConfig, finite_float
+from .model import ModelConfig, finite_float
 from .policies import (
     PolicyKind,
     PostProcessConfig,
@@ -40,9 +40,7 @@ from .policies import (
     RLConfig,
     make_policy,
 )
-from .queries import parse_query
 from .rewards import ClusteringConfig, UtilityConfig, UtilityKind
-from .solver import reachability_probability
 
 
 @dataclass(frozen=True)
@@ -257,11 +255,6 @@ def run_comparison(
     return ComparisonResult(config=config, summaries=summaries, traces=traces)
 
 
-def evaluate_query(model: MdpModel, query_text: str) -> float:
-    """Parse a Pmax/Pmin reachability query and evaluate it on a model."""
-    return reachability_probability(model, parse_query(query_text))
-
-
 # --- configuration file handling -------------------------------------------
 
 _DEFAULT_INI = """\
@@ -329,6 +322,53 @@ def default_config_ini() -> str:
     return _DEFAULT_INI
 
 
+def _policy_list(text: str) -> tuple[PolicyKind, ...]:
+    return tuple(PolicyKind(name.strip()) for name in text.split(",") if name.strip())
+
+
+# The object each section builds and the parser of each key it reads.
+# `parse_config` reads `experiment.policies` and `dataset.source`, `path`
+# and `seed` itself, and passes each object the fields its section lacks.
+_SECTIONS: dict[str, tuple[type, dict[str, Callable[[str], object]]]] = {
+    "experiment": (ExperimentConfig, {"runs": int, "base_seed": int}),
+    "model": (ModelConfig, {"min_vms": int, "max_vms": int, "add_limit": int, "rem_limit": int}),
+    "utility": (UtilityConfig, {"kind": UtilityKind, "latency_threshold_ms": finite_float}),
+    "clustering": (ClusteringConfig, {
+        "k": int, "dims": int, "load_bucket_width_reqs": finite_float,
+        "max_iterations": int, "seed": int,
+    }),
+    "load": (LoadProfile, {
+        "load_min_reqs": finite_float, "load_max_reqs": finite_float,
+        "period_ticks": int, "variation": LoadVariation,
+    }),
+    "postprocess": (PostProcessConfig, {
+        "benefit_threshold_pct": finite_float, "smoothing_window_ticks": int,
+    }),
+    "schedule": (ScheduleConfig, {
+        "tick_seconds": finite_float, "decision_every_ticks": int, "horizon_ticks": int,
+        "initial_vms": int, "emulation_noise_fraction": finite_float,
+    }),
+    "re": (REConfig, {
+        "upper_latency_ms": finite_float, "lower_latency_ms": finite_float, "step_size": int,
+    }),
+    "rl": (RLConfig, {"alpha": finite_float, "gamma": finite_float}),
+    "dataset": (SyntheticModelParams, {
+        "per_vm_capacity_reqs": finite_float, "base_latency_ms": finite_float,
+        "saturation_exponent": finite_float, "noise_stddev_fraction": finite_float,
+        "samples_per_point": int,
+    }),
+}
+
+# Every other key is the name of the field it fills.
+_FIELDS = {
+    "load_bucket_width_reqs": "load_bucket_width",
+    "load_min_reqs": "load_min",
+    "load_max_reqs": "load_max",
+    "smoothing_window_ticks": "smoothing_window",
+    "per_vm_capacity_reqs": "per_vm_capacity",
+}
+
+
 def parse_config(
     text: str, overrides: Mapping[str, str] | None = None
 ) -> ExperimentConfig:
@@ -338,7 +378,8 @@ def parse_config(
     one source of every default; `overrides` maps "section.key" to
     replacement values (CLI flags).  Sections and keys the defaults lack
     are rejected so typos fail loudly.  Values are read literally: a `%`
-    is a character, not the start of an interpolation.
+    is a character, not the start of an interpolation.  A value its
+    parser refuses is an error that names its `section.key`.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(_DEFAULT_INI)
@@ -365,111 +406,55 @@ def parse_config(
     def get(section: str, key: str) -> str:
         return parser.get(section, key).strip()
 
-    def number(section: str, key: str) -> float:
-        # NaN and infinities would slip past every range check below.
+    def convert(section: str, key: str, parse: Callable[[str], object]) -> object:
         try:
-            return finite_float(get(section, key))
+            return parse(get(section, key))
         except ValueError as exc:
-            raise ValueError(f"{section}.{key}: {exc}") from exc
+            raise ConfigurationError(f"bad config value: {section}.{key}: {exc}") from exc
 
-    try:
-        policies = tuple(
-            PolicyKind(name.strip())
-            for name in get("experiment", "policies").split(",")
-            if name.strip()
-        )
-    except ValueError as exc:
-        raise ConfigurationError(f"unknown policy name: {exc}") from exc
+    def build(section: str, **fields: object) -> object:
+        """`section`'s object from its table rows over `fields`; a key left
+        empty keeps the field `fields` gives it."""
+        cls, parsers = _SECTIONS[section]
+        for key, parse in parsers.items():
+            field = _FIELDS.get(key, key)
+            if field not in fields or get(section, key):
+                fields[field] = convert(section, key, parse)
+        return cls(**fields)
 
-    try:
-        model = ModelConfig(
-            min_vms=int(get("model", "min_vms")),
-            max_vms=int(get("model", "max_vms")),
-            add_limit=int(get("model", "add_limit")),
-            rem_limit=int(get("model", "rem_limit")),
+    source = get("dataset", "source")
+    seed = convert("dataset", "seed", int)
+    if source == "synthetic":
+        dataset = DatasetSpec(synthetic=build("dataset"), seed=seed)
+    elif source == "csv":
+        if not get("dataset", "path"):
+            raise ConfigurationError("dataset.source=csv requires dataset.path")
+        dataset = DatasetSpec(path=get("dataset", "path"), seed=seed)
+    else:
+        raise ConfigurationError(
+            f"dataset.source must be 'synthetic' or 'csv', got {source!r}"
         )
-        utility = UtilityConfig(
-            kind=UtilityKind(get("utility", "kind")),
-            latency_threshold_ms=number("utility", "latency_threshold_ms"),
-        )
-        clustering = ClusteringConfig(
-            k=int(get("clustering", "k")),
-            dims=int(get("clustering", "dims")),
-            load_bucket_width=number("clustering", "load_bucket_width_reqs"),
-            max_iterations=int(get("clustering", "max_iterations")),
-            seed=int(get("clustering", "seed")),
-        )
-        load = LoadProfile(
-            load_min=number("load", "load_min_reqs"),
-            load_max=number("load", "load_max_reqs"),
-            period_ticks=int(get("load", "period_ticks")),
-            variation=LoadVariation(get("load", "variation")),
-        )
-        post = PostProcessConfig(
-            benefit_threshold_pct=number("postprocess", "benefit_threshold_pct"),
-            smoothing_window=int(get("postprocess", "smoothing_window_ticks")),
-        )
-        schedule = ScheduleConfig(
-            tick_seconds=number("schedule", "tick_seconds"),
-            decision_every_ticks=int(get("schedule", "decision_every_ticks")),
-            horizon_ticks=int(get("schedule", "horizon_ticks")),
-            initial_vms=int(get("schedule", "initial_vms")),
-            emulation_noise_fraction=number("schedule", "emulation_noise_fraction"),
-        )
-        # An empty upper latency follows the utility's threshold.
-        step_size = get("re", "step_size")
-        re_config = REConfig(
-            upper_latency_ms=(
-                number("re", "upper_latency_ms")
-                if get("re", "upper_latency_ms")
-                else utility.latency_threshold_ms
-            ),
-            lower_latency_ms=(
-                number("re", "lower_latency_ms") if get("re", "lower_latency_ms") else None
-            ),
-            step_size=int(step_size) if step_size else None,
-        )
-        rl_config = RLConfig(
-            alpha=number("rl", "alpha"),
-            gamma=number("rl", "gamma"),
-        )
-        source = get("dataset", "source")
-        if source == "synthetic":
-            dataset = DatasetSpec(
-                synthetic=SyntheticModelParams(
-                    per_vm_capacity=number("dataset", "per_vm_capacity_reqs"),
-                    base_latency_ms=number("dataset", "base_latency_ms"),
-                    saturation_exponent=number("dataset", "saturation_exponent"),
-                    noise_stddev_fraction=number("dataset", "noise_stddev_fraction"),
-                    samples_per_point=int(get("dataset", "samples_per_point")),
-                ),
-                seed=int(get("dataset", "seed")),
-            )
-        elif source == "csv":
-            path = get("dataset", "path")
-            if not path:
-                raise ConfigurationError("dataset.source=csv requires dataset.path")
-            dataset = DatasetSpec(path=path, seed=int(get("dataset", "seed")))
-        else:
-            raise ConfigurationError(
-                f"dataset.source must be 'synthetic' or 'csv', got {source!r}"
-            )
-        return ExperimentConfig(
-            policies=policies,
-            runs=int(get("experiment", "runs")),
-            base_seed=int(get("experiment", "base_seed")),
-            model=model,
-            utility=utility,
-            clustering=clustering,
-            load=load,
-            post=post,
-            schedule=schedule,
-            re_config=re_config,
-            rl_config=rl_config,
-            dataset=dataset,
-        )
-    except ValueError as exc:
-        raise ConfigurationError(f"bad config value: {exc}") from exc
+    utility = build("utility")
+    return build(
+        "experiment",
+        policies=convert("experiment", "policies", _policy_list),
+        model=build("model"),
+        utility=utility,
+        clustering=build("clustering"),
+        load=build("load"),
+        post=build("postprocess"),
+        schedule=build("schedule"),
+        # An empty re value is unset, and an unset upper latency follows
+        # the utility's threshold.
+        re_config=build(
+            "re",
+            upper_latency_ms=utility.latency_threshold_ms,
+            lower_latency_ms=None,
+            step_size=None,
+        ),
+        rl_config=build("rl"),
+        dataset=dataset,
+    )
 
 
 def read_config(path: str, overrides: Mapping[str, str] | None = None) -> ExperimentConfig:

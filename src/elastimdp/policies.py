@@ -107,7 +107,6 @@ class QTable:
     alpha: float = 0.1
     gamma: float = 0.5
     values: dict[tuple[int, str], float] = field(default_factory=dict)
-    visits: dict[tuple[int, str], int] = field(default_factory=dict)
 
     def get(self, size: int, action: Action) -> float:
         return self.values.get((size, action.label), 0.0)
@@ -205,7 +204,6 @@ def rl_update(
     qtable.values[key] = q + qtable.alpha * (
         realized_reward + qtable.gamma * future - q
     )
-    qtable.visits[key] = qtable.visits.get(key, 0) + 1
 
 
 def cell_reward(

@@ -2,7 +2,10 @@ import configparser
 import contextlib
 import csv
 import dataclasses
+import importlib.util
 import io
+import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -48,6 +51,7 @@ from elastimdp.model import ModelConfig, build_model, BehaviorReward
 from elastimdp.policies import MDP_KINDS, PolicyKind
 from elastimdp.rewards import ClusteringConfig, UtilityConfig, UtilityKind, utility_eval
 
+import reference_config
 from helpers import BoomStub, decision_ticks, loads
 
 
@@ -86,6 +90,30 @@ FLOAT_KEYS = (
     "dataset.saturation_exponent",
     "dataset.noise_stddev_fraction",
 )
+
+# Every key the config reads as an int, and every key it reads as a name
+# from a fixed set.  With FLOAT_KEYS they are every key but dataset.path.
+INT_KEYS = (
+    "experiment.runs",
+    "experiment.base_seed",
+    "model.min_vms",
+    "model.max_vms",
+    "model.add_limit",
+    "model.rem_limit",
+    "clustering.k",
+    "clustering.dims",
+    "clustering.max_iterations",
+    "clustering.seed",
+    "load.period_ticks",
+    "postprocess.smoothing_window_ticks",
+    "schedule.decision_every_ticks",
+    "schedule.horizon_ticks",
+    "schedule.initial_vms",
+    "re.step_size",
+    "dataset.samples_per_point",
+    "dataset.seed",
+)
+NAME_KEYS = ("experiment.policies", "utility.kind", "load.variation", "dataset.source")
 
 
 def small_config(**extra):
@@ -138,8 +166,25 @@ class TestConfig:
             small_config(**{"experiment.policies": "re, mdp_xx"})
 
     def test_bad_value_rejected(self):
-        with pytest.raises(ConfigurationError, match="bad config value"):
+        with pytest.raises(ConfigurationError) as error:
             small_config(**{"model.min_vms": "three"})
+        assert str(error.value) == (
+            "bad config value: model.min_vms: invalid literal for int() with base 10: 'three'"
+        )
+
+    def test_the_key_lists_hold_every_key_but_the_dataset_path(self):
+        defaults = configparser.ConfigParser(interpolation=None)
+        defaults.read_string(default_config_ini())
+        keys = {f"{section}.{key}" for section in defaults.sections() for key in defaults[section]}
+        listed = FLOAT_KEYS + INT_KEYS + NAME_KEYS
+        assert len(set(listed)) == len(listed)
+        assert set(listed) == keys - {"dataset.path"}
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS + INT_KEYS + NAME_KEYS)
+    def test_a_value_its_parser_refuses_names_its_key(self, key):
+        # also fails for a key the defaults hold but nothing reads
+        with pytest.raises(ConfigurationError, match=rf"(^|\W){re.escape(key)}\W"):
+            small_config(**{key: "1.5x"})
 
     def test_initial_vms_must_be_in_range(self):
         with pytest.raises(ConfigurationError, match="initial_vms"):
@@ -600,16 +645,31 @@ class TestCli:
 
     def test_gen_dataset(self, tmp_path):
         out = tmp_path / "ds.csv"
+        overrides = {
+            "model.max_vms": "6",
+            "load.load_max_reqs": "3000",
+            "dataset.samples_per_point": "2",
+            "dataset.seed": "5",
+        }
         code = self.run_cli(
             "gen-dataset", "--out", str(out),
-            "--min-vms", "4", "--max-vms", "6",
-            "--load-min", "1000", "--load-max", "3000",
-            "--samples", "2", "--seed", "5",
+            *(arg for item in overrides.items() for arg in ("--set", "=".join(item))),
         )
         assert code == 0
         records = read_records_csv(str(out))
         assert len(records) == 3 * 3 * 2
         assert {r.vms for r in records} == {4, 5, 6}
+        assert records == load_dataset(parse_config(default_config_ini(), overrides))
+
+    def test_gen_dataset_writes_back_the_csv_a_config_reads(self, tmp_path, cli_inputs):
+        ini = tmp_path / "csv.ini"
+        ini.write_text(
+            f"[dataset]\nsource = csv\npath = {cli_inputs['sizes']}\n[model]\nmax_vms = 6\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "ds.csv"
+        assert self.run_cli("gen-dataset", "--config", str(ini), "--out", str(out)) == 0
+        assert read_records_csv(str(out)) == read_records_csv(str(cli_inputs["sizes"]))
 
     def test_gen_dataset_defaults_write_the_default_ini_dataset(self, tmp_path):
         out = tmp_path / "ds.csv"
@@ -773,18 +833,27 @@ GARBAGE = [
         "run", "--set", "dataset.source=csv", "--set", "dataset.path={sizes}",
         "--set", "model.max_vms=6", "--set", "clustering.load_bucket_width_reqs=1e-310",
     ),
-    ("gen-dataset", "--out", "{out}", "--load-step", "0"),
-    ("gen-dataset", "--out", "{out}", "--load-step", "-500"),
-    ("gen-dataset", "--out", "{out}", "--load-step", "nan"),
-    ("gen-dataset", "--out", "{out}", "--load-max", "inf"),
-    ("gen-dataset", "--out", "{out}", "--load-min", "5000", "--load-max", "1000"),
-    ("gen-dataset", "--out", "{out}", "--min-vms", "0"),
-    ("gen-dataset", "--out", "{out}", "--min-vms", "9", "--max-vms", "4"),
-    ("gen-dataset", "--out", "{out}", "--capacity", "nan"),
-    ("gen-dataset", "--out", "{out}", "--exponent", "inf"),
-    ("gen-dataset", "--out", "{out}", "--samples", "0"),
-    ("gen-dataset", "--out", "{out}", "--seed", "-1"),
-    ("gen-dataset", "--out", "{out}", "--load-step", "1e-300"),
+    ("run", "--set", "load.load_min_reqs=-5000"),
+    (
+        "run", "--set", "dataset.source=csv", "--set", "dataset.path={sizes}",
+        "--set", "model.max_vms=6", "--set", "load.load_min_reqs=-5000",
+    ),
+    ("gen-dataset", "--out", "{out}", "--set", "clustering.load_bucket_width_reqs=0"),
+    ("gen-dataset", "--out", "{out}", "--set", "clustering.load_bucket_width_reqs=-500"),
+    ("gen-dataset", "--out", "{out}", "--set", "clustering.load_bucket_width_reqs=nan"),
+    ("gen-dataset", "--out", "{out}", "--set", "load.load_max_reqs=inf"),
+    (
+        "gen-dataset", "--out", "{out}",
+        "--set", "load.load_min_reqs=5000", "--set", "load.load_max_reqs=1000",
+    ),
+    ("gen-dataset", "--out", "{out}", "--set", "model.min_vms=0"),
+    ("gen-dataset", "--out", "{out}", "--set", "model.min_vms=9", "--set", "model.max_vms=4"),
+    ("gen-dataset", "--out", "{out}", "--set", "dataset.per_vm_capacity_reqs=nan"),
+    ("gen-dataset", "--out", "{out}", "--set", "dataset.saturation_exponent=inf"),
+    ("gen-dataset", "--out", "{out}", "--set", "dataset.samples_per_point=0"),
+    ("gen-dataset", "--out", "{out}", "--set", "dataset.seed=-1"),
+    ("gen-dataset", "--out", "{out}", "--set", "clustering.load_bucket_width_reqs=1e-300"),
+    ("gen-dataset", "--out", "{out}", "--set", "load.load_min_reqs=-3000"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--model-dump", "{garbage}"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--model-dump", "{binary}"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--model-dump", "{phase}"),
@@ -938,3 +1007,86 @@ def test_any_ini_text_parses_or_exits_2_with_one_error_line(tmp_path_factory, te
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         else:
             assert parsed and err.getvalue() == ""
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _perfbench_workloads():
+    """`perfbench/workloads.py`, whose configs the benchmark parses."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+
+
+WORKLOADS = _perfbench_workloads()
+
+
+def _variant_sweep_overrides():
+    """Every config `scripts/run_variant_sweep.py` parses, for both utilities."""
+    spec = importlib.util.spec_from_file_location(
+        "run_variant_sweep", ROOT / "scripts" / "run_variant_sweep.py"
+    )
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return [
+        {
+            "experiment.runs": "1",
+            "experiment.base_seed": "20240",
+            "utility.kind": utility,
+            "load.variation": variation,
+            **extra,
+        }
+        for variation in ("LV1", "LV2")
+        for utility in ("r1", "r2")
+        for extra in sweep.VARIANTS.values()
+    ]
+
+
+def assert_parsed_as_the_reference(text, overrides=None):
+    """The table-driven parser returns the config the per-key reference
+    returns, or refuses what the reference refuses."""
+    try:
+        expected = reference_config.parse_config(text, overrides)
+    except ElastimdpError:
+        with pytest.raises(ElastimdpError):
+            parse_config(text, overrides)
+    else:
+        assert parse_config(text, overrides) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(INI_FILES)
+def test_any_ini_text_parses_as_the_reference(text):
+    assert_parsed_as_the_reference(text)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        WORKLOADS.COMPARISON,
+        WORKLOADS.SCALEOUT,
+        *_variant_sweep_overrides(),
+        # an empty re.upper_latency_ms follows the threshold before REConfig
+        # checks lower < upper
+        {"utility.latency_threshold_ms": "80", "re.lower_latency_ms": "70"},
+        {"re.lower_latency_ms": "70"},
+        {"re.upper_latency_ms": "0"},
+        {"re.step_size": "2", "re.lower_latency_ms": "20", "re.upper_latency_ms": "50"},
+        {"load.load_min_reqs": "-5000"},
+        {"load.load_min_reqs": "0"},
+        {"dataset.source": "csv", "dataset.path": "logs.csv", "dataset.samples_per_point": "x"},
+        {"dataset.source": "csv", "dataset.seed": "x"},
+        {"experiment.policies": " , "},
+    ],
+)
+def test_named_configs_parse_as_the_reference(overrides):
+    assert_parsed_as_the_reference(default_config_ini(), overrides)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1.5x", "", "1.5", "-1"])
+@pytest.mark.parametrize("key", FLOAT_KEYS + INT_KEYS + NAME_KEYS)
+def test_each_key_parses_as_the_reference(key, value):
+    assert_parsed_as_the_reference(default_config_ini(), {**SMALL_INI_OVERRIDES, key: value})

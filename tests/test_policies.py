@@ -121,10 +121,11 @@ class TestQLearning:
 
     def test_converges_to_stationary_reward(self):
         qtable = QTable(alpha=0.1, gamma=0.0)
-        for _ in range(300):
+        rl_update(qtable, 5, NO_OP, 3.0, 5, LIMITS)
+        assert qtable.values[(5, "no_op")] == pytest.approx(0.3)
+        for _ in range(299):
             rl_update(qtable, 5, NO_OP, 3.0, 5, LIMITS)
         assert qtable.values[(5, "no_op")] == pytest.approx(3.0, abs=1e-9)
-        assert qtable.visits[(5, "no_op")] == 300
 
     def test_bootstraps_from_next_state(self):
         qtable = QTable(alpha=1.0, gamma=0.5)
@@ -286,10 +287,13 @@ class TestPolicyObjects:
         policy.observe(MeasurementRecord(0, 5, 10000.0, 30.0, 25.0))
         first = policy.decide(5)
         assert first.action.kind is ADD
-        assert not policy.qtable.visits
-        policy.observe(MeasurementRecord(1, first.target_size, 10000.0, 30.0, 64.0))
+        key = (5, first.action.label)
+        # the first decision only warm-starts Q(5, action) from the mb estimate
+        assert policy.qtable.values[key] == first.expected_utility == 8.0
+        policy.observe(MeasurementRecord(1, first.target_size, 10000.0, 30.0, 40.0))
         policy.decide(first.target_size)
-        assert policy.qtable.visits[(5, first.action.label)] == 1
+        # the second moves it halfway (alpha 0.5) to the realized 40 / 8 VMs
+        assert policy.qtable.values[key] == 8.0 + 0.5 * (40.0 / 8 - 8.0)
 
     def test_permitted_actions_clip_at_bounds(self):
         actions = permitted_actions(9, LIMITS)
