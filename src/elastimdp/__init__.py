@@ -15,7 +15,6 @@ from .logs import LogStore, MeasurementRecord, read_records_csv, write_records_c
 from .model import (
     Action,
     ActionKind,
-    BehaviorReward,
     MdpModel,
     MdpState,
     ModelConfig,

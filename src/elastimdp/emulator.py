@@ -158,10 +158,11 @@ class TickRecord:
 
 @dataclass
 class ExperimentTrace:
-    """Per-tick record of one policy episode."""
+    """Per-tick record of one policy episode; `seed` is the run's index in
+    a comparison (`harness.run_comparison`), 0 outside one."""
 
     policy: str
-    seed: int
+    seed: int = 0
     records: list[TickRecord] = field(default_factory=list)
     valid: bool = True
     error: str | None = None
@@ -182,7 +183,7 @@ def trace_to_csv(trace: ExperimentTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trace_from_csv(text: str, policy: str = "", seed: int = 0) -> ExperimentTrace:
+def trace_from_csv(text: str, policy: str = "") -> ExperimentTrace:
     """Parse `trace_to_csv` output; a malformed row raises DataFormatError
     naming its 1-based line.  A row must hold what an episode can record:
     the tick, size and measurements within `MeasurementRecord`'s bounds, a
@@ -219,7 +220,7 @@ def trace_from_csv(text: str, policy: str = "", seed: int = 0) -> ExperimentTrac
             )
         except ValueError as exc:
             raise DataFormatError(f"trace line {number}: {exc}") from exc
-    return ExperimentTrace(policy=policy, seed=seed, records=records)
+    return ExperimentTrace(policy=policy, records=records)
 
 
 def emulate_state(
@@ -277,8 +278,7 @@ def run_episode(
     failures abort the run and return the partial trace flagged invalid.
     """
     rng = np.random.default_rng(rng_seed)
-    seed_repr = rng_seed if isinstance(rng_seed, int) else 0
-    trace = ExperimentTrace(policy=policy.kind.value, seed=seed_repr)
+    trace = ExperimentTrace(policy=policy.kind.value)
     vms = schedule.initial_vms
     pending: int | None = None
     noise = schedule.emulation_noise_fraction
@@ -304,8 +304,8 @@ def run_episode(
                 decision_ms = (time.perf_counter() - started) * 1000.0
                 decision = apply_benefit_threshold(decision, realized, post)
                 decision_label = decision.action.label
-                if decision.target_size != vms:
-                    pending = decision.target_size
+                if not decision.is_no_op:
+                    pending = vms + decision.action.signed_delta
             trace.records.append(
                 TickRecord(
                     tick=tick,

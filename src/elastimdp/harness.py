@@ -422,10 +422,11 @@ def parse_config(
                 fields[field] = convert(section, key, parse)
         return cls(**fields)
 
+    # The synthetic keys are checked whatever the source.
     source = get("dataset", "source")
-    seed = convert("dataset", "seed", int)
+    synthetic, seed = build("dataset"), convert("dataset", "seed", int)
     if source == "synthetic":
-        dataset = DatasetSpec(synthetic=build("dataset"), seed=seed)
+        dataset = DatasetSpec(synthetic=synthetic, seed=seed)
     elif source == "csv":
         if not get("dataset", "path"):
             raise ConfigurationError("dataset.source=csv requires dataset.path")

@@ -3,7 +3,10 @@
 A model is a small Markov decision process whose states describe cluster
 sizes (optionally split into behavior clusters), whose actions add or
 remove VMs or do nothing, and whose states each carry a reward, a utility
-function evaluated on logged behavior.  Three variants are supported:
+function evaluated on logged behavior.  A state (`MdpState`) is one scored
+behavior of one size, as `rewards.state_reward` makes it, and `build_model`
+takes the states of every size in the range.  Three variants are
+supported:
 
 * M1 -- one state per cluster size, actions bounded by the per-step
   add/remove limits.
@@ -48,8 +51,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigurationError, InstantiationError
 
@@ -196,15 +201,6 @@ class MdpState:
         return f"s{self.vms_num}{suffix}"
 
 
-@dataclass(frozen=True, slots=True)
-class BehaviorReward:
-    """Reward assignment for one behavior cluster of one size."""
-
-    reward: float
-    weight: float = 1.0
-    center: tuple[float, float] | None = None
-
-
 # One transition row: ((target key, probability), ...).
 TransitionRow = tuple[tuple[StateKey, float], ...]
 
@@ -299,30 +295,6 @@ class MdpModel:
         return _parse_dump(text)
 
 
-def _normalize_rewards(
-    config: ModelConfig,
-    rewards: Mapping[int, object],
-) -> dict[int, list[BehaviorReward]]:
-    """Coerce the per-size reward input into per-size behavior lists."""
-    out: dict[int, list[BehaviorReward]] = {}
-    for size in config.sizes:
-        if size not in rewards:
-            raise InstantiationError(f"no reward entry for size {size}")
-        entry = rewards[size]
-        if isinstance(entry, BehaviorReward):
-            behaviors = [entry]
-        elif isinstance(entry, (int, float)):
-            behaviors = [BehaviorReward(float(entry))]
-        else:
-            behaviors = list(entry)  # type: ignore[arg-type]
-            if not behaviors:
-                raise InstantiationError(f"empty reward list for size {size}")
-            if not all(isinstance(b, BehaviorReward) for b in behaviors):
-                raise InstantiationError(f"bad reward entry for size {size}")
-        out[size] = behaviors
-    return out
-
-
 def match_behavior(
     behaviors: Sequence[MdpState],
     observation: tuple[float, float] | None,
@@ -363,28 +335,26 @@ def match_behavior(
 
 def build_model(
     config: ModelConfig,
-    rewards: Mapping[int, object],
+    states: Iterable[MdpState],
     current: ClusterSize,
     current_behavior: tuple[float, float] | None = None,
 ) -> MdpModel:
     """Instantiate a decision model for the current cluster size.
 
-    `rewards` maps each size in the configured range to its reward: a bare
-    float (single behavior), a BehaviorReward, or a sequence of
-    BehaviorReward whose weights sum to 1.  `current_behavior` is the
-    latest (latency_ms, throughput) observation; `current_state` picks the
-    initial state with it.
+    `states` are the states of every size in the configured range, each
+    size's behaviors numbered from 0 with weights that sum to 1 (the
+    constructor checks them).  `current_behavior` is the latest
+    (latency_ms, throughput) observation; `current_state` picks the initial
+    state with it.
     """
-    by_size = {
-        size: [
-            MdpState(size, index, behavior.weight, behavior.center, behavior.reward)
-            for index, behavior in enumerate(behaviors)
-        ]
-        for size, behaviors in _normalize_rewards(config, rewards).items()
-    }
+    ordered = sorted(states, key=attrgetter("key"))
+    by_size = {size: list(group) for size, group in groupby(ordered, attrgetter("vms_num"))}
+    keyed = {state.key: state for state in ordered}
+    if len(keyed) < len(ordered):
+        raise InstantiationError("two states share a (size, behavior) key")
     return MdpModel(
         config=config,
-        states={state.key: state for states in by_size.values() for state in states},
+        states=keyed,
         initial=current_state(config, by_size, current, current_behavior),
     )
 
@@ -397,12 +367,14 @@ def current_state(
 ) -> MdpState:
     """The state a decision at size `current` starts from: the behavior of
     that size closest to `observation` (see `match_behavior`).  `by_size`
-    holds the states of every size in `config`'s range."""
+    holds each size's states in behavior order."""
     if not config.min_vms <= current <= config.max_vms:
         raise ConfigurationError(
             f"current size {current} outside [{config.min_vms}, {config.max_vms}]"
         )
-    states = by_size[current]
+    states = by_size.get(current)
+    if not states:
+        raise InstantiationError(f"no state of size {current}")
     return states[match_behavior(states, observation)]
 
 

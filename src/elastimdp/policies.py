@@ -11,6 +11,10 @@ Six policies are provided behind one `observe`/`decide` interface:
 * MDP3     -- multi-behavior model with all-target transitions; chosen
               actions are clipped back to the per-step limits.
 
+An MDP policy's model holds, for each size, the states `rewards.state_reward`
+scores from the logs at the effective load: one per behavior cluster (MDP2,
+MDP3) or its MB or EB summary (MDP_MB, MDP_EB).
+
 Post-processing: the incoming load can be smoothed over a sliding window
 before model instantiation, and a benefit threshold can veto actions whose
 expected relative utility gain is too small.
@@ -45,7 +49,7 @@ from .rewards import (
     state_reward,
     utility_eval,
 )
-from .solver import PolicyDecision, decide as solve_decide, reward_arrivals, tie_break_key
+from .solver import PolicyDecision, decide as solve_decide, pick, reward_arrivals
 
 
 class PolicyKind(str, Enum):
@@ -156,11 +160,7 @@ def re_decide(
         action = Action(ActionKind.REM, delta) if delta > 0 else NO_OP
     else:
         action = NO_OP
-    return PolicyDecision(
-        action=action,
-        expected_utility=None,
-        target_size=current + action.signed_delta,
-    )
+    return PolicyDecision(action=action, expected_utility=None)
 
 
 def rl_decide(
@@ -176,14 +176,8 @@ def rl_decide(
         key = (current, action.label)
         if key not in qtable.values:
             qtable.values[key] = mb_rewards[current + action.signed_delta]
-    best_q = max(qtable.get(current, a) for a in actions)
-    tied = [a for a in actions if best_q - qtable.get(current, a) <= 1e-12 * max(1.0, abs(best_q))]
-    action = min(tied, key=tie_break_key)
-    return PolicyDecision(
-        action=action,
-        expected_utility=qtable.get(current, action),
-        target_size=current + action.signed_delta,
-    )
+    _, action = pick([(qtable.get(current, a), a) for a in actions])
+    return PolicyDecision(action=action, expected_utility=qtable.get(current, action))
 
 
 def rl_update(
@@ -230,32 +224,6 @@ def cell_reward(
     return reward
 
 
-def _reward_inputs(
-    kind: PolicyKind,
-    store: LogStore,
-    load_effective: float,
-    model_config: ModelConfig,
-    utility: UtilityConfig,
-    clustering: ClusteringConfig,
-) -> tuple[dict[int, object], tuple[str, ...]]:
-    rewards: dict[int, object] = {}
-    notes: list[str] = []
-    for size in model_config.sizes:
-        selection = store.select_logs(size, load_effective)
-        sr = cell_reward(store, selection, clustering, utility, size)
-        if selection.interpolated:
-            notes.append(
-                f"size {size}: no logs at bucket, used {len(selection.records)}"
-                f" record(s) from vms={selection.vms_used}"
-                f" bucket={selection.bucket_center:.0f}"
-            )
-        if kind in (PolicyKind.MDP2, PolicyKind.MDP3):
-            rewards[size] = sr.per_cluster
-        else:
-            rewards[size] = sr.eb if kind is PolicyKind.MDP_EB else sr.mb
-    return rewards, tuple(notes)
-
-
 def _observation(measurement: MeasurementRecord | None) -> tuple[float, float] | None:
     if measurement is None:
         return None
@@ -272,19 +240,30 @@ def instantiate_model(
     utility: UtilityConfig,
     clustering: ClusteringConfig,
 ) -> tuple[MdpModel, tuple[str, ...]]:
-    """Build the model variant an MDP policy solves at one decision step."""
+    """Build the model variant an MDP policy solves at one decision step
+    from each size's scored states at `load_effective`, with a note for
+    each size whose logs came from another cell."""
     if kind not in MDP_KINDS:
         raise ConfigurationError(f"{kind.value} is not an MDP policy")
-    if kind is PolicyKind.MDP2:
-        config = dataclasses.replace(model_config, variant=Variant.M2, k=clustering.k)
-    elif kind is PolicyKind.MDP3:
-        config = dataclasses.replace(model_config, variant=Variant.M3, k=clustering.k)
-    else:
-        config = dataclasses.replace(model_config, variant=Variant.M1, k=1)
-    rewards, notes = _reward_inputs(
-        kind, store, load_effective, config, utility, clustering
-    )
-    return build_model(config, rewards, current, _observation(current_measurement)), notes
+    multi = kind in (PolicyKind.MDP2, PolicyKind.MDP3)
+    variant = Variant.M3 if kind is PolicyKind.MDP3 else Variant.M2 if multi else Variant.M1
+    config = dataclasses.replace(model_config, variant=variant, k=clustering.k if multi else 1)
+    states, notes = [], []
+    for size in config.sizes:
+        selection = store.select_logs(size, load_effective)
+        scored = cell_reward(store, selection, clustering, utility, size)
+        if selection.interpolated:
+            notes.append(
+                f"size {size}: no logs at bucket, used {len(selection.records)}"
+                f" record(s) from vms={selection.vms_used}"
+                f" bucket={selection.bucket_center:.0f}"
+            )
+        if multi:
+            states.extend(scored.per_cluster)
+        else:
+            states.append(scored.eb if kind is PolicyKind.MDP_EB else scored.mb)
+    model = build_model(config, states, current, _observation(current_measurement))
+    return model, tuple(notes)
 
 
 def mdp_decide(
@@ -350,11 +329,9 @@ def apply_benefit_threshold(
     """
     if config.benefit_threshold_pct == 0 or decision.is_no_op:
         return decision
-    current_size = decision.target_size - decision.action.signed_delta
     veto = dataclasses.replace(
         decision,
         action=NO_OP,
-        target_size=current_size,
         bounded=False,
         notes=decision.notes
         + (f"benefit below {config.benefit_threshold_pct:g}% threshold",),

@@ -6,10 +6,11 @@ is a scalar Lloyd's loop: a cell holds about a dozen records, too few for
 numpy calls to pay off, and the loop keeps numpy's summation order for
 each `dims` (see `cluster_behavior`), so it yields the array form's
 clusters bit for bit.  Scoring the clusters gives each center's utility
-and weight, which feed the multi-behavior model builder directly, and two
-one-state summaries of the same clusters: the biggest cluster's center
-(mode behaviour, MB) and the population-weighted average of the centers
-and their utilities (expected behaviour, EB).
+and weight.  A scored cluster is a model state (`MdpState`): the
+multi-behavior models take one per cluster, and the single-behavior
+models one of two summaries of the same clusters, the biggest cluster's
+center (mode behaviour, MB) or the population-weighted average of the
+centers and their utilities (expected behaviour, EB).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NoDataError
 from .logs import MeasurementRecord
-from .model import BehaviorReward
+from .model import MdpState
 
 
 @dataclass(frozen=True)
@@ -236,12 +237,12 @@ def utility_eval(
 
 @dataclass(frozen=True, slots=True)
 class StateReward:
-    """A size's scored behavior clusters: the M2 breakdown and its MB and
-    EB summaries, each a one-state behavior of weight 1."""
+    """A size's scored behavior clusters as model states: the M2 breakdown
+    and its MB and EB summaries, each a one-state behavior of weight 1."""
 
-    per_cluster: tuple[BehaviorReward, ...]
-    mb: BehaviorReward
-    eb: BehaviorReward
+    per_cluster: tuple[MdpState, ...]
+    mb: MdpState
+    eb: MdpState
 
 
 def state_reward(
@@ -249,13 +250,13 @@ def state_reward(
     utility: UtilityConfig,
     vms_num: int,
 ) -> StateReward:
-    """Rewards of a size from its behavior clusters.
+    """The model states of size `vms_num` that its behavior clusters make.
 
-    The per-cluster list carries each center's utility and weight for the
-    multi-behavior model builder.  MB is the heaviest cluster's reward and
-    center (weight ties resolved toward the lower-latency center); EB
-    averages every center's utility and the centers themselves by cluster
-    weight.
+    `per_cluster` holds one state per cluster, in cluster order, with the
+    center's utility as reward and the cluster's weight.  MB is the
+    heaviest cluster's reward and center (weight ties resolved toward the
+    lower-latency center); EB averages every center's utility and the
+    centers themselves by cluster weight.
     """
     if not clusters:
         raise NoDataError("state_reward needs at least one cluster")
@@ -264,19 +265,23 @@ def state_reward(
         raise ConfigurationError(f"cluster weights sum to {mass}, expected 1")
 
     per_cluster = tuple(
-        BehaviorReward(
-            reward=utility_eval(utility, c.latency_ms, c.throughput, vms_num),
-            weight=c.weight,
+        MdpState(
+            vms_num,
+            index,
+            c.weight,
             center=(c.latency_ms, c.throughput),
+            reward=utility_eval(utility, c.latency_ms, c.throughput, vms_num),
         )
-        for c in clusters
+        for index, c in enumerate(clusters)
     )
-    mode = min(per_cluster, key=lambda b: (-b.weight, b.center[0]))
-    expected = BehaviorReward(
-        reward=sum(b.reward * b.weight for b in per_cluster),
+    mode = min(per_cluster, key=lambda s: (-s.weight, s.center[0]))
+    mb = MdpState(vms_num, center=mode.center, reward=mode.reward)
+    eb = MdpState(
+        vms_num,
         center=(
-            sum(b.weight * b.center[0] for b in per_cluster),
-            sum(b.weight * b.center[1] for b in per_cluster),
+            sum(s.weight * s.center[0] for s in per_cluster),
+            sum(s.weight * s.center[1] for s in per_cluster),
         ),
+        reward=sum(s.reward * s.weight for s in per_cluster),
     )
-    return StateReward(per_cluster, BehaviorReward(mode.reward, 1.0, mode.center), expected)
+    return StateReward(per_cluster, mb, eb)

@@ -33,7 +33,6 @@ from .errors import SolverError
 from .model import (
     Action,
     ActionKind,
-    ClusterSize,
     MdpModel,
     MdpState,
     NO_OP,
@@ -65,7 +64,9 @@ def tie_break_key(action: Action) -> tuple[int, int, int]:
     )
 
 
-def _pick(candidates: list[tuple[float, Action]]) -> tuple[float, Action]:
+def pick(candidates: list[tuple[float, Action]]) -> tuple[float, Action]:
+    """The best value among `(value, action)` candidates, and the action
+    `tie_break_key` ranks first among those within `TIE_TOL` of it."""
     best = max(v for v, _ in candidates)
     tol = TIE_TOL * max(1.0, abs(best))
     tied = [a for v, a in candidates if best - v <= tol]
@@ -94,11 +95,11 @@ class ValueMap:
 
 @dataclass(frozen=True)
 class PolicyDecision:
-    """The action a policy settled on for the current step."""
+    """The action a policy settled on for the current step; it moves the
+    cluster by `action.signed_delta` VMs."""
 
     action: Action
     expected_utility: float | None
-    target_size: ClusterSize
     bounded: bool = False
     notes: tuple[str, ...] = ()
 
@@ -170,7 +171,7 @@ def max_expected_reward(model: MdpModel) -> ValueMap:
     for size, states in model.by_size.items():
         moves = _first_moves(model, size, arrivals)
         for state in states:
-            value, action = _pick([(state.reward, NO_OP)] + moves)
+            value, action = pick([(state.reward, NO_OP)] + moves)
             out[state.key] = StateValue(value, action)
     return ValueMap(out)
 
@@ -202,14 +203,9 @@ def decide(
     if arrivals is None:
         arrivals = reward_arrivals(model)
     moves = _first_moves(model, state.vms_num, arrivals)
-    value, first = _pick([(state.reward, NO_OP)] + moves)
+    value, first = pick([(state.reward, NO_OP)] + moves)
     action, bounded = clip_action(first, model.config)
-    return PolicyDecision(
-        action=action,
-        expected_utility=value,
-        target_size=state.vms_num + action.signed_delta,
-        bounded=bounded,
-    )
+    return PolicyDecision(action=action, expected_utility=value, bounded=bounded)
 
 
 @dataclass(frozen=True)
@@ -278,7 +274,7 @@ def brute_force_oracle(model: MdpModel) -> ValueMap:
                 for target, p in model.outcome_distribution(key, action)
             )
             candidates.append((expected, action))
-        value, action = _pick(candidates)
+        value, action = pick(candidates)
         out[key] = StateValue(value, action)
     return ValueMap(out)
 

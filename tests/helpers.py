@@ -14,7 +14,7 @@ class NoOpStub(Policy):
         super().__init__(PolicyKind.MDP_MB)
 
     def decide(self, current):
-        return PolicyDecision(action=NO_OP, expected_utility=0.0, target_size=current)
+        return PolicyDecision(action=NO_OP, expected_utility=0.0)
 
 
 class BoomStub(Policy):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from elastimdp.model import BehaviorReward, MdpModel, ModelConfig, Variant, build_model
+from elastimdp.model import MdpModel, MdpState, ModelConfig, Variant, build_model
 
 
 def random_instance(rng: np.random.Generator, max_span: int = 6, max_k: int = 3) -> MdpModel:
@@ -22,20 +22,24 @@ def random_instance(rng: np.random.Generator, max_span: int = 6, max_k: int = 3)
         variant=variant,
         k=k,
     )
-    rewards = {}
+    states = []
     for size in config.sizes:
         n = 1 if variant is Variant.M1 else int(rng.integers(1, k + 1))
         weights = rng.dirichlet(np.ones(n)) if n > 1 else np.array([1.0])
-        rewards[size] = [
-            BehaviorReward(
-                reward=float(rng.uniform(-1.0, 10.0)),
+        # reward before center: the draws keep the order the instances were
+        # first drawn in
+        states += [
+            MdpState(
+                size,
+                index,
                 weight=float(w),
+                reward=float(rng.uniform(-1.0, 10.0)),
                 center=(float(rng.uniform(5.0, 120.0)), float(rng.uniform(100.0, 50000.0))),
             )
-            for w in weights
+            for index, w in enumerate(weights)
         ]
     current = int(rng.integers(min_vms, max_vms + 1))
-    return build_model(config, rewards, current)
+    return build_model(config, states, current)
 
 
 def random_query_text(rng: np.random.Generator) -> str:

@@ -121,17 +121,15 @@ def parse_config(
             gamma=number("rl", "gamma"),
         )
         source = get("dataset", "source")
+        synthetic = SyntheticModelParams(
+            per_vm_capacity=number("dataset", "per_vm_capacity_reqs"),
+            base_latency_ms=number("dataset", "base_latency_ms"),
+            saturation_exponent=number("dataset", "saturation_exponent"),
+            noise_stddev_fraction=number("dataset", "noise_stddev_fraction"),
+            samples_per_point=int(get("dataset", "samples_per_point")),
+        )
         if source == "synthetic":
-            dataset = DatasetSpec(
-                synthetic=SyntheticModelParams(
-                    per_vm_capacity=number("dataset", "per_vm_capacity_reqs"),
-                    base_latency_ms=number("dataset", "base_latency_ms"),
-                    saturation_exponent=number("dataset", "saturation_exponent"),
-                    noise_stddev_fraction=number("dataset", "noise_stddev_fraction"),
-                    samples_per_point=int(get("dataset", "samples_per_point")),
-                ),
-                seed=int(get("dataset", "seed")),
-            )
+            dataset = DatasetSpec(synthetic=synthetic, seed=int(get("dataset", "seed")))
         elif source == "csv":
             path = get("dataset", "path")
             if not path:

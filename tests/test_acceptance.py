@@ -17,7 +17,7 @@ from elastimdp.harness import (
     parse_config,
     run_comparison,
 )
-from elastimdp.model import ActionKind, MdpModel, ModelConfig, build_model
+from elastimdp.model import ActionKind, MdpModel, MdpState, ModelConfig, build_model
 from elastimdp.policies import (
     MDP_KINDS,
     MdpPolicy,
@@ -55,7 +55,7 @@ def criterion(number: int, title: str):
 def reference_model():
     config = ModelConfig(min_vms=3, max_vms=7, add_limit=2, rem_limit=1)
     rewards = {3: 1.0, 4: 2.0, 5: 3.0, 6: 2.5, 7: 4.0}
-    return build_model(config, rewards, current=4)
+    return build_model(config, [MdpState(v, reward=r) for v, r in rewards.items()], current=4)
 
 
 def test_criterion_1_reference_model_reconstruction():
@@ -123,12 +123,10 @@ def test_criterion_3_reachability_matches_path_enumeration():
             assert abs(fast - slow) < 1e-9
             assert 0.0 <= fast <= 1.0
 
-        from elastimdp.model import BehaviorReward
-
         config = ModelConfig(3, 7, add_limit=2, rem_limit=1)
         annotated = build_model(
             config,
-            {v: BehaviorReward(float(v), 1.0, (20.0 + 2 * v, 1000.0 * v)) for v in config.sizes},
+            [MdpState(v, center=(20.0 + 2 * v, 1000.0 * v), reward=float(v)) for v in config.sizes],
             current=4,
         )
         query = parse_query("Pmax=? [ F latency<30 & vms_num=7 ]")

@@ -202,8 +202,8 @@ class TestTraceCsv:
             ScheduleConfig(horizon_ticks=25, emulation_noise_fraction=0.0), R1, rng_seed=1,
         )
         text = trace_to_csv(trace)
-        parsed = trace_from_csv(text, policy=trace.policy, seed=trace.seed)
-        assert parsed.records == trace.records
+        parsed = trace_from_csv(text, policy=trace.policy)
+        assert parsed == trace
 
     @pytest.mark.parametrize(
         "row, message",

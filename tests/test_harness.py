@@ -2,6 +2,7 @@ import configparser
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import re
@@ -47,12 +48,15 @@ from elastimdp.logs import (
     read_records_csv,
     write_records_csv,
 )
-from elastimdp.model import ModelConfig, build_model, BehaviorReward
+from elastimdp.model import MdpState, ModelConfig, build_model
 from elastimdp.policies import MDP_KINDS, PolicyKind
 from elastimdp.rewards import ClusteringConfig, UtilityConfig, UtilityKind, utility_eval
 
 import reference_config
 from helpers import BoomStub, decision_ticks, loads
+
+# sha256 of the dumps of the default 2-run comparison's 112 solved models
+DEFAULT_SOLVE_MEMO_SHA256 = "5ee5c7744a1e15cd3ea762b740d6777de0411fbd374b4f78efa33beb69ea773e"
 
 
 def tick(t, lat, utility=1.0, vms=4, decision=""):
@@ -193,6 +197,23 @@ class TestConfig:
     def test_csv_source_requires_path(self):
         with pytest.raises(ConfigurationError, match="dataset.path"):
             small_config(**{"dataset.source": "csv"})
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("dataset.samples_per_point", "x", "^bad config value: {key}: "),
+            ("dataset.samples_per_point", "zero", "^bad config value: {key}: "),
+            ("dataset.per_vm_capacity_reqs", "nan", "^bad config value: {key}: "),
+            ("dataset.samples_per_point", "0", "^samples_per_point must be >= 1$"),
+        ],
+    )
+    def test_csv_source_checks_the_synthetic_keys(self, key, value, message):
+        message = message.format(key=re.escape(key))
+        overrides = {"dataset.source": "csv", "dataset.path": "logs.csv", key: value}
+        with pytest.raises(ConfigurationError, match=message):
+            parse_config(default_config_ini(), overrides)
+        with pytest.raises(ConfigurationError):
+            reference_config.parse_config(default_config_ini(), overrides)
 
     @pytest.mark.parametrize(
         "key", ["dataset.seed", "experiment.base_seed", "clustering.seed"]
@@ -358,21 +379,29 @@ class TestComparison:
         # The episode enacts a decision's target as it is, so every
         # policy must keep its targets, raw and after the benefit
         # threshold, inside the model range.
-        targets = []
+        actions = []
         real = emulator.apply_benefit_threshold
 
         def recording(decision, realized, post):
             enacted = real(decision, realized, post)
-            targets.append((decision.target_size, enacted.target_size))
+            actions.append((decision.action, enacted.action))
             return enacted
 
         monkeypatch.setattr(emulator, "apply_benefit_threshold", recording)
         config = parse_config(default_config_ini(), overrides)
-        assert run_comparison(config).all_valid
+        result = run_comparison(config)
+        assert result.all_valid
+        # Cells run in trace order, so the n-th decision is the n-th
+        # decision tick of the traces.
+        decided = [r for trace in result.traces.values() for r in trace.records if r.decision]
+        assert [r.decision for r in decided] == [enacted.label for _, enacted in actions]
         decisions = len(decision_ticks(config.schedule))
-        assert len(targets) == len(config.policies) * config.runs * decisions
+        assert len(actions) == len(config.policies) * config.runs * decisions
         sizes = config.model.sizes
-        assert all(raw in sizes and enacted in sizes for raw, enacted in targets)
+        assert all(
+            r.vms + raw.signed_delta in sizes and r.vms + enacted.signed_delta in sizes
+            for r, (raw, enacted) in zip(decided, actions)
+        )
 
     @COMPARISON_CONFIGS
     def test_memo_decisions_match_a_fresh_solve(self, overrides, monkeypatch):
@@ -423,6 +452,25 @@ class TestComparison:
         assert Counter(key[0] for key in full.solve_memo) == {kind: 28 for kind in MDP_KINDS}
         # RE and RL solve no model; RL reads the reward memo only
         assert not re_and_rl.solve_memo and re_and_rl.reward_memo
+
+    def test_solve_memo_models_dump_byte_for_byte_as_recorded(self, monkeypatch):
+        # Differential: every model the default 2-run comparison builds
+        # and solves, pinned by the hash of its dumps in (policy, load
+        # bucket) order.
+        stores = []
+        real = harness.build_store
+
+        def kept(*args):
+            stores.append(real(*args))
+            return stores[-1]
+
+        monkeypatch.setattr(harness, "build_store", kept)
+        run_comparison(parse_config(default_config_ini(), {"experiment.runs": "2"}))
+        (store,) = stores
+        keys = sorted(store.solve_memo, key=lambda key: (key[0].value, key[-1]))
+        dumps = "".join(store.solve_memo[key][0].dump() for key in keys)
+        assert len(keys) == 112
+        assert hashlib.sha256(dumps.encode()).hexdigest() == DEFAULT_SOLVE_MEMO_SHA256
 
     def test_summary_mean_is_mean_of_run_means(self):
         result = run_comparison(small_config())
@@ -700,10 +748,8 @@ class TestCli:
 
     def test_query_on_model_dump(self, tmp_path, capsys):
         config = ModelConfig(4, 7, add_limit=2, rem_limit=1)
-        rewards = {
-            v: BehaviorReward(float(v), 1.0, (20.0 + v, 1000.0 * v)) for v in config.sizes
-        }
-        model = build_model(config, rewards, current=4)
+        states = [MdpState(v, center=(20.0 + v, 1000.0 * v), reward=float(v)) for v in config.sizes]
+        model = build_model(config, states, current=4)
         dump = tmp_path / "model.txt"
         dump.write_text(model.dump(), encoding="utf-8")
         code = self.run_cli(
@@ -717,7 +763,8 @@ class TestCli:
     def test_query_parse_error_exit_code(self, tmp_path):
         dump = tmp_path / "model.txt"
         config = ModelConfig(4, 5)
-        dump.write_text(build_model(config, {4: 1.0, 5: 1.0}, 4).dump(), encoding="utf-8")
+        model = build_model(config, [MdpState(4, reward=1.0), MdpState(5, reward=1.0)], 4)
+        dump.write_text(model.dump(), encoding="utf-8")
         assert self.run_cli("query", "Pmax=? [F vms=", "--model-dump", str(dump)) == 2
 
     def test_query_needs_exactly_one_source(self):
@@ -745,7 +792,7 @@ class TestCli:
 
     def test_validate_model_dump(self, tmp_path):
         config = ModelConfig(4, 6)
-        model = build_model(config, {v: 1.0 for v in config.sizes}, 4)
+        model = build_model(config, [MdpState(v, reward=1.0) for v in config.sizes], 4)
         dump = tmp_path / "model.txt"
         dump.write_text(model.dump(), encoding="utf-8")
         assert self.run_cli("validate", "--model-dump", str(dump)) == 0
@@ -753,7 +800,7 @@ class TestCli:
     def test_validate_broken_dump_fails(self, tmp_path, capsys):
         # A map that disagrees with the weights is refused where it is read.
         config = ModelConfig(4, 6)
-        model = build_model(config, {v: 1.0 for v in config.sizes}, 4)
+        model = build_model(config, [MdpState(v, reward=1.0) for v in config.sizes], 4)
         text = model.dump().replace("no_op s4 1.0", "no_op s4 0.7")
         dump = tmp_path / "model.txt"
         dump.write_text(text, encoding="utf-8")
@@ -773,7 +820,7 @@ class TestCli:
 
     def test_validate_malformed_dump_exit_code(self, tmp_path, capsys):
         config = ModelConfig(4, 6)
-        model = build_model(config, {v: 1.0 for v in config.sizes}, 4)
+        model = build_model(config, [MdpState(v, reward=1.0) for v in config.sizes], 4)
         dump = tmp_path / "model.txt"
         dump.write_text(model.dump().replace(" center=-", "", 1), encoding="utf-8")
         assert self.run_cli("validate", "--model-dump", str(dump)) == 2
@@ -898,7 +945,7 @@ def cli_inputs(tmp_path):
         f"[dataset]\nsource = csv\npath = {tmp_path / '50%data.csv'}\n", encoding="utf-8"
     )
     config = ModelConfig(4, 6)
-    text = build_model(config, {v: 1.0 for v in config.sizes}, 4).dump()
+    text = build_model(config, [MdpState(v, reward=1.0) for v in config.sizes], 4).dump()
     s5 = "state s5 vms=5 behavior=0 weight=1.0 reward=1.0 phase="
     phase = tmp_path / "phase.txt"
     phase.write_text(text.replace(f"{s5}decision", f"{s5}bogus"), encoding="utf-8")
@@ -1077,7 +1124,6 @@ def test_any_ini_text_parses_as_the_reference(text):
         {"re.step_size": "2", "re.lower_latency_ms": "20", "re.upper_latency_ms": "50"},
         {"load.load_min_reqs": "-5000"},
         {"load.load_min_reqs": "0"},
-        {"dataset.source": "csv", "dataset.path": "logs.csv", "dataset.samples_per_point": "x"},
         {"dataset.source": "csv", "dataset.seed": "x"},
         {"experiment.policies": " , "},
     ],

@@ -12,7 +12,6 @@ from elastimdp.errors import ConfigurationError, ElastimdpError, InstantiationEr
 from elastimdp.model import (
     Action,
     ActionKind,
-    BehaviorReward,
     MdpModel,
     MdpState,
     ModelConfig,
@@ -31,11 +30,19 @@ ADD = ActionKind.ADD
 REM = ActionKind.REM
 
 
-def chain_model(min_vms=3, max_vms=7, add_limit=2, rem_limit=1, rewards=None, current=4):
+def chain_model(min_vms=3, max_vms=7, add_limit=2, rem_limit=1, current=4):
     config = ModelConfig(min_vms, max_vms, add_limit, rem_limit)
-    if rewards is None:
-        rewards = {v: float(v) for v in config.sizes}
-    return build_model(config, rewards, current)
+    return build_model(config, [MdpState(v, reward=float(v)) for v in config.sizes], current)
+
+
+# A 3..5 M2 model whose size 4 has two behaviors.
+TWO_BEHAVIOR_CONFIG = ModelConfig(3, 5, add_limit=2, rem_limit=1, variant=Variant.M2, k=2)
+TWO_BEHAVIOR_STATES = (
+    MdpState(3, reward=1.0),
+    MdpState(4, 0, 0.6, reward=2.0),
+    MdpState(4, 1, 0.4, reward=3.0),
+    MdpState(5, reward=4.0),
+)
 
 
 def edited_dump(model, old, new):
@@ -98,27 +105,19 @@ class TestSingleBehaviorModel:
 class TestMultiBehaviorModel:
     def weights_model(self, add_limit=1):
         config = ModelConfig(3, 4, add_limit=add_limit, rem_limit=1, variant=Variant.M2, k=2)
-        rewards = {
-            3: [BehaviorReward(6.0, 1.0, (20.0, 900.0))],
-            4: [
-                BehaviorReward(10.0, 0.7, (25.0, 1100.0)),
-                BehaviorReward(0.0, 0.3, (90.0, 300.0)),
-            ],
-        }
-        return build_model(config, rewards, current=3)
+        states = [
+            MdpState(3, 0, 1.0, (20.0, 900.0), reward=6.0),
+            MdpState(4, 0, 0.7, (25.0, 1100.0), reward=10.0),
+            MdpState(4, 1, 0.3, (90.0, 300.0), reward=0.0),
+        ]
+        return build_model(config, states, current=3)
 
     def test_outcomes_follow_target_weights(self):
         model = self.weights_model()
         assert model.transitions[((3, 0), Action(ADD, 1))] == (((4, 0), 0.7), ((4, 1), 0.3))
 
     def test_transition_probability_is_share_times_weight(self):
-        config = ModelConfig(3, 5, add_limit=2, rem_limit=1, variant=Variant.M2, k=2)
-        rewards = {
-            3: [BehaviorReward(1.0, 1.0)],
-            4: [BehaviorReward(2.0, 0.6), BehaviorReward(3.0, 0.4)],
-            5: [BehaviorReward(4.0, 1.0)],
-        }
-        model = build_model(config, rewards, current=3)
+        model = build_model(TWO_BEHAVIOR_CONFIG, TWO_BEHAVIOR_STATES, current=3)
         # Two adds from s3 split the type mass; each entry is share * weight.
         assert model.transitions[((3, 0), Action(ADD, 1))] == (
             ((4, 0), 0.5 * 0.6),
@@ -135,31 +134,27 @@ class TestMultiBehaviorModel:
 
     def test_initial_state_matches_observation(self):
         config = ModelConfig(4, 5, add_limit=1, rem_limit=1, variant=Variant.M2, k=2)
-        rewards = {
-            4: [
-                BehaviorReward(5.0, 0.5, (20.0, 1000.0)),
-                BehaviorReward(1.0, 0.5, (90.0, 200.0)),
-            ],
-            5: [BehaviorReward(2.0, 1.0, (30.0, 1500.0))],
-        }
-        near_slow = build_model(config, rewards, 4, current_behavior=(85.0, 250.0))
+        states = [
+            MdpState(4, 0, 0.5, (20.0, 1000.0), reward=5.0),
+            MdpState(4, 1, 0.5, (90.0, 200.0), reward=1.0),
+            MdpState(5, 0, 1.0, (30.0, 1500.0), reward=2.0),
+        ]
+        near_slow = build_model(config, states, 4, current_behavior=(85.0, 250.0))
         assert near_slow.initial.key == (4, 1)
-        near_fast = build_model(config, rewards, 4, current_behavior=(22.0, 950.0))
+        near_fast = build_model(config, states, 4, current_behavior=(22.0, 950.0))
         assert near_fast.initial.key == (4, 0)
 
     def test_initial_defaults_to_heaviest_cluster(self):
         config = ModelConfig(4, 4, variant=Variant.M2, k=2)
-        rewards = {
-            4: [BehaviorReward(1.0, 0.2), BehaviorReward(2.0, 0.8)],
-        }
-        model = build_model(config, rewards, 4)
+        states = [MdpState(4, 0, 0.2, reward=1.0), MdpState(4, 1, 0.8, reward=2.0)]
+        model = build_model(config, states, 4)
         assert model.initial.key == (4, 1)
 
 
 class TestAllTargetsModel:
     def test_equal_probability_per_target(self):
         config = ModelConfig(3, 7, add_limit=2, rem_limit=1, variant=Variant.M3)
-        model = build_model(config, {v: float(v) for v in config.sizes}, current=4)
+        model = build_model(config, [MdpState(v, reward=float(v)) for v in config.sizes], current=4)
         add = type_distribution(model, (4, 0), ADD)
         assert add == pytest.approx({(5, 0): 1 / 3, (6, 0): 1 / 3, (7, 0): 1 / 3})
         assert type_distribution(model, (4, 0), REM) == {(3, 0): 1.0}
@@ -169,7 +164,7 @@ class TestAllTargetsModel:
 
     def test_action_counts(self):
         config = ModelConfig(3, 7, add_limit=2, rem_limit=1, variant=Variant.M3)
-        model = build_model(config, {v: float(v) for v in config.sizes}, current=4)
+        model = build_model(config, [MdpState(v, reward=float(v)) for v in config.sizes], current=4)
         for size in config.sizes:
             actions = model.actions_from((size, 0))
             adds = sum(1 for a in actions if a.kind is ADD)
@@ -184,32 +179,48 @@ class TestBuildErrors:
     def test_current_out_of_range(self):
         config = ModelConfig(3, 7)
         with pytest.raises(ConfigurationError):
-            build_model(config, {v: 1.0 for v in config.sizes}, current=8)
+            build_model(config, [MdpState(v) for v in config.sizes], current=8)
 
-    def test_missing_reward_entry(self):
+    @pytest.mark.parametrize("missing, current", [(5, 4), (4, 4), (3, 7), (7, 3)])
+    def test_a_size_without_states_is_refused(self, missing, current):
         config = ModelConfig(3, 7)
-        rewards = {v: 1.0 for v in config.sizes}
-        del rewards[5]
-        with pytest.raises(InstantiationError, match="size 5"):
-            build_model(config, rewards, current=4)
+        states = [MdpState(v) for v in config.sizes if v != missing]
+        with pytest.raises(InstantiationError, match=f"^no state of size {missing}$"):
+            build_model(config, states, current)
+
+    def test_states_outside_the_range_are_refused(self):
+        config = ModelConfig(3, 4)
+        states = [MdpState(3), MdpState(4), MdpState(5)]
+        with pytest.raises(InstantiationError, match=r"^state s5 size outside \[3, 4\]$"):
+            build_model(config, states, current=3)
+
+    def test_a_key_given_twice_is_refused(self):
+        config = ModelConfig(3, 4, variant=Variant.M2, k=2)
+        states = [MdpState(3), MdpState(4, 0, 0.5), MdpState(4, 0, 0.5)]
+        with pytest.raises(InstantiationError, match="share a"):
+            build_model(config, states, current=3)
+
+    def test_state_order_does_not_matter(self):
+        # Equal weights tie; the tie goes to the lower behavior index, not
+        # to the state listed first.
+        config = ModelConfig(3, 4, variant=Variant.M2, k=2)
+        states = [MdpState(3), MdpState(4, 0, 0.5, reward=1.0), MdpState(4, 1, 0.5, reward=2.0)]
+        built = build_model(config, states, current=4)
+        assert built.initial.key == (4, 0)
+        reversed_ = build_model(config, states[::-1], current=4)
+        assert reversed_ == built and reversed_.dump() == built.dump()
 
     def test_weights_must_sum_to_one(self):
         config = ModelConfig(3, 4, variant=Variant.M2, k=2)
-        rewards = {
-            3: [BehaviorReward(1.0, 1.0)],
-            4: [BehaviorReward(1.0, 0.5), BehaviorReward(2.0, 0.4)],
-        }
+        states = [MdpState(3), MdpState(4, 0, 0.5), MdpState(4, 1, 0.4)]
         with pytest.raises(InstantiationError, match="sum to 0.9"):
-            build_model(config, rewards, current=3)
+            build_model(config, states, current=3)
 
     def test_m1_rejects_multiple_behaviors(self):
         config = ModelConfig(3, 4)
-        rewards = {
-            3: [BehaviorReward(1.0, 0.5), BehaviorReward(2.0, 0.5)],
-            4: [BehaviorReward(1.0, 1.0)],
-        }
+        states = [MdpState(3, 0, 0.5), MdpState(3, 1, 0.5), MdpState(4)]
         with pytest.raises(InstantiationError):
-            build_model(config, rewards, current=3)
+            build_model(config, states, current=3)
 
     def test_bad_range_config(self):
         with pytest.raises(ConfigurationError):
@@ -221,18 +232,17 @@ class TestBuildErrors:
     @pytest.mark.parametrize(
         "entry",
         [
-            lambda bad: bad,
-            lambda bad: BehaviorReward(bad),
-            lambda bad: [BehaviorReward(1.0, 0.5), BehaviorReward(bad, 0.5)],
+            lambda bad: [MdpState(5, reward=bad)],
+            lambda bad: [MdpState(5, 0, 0.5, reward=bad), MdpState(5, 1, 0.5)],
+            lambda bad: [MdpState(5, 0, 0.5), MdpState(5, 1, 0.5, reward=bad)],
         ],
-        ids=["float", "behavior", "behavior-list"],
+        ids=["one-state", "first-behavior", "second-behavior"],
     )
     def test_non_finite_reward_names_its_size(self, entry, bad):
         config = ModelConfig(3, 6, variant=Variant.M2, k=2)
-        rewards = {v: 1.0 for v in config.sizes}
-        rewards[5] = entry(bad)
+        states = [MdpState(v, reward=1.0) for v in config.sizes if v != 5] + entry(bad)
         with pytest.raises(InstantiationError, match="non-finite reward at size 5"):
-            build_model(config, rewards, current=4)
+            build_model(config, states, current=4)
 
 
 class TestAction:
@@ -358,16 +368,14 @@ class TestValidation:
 
     def test_negative_weights_are_refused(self):
         config = ModelConfig(3, 4, variant=Variant.M2, k=2)
-        rewards = {3: 1.0, 4: [BehaviorReward(1.0, 1.5), BehaviorReward(2.0, -0.5)]}
+        states = [MdpState(3), MdpState(4, 0, 1.5), MdpState(4, 1, -0.5)]
         with pytest.raises(
             InstantiationError, match=r"^behavior weight 1.5 of state s4a outside \[0, 1\]$"
         ):
-            build_model(config, rewards, current=3)
+            build_model(config, states, current=3)
 
     def two_behavior_model(self):
-        config = ModelConfig(3, 5, add_limit=2, rem_limit=1, variant=Variant.M2, k=2)
-        rewards = {3: 1.0, 4: [BehaviorReward(2.0, 0.6), BehaviorReward(3.0, 0.4)], 5: 4.0}
-        return build_model(config, rewards, current=3)
+        return build_model(TWO_BEHAVIOR_CONFIG, TWO_BEHAVIOR_STATES, current=3)
 
     def test_m1_edited_dump_is_refused(self):
         text = edited_dump(self.two_behavior_model(), "variant=M2 k=2", "variant=M1 k=1")
@@ -400,12 +408,13 @@ class TestDump:
 
     def test_round_trip_multi_behavior(self):
         config = ModelConfig(3, 5, add_limit=2, rem_limit=2, variant=Variant.M2, k=2)
-        rewards = {
-            3: [BehaviorReward(1.0, 1.0, (10.0, 500.0))],
-            4: [BehaviorReward(2.0, 1 / 3, (20.0, 600.0)), BehaviorReward(3.0, 2 / 3)],
-            5: [BehaviorReward(4.0, 1.0)],
-        }
-        model = build_model(config, rewards, current=4)
+        states = [
+            MdpState(3, 0, 1.0, (10.0, 500.0), reward=1.0),
+            MdpState(4, 0, 1 / 3, (20.0, 600.0), reward=2.0),
+            MdpState(4, 1, 2 / 3, reward=3.0),
+            MdpState(5, reward=4.0),
+        ]
+        model = build_model(config, states, current=4)
         assert MdpModel.loads(model.dump()).dump() == model.dump()
 
     def test_rebuild_is_deterministic(self):
@@ -455,7 +464,7 @@ class TestDump:
 
 
 @st.composite
-def config_and_rewards(draw):
+def config_and_states(draw):
     min_vms = draw(st.integers(min_value=1, max_value=6))
     span = draw(st.integers(min_value=0, max_value=13))
     variant = draw(st.sampled_from(list(Variant)))
@@ -468,17 +477,17 @@ def config_and_rewards(draw):
         variant=variant,
         k=k,
     )
-    rewards = {}
+    states = []
     for size in config.sizes:
         n = 1 if variant is Variant.M1 else draw(st.integers(min_value=1, max_value=k))
         raw = [draw(st.integers(min_value=1, max_value=9)) for _ in range(n)]
         total = sum(raw)
-        rewards[size] = [
-            BehaviorReward(
-                reward=draw(
-                    st.floats(min_value=-1, max_value=10, allow_nan=False)
-                ),
+        states += [
+            MdpState(
+                size,
+                index,
                 weight=w / total,
+                reward=draw(st.floats(min_value=-1, max_value=10, allow_nan=False)),
                 center=draw(
                     st.none()
                     | st.tuples(
@@ -487,18 +496,18 @@ def config_and_rewards(draw):
                     )
                 ),
             )
-            for w in raw
+            for index, w in enumerate(raw)
         ]
     current = draw(st.integers(min_value=config.min_vms, max_value=config.max_vms))
-    return config, rewards, current
+    return config, states, current
 
 
 class TestProperties:
     @settings(max_examples=60, deadline=None)
-    @given(config_and_rewards())
+    @given(config_and_states())
     def test_type_mass_sums_to_one(self, instance):
-        config, rewards, current = instance
-        model = build_model(config, rewards, current)
+        config, states, current = instance
+        model = build_model(config, states, current)
         for key in model.states:
             for kind in (ADD, REM):
                 dist = type_distribution(model, key, kind)
@@ -507,21 +516,20 @@ class TestProperties:
         assert validate_model(model).ok
 
     @settings(max_examples=60, deadline=None)
-    @given(config_and_rewards())
+    @given(config_and_states())
     def test_state_counts(self, instance):
-        config, rewards, current = instance
-        model = build_model(config, rewards, current)
-        expected = sum(len(rewards[size]) for size in config.sizes)
-        assert len(model.states) == expected
+        config, states, current = instance
+        model = build_model(config, states, current)
+        assert sorted(model.states.values(), key=lambda s: s.key) == states
         if config.variant is Variant.M1:
             assert len(model.states) == config.max_vms - config.min_vms + 1
 
     @settings(max_examples=30, deadline=None)
-    @given(config_and_rewards())
+    @given(config_and_states())
     def test_deterministic_rebuild(self, instance):
-        config, rewards, current = instance
-        assert build_model(config, rewards, current).dump() == build_model(
-            config, rewards, current
+        config, states, current = instance
+        assert build_model(config, states, current).dump() == build_model(
+            config, states, current
         ).dump()
 
 
@@ -555,10 +563,10 @@ class TestImpliedMap:
     dumping and loading never build the map."""
 
     @settings(max_examples=60, deadline=None)
-    @given(config_and_rewards())
+    @given(config_and_states())
     def test_built_map_equals_the_implied_map(self, instance):
-        config, rewards, current = instance
-        model = build_model(config, rewards, current)
+        config, states, current = instance
+        model = build_model(config, states, current)
         implied = implied_transitions(config, model.by_size)
         assert model.transitions == implied
         assert implied == model.transitions
@@ -571,13 +579,13 @@ class TestImpliedMap:
         assert validate_model(model).ok
 
     @settings(max_examples=30, deadline=None)
-    @given(config_and_rewards())
+    @given(config_and_states())
     def test_dump_order_matches_a_scan_per_state(self, instance):
         # Differential: the `trans` lines rendered once per size's rows
         # against a scan of the explicit map, states in key order and each
         # state's actions by sort key.
-        config, rewards, current = instance
-        model = build_model(config, rewards, current)
+        config, states, current = instance
+        model = build_model(config, states, current)
         labels = {key: state.label for key, state in model.states.items()}
         expected = [
             f"trans {labels[key]} {action.label} {labels[target]} {p!r}"
@@ -599,14 +607,12 @@ class TestImpliedMap:
         )
         config = ModelConfig(3, 7, add_limit=2, rem_limit=1, variant=variant, k=k)
         weights = (1.0,) if k == 1 else (0.25, 0.75)
-        rewards = {
-            v: [
-                BehaviorReward(float(v * (i + 1)), w, (20.0 + i, 100.0 * v))
-                for i, w in enumerate(weights)
-            ]
+        states = [
+            MdpState(v, i, w, (20.0 + i, 100.0 * v), reward=float(v * (i + 1)))
             for v in config.sizes
-        }
-        model = build_model(config, rewards, current=4)
+            for i, w in enumerate(weights)
+        ]
+        model = build_model(config, states, current=4)
         decide(model)
         reachability_probability(model, parse_query("Pmax=? [ F vms_num=6 ]"))
         # dumping, loading and validating read no map
@@ -631,7 +637,7 @@ class TestImpliedMap:
                 del built.transitions[((4, 0), NO_OP)]  # type: ignore[attr-defined]
 
     @settings(max_examples=60, deadline=None)
-    @given(config_and_rewards())
+    @given(config_and_states())
     def test_checked_models_pass_the_map_oracle(self, instance):
         # Differential: the constructor's checks against the map-walking
         # oracle, on built and on round-tripped models; dumping, loading
@@ -669,13 +675,7 @@ class TestImpliedMap:
         assert map_violations(model) == []
 
     def test_hand_edited_map_still_fails_validation(self):
-        config = ModelConfig(3, 5, add_limit=2, rem_limit=1, variant=Variant.M2, k=2)
-        rewards = {
-            3: [BehaviorReward(1.0, 1.0)],
-            4: [BehaviorReward(2.0, 0.6), BehaviorReward(3.0, 0.4)],
-            5: [BehaviorReward(4.0, 1.0)],
-        }
-        model = build_model(config, rewards, current=3)
+        model = build_model(TWO_BEHAVIOR_CONFIG, TWO_BEHAVIOR_STATES, current=3)
         # Same type mass, but the outcome ignores the target weights.
         text = edited_dump(
             model,
@@ -693,13 +693,7 @@ class TestImpliedMap:
             assert copied.transitions == first and copied.transitions is not first
 
     def test_map_follows_replaced_states(self):
-        config = ModelConfig(3, 5, add_limit=2, rem_limit=1, variant=Variant.M2, k=2)
-        rewards = {
-            3: [BehaviorReward(1.0, 1.0)],
-            4: [BehaviorReward(2.0, 0.6), BehaviorReward(3.0, 0.4)],
-            5: [BehaviorReward(4.0, 1.0)],
-        }
-        model = build_model(config, rewards, current=3)
+        model = build_model(TWO_BEHAVIOR_CONFIG, TWO_BEHAVIOR_STATES, current=3)
         assert model.transitions[((3, 0), Action(ADD, 1))] == (((4, 0), 0.3), ((4, 1), 0.2))
         states = dict(model.states)
         states[(4, 0)] = dataclasses.replace(states[(4, 0)], weight=0.25)
@@ -748,8 +742,8 @@ EDIT_TOKENS = ("bogus", "", "-1", "0", "0.5", "2", "nan", "1e308", "3000000", "s
 def edited_dumps(draw):
     """A real dump with one to three random line edits: delete a line,
     duplicate it, or replace one of its words or `key=value` values."""
-    config, rewards, current = draw(config_and_rewards())
-    text = build_model(config, rewards, current).dump()
+    config, states, current = draw(config_and_states())
+    text = build_model(config, states, current).dump()
     pool = EDIT_TOKENS + tuple(dump_tokens(text))
     lines = text.splitlines()
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
@@ -813,7 +807,8 @@ class TestDumpBoundary:
             lines.append("trans s7 add_1 s7 1.0")
         elif case == "3M sizes":
             config = ModelConfig(1, 3, variant=Variant.M3)
-            lines = build_model(config, {1: 1.0, 2: 1.0, 3: 1.0}, 1).dump().splitlines()
+            states = [MdpState(v, reward=1.0) for v in config.sizes]
+            lines = build_model(config, states, 1).dump().splitlines()
             lines[1] = lines[1].replace("max_vms=3", "max_vms=3000000")
         else:
             lines = [

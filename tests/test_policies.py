@@ -14,7 +14,6 @@ from elastimdp.logs import LogStore, MeasurementRecord
 from elastimdp.model import (
     Action,
     ActionKind,
-    BehaviorReward,
     ModelConfig,
     NO_OP,
     build_model,
@@ -47,7 +46,7 @@ from elastimdp.rewards import (
     cluster_behavior,
     state_reward,
 )
-from elastimdp.solver import PolicyDecision
+from elastimdp.solver import TIE_TOL, PolicyDecision
 
 ADD = ActionKind.ADD
 REM = ActionKind.REM
@@ -72,7 +71,6 @@ class TestReactive:
     def test_upper_violation_adds(self):
         decision = re_decide(REConfig(60.0), 70.0, 5, LIMITS)
         assert decision.action == Action(ADD, 3)
-        assert decision.target_size == 8
         assert decision.expected_utility is None
 
     def test_below_lower_removes(self):
@@ -111,6 +109,17 @@ class TestQLearning:
         decision = rl_decide(qtable, 5, mb, LIMITS)
         assert decision.action == NO_OP
         assert decision.expected_utility == 7.5
+
+    def test_values_within_the_solver_tolerance_tie(self):
+        # rl_decide picks by the solver's rule: values within TIE_TOL of
+        # the best tie, and the tie goes to no_op.
+        qtable = QTable()
+        qtable.values[(5, "add_1")] = 7.5 * (1 + TIE_TOL / 2)
+        decision = rl_decide(qtable, 5, {size: 7.5 for size in range(3, 11)}, LIMITS)
+        assert decision.action == NO_OP
+        assert decision.expected_utility == 7.5
+        qtable.values[(5, "add_1")] = 7.5 * (1 + 2 * TIE_TOL)
+        assert rl_decide(qtable, 5, {}, LIMITS).action == Action(ADD, 1)
 
     def test_warm_start_from_mb_estimates(self):
         qtable = QTable()
@@ -162,7 +171,6 @@ class TestMdpDecide:
         )
         assert decision.action == Action(ADD, 3)
         assert decision.bounded
-        assert decision.target_size == 8
 
     def test_interpolation_noted(self):
         per_size = {v: (30.0, 8000.0) for v in LIMITS.sizes if v != 7}
@@ -195,20 +203,18 @@ class TestMdpDecide:
                 assert abs(decision.action.delta) <= (
                     LIMITS.add_limit if decision.action.kind is ADD else LIMITS.rem_limit
                 )
-                assert LIMITS.min_vms <= decision.target_size <= LIMITS.max_vms
+                assert current + decision.action.signed_delta in LIMITS.sizes
 
 
 class TestPostProcessing:
     def decision(self, expected, delta=1):
-        return PolicyDecision(
-            action=Action(ADD, delta), expected_utility=expected, target_size=5 + delta
-        )
+        return PolicyDecision(action=Action(ADD, delta), expected_utility=expected)
 
     def test_small_gain_vetoed(self):
         post = PostProcessConfig(benefit_threshold_pct=5.0)
         result = apply_benefit_threshold(self.decision(104.0), 100.0, post)
         assert result.action == NO_OP
-        assert result.target_size == 5
+        assert not result.bounded and result.notes == ("benefit below 5% threshold",)
 
     def test_sufficient_gain_kept(self):
         post = PostProcessConfig(benefit_threshold_pct=5.0)
@@ -231,19 +237,18 @@ class TestPostProcessing:
 
     def test_unquantified_expectation_is_vetoed(self):
         post = PostProcessConfig(benefit_threshold_pct=5.0)
-        reactive = PolicyDecision(action=Action(ADD, 2), expected_utility=None, target_size=7)
+        reactive = PolicyDecision(action=Action(ADD, 2), expected_utility=None)
         assert apply_benefit_threshold(reactive, 100.0, post).action == NO_OP
 
     def test_no_op_passes_through(self):
         post = PostProcessConfig(benefit_threshold_pct=5.0)
-        noop = PolicyDecision(action=NO_OP, expected_utility=1.0, target_size=5)
+        noop = PolicyDecision(action=NO_OP, expected_utility=1.0)
         assert apply_benefit_threshold(noop, 100.0, post) == noop
 
     def test_infinite_threshold_vetoes_every_action(self):
         post = PostProcessConfig(benefit_threshold_pct=float("inf"))
         for expected in (1e9, 0.5, -1.0, None):
-            decision = PolicyDecision(action=Action(ADD, 1), expected_utility=expected,
-                                      target_size=6)
+            decision = PolicyDecision(action=Action(ADD, 1), expected_utility=expected)
             assert apply_benefit_threshold(decision, 1.0, post).action == NO_OP
 
 
@@ -290,8 +295,9 @@ class TestPolicyObjects:
         key = (5, first.action.label)
         # the first decision only warm-starts Q(5, action) from the mb estimate
         assert policy.qtable.values[key] == first.expected_utility == 8.0
-        policy.observe(MeasurementRecord(1, first.target_size, 10000.0, 30.0, 40.0))
-        policy.decide(first.target_size)
+        enacted = 5 + first.action.signed_delta
+        policy.observe(MeasurementRecord(1, enacted, 10000.0, 30.0, 40.0))
+        policy.decide(enacted)
         # the second moves it halfway (alpha 0.5) to the realized 40 / 8 VMs
         assert policy.qtable.values[key] == 8.0 + 0.5 * (40.0 / 8 - 8.0)
 
@@ -474,14 +480,11 @@ class TestSolveMemo:
         (store,) = stores
         checked, off_heaviest = 0, 0
         for key, (model, _, _) in store.solve_memo.items():
-            rewards = {
-                size: [BehaviorReward(s.reward, s.weight, s.center) for s in states]
-                for size, states in model.by_size.items()
-            }
+            states = model.ordered_states()
             for observation in seen[key[0], key[-1]]:
                 for size in model.config.sizes:
                     picked = current_state(model.config, model.by_size, size, observation)
-                    assert picked == build_model(model.config, rewards, size, observation).initial
+                    assert picked == build_model(model.config, states, size, observation).initial
                     heaviest = max(model.by_size[size], key=lambda s: (s.weight, -s.behavior_index))
                     checked += 1
                     off_heaviest += picked != heaviest

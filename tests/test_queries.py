@@ -5,20 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastimdp.errors import ElastimdpError, QueryEvaluationError, QueryParseError
-from elastimdp.model import BehaviorReward, MdpState, ModelConfig, Variant, build_model
+from elastimdp.model import MdpState, ModelConfig, Variant, build_model
 from elastimdp.queries import _tokenize, parse_predicate, parse_query
 from elastimdp.solver import reachability_probability
 
 
 def annotated_chain():
     config = ModelConfig(4, 7, add_limit=1, rem_limit=1)
-    rewards = {
-        4: BehaviorReward(1.0, 1.0, (55.0, 16000.0)),
-        5: BehaviorReward(1.0, 1.0, (40.0, 20000.0)),
-        6: BehaviorReward(1.0, 1.0, (33.0, 24000.0)),
-        7: BehaviorReward(1.0, 1.0, (25.0, 28000.0)),
-    }
-    return build_model(config, rewards, current=4)
+    states = [
+        MdpState(4, center=(55.0, 16000.0), reward=1.0),
+        MdpState(5, center=(40.0, 20000.0), reward=1.0),
+        MdpState(6, center=(33.0, 24000.0), reward=1.0),
+        MdpState(7, center=(25.0, 28000.0), reward=1.0),
+    ]
+    return build_model(config, states, current=4)
 
 
 class TestParsing:
@@ -134,20 +134,18 @@ class TestEvaluation:
 
     def test_branch_probability(self):
         config = ModelConfig(3, 4, add_limit=1, rem_limit=1, variant=Variant.M2, k=2)
-        rewards = {
-            3: [BehaviorReward(1.0, 1.0, (50.0, 500.0))],
-            4: [
-                BehaviorReward(1.0, 0.7, (25.0, 900.0)),
-                BehaviorReward(1.0, 0.3, (80.0, 100.0)),
-            ],
-        }
-        model = build_model(config, rewards, current=3)
+        states = [
+            MdpState(3, 0, 1.0, (50.0, 500.0), reward=1.0),
+            MdpState(4, 0, 0.7, (25.0, 900.0), reward=1.0),
+            MdpState(4, 1, 0.3, (80.0, 100.0), reward=1.0),
+        ]
+        model = build_model(config, states, current=3)
         query = parse_query("Pmax=? [ F latency<30 ]")
         assert reachability_probability(model, query) == pytest.approx(0.7, abs=1e-12)
 
     def test_metric_predicate_needs_centers(self):
         config = ModelConfig(4, 5)
-        model = build_model(config, {4: 1.0, 5: 2.0}, current=4)
+        model = build_model(config, [MdpState(4, reward=1.0), MdpState(5, reward=2.0)], current=4)
         query = parse_query("Pmax=? [ F latency<30 ]")
         with pytest.raises(QueryEvaluationError):
             reachability_probability(model, query)

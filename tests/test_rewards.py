@@ -13,7 +13,7 @@ import reference_kmeans
 from elastimdp.errors import ConfigurationError, NoDataError
 from elastimdp.harness import build_store, default_config_ini, load_dataset, parse_config
 from elastimdp.logs import MeasurementRecord
-from elastimdp.model import BehaviorReward
+from elastimdp.model import MdpState, ModelConfig, Variant, build_model
 from elastimdp.rewards import (
     ClusterSummary,
     ClusteringConfig,
@@ -245,18 +245,18 @@ class TestStateReward:
 
     def test_mode_behaviour(self):
         result = state_reward(self.clusters(), R1, 4)
-        assert result.mb == BehaviorReward(250.0, 1.0, (50.0, 1000.0))
+        assert result.mb == MdpState(4, center=(50.0, 1000.0), reward=250.0)
 
     def test_expected_behaviour(self):
         result = state_reward(self.clusters(), R1, 4)
         assert result.eb.reward == pytest.approx(0.75 * 250.0 + 0.25 * -1.0)
         # 0.75 * (50, 1000) + 0.25 * (70, 2000); every term is exact
-        assert result.eb == BehaviorReward(187.25, 1.0, (55.0, 1250.0))
+        assert result.eb == MdpState(4, center=(55.0, 1250.0), reward=187.25)
 
     def test_single_cluster_summaries_agree(self):
         single = [ClusterSummary((40.0, 1200.0), 1.0)]
         result = state_reward(single, R1, 4)
-        assert result.mb == result.eb == BehaviorReward(300.0, 1.0, (40.0, 1200.0))
+        assert result.mb == result.eb == MdpState(4, center=(40.0, 1200.0), reward=300.0)
 
     def test_all_violating(self):
         violating = [
@@ -273,13 +273,34 @@ class TestStateReward:
         ]
         result = state_reward(tied, R1, 4)
         # the 30 ms center wins the tie
-        assert result.mb == BehaviorReward(250.0, 1.0, (30.0, 1000.0))
+        assert result.mb == MdpState(4, center=(30.0, 1000.0), reward=250.0)
 
     def test_per_cluster_breakdown_for_model_building(self):
         result = state_reward(self.clusters(), R1, 4)
         assert [b.weight for b in result.per_cluster] == [0.75, 0.25]
         assert [b.reward for b in result.per_cluster] == [250.0, -1.0]
         assert result.per_cluster[0].center == (50.0, 1000.0)
+
+    @pytest.mark.parametrize("vms", [1, 4, 16])
+    def test_states_carry_the_scored_size_and_their_position(self, vms):
+        clusters = self.clusters() + [ClusterSummary((20.0, 500.0), 0.0)]
+        result = state_reward(clusters, R1, vms)
+        assert [s.key for s in result.per_cluster] == [(vms, 0), (vms, 1), (vms, 2)]
+        assert [s.label for s in result.per_cluster] == [f"s{vms}a", f"s{vms}b", f"s{vms}c"]
+        for summary in (result.mb, result.eb):
+            assert (summary.key, summary.weight, summary.label) == ((vms, 0), 1.0, f"s{vms}")
+
+    def test_scored_states_are_model_states(self):
+        sizes = ModelConfig(3, 5, variant=Variant.M2, k=2).sizes
+        scored = {v: state_reward(self.clusters(), R1, v) for v in sizes}
+        multi = build_model(
+            ModelConfig(3, 5, variant=Variant.M2, k=2),
+            [s for v in sizes for s in scored[v].per_cluster],
+            current=4,
+        )
+        assert multi.by_size == {v: list(scored[v].per_cluster) for v in sizes}
+        single = build_model(ModelConfig(3, 5), [scored[v].mb for v in sizes], current=4)
+        assert single.by_size == {v: [scored[v].mb] for v in sizes}
 
     @settings(max_examples=40, deadline=None)
     @given(

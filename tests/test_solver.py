@@ -8,8 +8,8 @@ from elastimdp.errors import InstantiationError, SolverError
 from elastimdp.model import (
     Action,
     ActionKind,
-    BehaviorReward,
     MdpModel,
+    MdpState,
     ModelConfig,
     NO_OP,
     Variant,
@@ -36,7 +36,7 @@ REM = ActionKind.REM
 def chain(rewards, add_limit=1, rem_limit=1, current=4, variant=Variant.M1):
     sizes = sorted(rewards)
     config = ModelConfig(sizes[0], sizes[-1], add_limit, rem_limit, variant)
-    return build_model(config, {v: float(r) for v, r in rewards.items()}, current)
+    return build_model(config, [MdpState(v, reward=float(r)) for v, r in rewards.items()], current)
 
 
 class TestMaxExpectedReward:
@@ -56,11 +56,8 @@ class TestMaxExpectedReward:
         # Expected value across behavior clusters of the target size:
         # max(6, 0.7*10 + 0.3*0) = 7.
         config = ModelConfig(3, 4, add_limit=1, rem_limit=1, variant=Variant.M2, k=2)
-        rewards = {
-            3: [BehaviorReward(6.0, 1.0)],
-            4: [BehaviorReward(10.0, 0.7), BehaviorReward(0.0, 0.3)],
-        }
-        model = build_model(config, rewards, current=3)
+        states = [MdpState(3, reward=6.0), MdpState(4, 0, 0.7, reward=10.0), MdpState(4, 1, 0.3)]
+        model = build_model(config, states, current=3)
         values = max_expected_reward(model)
         assert values.value((3, 0)) == pytest.approx(7.0, abs=1e-12)
         assert values.action((3, 0)) == Action(ADD, 1)
@@ -116,7 +113,6 @@ class TestDecide:
         model = chain({3: 1, 4: 2, 5: 1, 6: 9}, add_limit=2, current=4)
         decision = decide(model)
         assert decision.action == Action(ADD, 2)
-        assert decision.target_size == 6
         assert decision.expected_utility == 9.0
         assert not decision.bounded
 
@@ -132,13 +128,11 @@ class TestDecide:
 
     def test_all_targets_action_clipped_to_limit(self):
         config = ModelConfig(3, 9, add_limit=3, rem_limit=2, variant=Variant.M3)
-        rewards = {v: 1.0 for v in config.sizes}
-        rewards[9] = 50.0
-        model = build_model(config, rewards, current=4)
+        states = [MdpState(v, reward=50.0 if v == 9 else 1.0) for v in config.sizes]
+        model = build_model(config, states, current=4)
         decision = decide(model)
         assert decision.action == Action(ADD, 3)
         assert decision.bounded
-        assert decision.target_size == 7
         assert decision.expected_utility == 50.0
 
     def test_deterministic(self):
@@ -151,11 +145,7 @@ class TestDecide:
 def rebuild(model, variant):
     """The same sizes, limits, rewards and weights as another variant."""
     config = dataclasses.replace(model.config, variant=variant)
-    rewards = {
-        size: [BehaviorReward(s.reward, s.weight, s.center) for s in states]
-        for size, states in model.by_size.items()
-    }
-    return build_model(config, rewards, model.initial.vms_num)
+    return build_model(config, model.ordered_states(), model.initial.vms_num)
 
 
 def with_rewards(model, reward_of):
@@ -196,15 +186,13 @@ class TestM3TieBreak:
         # reach s8 in one add_3, the largest tied step, clipped to add_1.
         config = ModelConfig(4, 8, add_limit=1, rem_limit=2, variant=Variant.M2)
         rewards = {4: 2.0, 5: 0.0, 6: 0.0, 7: 1.0, 8: 2.0}
-        m2 = build_model(config, rewards, current=5)
+        m2 = build_model(config, [MdpState(v, reward=r) for v, r in rewards.items()], current=5)
         m3 = rebuild(m2, Variant.M3)
         d2 = decide(m2)
         assert (d2.action, d2.expected_utility, d2.bounded) == (Action(REM, 1), 2.0, False)
         assert max_expected_reward(m3).action((5, 0)) == Action(ADD, 3)
         d3 = decide(m3)
-        assert (d3.action, d3.expected_utility, d3.target_size, d3.bounded) == (
-            Action(ADD, 1), 2.0, 6, True,
-        )
+        assert (d3.action, d3.expected_utility, d3.bounded) == (Action(ADD, 1), 2.0, True)
 
 
 class TestOracleAgreement:
@@ -225,11 +213,8 @@ class TestOracleAgreement:
 
     def test_oracle_refuses_large_models(self):
         config = ModelConfig(1, 40, variant=Variant.M2, k=3)
-        rewards = {
-            v: [BehaviorReward(1.0, 1 / 3), BehaviorReward(2.0, 1 / 3), BehaviorReward(3.0, 1 / 3)]
-            for v in config.sizes
-        }
-        model = build_model(config, rewards, current=5)
+        states = [MdpState(v, i, 1 / 3, reward=i + 1.0) for v in config.sizes for i in range(3)]
+        model = build_model(config, states, current=5)
         with pytest.raises(SolverError, match="test-scale"):
             brute_force_oracle(model)
 
@@ -283,14 +268,12 @@ class TestReachability:
     def test_branch_probability(self):
         # The only route to satisfaction passes a 0.7/0.3 branch.
         config = ModelConfig(3, 4, add_limit=1, rem_limit=1, variant=Variant.M2, k=2)
-        rewards = {
-            3: [BehaviorReward(1.0, 1.0, (50.0, 500.0))],
-            4: [
-                BehaviorReward(1.0, 0.7, (25.0, 900.0)),
-                BehaviorReward(1.0, 0.3, (80.0, 100.0)),
-            ],
-        }
-        model = build_model(config, rewards, current=3)
+        states = [
+            MdpState(3, 0, 1.0, (50.0, 500.0), reward=1.0),
+            MdpState(4, 0, 0.7, (25.0, 900.0), reward=1.0),
+            MdpState(4, 1, 0.3, (80.0, 100.0), reward=1.0),
+        ]
+        model = build_model(config, states, current=3)
         query = ReachabilityQuery("max", latency_below(30.0))
         assert reachability_probability(model, query) == pytest.approx(0.7, abs=1e-12)
         assert brute_force_reachability(model, query) == pytest.approx(0.7, abs=1e-12)
