@@ -29,9 +29,10 @@ home of that arithmetic, makes each row once per size.  The map is implied
 by the config and the behavior weights, so a model does not store it:
 `MdpModel.transitions` is a read-only view made on first read
 (`implied_transitions`), for the brute-force oracles (the solver never
-reads it).  A dump's `trans` lines are `trans_lines`, written from the rows
-and never from the map; `MdpModel.loads` refuses a dump whose `trans`
-lines differ from them, naming the first differing line.
+reads it).  A dump's `trans` lines are `trans_blocks`, one string per
+size written from the rows and never from the map; `MdpModel.loads`
+compares the dump with them a size at a time and refuses a dump whose
+`trans` lines differ, naming the first differing line.
 
 `MdpModel`'s constructor is the one check of a model's structure (see
 `_violations`), and `build_model`, `MdpModel.loads` and
@@ -50,9 +51,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import groupby
-from operator import attrgetter
+from functools import cache, cached_property
+from itertools import compress, count, groupby, repeat
+from operator import attrgetter, not_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -127,6 +128,9 @@ class Action:
 _KIND_ORDER = {ActionKind.ADD: 0, ActionKind.REM: 1, ActionKind.NO_OP: 2}
 
 NO_OP = Action(ActionKind.NO_OP, 0)
+
+# One shared `Action` per (kind, delta), made on first use.
+_interned_action = cache(Action)
 
 
 @dataclass(frozen=True)
@@ -278,16 +282,14 @@ class MdpModel:
             f"initial {self.initial.label}",
         ]
         for state in self.ordered_states():
-            center = (
-                f"{state.center[0]!r},{state.center[1]!r}" if state.center else "-"
-            )
+            center = f"{state.center[0]!r},{state.center[1]!r}" if state.center else "-"
             lines.append(
                 f"state {state.label} vms={state.vms_num}"
                 f" behavior={state.behavior_index} weight={state.weight!r}"
                 f" reward={state.reward!r} phase=decision prev=none"
                 f" center={center}"
             )
-        lines.extend(trans_lines(self))
+        lines.extend(trans_blocks(self))
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -391,7 +393,7 @@ def size_rows(
             deltas = config.deltas(size, kind)
             for delta in deltas:
                 share = 1.0 / len(deltas)
-                action = Action(kind, delta)
+                action = _interned_action(kind, delta)
                 targets = by_size.get(size + action.signed_delta, ())
                 rows.append((action, tuple((t.key, share * t.weight) for t in targets)))
         yield size, rows
@@ -413,20 +415,21 @@ def implied_transitions(
     return transitions
 
 
-def trans_lines(model: MdpModel) -> Iterator[str]:
-    """The `trans` lines of `model`'s dump, in order, made lazily: sources
-    in key order, each source's actions by sort key.  Each row's text is
-    made once per size and written for each of the size's behaviors."""
+def trans_blocks(model: MdpModel) -> Iterator[str]:
+    """The `trans` lines of `model`'s dump, made lazily, one string per
+    size: sources in key order, each source's actions by sort key and its
+    no_op self-loop last.  Each row's text (and label) is made once per
+    size and written for each of the size's behaviors."""
     labels = {key: state.label for key, state in model.states.items()}
     for size, rows in size_rows(model.config, model.by_size):
         tails = [
-            f" {action.label} {labels[target]} {p!r}" for action, row in rows for target, p in row
+            f" {name} {labels[t]} {p!r}" for a, row in rows for name in [a.label] for t, p in row
         ]
-        for source in model.by_size[size]:
-            head = f"trans {source.label}"
-            for tail in tails:
-                yield head + tail
-            yield f"{head} no_op {source.label} 1.0"
+        # Joined in C: "\ntrans s4" before each of s4's tails, less the first "\n".
+        yield "".join(
+            ("\ntrans " + s.label).join(["", *tails, f" no_op {s.label} 1.0"])
+            for s in model.by_size[size]
+        )[1:]
 
 
 @dataclass(frozen=True)
@@ -490,23 +493,32 @@ def _violations(model: MdpModel) -> Iterator[str]:
 
 def _parse_dump(text: str) -> MdpModel:
     """Build the model from the dump's header, config, initial and state
-    lines, then check its `trans` lines, word by word and in order,
-    against the lines `trans_lines` writes for that model."""
-    lines = [(n, line.split()) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
-    if not lines or lines[0][1] != ["mdpdump", "1"]:
+    lines, then check its `trans` lines against the blocks `trans_blocks`
+    renders for that model: a size at a time, and line by line only where
+    a block differs, passing a line whose words are the expected line's."""
+    lines = text.splitlines()
+    # A trans line stays raw text: those that start with "trans " are found
+    # in C, and only the other lines are split into words.
+    is_trans = list(map(str.startswith, lines, repeat("trans ")))
+    rest = []
+    for n, line in compress(enumerate(lines, 1), map(not_, is_trans)):
+        words = line.split()
+        if words[:1] == ["trans"]:
+            is_trans[n - 1] = True
+        elif words:
+            rest.append((n, words))
+    trans = list(compress(lines, is_trans))
+    if next((line.split() for line in lines if line.strip()), None) != ["mdpdump", "1"]:
         raise InstantiationError("not a model dump (missing 'mdpdump 1' header)")
 
     config: ModelConfig | None = None
     initial_label: str | None = None
     states: dict[StateKey, MdpState] = {}
     by_label: dict[str, StateKey] = {}
-    trans: list[tuple[int, list[str]]] = []
 
-    for number, words in lines[1:]:
+    for number, words in rest[1:]:
         try:
-            if words[0] == "trans":
-                trans.append((number, words))
-            elif words[0] == "state":
+            if words[0] == "state":
                 _, label, *fields = words
                 attrs = dict(field.split("=", 1) for field in fields if "=" in field)
                 center = None
@@ -564,19 +576,24 @@ def _parse_dump(text: str) -> MdpModel:
         states=states,
         initial=states[by_label[initial_label]],
     )
-    # `trans_lines` is lazy, so this work is bounded by the dump's lines.
-    expected = trans_lines(model)
-    for number, words in trans:
-        want = next(expected, None)
-        if want is None:
-            raise InstantiationError(f"model dump line {number}: expected no further trans line")
-        if " ".join(words) != want:
-            raise InstantiationError(f"model dump line {number}: expected {want!r}")
-    want = next(expected, None)
-    if want is not None:
-        raise InstantiationError(
-            f"model dump line {lines[-1][0] + 1}: expected {want!r}, found the end of the dump"
-        )
+    # `trans_blocks` is lazy, so this work is bounded by the dump's lines.
+    start = 0
+    for block in trans_blocks(model):
+        expected = block.split("\n")
+        if trans[start : start + len(expected)] != expected:
+            for j, want in enumerate(expected, start):
+                if j == len(trans):
+                    end = len(text.rstrip().splitlines()) + 1
+                    raise InstantiationError(
+                        f"model dump line {end}: expected {want!r}, found the end of the dump"
+                    )
+                if " ".join(trans[j].split()) != want:
+                    number = list(compress(count(1), is_trans))[j]
+                    raise InstantiationError(f"model dump line {number}: expected {want!r}")
+        start += len(expected)
+    if start < len(trans):
+        number = list(compress(count(1), is_trans))[start]
+        raise InstantiationError(f"model dump line {number}: expected no further trans line")
     return model
 
 

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from elastimdp.model import (
 from elastimdp.queries import parse_query
 from elastimdp.solver import decide, reachability_probability
 
+import reference_dump
 from helpers import type_distribution
 
 ADD = ActionKind.ADD
@@ -763,6 +765,16 @@ def edited_dumps(draw):
     return "\n".join(lines) + "\n"
 
 
+def cut_after(model, size):
+    """`model`'s dump lines up to the `trans` lines of sources larger than
+    `size`."""
+    kept = {state.label for state in model.states.values() if state.vms_num <= size}
+    return [
+        line for line in model.dump().splitlines()
+        if not line.startswith("trans ") or line.split()[1] in kept
+    ]
+
+
 class TestDumpBoundary:
     """Whatever a dump holds, loading either refuses it with a typed error
     or yields a valid model that the solver decides and queries on."""
@@ -824,3 +836,119 @@ class TestDumpBoundary:
         with pytest.raises(InstantiationError, match=message):
             MdpModel.loads("\n".join(lines))
         assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("variant, k", [(Variant.M1, 1), (Variant.M2, 2), (Variant.M3, 4)])
+    def test_a_cut_dump_renders_at_most_one_size_past_the_cut(self, monkeypatch, variant, k):
+        config = ModelConfig(1, 9, add_limit=3, rem_limit=2, variant=variant, k=k)
+        states = [MdpState(v, i, 1 / k, reward=float(v)) for v in config.sizes for i in range(k)]
+        model = build_model(config, states, 4)
+        size_rows = model_module.size_rows
+        made = []
+
+        def counted(*args):
+            for size, rows in size_rows(*args):
+                made.append(size)
+                yield size, rows
+
+        text = model.dump()
+        monkeypatch.setattr(model_module, "size_rows", counted)
+        assert MdpModel.loads(text) == model
+        assert made == list(config.sizes)
+        for size in config.sizes[:-1]:
+            lines = cut_after(model, size)
+            next_line = cut_after(model, size + 1)[len(lines)]
+            # cut at the end of size `size`, and after the first line past it
+            for text in ("\n".join(lines), "\n".join([*lines, next_line])):
+                made.clear()
+                with pytest.raises(InstantiationError, match="found the end of the dump$"):
+                    MdpModel.loads(text)
+                assert made == list(range(config.min_vms, size + 2))
+
+
+def outcome(load, text):
+    """What `load` makes of `text`: the model and its dump, or the type
+    and message of the error it raises."""
+    try:
+        model = load(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return model, model.dump()
+
+
+@st.composite
+def respaced_dumps(draw):
+    """A text from `edited_dumps` or a whole dump, maybe cut short, and a
+    copy of it with other whitespace: tabs or doubled spaces between the
+    words, blanks before and after them and blank lines after them, on
+    some lines or on all, and LF or CRLF line ends."""
+    whole = config_and_states().map(lambda instance: build_model(*instance).dump())
+    lines = draw(edited_dumps() | whole).splitlines()
+    if draw(st.booleans()):
+        del lines[draw(st.integers(min_value=1, max_value=len(lines))) :]
+    text = "\n".join(lines) + "\n"
+    every = range(len(lines))
+    chosen = every if draw(st.booleans()) else draw(st.sets(st.sampled_from(every), max_size=4))
+    gap = draw(st.sampled_from((" ", "\t", "  ", " \t ")))
+    lead = draw(st.sampled_from(("", " ", "\t ")))
+    trail = draw(st.sampled_from(("", " ", " \t")))
+    blank = draw(st.sampled_from(("", "\n", "\n \t\n")))
+    for i in chosen:
+        lines[i] = lead + gap.join(lines[i].split(" ")) + trail + blank
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return text, end.join(lines) + end
+
+
+class TestReferenceDump:
+    """The block renderer and loader against the line-at-a-time ones in
+    `reference_dump`: the same dump, and the same model or the same error
+    for every text."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(config_and_states())
+    def test_dump_is_the_reference_dump(self, instance):
+        model = build_model(*instance)
+        assert model.dump() == reference_dump.dump(model)
+
+    @settings(max_examples=300, deadline=None)
+    @given(respaced_dumps())
+    def test_loads_agrees_with_the_reference(self, texts):
+        for text in texts:
+            assert outcome(MdpModel.loads, text) == outcome(reference_dump.parse_dump, text)
+
+
+class TestDumpText:
+    """Line ends and whitespace: what loads, and where a refusal points."""
+
+    GOLDEN = (Path(__file__).parent / "data" / "reference_model_dump.txt").read_text(
+        encoding="utf-8"
+    )
+
+    def test_crlf_golden_dump_loads(self):
+        model = MdpModel.loads(self.GOLDEN)
+        crlf = MdpModel.loads(self.GOLDEN.replace("\n", "\r\n"))
+        assert crlf == model and crlf.dump() == self.GOLDEN
+
+    def test_trailing_blank_lines_load(self):
+        assert MdpModel.loads(self.GOLDEN + "\n \n\t\n\n") == MdpModel.loads(self.GOLDEN)
+
+    def test_a_respaced_trans_line_keeps_its_place(self):
+        model = build_model(TWO_BEHAVIOR_CONFIG, TWO_BEHAVIOR_STATES, 4)
+        lines = model.dump().splitlines()
+        # line 15 opens s4b's lines, in the middle of size 4's block
+        assert lines[14] == "trans s4b add_1 s5 1.0"
+        lines[14] = " trans\ts4b  add_1 s5 1.0\t"
+        assert MdpModel.loads("\n".join(lines)) == model
+        lines[14:16] = lines[15], lines[14]
+        message = "model dump line 15: expected 'trans s4b add_1 s5 1.0'"
+        assert refusal("\n".join(lines)) == message
+        assert outcome(reference_dump.parse_dump, "\n".join(lines))[1] == message
+
+    @pytest.mark.parametrize("tail", ["", "\n", "\n\n \n"])
+    def test_a_dump_cut_mid_block_names_the_line_after_its_last(self, tail):
+        model = build_model(TWO_BEHAVIOR_CONFIG, TWO_BEHAVIOR_STATES, 4)
+        text = "\n".join(model.dump().splitlines()[:14]) + tail
+        message = (
+            "model dump line 15: expected 'trans s4b add_1 s5 1.0', found the end of the dump"
+        )
+        assert refusal(text) == message
+        assert outcome(reference_dump.parse_dump, text)[1] == message
