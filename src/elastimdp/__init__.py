@@ -53,11 +53,10 @@ from .rewards import (
 from .solver import (
     PolicyDecision,
     ReachabilityQuery,
-    ValueMap,
+    best_move,
     brute_force_oracle,
     brute_force_reachability,
     decide,
-    max_expected_reward,
     reachability_probability,
 )
 from .emulator import (

@@ -8,7 +8,8 @@ Subcommands:
 * ``validate``    -- check a config file or a model dump
 * ``replay``      -- re-score a trace CSV under a different utility
 
-``run`` and ``gen-dataset`` read ``--config`` (else the defaults) under every ``--set``.
+A command that reads a config gets it from `_config` alone; ``query``
+answers from a ``--model-dump`` instead when given one.
 
 Exit status is 0 on success, 1 when a run aborts, and 2 with one `error:`
 line on stderr for any configuration, parse or input error.  That includes
@@ -27,7 +28,7 @@ from pathlib import Path
 
 from . import harness
 from .emulator import trace_from_csv, trace_to_csv
-from .errors import ElastimdpError
+from .errors import ConfigurationError, ElastimdpError
 from .logs import write_records_csv
 from .model import MdpModel
 from .policies import PolicyKind, instantiate_model, MDP_KINDS
@@ -55,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     query = sub.add_parser("query", help="evaluate a reachability query")
     query.add_argument("query", help='e.g. "Pmax=? [ F latency<30 & vms_num=7 ]"')
     query.add_argument("--model-dump", help="text dump of an instantiated model")
-    query.add_argument("--config", help="config to instantiate a model from")
+    _add_config_flags(query)
     query.add_argument(
         "--policy",
         default="mdp2",
@@ -71,6 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate", help="check a config or a model dump")
     validate.add_argument("--config", help="experiment config file")
     validate.add_argument("--model-dump", help="model dump file")
+    validate.set_defaults(overrides=[])
 
     replay = sub.add_parser("replay", help="re-score a trace under another utility")
     replay.add_argument("--trace", required=True, help="trace CSV to re-score")
@@ -94,16 +96,18 @@ def _add_config_flags(command: argparse.ArgumentParser) -> None:
 
 
 def _config(args: argparse.Namespace) -> harness.ExperimentConfig:
-    """The `--config` file (else the built-in defaults) under every `--set`."""
+    """The `--config` file (else the defaults) under every `--set`; its dataset file must exist."""
     overrides = {}
     for item in args.overrides:
         dotted, sep, value = item.partition("=")
         if not sep:
             raise ElastimdpError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
         overrides[dotted.strip()] = value.strip()
-    if args.config:
-        return harness.read_config(args.config, overrides)
-    return harness.parse_config(harness.default_config_ini(), overrides)
+    text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    config = harness.parse_config(text, overrides)
+    if config.dataset.path is not None and not Path(config.dataset.path).exists():
+        raise ConfigurationError(f"dataset file not found: {config.dataset.path}")
+    return config
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -127,12 +131,12 @@ def _cmd_gen_dataset(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    if bool(args.model_dump) == bool(args.config):
-        raise ElastimdpError("query needs exactly one of --model-dump or --config")
     if args.model_dump:
+        if args.config or args.overrides:
+            raise ElastimdpError("query takes --model-dump or --config/--set, not both")
         model = MdpModel.loads(Path(args.model_dump).read_text(encoding="utf-8"))
     else:
-        config = harness.read_config(args.config)
+        config = _config(args)
         store = harness.build_store(config, harness.load_dataset(config))
         load = args.load if args.load is not None else config.load.load_min
         if not math.isfinite(load):
@@ -159,7 +163,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if not args.config and not args.model_dump:
         raise ElastimdpError("validate needs --config and/or --model-dump")
     if args.config:
-        harness.read_config(args.config)
+        _config(args)
         sys.stdout.write(f"config ok: {args.config}\n")
     if args.model_dump:
         MdpModel.loads(Path(args.model_dump).read_text(encoding="utf-8"))

@@ -458,13 +458,6 @@ def parse_config(
     )
 
 
-def read_config(path: str, overrides: Mapping[str, str] | None = None) -> ExperimentConfig:
-    config = parse_config(Path(path).read_text(encoding="utf-8"), overrides)
-    if config.dataset.path is not None and not Path(config.dataset.path).exists():
-        raise ConfigurationError(f"dataset file not found: {config.dataset.path}")
-    return config
-
-
 # --- output files ------------------------------------------------------------
 
 SUMMARY_HEADER = (

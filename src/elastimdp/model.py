@@ -49,7 +49,7 @@ idempotently, and every reader sees the same contents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
 from itertools import compress, count, groupby, repeat
@@ -129,8 +129,11 @@ _KIND_ORDER = {ActionKind.ADD: 0, ActionKind.REM: 1, ActionKind.NO_OP: 2}
 
 NO_OP = Action(ActionKind.NO_OP, 0)
 
-# One shared `Action` per (kind, delta), made on first use.
-_interned_action = cache(Action)
+
+@cache
+def _sized_action(signed_delta: int) -> Action:
+    """The one shared sized `Action` that moves the cluster by `signed_delta`."""
+    return Action(ActionKind.ADD if signed_delta > 0 else ActionKind.REM, abs(signed_delta))
 
 
 @dataclass(frozen=True)
@@ -167,8 +170,14 @@ class ModelConfig:
             room, limit = size - self.min_vms, self.rem_limit
         return range(1, (room if self.variant is Variant.M3 else min(limit, room)) + 1)
 
+    def moves(self, size: int) -> list[Action]:
+        """The sized actions enabled at `size`, in `Action.sort_key` order:
+        the shared `Action` of each add delta, then of each rem delta."""
+        adds, rems = self.deltas(size, ActionKind.ADD), self.deltas(size, ActionKind.REM)
+        return [_sized_action(d) for d in adds] + [_sized_action(-d) for d in rems]
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class MdpState:
     """One model state: a cluster size in a particular expected behavior.
 
@@ -181,7 +190,7 @@ class MdpState:
     termination at no_op) on paths, so a state does not hold them.
 
     `key`, `(vms_num, behavior_index)`, is stored at construction, so maps
-    keyed by the state share one tuple; it is not a field.
+    keyed by the state share one tuple; repr and equality skip it.
     """
 
     vms_num: int
@@ -189,6 +198,7 @@ class MdpState:
     weight: float = 1.0
     center: tuple[float, float] | None = None
     reward: float = 0.0
+    key: StateKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "key", (self.vms_num, self.behavior_index))
@@ -388,14 +398,12 @@ def size_rows(
     all of the size's behaviors: `type_share * target_weight` for each
     behavior of the target size.  The no_op self-loop is the caller's."""
     for size in by_size:
-        rows = []
-        for kind in (ActionKind.ADD, ActionKind.REM):
-            deltas = config.deltas(size, kind)
-            for delta in deltas:
-                share = 1.0 / len(deltas)
-                action = _interned_action(kind, delta)
-                targets = by_size.get(size + action.signed_delta, ())
-                rows.append((action, tuple((t.key, share * t.weight) for t in targets)))
+        moves, rows = config.moves(size), []
+        adds = len(config.deltas(size, ActionKind.ADD))
+        for action in moves:
+            share = 1.0 / (adds if action.signed_delta > 0 else len(moves) - adds)
+            targets = by_size.get(size + action.signed_delta, ())
+            rows.append((action, tuple((t.key, share * t.weight) for t in targets)))
         yield size, rows
 
 

@@ -106,10 +106,9 @@ class RLConfig:
 
 @dataclass
 class QTable:
-    """Tabular action values per (cluster size, action label)."""
+    """Tabular action values per (cluster size, action label), learned at `rl`'s rates."""
 
-    alpha: float = 0.1
-    gamma: float = 0.5
+    rl: RLConfig = RLConfig()
     values: dict[tuple[int, str], float] = field(default_factory=dict)
 
     def get(self, size: int, action: Action) -> float:
@@ -129,15 +128,6 @@ class PostProcessConfig:
             raise ConfigurationError("benefit threshold must be >= 0")
         if self.smoothing_window < 1:
             raise ConfigurationError("smoothing window must be >= 1")
-
-
-def permitted_actions(current: ClusterSize, limits: ModelConfig) -> list[Action]:
-    """no_op plus every sized add/rem that `limits` enables at `current`."""
-    return [NO_OP] + [
-        Action(kind, delta)
-        for kind in (ActionKind.ADD, ActionKind.REM)
-        for delta in limits.deltas(current, kind)
-    ]
 
 
 def re_decide(
@@ -171,7 +161,7 @@ def rl_decide(
 ) -> PolicyDecision:
     """Greedy action over the Q-table, warm-starting unseen entries from
     the mode-behaviour reward estimate of each action's target size."""
-    actions = permitted_actions(current, limits)
+    actions = [NO_OP, *limits.moves(current)]
     for action in actions:
         key = (current, action.label)
         if key not in qtable.values:
@@ -190,14 +180,10 @@ def rl_update(
 ) -> None:
     """One Q-learning step:
     Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') - Q(s,a))."""
-    future = max(
-        qtable.get(new_size, a) for a in permitted_actions(new_size, limits)
-    )
+    future = max(qtable.get(new_size, a) for a in [NO_OP, *limits.moves(new_size)])
     key = (prev_size, action.label)
     q = qtable.values.get(key, 0.0)
-    qtable.values[key] = q + qtable.alpha * (
-        realized_reward + qtable.gamma * future - q
-    )
+    qtable.values[key] = q + qtable.rl.alpha * (realized_reward + qtable.rl.gamma * future - q)
 
 
 def cell_reward(
@@ -399,7 +385,7 @@ class RLPolicy(Policy):
         self.limits = limits
         self.utility = utility
         self.clustering = clustering
-        self.qtable = QTable(alpha=rl.alpha, gamma=rl.gamma)
+        self.qtable = QTable(rl)
         self._pending: tuple[ClusterSize, Action] | None = None
 
     def _mb_reward(self, size: int, load: float) -> float:
@@ -416,7 +402,7 @@ class RLPolicy(Policy):
             )
             rl_update(self.qtable, prev_size, action, realized, current, self.limits)
         load = self.effective_load()
-        targets = {current + a.signed_delta for a in permitted_actions(current, self.limits)}
+        targets = {current + a.signed_delta for a in [NO_OP, *self.limits.moves(current)]}
         mb_rewards = {size: self._mb_reward(size, load) for size in targets}
         decision = rl_decide(self.qtable, current, mb_rewards, self.limits)
         self._pending = (current, decision.action)

@@ -13,14 +13,17 @@ whatever the source behavior, so with `L(s) = sum_b w_b * V(s, b)`
 
 `_arrival_values` computes `L` by backward induction over sizes along each
 monotone branch, reading only the config, the behavior weights
-(normalized per size) and a payoff per state.  The same sweep answers
+(normalized per size) and a payoff per state.  `best_move` then values a
+state's first moves (`ModelConfig.moves`) by their targets' arrivals, and
+`decide` clips its pick to the per-step limits.  The same sweep answers
 Pmax/Pmin queries, with payoff 1 on states satisfying the predicate
 (where the episode ends) and 0 elsewhere.
 
-`brute_force_oracle` and `brute_force_reachability` re-derive the same
-quantities from the explicit transition map by expanding the full
-decision tree without memoization, so tests can check the sweep against
-an independently structured computation.
+`brute_force_oracle` (the counterpart of `best_move` at every state) and
+`brute_force_reachability` re-derive the same quantities from the
+explicit transition map by expanding the full decision tree without
+memoization, so tests can check the sweep against an independently
+structured computation.
 """
 
 from __future__ import annotations
@@ -71,26 +74,6 @@ def pick(candidates: list[tuple[float, Action]]) -> tuple[float, Action]:
     tol = TIE_TOL * max(1.0, abs(best))
     tied = [a for v, a in candidates if best - v <= tol]
     return best, min(tied, key=tie_break_key)
-
-
-@dataclass(frozen=True)
-class StateValue:
-    value: float
-    action: Action
-
-
-@dataclass(frozen=True)
-class ValueMap:
-    """Per-state maximum expected terminal reward and an optimal first
-    action achieving it (ties resolved by `tie_break_key`)."""
-
-    values: Mapping[StateKey, StateValue]
-
-    def value(self, key: StateKey) -> float:
-        return self.values[key].value
-
-    def action(self, key: StateKey) -> Action:
-        return self.values[key].action
 
 
 @dataclass(frozen=True)
@@ -147,13 +130,13 @@ def _arrival_values(
 def _first_moves(
     model: MdpModel, size: int, arrivals: list[dict[int, float]]
 ) -> list[tuple[float, Action]]:
-    """Each sized action enabled at `size`, valued by its target's arrival."""
-    moves = []
-    for kind, arrive in zip((ActionKind.ADD, ActionKind.REM), arrivals):
-        for delta in model.config.deltas(size, kind):
-            action = Action(kind, delta)
-            moves.append((arrive[size + action.signed_delta], action))
-    return moves
+    """Each sized action enabled at `size`, valued by its target's arrival
+    on the action's branch."""
+    add, rem = arrivals
+    return [
+        ((add if action.signed_delta > 0 else rem)[size + action.signed_delta], action)
+        for action in model.config.moves(size)
+    ]
 
 
 def reward_arrivals(model: MdpModel) -> list[dict[int, float]]:
@@ -163,17 +146,14 @@ def reward_arrivals(model: MdpModel) -> list[dict[int, float]]:
     return _arrival_values(model, attrgetter("reward"), (), max)
 
 
-def max_expected_reward(model: MdpModel) -> ValueMap:
-    """Maximum expected terminal reward of every state, with an optimal
-    first action, as if the decision episode started fresh there."""
-    arrivals = reward_arrivals(model)
-    out: dict[StateKey, StateValue] = {}
-    for size, states in model.by_size.items():
-        moves = _first_moves(model, size, arrivals)
-        for state in states:
-            value, action = pick([(state.reward, NO_OP)] + moves)
-            out[state.key] = StateValue(value, action)
-    return ValueMap(out)
+def best_move(
+    model: MdpModel, state: MdpState, arrivals: list[dict[int, float]]
+) -> tuple[float, Action]:
+    """Maximum expected terminal reward from `state`, as if the decision
+    episode started there, and an optimal first action (ties resolved by
+    `tie_break_key`), given the model's `reward_arrivals`.  On all-targets
+    models the action may point beyond the per-step limits."""
+    return pick([(state.reward, NO_OP), *_first_moves(model, state.vms_num, arrivals)])
 
 
 def clip_action(action: Action, config) -> tuple[Action, bool]:
@@ -189,9 +169,8 @@ def decide(
     state: MdpState | None = None,
     arrivals: list[dict[int, float]] | None = None,
 ) -> PolicyDecision:
-    """First action of an optimal strategy from `state` (by default the
-    initial state), given the model's `reward_arrivals` (computed when
-    not given).
+    """The `best_move` from `state` (by default the initial state), given
+    the model's `reward_arrivals` (computed when not given), clipped.
 
     On all-targets models the optimal action may point beyond the per-step
     limits; it is then clipped to the limit and flagged `bounded`.  The
@@ -202,8 +181,7 @@ def decide(
     state = model.initial if state is None else state
     if arrivals is None:
         arrivals = reward_arrivals(model)
-    moves = _first_moves(model, state.vms_num, arrivals)
-    value, first = pick([(state.reward, NO_OP)] + moves)
+    value, first = best_move(model, state, arrivals)
     action, bounded = clip_action(first, model.config)
     return PolicyDecision(action=action, expected_utility=value, bounded=bounded)
 
@@ -255,15 +233,15 @@ def _tree_value(model: MdpModel, key: StateKey, lock: ActionKind | None) -> floa
     return value
 
 
-def brute_force_oracle(model: MdpModel) -> ValueMap:
-    """Independent re-computation of `max_expected_reward`.
+def brute_force_oracle(model: MdpModel) -> dict[StateKey, tuple[float, Action]]:
+    """Independent re-computation of `best_move` at every state.
 
     Expands every strategy's decision tree top-down without memoization,
     so shared subproblems are deliberately re-evaluated; usable only on
     test-scale models (<= 100 states).
     """
     _check_oracle_scale(model)
-    out: dict[StateKey, StateValue] = {}
+    out = {}
     for key in model.states:
         candidates = [(model.states[key].reward, NO_OP)]
         for action in model.actions_from(key):
@@ -274,9 +252,8 @@ def brute_force_oracle(model: MdpModel) -> ValueMap:
                 for target, p in model.outcome_distribution(key, action)
             )
             candidates.append((expected, action))
-        value, action = pick(candidates)
-        out[key] = StateValue(value, action)
-    return ValueMap(out)
+        out[key] = pick(candidates)
+    return out
 
 
 def _tree_reach(

@@ -35,7 +35,6 @@ from elastimdp.harness import (
     load_dataset,
     load_grid,
     parse_config,
-    read_config,
     run_comparison,
     summary_csv,
     text_report,
@@ -234,8 +233,9 @@ class TestConfig:
         write_records_csv(str(data), records)
         ini = tmp_path / "percent.ini"
         ini.write_text(f"[dataset]\nsource = csv\npath = {data}\n", encoding="utf-8")
-        config = read_config(str(ini))
+        config = parse_config(ini.read_text(encoding="utf-8"))
         assert config.dataset.path == str(data)
+        assert cli.main(["validate", "--config", str(ini)]) == 0
         assert load_dataset(config) == records
         with pytest.raises(ConfigurationError, match=r"rl.alpha: could not convert .*'%\(x\)s'"):
             small_config(**{"rl.alpha": "%(x)s"})
@@ -767,8 +767,35 @@ class TestCli:
         dump.write_text(model.dump(), encoding="utf-8")
         assert self.run_cli("query", "Pmax=? [F vms=", "--model-dump", str(dump)) == 2
 
-    def test_query_needs_exactly_one_source(self):
-        assert self.run_cli("query", "Pmax=? [ F vms_num=4 ]") == 2
+    def test_query_without_a_config_answers_from_the_defaults(self, tmp_path, capsys):
+        query = ("query", "Pmax=? [ F latency<40 & vms_num<=12 ]", "--policy", "mdp_mb")
+        assert self.run_cli(*query) == 0
+        answer = capsys.readouterr().out
+        assert 0.0 <= float(answer) <= 1.0
+        assert self.run_cli(*query, "--config", str(write_small_ini(tmp_path))) == 0
+        assert capsys.readouterr().out == answer
+
+    @pytest.mark.parametrize("config", [("--config", "{ini}"), ("--set", "model.max_vms=12")])
+    def test_query_refuses_a_model_dump_with_a_config(self, config, cli_inputs, capsys):
+        dump = ("--model-dump", str(cli_inputs["phase"]))
+        argv = [arg.format(**cli_inputs) for arg in config]
+        assert self.run_cli("query", "Pmax=? [ F vms_num=5 ]", *dump, *argv) == 2
+        assert capsys.readouterr().err == (
+            "error: query takes --model-dump or --config/--set, not both\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("run",), ("gen-dataset", "--out", "{out}"), ("query", "Pmax=? [ F vms_num=5 ]")],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_missing_dataset_file_is_named_without_a_config(self, argv, cli_inputs, capsys):
+        # The same check as for a --config file, before any record is read.
+        missing = cli_inputs["missing"]
+        csv_set = ("--set", "dataset.source=csv", "--set", f"dataset.path={missing}")
+        assert self.run_cli(*(arg.format(**cli_inputs) for arg in argv), *csv_set) == 2
+        assert capsys.readouterr().err == f"error: dataset file not found: {missing}\n"
+        assert not cli_inputs["out"].exists()
 
     def test_query_live_instantiation_writes_dump(self, tmp_path, capsys):
         config = write_small_ini(tmp_path)

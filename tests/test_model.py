@@ -4,6 +4,7 @@ import pickle
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from elastimdp.solver import decide, reachability_probability
 
 import reference_dump
 from helpers import type_distribution
+from instances import random_instance
 
 ADD = ActionKind.ADD
 REM = ActionKind.REM
@@ -721,13 +723,57 @@ class TestState:
         assert dataclasses.replace(state, behavior_index=2).key == (4, 2)
         assert dataclasses.replace(MdpState(4), vms_num=7).key == (7, 0)
 
-    def test_key_is_not_a_field(self):
+    def test_key_is_not_an_init_field(self):
         state = MdpState(4, 1, weight=0.5)
-        assert "key" not in {field.name for field in dataclasses.fields(MdpState)}
+        assert "key" not in {field.name for field in dataclasses.fields(MdpState) if field.init}
+        with pytest.raises(TypeError):
+            MdpState(4, 1, key=(4, 1))
         assert "key" not in repr(state)
         other = MdpState(4, 1, weight=0.5)
         object.__setattr__(other, "key", (9, 9))
         assert other == state and hash(other) == hash(state)
+
+    def test_slotted_state_copies_carry_the_key(self):
+        state = MdpState(5, 2, weight=0.25, center=(30.0, 900.0), reward=-1.5)
+        assert not hasattr(state, "__dict__")
+        for copied in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+            assert copied == state and copied.key == (5, 2)
+        assert dataclasses.replace(state, behavior_index=0).key == (5, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.key = (1, 1)
+
+
+class TestMoves:
+    def test_moves_are_the_sized_actions_of_the_map_at_every_state(self):
+        # Differential: the solver and the RL policy enumerate
+        # `ModelConfig.moves`; the oracles scan the explicit map.  Both
+        # must list every delta whose target is in range and, except on
+        # M3, within the per-step limit, in sort-key order.
+        rng = np.random.default_rng(1606)
+        states = dict.fromkeys(Variant, 0)
+        for _ in range(200):
+            model = random_instance(rng)
+            cfg = model.config
+            states[cfg.variant] += len(model.states)
+            for (size, _), state in model.states.items():
+                moves = cfg.moves(size)
+                sized = [a for a in model.actions_from(state.key) if a.kind is not ActionKind.NO_OP]
+                assert moves == sized
+                spec = [
+                    Action(kind, delta)
+                    for kind, limit in ((ADD, cfg.add_limit), (REM, cfg.rem_limit))
+                    for delta in range(1, cfg.max_vms - cfg.min_vms + 1)
+                    if cfg.min_vms <= size + (delta if kind is ADD else -delta) <= cfg.max_vms
+                    and (cfg.variant is Variant.M3 or delta <= limit)
+                ]
+                assert moves == spec
+        assert min(states.values()) > 100
+
+    def test_moves_share_one_action_each(self):
+        config = ModelConfig(1, 9, add_limit=3, rem_limit=2, variant=Variant.M3)
+        for size in config.sizes:
+            again = config.moves(size)
+            assert all(a is b for a, b in zip(config.moves(size), again, strict=True))
 
 
 def dump_tokens(text):

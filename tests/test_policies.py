@@ -33,7 +33,6 @@ from elastimdp.policies import (
     instantiate_model,
     make_policy,
     mdp_decide,
-    permitted_actions,
     re_decide,
     rl_decide,
     rl_update,
@@ -99,7 +98,7 @@ class TestReactive:
 
 class TestQLearning:
     def test_single_update_with_full_learning_rate(self):
-        qtable = QTable(alpha=1.0, gamma=0.0)
+        qtable = QTable(RLConfig(alpha=1.0, gamma=0.0))
         rl_update(qtable, 5, Action(ADD, 1), 5.0, 6, LIMITS)
         assert qtable.values[(5, "add_1")] == 5.0
 
@@ -129,7 +128,7 @@ class TestQLearning:
         assert qtable.values[(5, "add_1")] == 9.0
 
     def test_converges_to_stationary_reward(self):
-        qtable = QTable(alpha=0.1, gamma=0.0)
+        qtable = QTable(RLConfig(alpha=0.1, gamma=0.0))
         rl_update(qtable, 5, NO_OP, 3.0, 5, LIMITS)
         assert qtable.values[(5, "no_op")] == pytest.approx(0.3)
         for _ in range(299):
@@ -137,10 +136,21 @@ class TestQLearning:
         assert qtable.values[(5, "no_op")] == pytest.approx(3.0, abs=1e-9)
 
     def test_bootstraps_from_next_state(self):
-        qtable = QTable(alpha=1.0, gamma=0.5)
+        qtable = QTable(RLConfig(alpha=1.0, gamma=0.5))
         qtable.values[(6, "no_op")] = 8.0
         rl_update(qtable, 5, Action(ADD, 1), 2.0, 6, LIMITS)
         assert qtable.values[(5, "add_1")] == 2.0 + 0.5 * 8.0
+
+    def test_rates_are_an_rl_config(self):
+        assert QTable().rl == RLConfig()
+        with pytest.raises(ConfigurationError, match="alpha"):
+            QTable(RLConfig(alpha=5.0))
+        with pytest.raises(ConfigurationError, match="gamma"):
+            QTable(RLConfig(gamma=-3.0))
+        with pytest.raises(TypeError):
+            QTable(alpha=0.5)
+        policy = RLPolicy(store_with({}), LIMITS, R1, CLUSTERING, RLConfig(alpha=0.5, gamma=0.25))
+        assert policy.qtable.rl == RLConfig(alpha=0.5, gamma=0.25)
 
 
 class TestMdpDecide:
@@ -301,11 +311,9 @@ class TestPolicyObjects:
         # the second moves it halfway (alpha 0.5) to the realized 40 / 8 VMs
         assert policy.qtable.values[key] == 8.0 + 0.5 * (40.0 / 8 - 8.0)
 
-    def test_permitted_actions_clip_at_bounds(self):
-        actions = permitted_actions(9, LIMITS)
-        assert Action(ADD, 1) in actions
-        assert Action(ADD, 2) not in actions
-        assert Action(REM, 2) in actions
+    def test_moves_clip_at_bounds(self):
+        assert LIMITS.moves(9) == [Action(ADD, 1), Action(REM, 1), Action(REM, 2)]
+        assert LIMITS.moves(3) == [Action(ADD, 1), Action(ADD, 2), Action(ADD, 3)]
 
 
 def count_clustering(monkeypatch) -> list[int]:

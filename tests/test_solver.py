@@ -18,12 +18,14 @@ from elastimdp.model import (
 from elastimdp.solver import (
     TIE_TOL,
     ReachabilityQuery,
+    clip_action,
     _tree_value,
+    best_move,
     brute_force_oracle,
     brute_force_reachability,
     decide,
-    max_expected_reward,
     reachability_probability,
+    reward_arrivals,
     tie_break_key,
 )
 
@@ -39,18 +41,20 @@ def chain(rewards, add_limit=1, rem_limit=1, current=4, variant=Variant.M1):
     return build_model(config, [MdpState(v, reward=float(r)) for v, r in rewards.items()], current)
 
 
-class TestMaxExpectedReward:
+def best_moves(model):
+    """`best_move` at every state of `model`, keyed by state."""
+    arrivals = reward_arrivals(model)
+    return {key: best_move(model, state, arrivals) for key, state in model.states.items()}
+
+
+class TestBestMove:
     def test_climbs_to_best_reward(self):
         model = chain({3: 1, 4: 2, 5: 3})
-        values = max_expected_reward(model)
-        assert values.value((4, 0)) == 3.0
-        assert values.action((4, 0)) == Action(ADD, 1)
+        assert best_moves(model)[(4, 0)] == (3.0, Action(ADD, 1))
 
     def test_descends_when_removal_pays(self):
         model = chain({3: 5, 4: 2, 5: 3})
-        values = max_expected_reward(model)
-        assert values.value((4, 0)) == 5.0
-        assert values.action((4, 0)) == Action(REM, 1)
+        assert best_moves(model)[(4, 0)] == (5.0, Action(REM, 1))
 
     def test_weighted_branch_value(self):
         # Expected value across behavior clusters of the target size:
@@ -58,30 +62,45 @@ class TestMaxExpectedReward:
         config = ModelConfig(3, 4, add_limit=1, rem_limit=1, variant=Variant.M2, k=2)
         states = [MdpState(3, reward=6.0), MdpState(4, 0, 0.7, reward=10.0), MdpState(4, 1, 0.3)]
         model = build_model(config, states, current=3)
-        values = max_expected_reward(model)
-        assert values.value((3, 0)) == pytest.approx(7.0, abs=1e-12)
-        assert values.action((3, 0)) == Action(ADD, 1)
-        oracle = brute_force_oracle(model)
-        assert oracle.value((3, 0)) == pytest.approx(7.0, abs=1e-12)
+        value, action = best_moves(model)[(3, 0)]
+        assert value == pytest.approx(7.0, abs=1e-12)
+        assert action == Action(ADD, 1)
+        oracle_value, _ = brute_force_oracle(model)[(3, 0)]
+        assert oracle_value == pytest.approx(7.0, abs=1e-12)
 
     def test_two_step_path_through_a_worse_state(self):
         # A far state's high reward justifies stepping through a state
         # worse than the current one.
         model = chain({3: 1, 4: 5, 5: 1, 6: 3, 7: 9}, add_limit=2)
-        values = max_expected_reward(model)
-        assert values.value((4, 0)) == 9.0
-        assert values.action((4, 0)).kind is ADD
+        values = best_moves(model)
+        value, action = values[(4, 0)]
+        assert value == 9.0
+        assert action.kind is ADD
         # The add_2 -> add_1 strategy via s6 attains the same optimum.
-        via_s6 = max_expected_reward(model).value((6, 0))
+        via_s6, _ = values[(6, 0)]
         assert via_s6 == 9.0
 
     def test_value_never_below_state_reward(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             model = random_instance(rng)
-            values = max_expected_reward(model)
+            values = best_moves(model)
             for key, state in model.states.items():
-                assert values.value(key) >= state.reward - 1e-12
+                assert values[key][0] >= state.reward - 1e-12
+
+    def test_decide_clips_the_best_move(self):
+        # `decide` is `best_move` clipped, at the initial state or any other.
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            model = random_instance(rng)
+            arrivals = reward_arrivals(model)
+            for state in model.states.values():
+                value, action = best_move(model, state, arrivals)
+                clipped, bounded = clip_action(action, model.config)
+                decision = decide(model, state, arrivals)
+                assert (decision.expected_utility, decision.action) == (value, clipped)
+                assert decision.bounded == bounded
+            assert decide(model) == decide(model, model.initial, arrivals)
 
     def test_cycle_guard(self, tmp_path, capsys):
         # The solver never reads the transition map, so a map that breaks
@@ -168,11 +187,10 @@ class TestM3TieBreak:
         for _ in range(150):
             model = random_instance(rng)
             m2, m3 = rebuild(model, Variant.M2), rebuild(model, Variant.M3)
-            v2, v3 = max_expected_reward(m2), max_expected_reward(m3)
+            v2, v3 = best_moves(m2), best_moves(m3)
             for key in model.states:
-                best = v3.value(key)
-                assert best == pytest.approx(v2.value(key), rel=0.0, abs=1e-12)
-                a2, a3 = v2.action(key), v3.action(key)
+                (best2, a2), (best, a3) = v2[key], v3[key]
+                assert best == pytest.approx(best2, rel=0.0, abs=1e-12)
                 if a2 != a3:
                     # M2's choice is an optimum of M3 too; M3 took a tied
                     # action that comes first in the tie-break order.
@@ -190,7 +208,7 @@ class TestM3TieBreak:
         m3 = rebuild(m2, Variant.M3)
         d2 = decide(m2)
         assert (d2.action, d2.expected_utility, d2.bounded) == (Action(REM, 1), 2.0, False)
-        assert max_expected_reward(m3).action((5, 0)) == Action(ADD, 3)
+        assert best_moves(m3)[(5, 0)][1] == Action(ADD, 3)
         d3 = decide(m3)
         assert (d3.action, d3.expected_utility, d3.bounded) == (Action(ADD, 1), 2.0, True)
 
@@ -200,16 +218,17 @@ class TestOracleAgreement:
         rng = np.random.default_rng(123)
         for _ in range(150):
             model = random_instance(rng)
-            dp = max_expected_reward(model)
+            dp = best_moves(model)
             oracle = brute_force_oracle(model)
-            for key in model.states:
-                assert dp.value(key) == pytest.approx(oracle.value(key), abs=1e-9)
-                assert dp.action(key) == oracle.action(key)
+            assert oracle.keys() == dp.keys()
+            for key, (value, action) in dp.items():
+                assert value == pytest.approx(oracle[key][0], abs=1e-9)
+                assert action == oracle[key][1]
 
     def test_single_state_model(self):
         model = chain({4: 3.5}, current=4)
-        assert brute_force_oracle(model).value((4, 0)) == 3.5
-        assert max_expected_reward(model).value((4, 0)) == 3.5
+        assert brute_force_oracle(model) == {(4, 0): (3.5, NO_OP)}
+        assert best_moves(model) == {(4, 0): (3.5, NO_OP)}
 
     def test_oracle_refuses_large_models(self):
         config = ModelConfig(1, 40, variant=Variant.M2, k=3)
@@ -224,16 +243,16 @@ class TestSolverProperties:
         rng = np.random.default_rng(42)
         for _ in range(30):
             model = random_instance(rng)
-            base = max_expected_reward(model)
+            base = best_moves(model)
             key = list(model.states)[int(rng.integers(len(model.states)))]
             bump = float(rng.uniform(0.1, 5.0))
             bumped_model = with_rewards(
                 model, lambda s: s.reward + bump if s.key == key else s.reward
             )
             assert bumped_model.states[key].reward == model.states[key].reward + bump
-            bumped = max_expected_reward(bumped_model)
+            bumped = best_moves(bumped_model)
             for k in model.states:
-                assert bumped.value(k) >= base.value(k) - 1e-12
+                assert bumped[k][0] >= base[k][0] - 1e-12
 
     def test_scale_equivariance(self):
         # Powers of two scale floats exactly, so values and the chosen
@@ -241,12 +260,11 @@ class TestSolverProperties:
         rng = np.random.default_rng(43)
         for _ in range(30):
             model = random_instance(rng)
-            base = max_expected_reward(model)
+            base = best_moves(model)
             scale = float(2 ** int(rng.integers(1, 6)))
-            scaled = max_expected_reward(with_rewards(model, lambda s: s.reward * scale))
-            for k in model.states:
-                assert scaled.value(k) == base.value(k) * scale
-                assert scaled.action(k) == base.action(k)
+            scaled = best_moves(with_rewards(model, lambda s: s.reward * scale))
+            for k, (value, action) in base.items():
+                assert scaled[k] == (value * scale, action)
 
 
 def latency_below(threshold):
