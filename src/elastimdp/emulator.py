@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
@@ -238,22 +238,53 @@ def _draws(rng: np.random.Generator, count: int, noise: float) -> tuple[int, flo
     return (index, *rng.normal(1.0, noise, size=2).tolist())
 
 
+# What one tick emulates at one size: the sample the policy observes and
+# the record a trace keeps on a tick without a decision.
+Emulated = tuple[MeasurementRecord, TickRecord]
+
+
+@dataclass(frozen=True)
+class EnvironmentTape:
+    """A run's environment, drawn once per `LogStore.tape_memo` key.
+
+    `rows` holds, per tick, the load and what `_draws` draws.  `emulated`
+    holds, per `UtilityConfig`, one map per tick from a size to what that
+    tick emulates at that size.  Both records are frozen and a pure
+    function of the row, the store, the size and the utility, so the first
+    episode at a size on a tick makes them and every later episode of the
+    run hands on the same objects.
+    """
+
+    rows: tuple[tuple[float, int, float, float], ...]
+    emulated: dict[UtilityConfig, tuple[dict[int, Emulated], ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def emulated_at(self, utility: UtilityConfig) -> tuple[dict[int, Emulated], ...]:
+        """The per-tick maps of `utility`, empty until episodes fill them."""
+        ticks = self.emulated.get(utility)
+        if ticks is None:
+            ticks = self.emulated[utility] = tuple({} for _ in self.rows)
+        return ticks
+
+
 def environment_tape(
     store: LogStore, profile: LoadProfile, schedule: ScheduleConfig, rng: np.random.Generator
-) -> tuple[tuple[float, int, float, float], ...] | None:
-    """Per tick, the load and what `_draws` draws with `rng`, built once per
-    `LogStore.tape_memo` key; None if the store's cells hold uneven record
-    counts, as each tick's index bound then depends on its cell."""
+) -> EnvironmentTape | None:
+    """The run's tape: per tick, the load and what `_draws` draws with
+    `rng`, built once per `LogStore.tape_memo` key; None if the store's
+    cells hold uneven record counts, as each tick's index bound then
+    depends on its cell."""
     count, noise = store.uniform_count, schedule.emulation_noise_fraction
     if count is None:
         return None
     key = (repr(rng.bit_generator.state), profile, schedule.horizon_ticks, noise, count)
     tape = store.tape_memo.get(key)
     if tape is None:
-        tape = store.tape_memo[key] = tuple(
+        tape = store.tape_memo[key] = EnvironmentTape(tuple(
             (gen_load(profile, tick), *_draws(rng, count, noise))
             for tick in range(schedule.horizon_ticks)
-        )
+        ))
     return tape
 
 
@@ -272,10 +303,15 @@ def run_episode(
     shared by every episode seeded alike, so each policy of a run faces the
     same environment by construction (a store with uneven cells makes the
     same draws tick by tick).  It emulates the current size and records the
-    realized utility and any threshold violation.  At every decision tick
-    the policy is invoked, the benefit threshold applied, and the chosen
-    size change takes effect at the next tick.  Policy or emulation
-    failures abort the run and return the partial trace flagged invalid.
+    realized utility and any threshold violation.  With a tape, what a
+    (tick, size) emulates under `utility` is made once, by the first
+    episode there, and later episodes of the run reuse the same
+    `MeasurementRecord` and `TickRecord` without selecting or emulating
+    (`EnvironmentTape.emulated`).  At every decision tick the policy is
+    invoked, the benefit threshold applied, the tick recorded with the
+    decision and its cost, and the chosen size change takes effect at the
+    next tick.  Policy or emulation failures abort the run and return the
+    partial trace flagged invalid.
     """
     rng = np.random.default_rng(rng_seed)
     trace = ExperimentTrace(policy=policy.kind.value)
@@ -284,41 +320,47 @@ def run_episode(
     noise = schedule.emulation_noise_fraction
     try:
         tape = environment_tape(store, profile, schedule, rng)
+        shared = tape.emulated_at(utility) if tape else None
         for tick in range(schedule.horizon_ticks):
             if pending is not None:
                 vms = pending
                 pending = None
-            # Without a tape, draw live, bounded by the count of this cell.
-            load, *draws = tape[tick] if tape else (gen_load(profile, tick),)
-            records = store.select_logs(vms, load).records
-            index, lat_noise, thr_noise = draws or _draws(rng, len(records), noise)
-            latency, throughput = emulate_state(records[index], lat_noise, thr_noise)
-            realized = utility_eval(utility, latency, throughput, vms)
-            violation = latency > utility.latency_threshold_ms
-            policy.observe(MeasurementRecord(tick, vms, load, latency, throughput))
+            emulated = shared[tick].get(vms) if shared else None
+            if emulated is None:
+                # Without a tape, draw live, bounded by the count of this cell.
+                load, *draws = tape.rows[tick] if tape else (gen_load(profile, tick),)
+                records = store.select_logs(vms, load).records
+                index, lat_noise, thr_noise = draws or _draws(rng, len(records), noise)
+                latency, throughput = emulate_state(records[index], lat_noise, thr_noise)
+                realized = utility_eval(utility, latency, throughput, vms)
+                emulated = (
+                    MeasurementRecord(tick, vms, load, latency, throughput),
+                    TickRecord(
+                        tick=tick,
+                        load=load,
+                        vms=vms,
+                        latency_ms=latency,
+                        throughput=throughput,
+                        utility=realized,
+                        violation=latency > utility.latency_threshold_ms,
+                        decision="",
+                        decision_ms=0.0,
+                    ),
+                )
+                if shared:
+                    shared[tick][vms] = emulated
+            sample, record = emulated
+            policy.observe(sample)
 
-            decision_label, decision_ms = "", 0.0
             if tick > 0 and tick % schedule.decision_every_ticks == 0:
                 started = time.perf_counter()
                 decision = policy.decide(vms)
                 decision_ms = (time.perf_counter() - started) * 1000.0
-                decision = apply_benefit_threshold(decision, realized, post)
-                decision_label = decision.action.label
+                decision = apply_benefit_threshold(decision, record.utility, post)
                 if not decision.is_no_op:
                     pending = vms + decision.action.signed_delta
-            trace.records.append(
-                TickRecord(
-                    tick=tick,
-                    load=load,
-                    vms=vms,
-                    latency_ms=latency,
-                    throughput=throughput,
-                    utility=realized,
-                    violation=violation,
-                    decision=decision_label,
-                    decision_ms=decision_ms,
-                )
-            )
+                record = replace(record, decision=decision.action.label, decision_ms=decision_ms)
+            trace.records.append(record)
     except Exception as exc:  # noqa: BLE001 - partial trace must survive
         trace.valid = False
         trace.error = f"{type(exc).__name__}: {exc}"

@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigurationError, DataFormatError, NoDataError
 
-if TYPE_CHECKING:  # rewards and policies import this module
+if TYPE_CHECKING:  # emulator, rewards and policies import this module
+    from .emulator import EnvironmentTape
     from .model import MdpModel
     from .rewards import StateReward
 
@@ -81,10 +82,13 @@ class LogStore:
     * `solve_memo`: one (model, interpolation notes, arrival values)
       entry per MDP policy kind, model config, clustering config, utility
       and load bucket (filled by `policies.mdp_decide`);
-    * `tape_memo`: a run's (load, record index, latency noise, throughput
-      noise) per tick, per seeded bit-generator state, load profile,
-      horizon, noise fraction and `uniform_count` (filled by
-      `emulator.environment_tape`).
+    * `tape_memo`: a run's `EnvironmentTape`, per seeded bit-generator
+      state, load profile, horizon, noise fraction and `uniform_count`
+      (filled by `emulator.environment_tape`).  It holds the run's (load,
+      record index, latency noise, throughput noise) per tick and, per
+      utility, the (`MeasurementRecord`, `TickRecord`) that each
+      (tick, size) emulates to, each pair added whole by the first
+      episode at that size on that tick (`emulator.run_episode`).
 
     Each entry is a pure function of the fixed store and its key, so
     filling a memo is idempotent, no entry goes stale, and a built store
@@ -103,7 +107,7 @@ class LogStore:
         self._selections: dict[tuple[int, int], LogSelection] = {}
         self.reward_memo: dict[tuple, StateReward] = {}
         self.solve_memo: dict[tuple, tuple[MdpModel, tuple[str, ...], list[dict[int, float]]]] = {}
-        self.tape_memo: dict[tuple, tuple[tuple[float, int, float, float], ...]] = {}
+        self.tape_memo: dict[tuple, EnvironmentTape] = {}
 
     def __len__(self) -> int:
         return sum(map(len, self._buckets.values()))

@@ -80,6 +80,11 @@ class ActionKind(str, Enum):
     NO_OP = "no_op"
 
 
+# Enum members read once, at import: each `ActionKind.ADD`-style read is a
+# descriptor call, and hashing a member runs `Enum.__hash__` in Python.
+_ADD, _REM, _M3 = ActionKind.ADD, ActionKind.REM, Variant.M3
+
+
 @dataclass(frozen=True)
 class Action:
     """A sized elasticity action: add/remove `delta` VMs, or no_op.
@@ -122,10 +127,9 @@ class Action:
             raise ValueError(f"not an action label: {label!r}") from exc
 
     def sort_key(self) -> tuple[int, int]:
-        return (_KIND_ORDER[self.kind], self.delta)
+        kind = self.kind
+        return (0 if kind is _ADD else 1 if kind is _REM else 2, self.delta)
 
-
-_KIND_ORDER = {ActionKind.ADD: 0, ActionKind.REM: 1, ActionKind.NO_OP: 2}
 
 NO_OP = Action(ActionKind.NO_OP, 0)
 
@@ -164,16 +168,16 @@ class ModelConfig:
     def deltas(self, size: int, kind: ActionKind) -> range:
         """Sized `kind` deltas enabled at `size`: up to the per-step limit,
         or on M3 every delta up to the range edge (clipped when enacted)."""
-        if kind is ActionKind.ADD:
+        if kind is _ADD:
             room, limit = self.max_vms - size, self.add_limit
         else:
             room, limit = size - self.min_vms, self.rem_limit
-        return range(1, (room if self.variant is Variant.M3 else min(limit, room)) + 1)
+        return range(1, (room if self.variant is _M3 else min(limit, room)) + 1)
 
     def moves(self, size: int) -> list[Action]:
         """The sized actions enabled at `size`, in `Action.sort_key` order:
         the shared `Action` of each add delta, then of each rem delta."""
-        adds, rems = self.deltas(size, ActionKind.ADD), self.deltas(size, ActionKind.REM)
+        adds, rems = self.deltas(size, _ADD), self.deltas(size, _REM)
         return [_sized_action(d) for d in adds] + [_sized_action(-d) for d in rems]
 
 

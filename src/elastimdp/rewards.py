@@ -208,6 +208,9 @@ class UtilityKind(str, Enum):
     R2 = "r2"  # inverse VM count, -1 past the latency threshold
 
 
+_R1 = UtilityKind.R1  # read once: each member read is a descriptor call
+
+
 @dataclass(frozen=True)
 class UtilityConfig:
     kind: UtilityKind = UtilityKind.R1
@@ -230,7 +233,7 @@ def utility_eval(
     """
     if latency_ms > config.latency_threshold_ms:
         return -1.0
-    if config.kind is UtilityKind.R1:
+    if config.kind is _R1:
         return throughput / vms_num
     return 1.0 / vms_num
 

@@ -48,6 +48,10 @@ TIE_TOL = 1e-9
 
 _ORACLE_STATE_LIMIT = 100
 
+# Enum members read once, at import: each `ActionKind.ADD`-style read is a
+# descriptor call.
+_ADD, _REM, _NO_OP_KIND = ActionKind.ADD, ActionKind.REM, ActionKind.NO_OP
+
 
 def tie_break_key(action: Action) -> tuple[int, int, int]:
     """Total order over equally-valued actions: no_op first, then the
@@ -60,11 +64,8 @@ def tie_break_key(action: Action) -> tuple[int, int, int]:
     spreading the move over several decision rounds.  Removals win the
     final tie since fewer VMs cost less.
     """
-    return (
-        0 if action.kind is ActionKind.NO_OP else 1,
-        -abs(action.delta),
-        0 if action.kind is ActionKind.REM else 1,
-    )
+    kind = action.kind
+    return (0 if kind is _NO_OP_KIND else 1, -action.delta, 0 if kind is _REM else 1)
 
 
 def pick(candidates: list[tuple[float, Action]]) -> tuple[float, Action]:
@@ -88,7 +89,7 @@ class PolicyDecision:
 
     @property
     def is_no_op(self) -> bool:
-        return self.action.kind is ActionKind.NO_OP
+        return self.action.kind is _NO_OP_KIND
 
 
 def _arrival_values(
@@ -158,10 +159,11 @@ def best_move(
 
 def clip_action(action: Action, config) -> tuple[Action, bool]:
     """Clip an all-targets action to the per-step add/remove limits."""
-    limit = config.add_limit if action.kind is ActionKind.ADD else config.rem_limit
-    if action.kind is ActionKind.NO_OP or action.delta <= limit:
+    kind = action.kind
+    limit = config.add_limit if kind is _ADD else config.rem_limit
+    if kind is _NO_OP_KIND or action.delta <= limit:
         return action, False
-    return Action(action.kind, limit), True
+    return Action(kind, limit), True
 
 
 def decide(

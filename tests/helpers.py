@@ -4,7 +4,7 @@ policies."""
 from __future__ import annotations
 
 from elastimdp.emulator import ExperimentTrace, ScheduleConfig
-from elastimdp.model import NO_OP, ActionKind, MdpModel, StateKey
+from elastimdp.model import NO_OP, Action, ActionKind, MdpModel, StateKey
 from elastimdp.policies import Policy, PolicyKind
 from elastimdp.solver import PolicyDecision
 
@@ -23,6 +23,20 @@ class BoomStub(Policy):
 
     def decide(self, current):
         raise RuntimeError("boom")
+
+
+class AddThenBoomStub(Policy):
+    """Adds one VM at each of its first `adds` decisions, then raises."""
+
+    def __init__(self, adds):
+        super().__init__(PolicyKind.MDP_MB)
+        self.adds = adds
+
+    def decide(self, current):
+        if not self.adds:
+            raise RuntimeError("boom")
+        self.adds -= 1
+        return PolicyDecision(action=Action(ActionKind.ADD, 1), expected_utility=None)
 
 
 def loads(trace: ExperimentTrace) -> list[float]:

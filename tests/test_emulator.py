@@ -108,7 +108,7 @@ class TestEmulateState:
         draws = np.array(
             [
                 emulate_state(record, lat_noise, thr_noise)
-                for _, _, lat_noise, thr_noise in environment_tape(store, LV1, schedule, rng)
+                for _, _, lat_noise, thr_noise in environment_tape(store, LV1, schedule, rng).rows
             ]
         )
         # multiplicative N(1, 0.05): everything inside +-5 sigma for this seed

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import io
+import itertools
 import re
 import sys
 from collections import Counter
@@ -52,7 +53,7 @@ from elastimdp.policies import MDP_KINDS, PolicyKind
 from elastimdp.rewards import ClusteringConfig, UtilityConfig, UtilityKind, utility_eval
 
 import reference_config
-from helpers import BoomStub, decision_ticks, loads
+from helpers import AddThenBoomStub, BoomStub, decision_ticks, loads
 
 # sha256 of the dumps of the default 2-run comparison's 112 solved models
 DEFAULT_SOLVE_MEMO_SHA256 = "5ee5c7744a1e15cd3ea762b740d6777de0411fbd374b4f78efa33beb69ea773e"
@@ -496,6 +497,9 @@ class TestComparison:
 
 
 UNEVEN_LOGS = Path(__file__).parent / "data" / "uneven_logs.csv"
+UNEVEN_OVERRIDES = {
+    "dataset.source": "csv", "dataset.path": str(UNEVEN_LOGS), "model.max_vms": "6",
+}
 
 
 def comparable(trace: ExperimentTrace) -> tuple[str, bool, str | None]:
@@ -579,7 +583,7 @@ class TestEnvironmentTape:
 
         first = tape(5)
         assert tape(np.random.SeedSequence(5)) is first
-        assert len(first) == schedule.horizon_ticks
+        assert len(first.rows) == schedule.horizon_ticks
         others = [
             tape(6),
             tape(5, load=dataclasses.replace(load, variation=LoadVariation.LV2)),
@@ -616,12 +620,13 @@ class TestEnvironmentTape:
             assert r.throughput == max(0.0, float(record.throughput * thr_noise))
 
     def test_uneven_logs_leave_no_tape(self, monkeypatch):
-        config = small_config(**{
-            "dataset.source": "csv", "dataset.path": str(UNEVEN_LOGS), "model.max_vms": "6",
-        })
+        config = small_config(**UNEVEN_OVERRIDES)
         result, store = run_keeping_store(monkeypatch, config, load_dataset(config))
         assert store.uniform_count is None and not store.tape_memo
         assert result.all_valid
+        # Without a tape no episode hands a record on to another.
+        records = [r for trace in result.traces.values() for r in trace.records]
+        assert len(set(map(id, records))) == len(records)
 
     def test_empty_store_fails_alike(self, monkeypatch):
         traces, _ = tape_and_live(monkeypatch, small_config(), [])
@@ -661,6 +666,128 @@ class TestEnvironmentTape:
         assert len(store.tape_memo) == config.runs
         error = "ConfigurationError: load 1000.0 over bucket width 1e-310 has no finite bucket"
         assert set(traces.values()) == {(TRACE_HEADER + "\n", False, error)}
+
+
+def episode(config, store, kind, run, utility=None):
+    """One (policy, run) cell of `run_comparison` on `store`, under
+    `utility` (by default the config's) for the policy and the episode."""
+    utility = utility or config.utility
+    policy = policies.make_policy(
+        kind, store, config.model, utility, config.clustering,
+        re_config=config.re_config, rl_config=config.rl_config,
+        smoothing_window=config.post.smoothing_window,
+    )
+    trace = harness.run_episode(
+        policy, config.load, store, config.schedule, utility,
+        post=config.post, rng_seed=harness.run_seed(config.base_seed, run),
+    )
+    trace.seed = run
+    return trace
+
+
+def alone(config, records, kind, run, utility=None):
+    """Comparable trace of one cell on a fresh store of its own, where no
+    other episode has emulated a tick."""
+    return comparable(episode(config, build_store(config, records), kind, run, utility))
+
+
+def emulated_pairs(store):
+    """Every (tape key, utility, tick, vms) -> emulated pair a store holds."""
+    return {
+        (key, utility, tick, vms): pair
+        for key, tape in store.tape_memo.items()
+        for utility, ticks in tape.emulated.items()
+        for tick, by_size in enumerate(ticks)
+        for vms, pair in by_size.items()
+    }
+
+
+class TestSharedEmulation:
+    """The records a (tick, size) emulates are made once per run and
+    utility and handed on to every later episode there; old path (each
+    cell on a store of its own) against new."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, SCALEOUT_OVERRIDES, UNEVEN_OVERRIDES],
+        ids=["defaults-10-runs", "scaleout", "uneven-live"],
+    )
+    def test_every_trace_equals_its_cell_run_alone(self, overrides):
+        config = parse_config(default_config_ini(), overrides)
+        records = load_dataset(config)
+        result = run_comparison(config, records)
+        assert result.all_valid
+        assert len(result.traces) == len(config.policies) * config.runs
+        for (kind, run), trace in result.traces.items():
+            assert comparable(trace) == alone(config, records, kind, run), (kind, run)
+
+    def test_each_utility_gets_the_trace_of_a_store_of_its_own(self):
+        config = small_config()
+        records = load_dataset(config)
+        store = build_store(config, records)
+        utilities = [
+            UtilityConfig(UtilityKind.R1, 60.0),
+            UtilityConfig(UtilityKind.R2, 60.0),
+            UtilityConfig(UtilityKind.R1, 40.0),
+        ]
+        traces = {}
+        for utility, kind in itertools.product(utilities, config.policies):
+            trace = comparable(episode(config, store, kind, 0, utility))
+            assert trace == alone(config, records, kind, 0, utility), (utility, kind)
+            traces[utility, kind] = trace
+        # The utilities score the same ticks differently, so a pair handed
+        # to the wrong one would have shown.
+        assert len({traces[u, PolicyKind.RE] for u in utilities}) == len(utilities)
+        (tape,) = store.tape_memo.values()
+        assert tape.emulated.keys() == set(utilities)
+
+    def test_an_aborted_episode_leaves_later_traces_unchanged(self):
+        config = small_config()
+        records = load_dataset(config)
+        store = build_store(config, records)
+        seed = harness.run_seed(config.base_seed, 0)
+        aborted = harness.run_episode(
+            AddThenBoomStub(2), config.load, store, config.schedule, config.utility,
+            rng_seed=seed,
+        )
+        assert not aborted.valid and aborted.error == "RuntimeError: boom"
+        # It recorded ticks at three sizes before the third decision raised.
+        assert {r.vms for r in aborted.records} == {4, 5, 6}
+        assert len(aborted.records) == 3 * config.schedule.decision_every_ticks
+        # Its last tick was emulated whole before its decision raised.
+        left = emulated_pairs(store)
+        assert len(left) == len(aborted.records) + 1
+        for kind in config.policies:
+            assert comparable(episode(config, store, kind, 0)) == alone(config, records, kind, 0)
+        # Every pair the aborted episode left is whole and still in place.
+        assert all(emulated_pairs(store)[key] is pair for key, pair in left.items())
+        for (_, _, tick, vms), (sample, record) in left.items():
+            assert (sample.time, sample.vms) == (record.tick, record.vms) == (tick, vms)
+            assert (sample.load, sample.latency_ms, sample.throughput) == (
+                record.load, record.latency_ms, record.throughput
+            )
+
+    def test_non_decision_ticks_at_one_size_share_their_records(self, monkeypatch):
+        config = parse_config(default_config_ini(), {"experiment.runs": "1"})
+        result, store = run_keeping_store(monkeypatch, config)
+        (tape,) = store.tape_memo.values()
+        ticks = tape.emulated[config.utility]
+        traces = [result.traces[(kind, 0)] for kind in config.policies]
+        shared = own = 0
+        for first, second in itertools.combinations(traces, 2):
+            for a, b in zip(first.records, second.records):
+                if a.vms != b.vms:
+                    continue
+                sample, record = ticks[a.tick][a.vms]
+                if a.decision:
+                    own += 1
+                    assert a is not b and a is not record and b is not record
+                    assert dataclasses.replace(a, decision="", decision_ms=0.0) == record
+                else:
+                    shared += 1
+                    assert a is b is record
+                    assert (sample.time, sample.vms, sample.load) == (a.tick, a.vms, a.load)
+        assert shared > own > 0
 
 
 def write_small_ini(path: Path, **extra) -> Path:
