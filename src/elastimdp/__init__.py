@@ -38,9 +38,8 @@ from .policies import (
     re_decide,
     rl_decide,
     rl_update,
-    smooth_load,
 )
-from .queries import parse_predicate, parse_query
+from .queries import parse_query
 from .rewards import (
     ClusterSummary,
     ClusteringConfig,

@@ -6,7 +6,7 @@ Subcommands:
 * ``gen-dataset`` -- write the measurement CSV a config's runs read
 * ``query``       -- evaluate a Pmax/Pmin reachability query
 * ``validate``    -- check a config file or a model dump
-* ``replay``      -- re-score a trace CSV under a different utility
+* ``replay``      -- re-score a trace CSV under a config's utility
 
 A command that reads a config gets it from `_config` alone; ``query``
 answers from a ``--model-dump`` instead when given one.
@@ -33,7 +33,7 @@ from .logs import write_records_csv
 from .model import MdpModel
 from .policies import PolicyKind, instantiate_model, MDP_KINDS
 from .queries import parse_query
-from .rewards import UtilityConfig, UtilityKind, utility_eval
+from .rewards import utility_eval
 from .solver import reachability_probability
 
 
@@ -74,10 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--model-dump", help="model dump file")
     validate.set_defaults(overrides=[])
 
-    replay = sub.add_parser("replay", help="re-score a trace under another utility")
+    replay = sub.add_parser("replay", help="re-score a trace under a config's utility")
     replay.add_argument("--trace", required=True, help="trace CSV to re-score")
-    replay.add_argument("--utility", required=True, choices=["r1", "r2"])
-    replay.add_argument("--latency-threshold-ms", type=float, default=60.0)
+    _add_config_flags(replay)
     replay.add_argument("--out", help="where to write the re-scored trace CSV")
 
     return parser
@@ -139,8 +138,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         config = _config(args)
         store = harness.build_store(config, harness.load_dataset(config))
         load = args.load if args.load is not None else config.load.load_min
-        if not math.isfinite(load):
-            raise ElastimdpError(f"--load must be finite, got {load!r}")
+        if not 0 <= load < math.inf:
+            raise ElastimdpError(f"--load must be finite and >= 0, got {load!r}")
         vms = args.vms if args.vms is not None else config.schedule.initial_vms
         model, _ = instantiate_model(
             PolicyKind(args.policy),
@@ -172,10 +171,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    utility = UtilityConfig(
-        kind=UtilityKind(args.utility),
-        latency_threshold_ms=args.latency_threshold_ms,
-    )
+    utility = _config(args).utility
     trace = trace_from_csv(Path(args.trace).read_text(encoding="utf-8"))
     trace.records = [
         dataclasses.replace(

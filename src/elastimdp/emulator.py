@@ -238,38 +238,29 @@ def _draws(rng: np.random.Generator, count: int, noise: float) -> tuple[int, flo
     return (index, *rng.normal(1.0, noise, size=2).tolist())
 
 
-# What one tick emulates at one size: the sample the policy observes and
-# the record a trace keeps on a tick without a decision.
-Emulated = tuple[MeasurementRecord, TickRecord]
-
-
 @dataclass(frozen=True)
 class EnvironmentTape:
-    """A run's environment, drawn once per `LogStore.tape_memo` key.
+    """A run's environment under one utility, drawn once per
+    `LogStore.tape_memo` key.
 
     `rows` holds, per tick, the load and what `_draws` draws.  `emulated`
-    holds, per `UtilityConfig`, one map per tick from a size to what that
-    tick emulates at that size.  Both records are frozen and a pure
-    function of the row, the store, the size and the utility, so the first
-    episode at a size on a tick makes them and every later episode of the
-    run hands on the same objects.
+    holds one map per tick from a size to the `TickRecord` that tick
+    emulates at that size.  A record is frozen and a pure function of the
+    row, the store, the size and the utility, so the first episode at a
+    size on a tick makes it and every later episode of the run keeps and
+    observes the same object.
     """
 
     rows: tuple[tuple[float, int, float, float], ...]
-    emulated: dict[UtilityConfig, tuple[dict[int, Emulated], ...]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-
-    def emulated_at(self, utility: UtilityConfig) -> tuple[dict[int, Emulated], ...]:
-        """The per-tick maps of `utility`, empty until episodes fill them."""
-        ticks = self.emulated.get(utility)
-        if ticks is None:
-            ticks = self.emulated[utility] = tuple({} for _ in self.rows)
-        return ticks
+    emulated: tuple[dict[int, TickRecord], ...] = field(compare=False, repr=False)
 
 
 def environment_tape(
-    store: LogStore, profile: LoadProfile, schedule: ScheduleConfig, rng: np.random.Generator
+    store: LogStore,
+    profile: LoadProfile,
+    schedule: ScheduleConfig,
+    utility: UtilityConfig,
+    rng: np.random.Generator,
 ) -> EnvironmentTape | None:
     """The run's tape: per tick, the load and what `_draws` draws with
     `rng`, built once per `LogStore.tape_memo` key; None if the store's
@@ -278,13 +269,14 @@ def environment_tape(
     count, noise = store.uniform_count, schedule.emulation_noise_fraction
     if count is None:
         return None
-    key = (repr(rng.bit_generator.state), profile, schedule.horizon_ticks, noise, count)
+    key = (repr(rng.bit_generator.state), profile, schedule.horizon_ticks, noise, utility)
     tape = store.tape_memo.get(key)
     if tape is None:
-        tape = store.tape_memo[key] = EnvironmentTape(tuple(
+        rows = tuple(
             (gen_load(profile, tick), *_draws(rng, count, noise))
             for tick in range(schedule.horizon_ticks)
-        ))
+        )
+        tape = store.tape_memo[key] = EnvironmentTape(rows, tuple({} for _ in rows))
     return tape
 
 
@@ -302,64 +294,58 @@ def run_episode(
     Each tick reads the load and the draws from the run's environment tape,
     shared by every episode seeded alike, so each policy of a run faces the
     same environment by construction (a store with uneven cells makes the
-    same draws tick by tick).  It emulates the current size and records the
-    realized utility and any threshold violation.  With a tape, what a
-    (tick, size) emulates under `utility` is made once, by the first
-    episode there, and later episodes of the run reuse the same
-    `MeasurementRecord` and `TickRecord` without selecting or emulating
-    (`EnvironmentTape.emulated`).  At every decision tick the policy is
-    invoked, the benefit threshold applied, the tick recorded with the
-    decision and its cost, and the chosen size change takes effect at the
-    next tick.  Policy or emulation failures abort the run and return the
-    partial trace flagged invalid.
+    same draws tick by tick).  It emulates the current size into a frozen
+    `TickRecord`, with the realized utility and any threshold violation,
+    and the policy observes that record.  With a tape, the record of a
+    (tick, size) is made once, by the first episode there, and later
+    episodes of the run observe and keep the same object without selecting
+    or emulating (`EnvironmentTape.emulated`).  At every decision tick the
+    policy is invoked, the benefit threshold applied, the tick recorded
+    with the decision and its cost, and the chosen size change takes effect
+    at the next tick.  Policy or emulation failures, such as a size below 1
+    or a measurement that overflows, abort the run and return the partial
+    trace flagged invalid.
     """
     rng = np.random.default_rng(rng_seed)
     trace = ExperimentTrace(policy=policy.kind.value)
     vms = schedule.initial_vms
-    pending: int | None = None
     noise = schedule.emulation_noise_fraction
     try:
-        tape = environment_tape(store, profile, schedule, rng)
-        shared = tape.emulated_at(utility) if tape else None
+        tape = environment_tape(store, profile, schedule, utility, rng)
         for tick in range(schedule.horizon_ticks):
-            if pending is not None:
-                vms = pending
-                pending = None
-            emulated = shared[tick].get(vms) if shared else None
-            if emulated is None:
+            record = tape.emulated[tick].get(vms) if tape else None
+            if record is None:
+                if vms < 1:
+                    raise ValueError(f"vms must be >= 1, got {vms}")
                 # Without a tape, draw live, bounded by the count of this cell.
                 load, *draws = tape.rows[tick] if tape else (gen_load(profile, tick),)
                 records = store.select_logs(vms, load).records
                 index, lat_noise, thr_noise = draws or _draws(rng, len(records), noise)
                 latency, throughput = emulate_state(records[index], lat_noise, thr_noise)
-                realized = utility_eval(utility, latency, throughput, vms)
-                emulated = (
-                    MeasurementRecord(tick, vms, load, latency, throughput),
-                    TickRecord(
-                        tick=tick,
-                        load=load,
-                        vms=vms,
-                        latency_ms=latency,
-                        throughput=throughput,
-                        utility=realized,
-                        violation=latency > utility.latency_threshold_ms,
-                        decision="",
-                        decision_ms=0.0,
-                    ),
+                if math.inf in (latency, throughput):
+                    raise ValueError(f"overflow: latency_ms={latency!r}, throughput={throughput!r}")
+                record = TickRecord(
+                    tick=tick,
+                    load=load,
+                    vms=vms,
+                    latency_ms=latency,
+                    throughput=throughput,
+                    utility=utility_eval(utility, latency, throughput, vms),
+                    violation=latency > utility.latency_threshold_ms,
+                    decision="",
+                    decision_ms=0.0,
                 )
-                if shared:
-                    shared[tick][vms] = emulated
-            sample, record = emulated
-            policy.observe(sample)
+                if tape:
+                    tape.emulated[tick][vms] = record
+            policy.observe(record)
 
             if tick > 0 and tick % schedule.decision_every_ticks == 0:
                 started = time.perf_counter()
                 decision = policy.decide(vms)
                 decision_ms = (time.perf_counter() - started) * 1000.0
                 decision = apply_benefit_threshold(decision, record.utility, post)
-                if not decision.is_no_op:
-                    pending = vms + decision.action.signed_delta
                 record = replace(record, decision=decision.action.label, decision_ms=decision_ms)
+                vms += decision.action.signed_delta
             trace.records.append(record)
     except Exception as exc:  # noqa: BLE001 - partial trace must survive
         trace.valid = False

@@ -2,13 +2,14 @@
 
 An experiment runs a list of policies for several emulated episodes each.
 Run i's load wave and noise draws derive from (base_seed, i) only and are
-drawn once per store (`emulator.environment_tape`), so every policy of the
-run reads the same environment by construction.  The tape also keeps what
-each (tick, size) emulates to under the experiment's utility, so a tick is
-emulated once per run and size, whichever policy reaches it first, and the
-other policies' episodes reuse its frozen records.  Configuration lives in a
-flat INI file with units spelled out in the key names; one table gives each
-key's parser and the object it fills, and every key can be overridden.
+drawn once per store and utility (`emulator.environment_tape`), so every
+policy of the run reads the same environment by construction.  The tape
+also keeps the `TickRecord` each (tick, size) emulates to, so a tick is
+emulated once per run and size, whichever policy reaches it first, and
+every policy there observes and keeps that one frozen record.
+Configuration lives in a flat INI file with units spelled out in the key
+names; one table gives each key's parser and the object it fills, and
+every key can be overridden.
 """
 
 from __future__ import annotations

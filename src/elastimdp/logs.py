@@ -83,12 +83,11 @@ class LogStore:
       entry per MDP policy kind, model config, clustering config, utility
       and load bucket (filled by `policies.mdp_decide`);
     * `tape_memo`: a run's `EnvironmentTape`, per seeded bit-generator
-      state, load profile, horizon, noise fraction and `uniform_count`
-      (filled by `emulator.environment_tape`).  It holds the run's (load,
-      record index, latency noise, throughput noise) per tick and, per
-      utility, the (`MeasurementRecord`, `TickRecord`) that each
-      (tick, size) emulates to, each pair added whole by the first
-      episode at that size on that tick (`emulator.run_episode`).
+      state, load profile, horizon, noise fraction and utility (filled by
+      `emulator.environment_tape`).  It holds the run's (load, record
+      index, latency noise, throughput noise) per tick and the `TickRecord`
+      each (tick, size) emulates to, added by the first episode at that
+      size on that tick (`emulator.run_episode`).
 
     Each entry is a pure function of the fixed store and its key, so
     filling a memo is idempotent, no entry goes stale, and a built store

@@ -26,10 +26,10 @@ import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import ConfigurationError, NoDataError
-from .logs import LogSelection, LogStore, MeasurementRecord
+from .logs import LogSelection, LogStore
 from .model import (
     Action,
     ActionKind,
@@ -50,6 +50,9 @@ from .rewards import (
     utility_eval,
 )
 from .solver import PolicyDecision, decide as solve_decide, pick, reward_arrivals
+
+if TYPE_CHECKING:  # emulator imports this module
+    from .emulator import TickRecord
 
 
 class PolicyKind(str, Enum):
@@ -210,7 +213,7 @@ def cell_reward(
     return reward
 
 
-def _observation(measurement: MeasurementRecord | None) -> tuple[float, float] | None:
+def _observation(measurement: TickRecord | None) -> tuple[float, float] | None:
     if measurement is None:
         return None
     return (measurement.latency_ms, measurement.throughput)
@@ -221,7 +224,7 @@ def instantiate_model(
     store: LogStore,
     load_effective: float,
     current: ClusterSize,
-    current_measurement: MeasurementRecord | None,
+    current_measurement: TickRecord | None,
     model_config: ModelConfig,
     utility: UtilityConfig,
     clustering: ClusteringConfig,
@@ -257,7 +260,7 @@ def mdp_decide(
     store: LogStore,
     load_effective: float,
     current: ClusterSize,
-    current_measurement: MeasurementRecord | None,
+    current_measurement: TickRecord | None,
     model_config: ModelConfig,
     utility: UtilityConfig,
     clustering: ClusteringConfig,
@@ -286,17 +289,6 @@ def mdp_decide(
     if notes:
         decision = dataclasses.replace(decision, notes=decision.notes + notes)
     return decision
-
-
-def smooth_load(history: Sequence[float], window: int) -> float:
-    """Mean of the last `window` load values (all of them when shorter);
-    window 1 is the latest raw value."""
-    if window < 1:
-        raise ConfigurationError("window must be >= 1")
-    if not history:
-        raise NoDataError("no load history to smooth")
-    tail = list(history)[-window:]
-    return sum(tail) / len(tail)
 
 
 def apply_benefit_threshold(
@@ -332,25 +324,33 @@ def apply_benefit_threshold(
 
 
 class Policy:
-    """Stateful per-run decision policy: feed every tick measurement to
+    """Stateful per-run decision policy: feed every tick's record to
     `observe`, ask for an action with `decide`.
 
-    Instances own mutable state (histories, Q-tables) and serve one
-    episode at a time; run separate instances for concurrent episodes.
+    A policy reads only a record's `load`, `latency_ms` and `throughput`,
+    so it observes the `TickRecord` an episode emulates.  The loads of the
+    last `smoothing_window` ticks give the effective load.  Instances own
+    mutable state (histories, Q-tables) and serve one episode at a time;
+    run separate instances for concurrent episodes.
     """
 
     def __init__(self, kind: PolicyKind, smoothing_window: int = 1):
+        if smoothing_window < 1:
+            raise ConfigurationError(f"smoothing window must be >= 1, got {smoothing_window}")
         self.kind = kind
-        self.smoothing_window = smoothing_window
-        self._loads: deque[float] = deque(maxlen=max(smoothing_window, 1))
-        self._latest: MeasurementRecord | None = None
+        self._loads: deque[float] = deque(maxlen=smoothing_window)
+        self._latest: TickRecord | None = None
 
-    def observe(self, record: MeasurementRecord) -> None:
+    def observe(self, record: TickRecord) -> None:
         self._loads.append(record.load)
         self._latest = record
 
     def effective_load(self) -> float:
-        return smooth_load(self._loads, self.smoothing_window)
+        """Mean load of the last `smoothing_window` observed ticks (of all
+        of them before that many); window 1 is the latest raw load."""
+        if not self._loads:
+            raise NoDataError("no load observed yet")
+        return sum(self._loads) / len(self._loads)
 
     def decide(self, current: ClusterSize) -> PolicyDecision:
         raise NotImplementedError

@@ -132,31 +132,6 @@ class _Parser:
         return field, _OPS[op_token.text], value
 
 
-def parse_predicate(text: str) -> Callable[[MdpState], bool]:
-    """Parse a conjunction of comparisons into a state predicate."""
-    parser = _Parser(text)
-    clauses = _conjunction(parser)
-    end = parser.current
-    if end.kind != "end":
-        raise QueryParseError(f"trailing input {end.text!r}", end.position)
-    return _as_predicate(clauses)
-
-
-def _conjunction(parser: _Parser):
-    clauses = [parser.comparison()]
-    while parser.current.text == "&":
-        parser.take()
-        clauses.append(parser.comparison())
-    return clauses
-
-
-def _as_predicate(clauses) -> Callable[[MdpState], bool]:
-    def predicate(state: MdpState) -> bool:
-        return all(op(_FIELDS[field](state), value) for field, op, value in clauses)
-
-    return predicate
-
-
 def parse_query(text: str) -> ReachabilityQuery:
     """Parse a full ``Pmax=? [ F ... ]`` / ``Pmin=? [ F ... ]`` query."""
     parser = _Parser(text)
@@ -169,10 +144,17 @@ def parse_query(text: str) -> ReachabilityQuery:
     parser.expect("=?", "operator")
     parser.expect("[", "bracket")
     parser.expect("F", "reachability operator")
-    clauses = _conjunction(parser)
+    clauses = [parser.comparison()]
+    while parser.current.text == "&":
+        parser.take()
+        clauses.append(parser.comparison())
     parser.expect("]", "bracket")
     end = parser.current
     if end.kind != "end":
         raise QueryParseError(f"trailing input {end.text!r}", end.position)
+
+    def predicate(state: MdpState) -> bool:
+        return all(op(_FIELDS[field](state), value) for field, op, value in clauses)
+
     mode = "max" if head.text == "Pmax" else "min"
-    return ReachabilityQuery(mode=mode, predicate=_as_predicate(clauses), text=text)
+    return ReachabilityQuery(mode=mode, predicate=predicate, text=text)

@@ -21,9 +21,10 @@ from elastimdp.emulator import (
 )
 from elastimdp.errors import DataFormatError, ElastimdpError, NoDataError
 from elastimdp.logs import LogStore, MeasurementRecord
-from elastimdp.model import ModelConfig
+from elastimdp.model import Action, ActionKind, ModelConfig
 from elastimdp.policies import PolicyKind, make_policy
 from elastimdp.rewards import ClusteringConfig, UtilityConfig, UtilityKind
+from elastimdp.solver import PolicyDecision
 
 from helpers import BoomStub, NoOpStub, decision_ticks
 
@@ -105,12 +106,8 @@ class TestEmulateState:
         store = self.store()
         record = store.select_logs(4, 10000.0).records[0]
         schedule = ScheduleConfig(horizon_ticks=10_000, emulation_noise_fraction=0.05)
-        draws = np.array(
-            [
-                emulate_state(record, lat_noise, thr_noise)
-                for _, _, lat_noise, thr_noise in environment_tape(store, LV1, schedule, rng).rows
-            ]
-        )
+        tape = environment_tape(store, LV1, schedule, R1, rng)
+        draws = np.array([emulate_state(record, *noise) for _, _, *noise in tape.rows])
         # multiplicative N(1, 0.05): everything inside +-5 sigma for this seed
         assert np.all(draws[:, 0] > 25.0 * 0.75) and np.all(draws[:, 0] < 25.0 * 1.25)
         assert np.mean(draws[:, 0]) == pytest.approx(25.0, rel=0.01)
@@ -182,6 +179,31 @@ class TestRunEpisode:
         assert not trace.valid
         assert "boom" in trace.error
         assert 0 < len(trace.records) < 50
+
+    @pytest.mark.parametrize("live", [False, True], ids=["tape", "live"])
+    def test_overflowing_measurement_aborts_the_episode(self, live):
+        # A latency near the float maximum overflows to inf under a noise
+        # factor above about 1.057.
+        store = LogStore([MeasurementRecord(0, 4, 10000.0, 1.7e308, 9000.0)])
+        if live:
+            store.uniform_count = None
+        schedule = ScheduleConfig(horizon_ticks=100, emulation_noise_fraction=0.05)
+        trace = run_episode(NoOpStub(), LV1, store, schedule, R1, rng_seed=1)
+        assert not trace.valid
+        assert trace.error.startswith("ValueError: ") and "inf" in trace.error
+        assert 0 < len(trace.records) < schedule.horizon_ticks
+        assert all(r.latency_ms < float("inf") for r in trace.records)
+        assert bool(store.tape_memo) is not live
+
+    def test_size_below_one_aborts_the_episode(self):
+        class RemoveTen(NoOpStub):
+            def decide(self, current):
+                return PolicyDecision(action=Action(ActionKind.REM, 10), expected_utility=None)
+
+        schedule = self.schedule(25)
+        trace = run_episode(RemoveTen(), LV1, default_store(), schedule, R1, rng_seed=1)
+        assert (trace.valid, trace.error) == (False, "ValueError: vms must be >= 1, got -6")
+        assert [r.vms for r in trace.records] == [4] * (schedule.decision_every_ticks + 1)
 
     def test_vms_change_takes_effect_next_tick(self):
         profile = LoadProfile(load_min=30000.0, load_max=40000.0)

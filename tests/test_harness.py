@@ -576,14 +576,15 @@ class TestEnvironmentTape:
     def test_seed_forms_share_a_tape_and_other_keys_do_not(self):
         config = small_config()
         store = build_store(config, load_dataset(config))
-        load, schedule = config.load, config.schedule
+        load, schedule, utility = config.load, config.schedule, config.utility
 
-        def tape(seed, load=load, schedule=schedule):
-            return emulator.environment_tape(store, load, schedule, np.random.default_rng(seed))
+        def tape(seed, load=load, schedule=schedule, utility=utility):
+            rng = np.random.default_rng(seed)
+            return emulator.environment_tape(store, load, schedule, utility, rng)
 
         first = tape(5)
         assert tape(np.random.SeedSequence(5)) is first
-        assert len(first.rows) == schedule.horizon_ticks
+        assert len(first.rows) == len(first.emulated) == schedule.horizon_ticks
         others = [
             tape(6),
             tape(5, load=dataclasses.replace(load, variation=LoadVariation.LV2)),
@@ -591,7 +592,10 @@ class TestEnvironmentTape:
             tape(5, schedule=dataclasses.replace(schedule, emulation_noise_fraction=0.1)),
         ]
         assert all(other != first for other in others)
-        assert len(store.tape_memo) == 5
+        # Another utility gets a tape of its own, with the same rows.
+        other_utility = tape(5, utility=UtilityConfig(UtilityKind.R2, 60.0))
+        assert other_utility is not first and other_utility.rows == first.rows
+        assert len(store.tape_memo) == 6
 
     def test_uneven_store_draws_live_as_episodes_always_did(self):
         # The vms-4 cell holds two records and the vms-5 cell one, so the
@@ -691,21 +695,20 @@ def alone(config, records, kind, run, utility=None):
     return comparable(episode(config, build_store(config, records), kind, run, utility))
 
 
-def emulated_pairs(store):
-    """Every (tape key, utility, tick, vms) -> emulated pair a store holds."""
+def emulated_records(store):
+    """Every (tape key, tick, vms) -> emulated record a store holds."""
     return {
-        (key, utility, tick, vms): pair
+        (key, tick, vms): record
         for key, tape in store.tape_memo.items()
-        for utility, ticks in tape.emulated.items()
-        for tick, by_size in enumerate(ticks)
-        for vms, pair in by_size.items()
+        for tick, by_size in enumerate(tape.emulated)
+        for vms, record in by_size.items()
     }
 
 
 class TestSharedEmulation:
-    """The records a (tick, size) emulates are made once per run and
-    utility and handed on to every later episode there; old path (each
-    cell on a store of its own) against new."""
+    """The record a (tick, size) emulates is made once per run and utility
+    and handed on to every later episode there; old path (each cell on a
+    store of its own) against new."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -735,11 +738,13 @@ class TestSharedEmulation:
             trace = comparable(episode(config, store, kind, 0, utility))
             assert trace == alone(config, records, kind, 0, utility), (utility, kind)
             traces[utility, kind] = trace
-        # The utilities score the same ticks differently, so a pair handed
+        # The utilities score the same ticks differently, so a record handed
         # to the wrong one would have shown.
         assert len({traces[u, PolicyKind.RE] for u in utilities}) == len(utilities)
-        (tape,) = store.tape_memo.values()
-        assert tape.emulated.keys() == set(utilities)
+        # One tape per utility, each with the run's rows.
+        assert [key[-1] for key in store.tape_memo] == utilities
+        first, *others = store.tape_memo.values()
+        assert all(tape.rows == first.rows and tape is not first for tape in others)
 
     def test_an_aborted_episode_leaves_later_traces_unchanged(self):
         config = small_config()
@@ -754,31 +759,27 @@ class TestSharedEmulation:
         # It recorded ticks at three sizes before the third decision raised.
         assert {r.vms for r in aborted.records} == {4, 5, 6}
         assert len(aborted.records) == 3 * config.schedule.decision_every_ticks
-        # Its last tick was emulated whole before its decision raised.
-        left = emulated_pairs(store)
+        # Its last tick was emulated before its decision raised.
+        left = emulated_records(store)
         assert len(left) == len(aborted.records) + 1
         for kind in config.policies:
             assert comparable(episode(config, store, kind, 0)) == alone(config, records, kind, 0)
-        # Every pair the aborted episode left is whole and still in place.
-        assert all(emulated_pairs(store)[key] is pair for key, pair in left.items())
-        for (_, _, tick, vms), (sample, record) in left.items():
-            assert (sample.time, sample.vms) == (record.tick, record.vms) == (tick, vms)
-            assert (sample.load, sample.latency_ms, sample.throughput) == (
-                record.load, record.latency_ms, record.throughput
-            )
+        # Every record the aborted episode left is still in place, undecided.
+        assert all(emulated_records(store)[key] is record for key, record in left.items())
+        for (_, tick, vms), record in left.items():
+            assert (record.tick, record.vms, record.decision) == (tick, vms, "")
 
     def test_non_decision_ticks_at_one_size_share_their_records(self, monkeypatch):
         config = parse_config(default_config_ini(), {"experiment.runs": "1"})
         result, store = run_keeping_store(monkeypatch, config)
         (tape,) = store.tape_memo.values()
-        ticks = tape.emulated[config.utility]
         traces = [result.traces[(kind, 0)] for kind in config.policies]
         shared = own = 0
         for first, second in itertools.combinations(traces, 2):
             for a, b in zip(first.records, second.records):
                 if a.vms != b.vms:
                     continue
-                sample, record = ticks[a.tick][a.vms]
+                record = tape.emulated[a.tick][a.vms]
                 if a.decision:
                     own += 1
                     assert a is not b and a is not record and b is not record
@@ -786,8 +787,30 @@ class TestSharedEmulation:
                 else:
                     shared += 1
                     assert a is b is record
-                    assert (sample.time, sample.vms, sample.load) == (a.tick, a.vms, a.load)
         assert shared > own > 0
+
+    def test_a_policy_observes_the_record_the_trace_and_the_tape_keep(self):
+        config = small_config()
+        store = build_store(config, load_dataset(config))
+        policy = policies.make_policy(
+            PolicyKind.MDP_MB, store, config.model, config.utility, config.clustering
+        )
+        observed = []
+        observe = policy.observe
+        policy.observe = lambda record: (observed.append(record), observe(record))
+        trace = harness.run_episode(
+            policy, config.load, store, config.schedule, config.utility,
+            rng_seed=harness.run_seed(config.base_seed, 0),
+        )
+        assert trace.valid and len(observed) == len(trace.records)
+        assert len({r.vms for r in trace.records}) > 1
+        (tape,) = store.tape_memo.values()
+        for seen, kept in zip(observed, trace.records):
+            assert seen is tape.emulated[kept.tick][kept.vms]
+            if kept.decision:
+                assert dataclasses.replace(kept, decision="", decision_ms=0.0) == seen
+            else:
+                assert seen is kept
 
 
 def write_small_ini(path: Path, **extra) -> Path:
@@ -861,8 +884,11 @@ class TestCli:
             ("query", "Pmax=? [ F vms_num=5 ]", "--config", "{ini}", "--out-dir", "elsewhere"),
             ("validate", "--config", "{ini}", "--seed", "3"),
             ("validate", "--config", "{ini}", "--out-dir", "elsewhere"),
-            ("replay", "--trace", "{trace}", "--utility", "r1", "--seed", "3"),
-            ("replay", "--trace", "{trace}", "--utility", "r1", "--out-dir", "elsewhere"),
+            ("replay", "--trace", "{trace}", "--set", "utility.kind=r1", "--seed", "3"),
+            ("replay", "--trace", "{trace}", "--set", "utility.kind=r1", "--out-dir", "elsewhere"),
+            # The utility comes from the config alone.
+            ("replay", "--trace", "{trace}", "--utility", "r1"),
+            ("replay", "--trace", "{trace}", "--latency-threshold-ms", "60"),
         ],
         ids=lambda argv: f"{argv[0]} {argv[-2]}",
     )
@@ -989,8 +1015,8 @@ class TestCli:
         trace_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out_file = tmp_path / "rescored.csv"
         code = self.run_cli(
-            "replay", "--trace", str(trace_file), "--utility", "r2",
-            "--latency-threshold-ms", "60", "--out", str(out_file),
+            "replay", "--trace", str(trace_file), "--set", "utility.kind=r2",
+            "--set", "utility.latency_threshold_ms=60", "--out", str(out_file),
         )
         assert code == 0
         rescored = trace_from_csv(out_file.read_text(encoding="utf-8"))
@@ -1003,13 +1029,14 @@ class TestCli:
         trace_file = tmp_path / "short.csv"
         header = "tick,load,vms,latency_ms,throughput,utility,violation,decision,decision_ms"
         trace_file.write_text(f"{header}\n0,1,2\n", encoding="utf-8")
-        assert self.run_cli("replay", "--trace", str(trace_file), "--utility", "r1") == 2
+        assert self.run_cli("replay", "--trace", str(trace_file), "--set", "utility.kind=r1") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: trace line 2: expected 9 fields")
         assert "Traceback" not in err
 
     def test_replay_missing_file(self, tmp_path):
-        assert self.run_cli("replay", "--trace", str(tmp_path / "nope.csv"), "--utility", "r2") == 2
+        missing = str(tmp_path / "nope.csv")
+        assert self.run_cli("replay", "--trace", missing, "--set", "utility.kind=r2") == 2
 
 
 TRACE_HEADER = "tick,load,vms,latency_ms,throughput,utility,violation,decision,decision_ms"
@@ -1060,6 +1087,7 @@ GARBAGE = [
     ("query", "Pmax=? [ F vms_num=5 ]", "--model-dump", "{phase}"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--config", "{garbage}"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--config", "{ini}", "--load", "nan"),
+    ("query", "Pmax=? [ F latency<60 ]", "--load", "-50000", "--vms", "5"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--config", "{ini}", "--vms", "99"),
     ("query", "Pmax=? [ F vms_num=", "--config", "{ini}"),
     ("validate",),
@@ -1067,11 +1095,17 @@ GARBAGE = [
     ("validate", "--config", "{percent}"),
     ("validate", "--model-dump", "{garbage}"),
     ("validate", "--model-dump", "{missing}"),
-    ("replay", "--trace", "{garbage}", "--utility", "r1"),
-    ("replay", "--trace", "{binary}", "--utility", "r2"),
-    ("replay", "--trace", "{trace}", "--utility", "r1", "--latency-threshold-ms", "nan"),
-    ("replay", "--trace", "{trace}", "--utility", "r1", "--latency-threshold-ms", "0"),
-    ("replay", "--trace", "{vms0}", "--utility", "r1"),
+    ("replay", "--trace", "{garbage}", "--set", "utility.kind=r1"),
+    ("replay", "--trace", "{binary}", "--set", "utility.kind=r2"),
+    (
+        "replay", "--trace", "{trace}",
+        "--set", "utility.kind=r1", "--set", "utility.latency_threshold_ms=nan",
+    ),
+    (
+        "replay", "--trace", "{trace}",
+        "--set", "utility.kind=r1", "--set", "utility.latency_threshold_ms=0",
+    ),
+    ("replay", "--trace", "{vms0}", "--set", "utility.kind=r1"),
 ]
 
 

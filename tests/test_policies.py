@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from elastimdp import policies
+from elastimdp.emulator import TickRecord
 from elastimdp.errors import ConfigurationError, NoDataError
 from elastimdp.harness import (
     build_store,
@@ -36,7 +37,6 @@ from elastimdp.policies import (
     re_decide,
     rl_decide,
     rl_update,
-    smooth_load,
 )
 from elastimdp.rewards import (
     ClusteringConfig,
@@ -262,19 +262,38 @@ class TestPostProcessing:
             assert apply_benefit_threshold(decision, 1.0, post).action == NO_OP
 
 
+def observed(tick, vms, load, latency, throughput):
+    """The record an episode hands a policy at `tick`: what a policy reads
+    of it is the load, the latency and the throughput."""
+    return TickRecord(tick, load, vms, latency, throughput, 0.0, False, "", 0.0)
+
+
+def smoothed(loads, window):
+    """Effective load of a policy of `window` that observed `loads`."""
+    policy = policies.Policy(PolicyKind.MDP_MB, smoothing_window=window)
+    for t, load in enumerate(loads):
+        policy.observe(observed(t, 5, load, 30.0, 8000.0))
+    return policy.effective_load()
+
+
 class TestSmoothing:
     def test_mean_of_window(self):
-        assert smooth_load([10.0, 20.0, 30.0], 3) == 20.0
+        assert smoothed([10.0, 20.0, 30.0], 3) == 20.0
 
     def test_window_one_is_latest(self):
-        assert smooth_load([10.0, 20.0, 30.0], 1) == 30.0
+        assert smoothed([10.0, 20.0, 30.0], 1) == 30.0
 
     def test_short_history(self):
-        assert smooth_load([10.0], 5) == 10.0
+        assert smoothed([10.0], 5) == 10.0
 
     def test_empty_history(self):
         with pytest.raises(NoDataError):
-            smooth_load([], 3)
+            smoothed([], 3)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_is_refused_at_construction(self, window):
+        with pytest.raises(ConfigurationError, match="smoothing window must be >= 1"):
+            policies.Policy(PolicyKind.MDP_MB, smoothing_window=window)
 
     def test_policy_effective_load(self):
         per_size = {v: (30.0, 8000.0) for v in LIMITS.sizes}
@@ -282,7 +301,7 @@ class TestSmoothing:
                            CLUSTERING, smoothing_window=3)
         raw = MdpPolicy(PolicyKind.MDP_MB, store_with(per_size), LIMITS, R1, CLUSTERING)
         for t, load in enumerate([9000.0, 10000.0, 14000.0]):
-            record = MeasurementRecord(t, 5, load, 30.0, 8000.0)
+            record = observed(t, 5, load, 30.0, 8000.0)
             policy.observe(record)
             raw.observe(record)
         assert policy.effective_load() == 11000.0
@@ -299,14 +318,14 @@ class TestPolicyObjects:
     def test_rl_policy_updates_after_decisions(self):
         store = store_with({v: (30.0, float(v * v)) for v in LIMITS.sizes})
         policy = RLPolicy(store, LIMITS, R1, CLUSTERING, RLConfig(alpha=0.5, gamma=0.0))
-        policy.observe(MeasurementRecord(0, 5, 10000.0, 30.0, 25.0))
+        policy.observe(observed(0, 5, 10000.0, 30.0, 25.0))
         first = policy.decide(5)
         assert first.action.kind is ADD
         key = (5, first.action.label)
         # the first decision only warm-starts Q(5, action) from the mb estimate
         assert policy.qtable.values[key] == first.expected_utility == 8.0
         enacted = 5 + first.action.signed_delta
-        policy.observe(MeasurementRecord(1, enacted, 10000.0, 30.0, 40.0))
+        policy.observe(observed(1, enacted, 10000.0, 30.0, 40.0))
         policy.decide(enacted)
         # the second moves it halfway (alpha 0.5) to the realized 40 / 8 VMs
         assert policy.qtable.values[key] == 8.0 + 0.5 * (40.0 / 8 - 8.0)
@@ -392,7 +411,7 @@ class TestRewardMemo:
         for kind in (PolicyKind.MDP_MB, PolicyKind.MDP_EB, PolicyKind.MDP_MB):
             mdp_decide(kind, store, 10000.0, 5, None, LIMITS, R1, CLUSTERING)
         rl = RLPolicy(store, LIMITS, R1, CLUSTERING)
-        rl.observe(MeasurementRecord(0, 5, 10000.0, 30.0, 25.0))
+        rl.observe(observed(0, 5, 10000.0, 30.0, 25.0))
         rl.decide(5)
         assert len(calls) == len(LIMITS.sizes)
         assert len(store.reward_memo) == len(LIMITS.sizes)
@@ -453,7 +472,7 @@ class TestRewardMemo:
                     )
             rl = RLPolicy(store, config.model, config.utility, config.clustering)
             for load, current in ((5000.0, 8), (20000.0, 8), (20000.0, 9)):
-                rl.observe(MeasurementRecord(0, current, load, 30.0, load))
+                rl.observe(observed(0, current, load, 30.0, load))
                 rl.decide(current)
 
         decisions()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from elastimdp.errors import ElastimdpError, QueryEvaluationError, QueryParseError
 from elastimdp.model import MdpState, ModelConfig, Variant, build_model
-from elastimdp.queries import _tokenize, parse_predicate, parse_query
+from elastimdp.queries import _tokenize, parse_query
 from elastimdp.solver import reachability_probability
 
 
@@ -45,7 +45,8 @@ class TestParsing:
             ("==", 5, True),
             ("!=", 5, False),
         ]:
-            assert parse_predicate(f"vms_num{op}{value}")(MdpState(5)) is expect
+            predicate = parse_query(f"Pmax=? [ F vms_num{op}{value} ]").predicate
+            assert predicate(MdpState(5)) is expect
 
     def test_parse_error_positions(self):
         with pytest.raises(QueryParseError) as err:
@@ -57,11 +58,11 @@ class TestParsing:
 
     def test_unknown_field_rejected(self):
         with pytest.raises(QueryParseError, match="unknown field 'cpu'"):
-            parse_predicate("cpu<50")
+            parse_query("Pmax=? [ F cpu<50 ]").predicate
 
     def test_missing_number(self):
         with pytest.raises(QueryParseError, match="expected a number"):
-            parse_predicate("latency<")
+            parse_query("Pmax=? [ F latency< ]").predicate
 
     def test_trailing_garbage(self):
         with pytest.raises(QueryParseError, match="trailing"):
@@ -69,7 +70,7 @@ class TestParsing:
 
     def test_unexpected_character(self):
         with pytest.raises(QueryParseError):
-            parse_predicate("latency < #")
+            parse_query("Pmax=? [ F latency < # ]").predicate
 
     @pytest.mark.parametrize(
         "number", ["1e999", "-1e999", "9" * 400], ids=["1e999", "-1e999", "400-nines"]
