@@ -46,6 +46,7 @@ from .rewards import (
     UtilityConfig,
     UtilityKind,
     cluster_behavior,
+    cluster_cells,
     state_reward,
     utility_eval,
 )

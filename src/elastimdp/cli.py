@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import harness
 from .emulator import trace_from_csv, trace_to_csv
-from .errors import ConfigurationError, ElastimdpError
+from .errors import ElastimdpError
 from .logs import write_records_csv
 from .model import MdpModel
 from .policies import PolicyKind, instantiate_model, MDP_KINDS
@@ -95,7 +95,7 @@ def _add_config_flags(command: argparse.ArgumentParser) -> None:
 
 
 def _config(args: argparse.Namespace) -> harness.ExperimentConfig:
-    """The `--config` file (else the defaults) under every `--set`; its dataset file must exist."""
+    """The `--config` file (else the defaults) under every `--set`."""
     overrides = {}
     for item in args.overrides:
         dotted, sep, value = item.partition("=")
@@ -103,10 +103,7 @@ def _config(args: argparse.Namespace) -> harness.ExperimentConfig:
             raise ElastimdpError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
         overrides[dotted.strip()] = value.strip()
     text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
-    config = harness.parse_config(text, overrides)
-    if config.dataset.path is not None and not Path(config.dataset.path).exists():
-        raise ConfigurationError(f"dataset file not found: {config.dataset.path}")
-    return config
+    return harness.parse_config(text, overrides)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -94,9 +94,14 @@ class ExperimentConfig:
 
 
 def load_dataset(config: ExperimentConfig) -> list[MeasurementRecord]:
+    """The records a config's runs read: its CSV file, else its synthetic
+    dataset.  A CSV file that does not exist is a `ConfigurationError`."""
     spec = config.dataset
     if spec.path is not None:
-        return read_records_csv(spec.path)
+        try:
+            return read_records_csv(spec.path)
+        except FileNotFoundError:
+            raise ConfigurationError(f"dataset file not found: {spec.path}") from None
     assert spec.synthetic is not None
     loads = load_grid(
         config.load.load_min, config.load.load_max, config.clustering.load_bucket_width

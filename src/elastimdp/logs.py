@@ -19,7 +19,7 @@ from .errors import ConfigurationError, DataFormatError, NoDataError
 if TYPE_CHECKING:  # emulator, rewards and policies import this module
     from .emulator import EnvironmentTape
     from .model import MdpModel
-    from .rewards import StateReward
+    from .policies import RewardRow
 
 CSV_HEADER = ("time", "vms", "load", "latency_ms", "throughput")
 
@@ -76,9 +76,11 @@ class LogStore:
 
     * the selections: one `LogSelection` per (vms, load bucket) query
       (filled by `select_logs`);
-    * `reward_memo`: one `StateReward` (a cell's behavior clusters scored
-      for MB, EB and multi-behavior models) per cell, clustering config,
-      utility and scored size (filled by `policies.cell_reward`);
+    * `reward_memo`: one `policies.RewardRow` per load bucket, size range,
+      clustering config and utility: each size's selection and
+      `StateReward` (its cell's behavior clusters scored for MB, EB and
+      multi-behavior models) and the interpolation notes (filled by
+      `policies.reward_row`, which clusters the row's cells in one call);
     * `solve_memo`: one (model, interpolation notes, arrival values)
       entry per MDP policy kind, model config, clustering config, utility
       and load bucket (filled by `policies.mdp_decide`);
@@ -104,7 +106,7 @@ class LogStore:
         counts = set(map(len, self._buckets.values()))
         self.uniform_count = counts.pop() if len(counts) == 1 else None
         self._selections: dict[tuple[int, int], LogSelection] = {}
-        self.reward_memo: dict[tuple, StateReward] = {}
+        self.reward_memo: dict[tuple, RewardRow] = {}
         self.solve_memo: dict[tuple, tuple[MdpModel, tuple[str, ...], list[dict[int, float]]]] = {}
         self.tape_memo: dict[tuple, EnvironmentTape] = {}
 

@@ -45,7 +45,10 @@ from .rewards import (
     ClusteringConfig,
     StateReward,
     UtilityConfig,
+    # Not called here, but kept bound: perfbench's traced run (`--trace 1`)
+    # wraps `policies.cluster_behavior` by name and fails without it.
     cluster_behavior,
+    cluster_cells,
     state_reward,
     utility_eval,
 )
@@ -189,28 +192,51 @@ def rl_update(
     qtable.values[key] = q + qtable.rl.alpha * (realized_reward + qtable.rl.gamma * future - q)
 
 
-def cell_reward(
+@dataclass(frozen=True, slots=True)
+class RewardRow:
+    """Every size's log selection and scored states at one load bucket,
+    with a note for each size whose logs came from another cell."""
+
+    selections: Mapping[int, LogSelection]
+    rewards: Mapping[int, StateReward]
+    notes: tuple[str, ...]
+
+
+def reward_row(
     store: LogStore,
-    selection: LogSelection,
+    load: float,
+    sizes: range,
     clustering: ClusteringConfig,
     utility: UtilityConfig,
-    size: int,
-) -> StateReward:
-    """Scored behavior clusters of the store cell `selection` came from,
-    at `size` (an interpolated cell is scored at the requested size, not
-    at the size its records came from).
+) -> RewardRow:
+    """The `RewardRow` of `sizes` at the load bucket of `load`.
 
-    Each (cell, clustering, utility, size) is clustered and scored once
-    per store and kept in `store.reward_memo`; a store's records are fixed
-    at construction, so an entry never goes stale.  One entry serves the
-    MB, EB and multi-behavior policies.
+    Each (load bucket, sizes, clustering, utility) is selected, clustered
+    and scored once per store and kept in `store.reward_memo`; a store's
+    records are fixed at construction, so a row never goes stale.  One row
+    serves the MB, EB and multi-behavior models and the RL warm starts.  On
+    a miss every distinct cell of the row is clustered in one
+    `cluster_cells` call (sizes that borrow one cell share its clusters),
+    and each size is scored at its own size, even on a borrowed cell.
     """
-    key = (selection.vms_used, selection.bucket_center, clustering, utility, size)
-    reward = store.reward_memo.get(key)
-    if reward is None:
-        clusters = cluster_behavior(selection.records, clustering)
-        reward = store.reward_memo[key] = state_reward(clusters, utility, size)
-    return reward
+    key = (store.bucket(load), sizes, clustering, utility)
+    row = store.reward_memo.get(key)
+    if row is None:
+        selections = {size: store.select_logs(size, load) for size in sizes}
+        cells = {(s.vms_used, s.bucket_center): s.records for s in selections.values()}
+        clustered = dict(zip(cells, cluster_cells(list(cells.values()), clustering)))
+        rewards = {
+            size: state_reward(clustered[s.vms_used, s.bucket_center], utility, size)
+            for size, s in selections.items()
+        }
+        notes = tuple(
+            f"size {size}: no logs at bucket, used {len(s.records)}"
+            f" record(s) from vms={s.vms_used} bucket={s.bucket_center:.0f}"
+            for size, s in selections.items()
+            if s.interpolated
+        )
+        row = store.reward_memo[key] = RewardRow(selections, rewards, notes)
+    return row
 
 
 def _observation(measurement: TickRecord | None) -> tuple[float, float] | None:
@@ -237,22 +263,15 @@ def instantiate_model(
     multi = kind in (PolicyKind.MDP2, PolicyKind.MDP3)
     variant = Variant.M3 if kind is PolicyKind.MDP3 else Variant.M2 if multi else Variant.M1
     config = dataclasses.replace(model_config, variant=variant, k=clustering.k if multi else 1)
-    states, notes = [], []
-    for size in config.sizes:
-        selection = store.select_logs(size, load_effective)
-        scored = cell_reward(store, selection, clustering, utility, size)
-        if selection.interpolated:
-            notes.append(
-                f"size {size}: no logs at bucket, used {len(selection.records)}"
-                f" record(s) from vms={selection.vms_used}"
-                f" bucket={selection.bucket_center:.0f}"
-            )
+    row = reward_row(store, load_effective, config.sizes, clustering, utility)
+    states = []
+    for scored in row.rewards.values():
         if multi:
             states.extend(scored.per_cluster)
         else:
             states.append(scored.eb if kind is PolicyKind.MDP_EB else scored.mb)
     model = build_model(config, states, current, _observation(current_measurement))
-    return model, tuple(notes)
+    return model, row.notes
 
 
 def mdp_decide(
@@ -388,10 +407,6 @@ class RLPolicy(Policy):
         self.qtable = QTable(rl)
         self._pending: tuple[ClusterSize, Action] | None = None
 
-    def _mb_reward(self, size: int, load: float) -> float:
-        selection = self.store.select_logs(size, load)
-        return cell_reward(self.store, selection, self.clustering, self.utility, size).mb.reward
-
     def decide(self, current: ClusterSize) -> PolicyDecision:
         if self._latest is None:
             raise NoDataError("no measurement observed yet")
@@ -401,9 +416,11 @@ class RLPolicy(Policy):
                 self.utility, self._latest.latency_ms, self._latest.throughput, current
             )
             rl_update(self.qtable, prev_size, action, realized, current, self.limits)
-        load = self.effective_load()
+        row = reward_row(
+            self.store, self.effective_load(), self.limits.sizes, self.clustering, self.utility
+        )
         targets = {current + a.signed_delta for a in [NO_OP, *self.limits.moves(current)]}
-        mb_rewards = {size: self._mb_reward(size, load) for size in targets}
+        mb_rewards = {size: row.rewards[size].mb.reward for size in targets}
         decision = rl_decide(self.qtable, current, mb_rewards, self.limits)
         self._pending = (current, decision.action)
         return decision

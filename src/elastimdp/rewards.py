@@ -1,16 +1,20 @@
 """State rewards from clustered log behavior and utility functions.
 
 Measurements selected for one (size, load bucket) are clustered with
-k-means over min-max-normalized (latency, throughput) points.  The k-means
-is a scalar Lloyd's loop: a cell holds about a dozen records, too few for
-numpy calls to pay off, and the loop keeps numpy's summation order for
-each `dims` (see `cluster_behavior`), so it yields the array form's
-clusters bit for bit.  Scoring the clusters gives each center's utility
-and weight.  A scored cluster is a model state (`MdpState`): the
-multi-behavior models take one per cluster, and the single-behavior
-models one of two summaries of the same clusters, the biggest cluster's
-center (mode behaviour, MB) or the population-weighted average of the
-centers and their utilities (expected behaviour, EB).
+k-means over min-max-normalized (latency, throughput) points.  A decision
+needs every size's cell at one load bucket, so `cluster_cells` clusters
+such a row of cells in one numpy pass over stacked arrays; a single cell
+of about a dozen records is too small for numpy calls to pay off, but a
+row of them is not.  The pass keeps numpy's summation order for each
+`dims` (see `_cluster_stack`), so it yields the clusters of the array
+form run on each cell alone, bit for bit.
+
+Scoring the clusters gives each center's utility and weight.  A scored
+cluster is a model state (`MdpState`): the multi-behavior models take one
+per cluster, and the single-behavior models one of two summaries of the
+same clusters, the biggest cluster's center (mode behaviour, MB) or the
+population-weighted average of the centers and their utilities (expected
+behaviour, EB).
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -80,68 +86,146 @@ def cluster_behavior(
     descending weight, then ascending latency, so index 0 is always the
     mode cluster.
 
-    The loop runs on plain floats: a cell holds a dozen records and
-    converges in two or three rounds, so numpy's per-call cost would
-    outweigh the arithmetic.  It yields the same floats as the array form
-    (an axis-0 `mean` of each cluster's members): ties go to the lowest
-    index, and a cluster's sums run in record order for dims=2 and in
-    numpy's pairwise order (`_pairwise_sum`) for dims=1.
+    One cell of about a dozen records is too small for numpy calls to pay
+    off on their own; a decision clusters a whole row of cells at once
+    through `cluster_cells`, and this is its one-cell form.
     """
-    if not records:
-        raise NoDataError("cannot cluster an empty record set")
+    return cluster_cells([records], config)[0]
+
+
+def cluster_cells(
+    cells: Sequence[Sequence[MeasurementRecord]], config: ClusteringConfig
+) -> list[list[ClusterSummary]]:
+    """Each cell's `cluster_behavior`, from one numpy pass per record count.
+
+    Cells of equal length are stacked and clustered together
+    (`_cluster_stack`), so the numpy calls' fixed cost is paid once per
+    stack, not once per cell, and a store of uneven cells takes the same
+    path, a stack per length.
+    """
+    stacks: dict[int, list[int]] = {}
+    for index, records in enumerate(cells):
+        if not records:
+            raise NoDataError("cannot cluster an empty record set")
+        stacks.setdefault(len(records), []).append(index)
+    clustered: list[list[ClusterSummary]] = [[] for _ in cells]
+    for indices in stacks.values():
+        stack = [cells[i] for i in indices]
+        for index, clusters in zip(indices, _cluster_stack(stack, config)):
+            clustered[index] = clusters
+    return clustered
+
+
+def _cluster_stack(
+    cells: list[Sequence[MeasurementRecord]], config: ClusteringConfig
+) -> list[list[ClusterSummary]]:
+    """k-means of cells of n records each, on (cells, n) arrays.
+
+    It yields the floats of the array form run on each cell alone (an
+    axis-0 `mean` of each cluster's members; see `tests/reference_kmeans.py`):
+
+    * ties go to the lowest index, and the seeds are picked from each
+      cell's points in `np.unique` order;
+    * a cell of fewer distinct points than k gets that many centers, as
+      the array form does; the seeding repeats a point past them, so they
+      are moved to +inf, where they win no point;
+    * a cell that converged stays converged: its next means are its last;
+    * a cluster's sums run in record order for dims=2 (`np.bincount` adds
+      its weights in input order), and in numpy's pairwise order over the
+      (m, 1) latency column of its m members for dims=1 (`_member_sums`).
+    """
     dims = config.dims
+    count, n = len(cells), len(cells[0])
     # Latency-only points get a constant 0.0 throughput: it adds exactly
     # 0.0 to every distance and stays 0.0 in every mean.
-    columns = [
-        [r.latency_ms for r in records],
-        [r.throughput if dims == 2 else 0.0 for r in records],
-    ]
-    lo = [min(column) for column in columns]
-    span = [(max(column) - low) or 1.0 for column, low in zip(columns, lo)]
-    points = [
-        ((x - lo[0]) / span[0], (y - lo[1]) / span[1]) for x, y in zip(*columns)
-    ]
+    x, lo_x, span_x = _normalized(_column(cells, _LATENCY))
+    y, lo_y, span_y = _normalized(
+        _column(cells, _THROUGHPUT) if dims == 2 else np.zeros((count, n))
+    )
 
-    distinct = sorted(set(points))
-    k = min(config.k, len(distinct))
-    centers = [distinct[_first_seed(config.seed, len(distinct))]]
-    nearest = [math.inf] * len(distinct)
-    while len(centers) < k:
-        cx, cy = centers[-1]
-        for i, (x, y) in enumerate(distinct):
-            d = (x - cx) * (x - cx) + (y - cy) * (y - cy)
-            if d < nearest[i]:
-                nearest[i] = d
-        far = 0
-        for i in range(1, len(nearest)):
-            if nearest[i] > nearest[far]:
-                far = i
-        centers.append(distinct[far])
+    # Each cell's points in np.unique order, a repeated point after its first.
+    rows = np.arange(count)
+    order = np.lexsort((y, x))
+    sx, sy = x[rows[:, None], order], y[rows[:, None], order]
+    first = np.ones((count, n), dtype=bool)
+    first[:, 1:] = (sx[:, 1:] != sx[:, :-1]) | (sy[:, 1:] != sy[:, :-1])
+    distinct = first.sum(axis=1)
+    k = min(config.k, int(distinct.max()))  # no cell has a center past this
+    seeds = np.array([_first_seed(config.seed, d) for d in distinct.tolist()])
+    pick = ((first.cumsum(axis=1) - 1) == seeds[:, None]).argmax(axis=1)
 
+    cx, cy = np.empty((count, k)), np.empty((count, k))
+    cx[:, 0], cy[:, 0] = sx[rows, pick], sy[rows, pick]
+    nearest = np.full((count, n), np.inf)
+    for i in range(1, k):
+        dx, dy = sx - cx[:, i - 1, None], sy - cy[:, i - 1, None]
+        np.minimum(nearest, dx * dx + dy * dy, out=nearest)
+        pick = nearest.argmax(axis=1)  # a repeated point never precedes its first
+        cx[:, i], cy[:, i] = sx[rows, pick], sy[rows, pick]
+    unused = np.arange(k) >= distinct[:, None]
+    cx[unused] = cy[unused] = np.inf
+
+    # Lloyd's rounds on one (record, center) row per record of the stack.
+    cell = rows.repeat(n)
+    x_rows, y_rows = x.reshape(-1, 1).repeat(k, axis=1), y.reshape(-1, 1).repeat(k, axis=1)
+    offsets = k * cell
     assignment = None
     for _ in range(config.max_iterations):
-        new_assignment = []
-        for x, y in points:
-            best, best_d = 0, math.inf
-            for j, (cx, cy) in enumerate(centers):
-                d = (x - cx) * (x - cx) + (y - cy) * (y - cy)
-                if d < best_d:
-                    best, best_d = j, d
-            new_assignment.append(best)
-        if new_assignment == assignment:
+        dx, dy = x_rows - cx.take(cell, axis=0), y_rows - cy.take(cell, axis=0)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        new_assignment = dx.argmin(axis=1)
+        if assignment is not None and (new_assignment == assignment).all():
             break
         assignment = new_assignment
-        centers = _means(points, assignment, centers, dims)
+        cluster = assignment + offsets
+        members = np.bincount(cluster, minlength=count * k).reshape(count, k)
+        filled = members > 0
+        if dims == 2:
+            sum_x = np.bincount(cluster, x.ravel(), count * k).reshape(count, k)
+            sum_y = np.bincount(cluster, y.ravel(), count * k).reshape(count, k)
+            np.divide(sum_y, members, out=cy, where=filled)
+        else:
+            sum_x = _member_sums(x.ravel(), cluster, members)
+        np.divide(sum_x, members, out=cx, where=filled)
 
-    summaries = []
-    total = len(records)
-    for j, center in enumerate(centers):
-        count = assignment.count(j)
-        if count:
-            scaled = tuple(c * s + low for c, s, low in zip(center, span, lo))
-            summaries.append(ClusterSummary(scaled[:dims], count / total))
-    summaries.sort(key=lambda s: (-s.weight, s.center))
-    return summaries
+    # Output order: descending weight, then ascending center (inf centers of
+    # empty clusters last).
+    center_x, center_y = cx * span_x + lo_x, cy * span_y + lo_y
+    order = np.lexsort((center_y, center_x, -members))
+    columns = (
+        np.take_along_axis(center_x, order, 1).tolist(),
+        np.take_along_axis(center_y, order, 1).tolist(),
+        np.take_along_axis(members, order, 1).tolist(),
+    )
+    return [
+        [
+            ClusterSummary((latency, throughput)[:dims], size / n)
+            for latency, throughput, size in zip(*ranked)
+            if size
+        ]
+        for ranked in zip(*columns)
+    ]
+
+
+_LATENCY = attrgetter("latency_ms")
+_THROUGHPUT = attrgetter("throughput")
+
+
+def _column(cells: list[Sequence[MeasurementRecord]], field: attrgetter) -> np.ndarray:
+    """One field of every record, a row per cell."""
+    values = map(field, chain.from_iterable(cells))
+    return np.fromiter(values, float, len(cells) * len(cells[0])).reshape(len(cells), -1)
+
+
+def _normalized(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row min-max-normalized (a constant row to 0.0), with the row's
+    minimum and span as (rows, 1) columns."""
+    lo = values.min(axis=1, keepdims=True)
+    span = values.max(axis=1, keepdims=True) - lo
+    span[span == 0.0] = 1.0
+    return (values - lo) / span, lo, span
 
 
 @lru_cache(maxsize=1024)
@@ -150,57 +234,19 @@ def _first_seed(seed: int, n: int) -> int:
     return int(np.random.default_rng(seed).integers(n))
 
 
-def _means(
-    points: list[tuple[float, float]],
-    assignment: list[int],
-    centers: list[tuple[float, float]],
-    dims: int,
-) -> list[tuple[float, float]]:
-    """Each cluster's mean point; a cluster with no members keeps its
-    center.  numpy sums the rows of an (m, 2) array in order, but the
-    (m, 1) latency column of dims=1 pairwise."""
-    k = len(centers)
-    counts = [0] * k
-    sum_x = [0.0] * k
-    sum_y = [0.0] * k
-    for (x, y), j in zip(points, assignment):
-        counts[j] += 1
-        sum_x[j] += x
-        sum_y[j] += y
-    if dims == 1:
-        columns: list[list[float]] = [[] for _ in range(k)]
-        for (x, _), j in zip(points, assignment):
-            columns[j].append(x)
-        sum_x = [_pairwise_sum(column) for column in columns]
-    return [
-        (sx / n, sy / n) if n else center
-        for sx, sy, n, center in zip(sum_x, sum_y, counts, centers)
-    ]
-
-
-def _pairwise_sum(values: list[float]) -> float:
-    """Sum of `values` in the order of numpy's pairwise float summation:
-    in order below 8 values, in 8 interleaved partial sums up to 128,
-    and above that the two halves (split at a multiple of 8) apart."""
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for value in values:
-            total += value
-        return total
-    if n <= 128:
-        r = values[:8]
-        whole = n - n % 8
-        for i in range(8, whole, 8):
-            for j in range(8):
-                r[j] += values[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for value in values[whole:]:
-            total += value
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+def _member_sums(x: np.ndarray, cluster: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Each cluster's sum of its members' `x`, in numpy's pairwise order
+    over the members in record order: the members of all clusters of m
+    members are the rows of one (clusters, m) array, summed along its
+    contiguous axis."""
+    values = x[np.argsort(cluster, kind="stable")]
+    sizes = members.ravel()
+    starts = sizes.cumsum() - sizes
+    sums = np.zeros(sizes.shape)
+    for m in np.unique(sizes[sizes > 0]).tolist():
+        clusters = np.flatnonzero(sizes == m)
+        sums[clusters] = values[starts[clusters, None] + np.arange(m)].sum(axis=1)
+    return sums.reshape(members.shape)
 
 
 class UtilityKind(str, Enum):

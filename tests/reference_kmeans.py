@@ -1,6 +1,8 @@
 """The array form of `rewards.cluster_behavior`, kept as a test-side
-reference: k-means written with numpy calls on whole arrays.  The package's
-scalar loop must return equal clusters on every input."""
+reference: k-means written with numpy calls on one cell's arrays.  The
+package's batched kernel (`rewards.cluster_cells`), run on any row of
+cells, must return each cell's clusters as this returns them, float for
+float."""
 
 from __future__ import annotations
 

@@ -950,6 +950,23 @@ class TestCli:
         assert capsys.readouterr().err == f"error: dataset file not found: {missing}\n"
         assert not cli_inputs["out"].exists()
 
+    def test_commands_that_read_no_dataset_accept_a_missing_one(self, cli_inputs, tmp_path, capsys):
+        # Only a command that reads the records checks that their file exists.
+        missing = ("--set", "dataset.source=csv", "--set", f"dataset.path={cli_inputs['missing']}")
+        replay = ("replay", "--trace", str(cli_inputs["trace"]), "--set", "utility.kind=r2")
+        outputs = []
+        for extra in ((), missing):
+            out = tmp_path / f"replay{len(extra)}.csv"
+            assert self.run_cli(*replay, *extra, "--out", str(out)) == 0
+            outputs.append((capsys.readouterr().out.replace(str(out), "OUT"), out.read_text()))
+        assert outputs[0] == outputs[1]
+        ini = tmp_path / "missing_dataset.ini"
+        ini.write_text(
+            f"[dataset]\nsource = csv\npath = {cli_inputs['missing']}\n", encoding="utf-8"
+        )
+        assert self.run_cli("validate", "--config", str(ini)) == 0
+        assert capsys.readouterr().out == f"config ok: {ini}\n"
+
     def test_query_live_instantiation_writes_dump(self, tmp_path, capsys):
         config = write_small_ini(tmp_path)
         dump = tmp_path / "model.txt"
@@ -1092,7 +1109,7 @@ GARBAGE = [
     ("query", "Pmax=? [ F vms_num=", "--config", "{ini}"),
     ("validate",),
     ("validate", "--config", "{garbage}"),
-    ("validate", "--config", "{percent}"),
+    ("run", "--config", "{percent}"),
     ("validate", "--model-dump", "{garbage}"),
     ("validate", "--model-dump", "{missing}"),
     ("replay", "--trace", "{garbage}", "--set", "utility.kind=r1"),

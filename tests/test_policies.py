@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+
+import reference_kmeans
 
 from elastimdp import policies
 from elastimdp.emulator import TickRecord
@@ -30,11 +34,11 @@ from elastimdp.policies import (
     RLConfig,
     RLPolicy,
     apply_benefit_threshold,
-    cell_reward,
     instantiate_model,
     make_policy,
     mdp_decide,
     re_decide,
+    reward_row,
     rl_decide,
     rl_update,
 )
@@ -335,16 +339,16 @@ class TestPolicyObjects:
         assert LIMITS.moves(3) == [Action(ADD, 1), Action(ADD, 2), Action(ADD, 3)]
 
 
-def count_clustering(monkeypatch) -> list[int]:
-    """Record the record count of every real `cluster_behavior` run."""
-    calls: list[int] = []
-    real = policies.cluster_behavior
+def count_clustering(monkeypatch) -> list[list[int]]:
+    """Record the record counts of the cells of every `cluster_cells` call."""
+    calls: list[list[int]] = []
+    real = policies.cluster_cells
 
-    def counted(records, config):
-        calls.append(len(records))
-        return real(records, config)
+    def counted(cells, config):
+        calls.append([len(records) for records in cells])
+        return real(cells, config)
 
-    monkeypatch.setattr(policies, "cluster_behavior", counted)
+    monkeypatch.setattr(policies, "cluster_cells", counted)
     return calls
 
 
@@ -363,60 +367,105 @@ def sparse_record(record) -> bool:
 
 
 class TestRewardMemo:
-    """Each store cell is clustered and scored once per (clustering,
-    utility, scored size); the memo must agree with the uncached path."""
+    """Each (load bucket, size range, clustering, utility) row of a store
+    is selected, clustered and scored once; it must agree with the
+    uncached path."""
 
-    def test_memo_matches_a_fresh_score_on_every_default_cell(self):
+    def test_row_matches_a_fresh_score_on_every_default_cell(self):
         config, store = default_store()
-        cells = sorted(store._buckets)  # every (vms, load bucket) cell
+        sizes = config.model.sizes
+        buckets = sorted({bucket for _, bucket in store._buckets})
+        assert len(store._buckets) == len(sizes) * len(buckets)  # every cell logged
         configs = (ClusteringConfig(k=1), ClusteringConfig(k=4))
         for clustering in configs:
-            for vms, bucket in cells:
-                selection = store.select_logs(vms, bucket * store.bucket_width)
-                assert not selection.interpolated
-                memoized = cell_reward(store, selection, clustering, R1, vms)
-                fresh = cluster_behavior(selection.records, clustering)
-                assert memoized == state_reward(fresh, R1, vms)
-                assert cell_reward(store, selection, clustering, R1, vms) is memoized
-        assert len(store.reward_memo) == len(configs) * len(cells)
+            for bucket in buckets:
+                load = bucket * store.bucket_width
+                row = reward_row(store, load, sizes, clustering, R1)
+                assert not row.notes
+                for vms in sizes:
+                    selection = row.selections[vms]
+                    assert selection is store.select_logs(vms, load)
+                    assert not selection.interpolated
+                    fresh = reference_kmeans.cluster_behavior(selection.records, clustering)
+                    assert row.rewards[vms] == state_reward(fresh, R1, vms)
+                assert reward_row(store, load + 300.0, sizes, clustering, R1) is row
+        assert len(store.reward_memo) == len(configs) * len(buckets)
 
     @pytest.mark.parametrize("keep", [lambda r: True, sparse_record], ids=["full", "sparse"])
-    def test_cell_reward_matches_a_fresh_state_reward(self, keep):
+    def test_row_rewards_match_a_fresh_state_reward(self, keep):
         config, store = default_store(keep)
-        clustering = config.clustering
+        clustering, sizes = config.clustering, config.model.sizes
         utilities = (UtilityConfig(UtilityKind.R1), UtilityConfig(UtilityKind.R2))
         loads = [1000.0 * b for b in range(1, 47)]
         interpolated = set()
-        scored = set()
-        for size in config.model.sizes:
-            for load in loads:
-                selection = store.select_logs(size, load)
-                scored.add((selection.vms_used, selection.bucket_center, size))
-                if selection.interpolated:
-                    interpolated.add((selection.vms_used, size))
-                fresh = cluster_behavior(selection.records, clustering)
-                for utility in utilities:
-                    memoized = cell_reward(store, selection, clustering, utility, size)
-                    assert memoized == state_reward(fresh, utility, size)
+        for load in loads:
+            for utility in utilities:
+                row = reward_row(store, load, sizes, clustering, utility)
+                for size in sizes:
+                    selection = store.select_logs(size, load)
+                    assert row.selections[size] is selection
+                    if selection.interpolated:
+                        interpolated.add((selection.vms_used, size))
+                    fresh = reference_kmeans.cluster_behavior(selection.records, clustering)
+                    assert row.rewards[size] == state_reward(fresh, utility, size)
+                borrowed = [s for s in row.selections.values() if s.interpolated]
+                assert len(row.notes) == len(borrowed)
         if keep is sparse_record:
             # borrowed cells are scored at the requested size
             assert {(5, 6), (8, 7), (10, 10)} <= interpolated
         else:
             assert not interpolated
-        assert len(store.reward_memo) == len(scored) * len(utilities)
+        assert len(store.reward_memo) == len(loads) * len(utilities)
 
-    def test_policies_share_one_clustering_per_cell(self, monkeypatch):
+    def test_one_clustering_call_per_row_key(self, monkeypatch):
+        calls = count_clustering(monkeypatch)
+        config, store = default_store()
+        narrow = dataclasses.replace(config.model, max_vms=9)
+        keys = set()
+        for _ in range(2):
+            for load in (5000.0, 5400.0, 20000.0):
+                for limits in (config.model, narrow):
+                    for clustering in (config.clustering, ClusteringConfig(k=2)):
+                        for utility in (R1, UtilityConfig(UtilityKind.R2)):
+                            for kind in MDP_KINDS:
+                                mdp_decide(kind, store, load, 6, None, limits, utility, clustering)
+                            keys.add((store.bucket(load), limits.sizes, clustering, utility))
+        assert len(calls) == len(keys) == len(store.reward_memo) == 16
+        # every call clusters the row's cells, one per size
+        assert sorted(map(len, calls)) == [6] * 8 + [13] * 8
+
+    def test_rl_and_mdp_share_a_row(self, monkeypatch):
         calls = count_clustering(monkeypatch)
         store = store_with({v: (30.0, float(v * v)) for v in LIMITS.sizes})
-        for kind in (PolicyKind.MDP_MB, PolicyKind.MDP_EB, PolicyKind.MDP_MB):
-            mdp_decide(kind, store, 10000.0, 5, None, LIMITS, R1, CLUSTERING)
         rl = RLPolicy(store, LIMITS, R1, CLUSTERING)
         rl.observe(observed(0, 5, 10000.0, 30.0, 25.0))
         rl.decide(5)
-        assert len(calls) == len(LIMITS.sizes)
-        assert len(store.reward_memo) == len(LIMITS.sizes)
+        assert calls == [[3] * len(LIMITS.sizes)]
+        (row,) = store.reward_memo.values()
+        for kind in (PolicyKind.MDP_MB, PolicyKind.MDP_EB, PolicyKind.MDP2):
+            model, notes = instantiate_model(kind, store, 10400.0, 5, None, LIMITS, R1, CLUSTERING)
+            assert notes == row.notes
+        mdp_decide(PolicyKind.MDP3, store, 9600.0, 5, None, LIMITS, R1, CLUSTERING)
+        rl.observe(observed(1, 5, 9800.0, 30.0, 25.0))
+        rl.decide(5)
+        assert len(calls) == 1 and len(store.reward_memo) == 1
         mdp_decide(PolicyKind.MDP2, store, 10000.0, 5, None, LIMITS, R1, ClusteringConfig(k=3))
-        assert len(calls) == 2 * len(LIMITS.sizes)
+        assert len(calls) == 2
+
+    def test_sizes_on_one_borrowed_cell_cluster_it_once(self, monkeypatch):
+        calls = count_clustering(monkeypatch)
+        # sizes 4-6 borrow the 3-VM cell, 7-9 the 10-VM cell
+        store = store_with({3: (30.0, 9000.0), 10: (50.0, 20000.0)}, samples=4)
+        rl = RLPolicy(store, LIMITS, R1, CLUSTERING)
+        rl.observe(observed(0, 5, 10000.0, 30.0, 25.0))
+        rl.decide(5)
+        assert calls == [[4, 4]]
+        (row,) = store.reward_memo.values()
+        assert [row.selections[size].vms_used for size in LIMITS.sizes] == [3] * 4 + [10] * 4
+        assert len(row.notes) == 6
+        clusters = cluster_behavior(store.select_logs(3, 10000.0).records, CLUSTERING)
+        for size in (3, 4, 5, 6):
+            assert row.rewards[size] == state_reward(clusters, R1, size)
 
     def test_repeated_selection_is_one_object(self, monkeypatch):
         calls = count_clustering(monkeypatch)
@@ -424,10 +473,12 @@ class TestRewardMemo:
         selection = store.select_logs(4, 10000.0)
         assert store.select_logs(4, 10200.0) is selection
         assert store.select_logs(5, 10000.0) is not selection
-        reward = cell_reward(store, selection, CLUSTERING, R1, 4)
-        assert cell_reward(store, store.select_logs(4, 10200.0), CLUSTERING, R1, 4) is reward
-        assert calls == [3]
-        assert reward == state_reward(cluster_behavior(selection.records, CLUSTERING), R1, 4)
+        sizes = range(4, 6)
+        row = reward_row(store, 10000.0, sizes, CLUSTERING, R1)
+        assert row.selections[4] is selection
+        assert reward_row(store, 10200.0, sizes, CLUSTERING, R1) is row
+        assert calls == [[3, 3]]
+        assert row.rewards[4] == state_reward(cluster_behavior(selection.records, CLUSTERING), R1, 4)
 
     @pytest.mark.parametrize("kind", MDP_KINDS)
     def test_warm_store_instantiates_like_a_cold_store(self, kind):
@@ -452,7 +503,7 @@ class TestRewardMemo:
             ]
             assert dumps[0] == dumps[1]
 
-    def test_state_reward_runs_once_per_distinct_key(self, monkeypatch):
+    def test_state_reward_runs_once_per_size_of_a_row(self, monkeypatch):
         calls = []
         real = policies.state_reward
 
@@ -478,7 +529,8 @@ class TestRewardMemo:
         decisions()
         first_round = len(calls)
         decisions()
-        assert len(calls) == first_round == len(store.reward_memo)
+        rows = store.reward_memo.values()
+        assert len(calls) == first_round == sum(len(row.rewards) for row in rows)
         assert len(set(calls)) == len(calls)
 
 

@@ -20,6 +20,7 @@ from elastimdp.rewards import (
     UtilityConfig,
     UtilityKind,
     cluster_behavior,
+    cluster_cells,
     state_reward,
     utility_eval,
 )
@@ -148,15 +149,18 @@ CLUSTERING_VARIANTS = {
 
 
 @functools.lru_cache(maxsize=None)
-def store_cells(name):
-    """Every (size, load bucket) cell's records in a default-seed store."""
+def store_rows(name):
+    """Every load bucket's row of cells (one per size) in a default-seed store."""
     config = parse_config(default_config_ini(), STORE_OVERRIDES[name])
     records = load_dataset(config)
     store = build_store(config, records)
     cells = defaultdict(list)
     for record in records:
         cells[(record.vms, store.bucket(record.load))].append(record)
-    return config.clustering, list(cells.values())
+    rows = defaultdict(list)
+    for (_, bucket), records in cells.items():
+        rows[bucket].append(records)
+    return config.clustering, list(rows.values())
 
 
 def coarse_records():
@@ -174,20 +178,47 @@ def coarse_records():
     )
 
 
-class TestScalarMatchesArrayKmeans:
-    """`cluster_behavior` against the numpy reference in
-    `reference_kmeans`: equal clusters, float for float."""
+def grid_cell(size):
+    """A cell of `size` records on a 5x5 grid, so repeated points are
+    common and a cell often has fewer distinct points than k; either
+    column may be constant (a span of 0).  The grid steps are not powers
+    of two, so the order of a sum changes its rounding."""
+    return st.builds(
+        lambda points, constant: recs(
+            [
+                (
+                    7.0 if constant == "latency" else 0.7 * a + 0.3,
+                    2.0 if constant == "throughput" else 13.1 * b + 5.0,
+                )
+                for a, b in points
+            ]
+        ),
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=size, max_size=size),
+        st.sampled_from(["neither", "latency", "throughput"]),
+    )
+
+
+def mixed_row():
+    """1-6 cells of mixed lengths, so one call stacks cells of equal
+    length and keeps cells of other lengths apart."""
+    return st.lists(st.sampled_from([1, 7, 8, 9, 12, 130]).flatmap(grid_cell), min_size=1, max_size=6)
+
+
+class TestBatchedMatchesArrayKmeans:
+    """`cluster_cells` and `cluster_behavior` against the numpy reference
+    in `reference_kmeans`, run on each cell alone: equal clusters, float
+    for float."""
 
     @pytest.mark.parametrize("variant", CLUSTERING_VARIANTS)
     @pytest.mark.parametrize("store", STORE_OVERRIDES)
-    def test_every_default_store_cell(self, store, variant):
-        clustering, cells = store_cells(store)
+    def test_every_default_store_row(self, store, variant):
+        clustering, rows = store_rows(store)
         config = dataclasses.replace(clustering, **CLUSTERING_VARIANTS[variant])
-        assert len(cells) > 500
-        for records in cells:
-            assert cluster_behavior(records, config) == reference_kmeans.cluster_behavior(
-                records, config
-            )
+        assert sum(map(len, rows)) > 500
+        for cells in rows:
+            assert cluster_cells(cells, config) == [
+                reference_kmeans.cluster_behavior(records, config) for records in cells
+            ]
 
     @settings(max_examples=300, deadline=None)
     # The middle point is equidistant from both seeds; the tie goes to the
@@ -205,6 +236,29 @@ class TestScalarMatchesArrayKmeans:
         assert cluster_behavior(records, config) == reference_kmeans.cluster_behavior(
             records, config
         )
+
+    @settings(max_examples=200, deadline=None)
+    # Two distinct points and k=4: the centers past the second must win no
+    # point, though farthest-point seeding repeats the first seed there.
+    @example([recs([(0.0, 0.0), (0.0, 0.0), (3.0, 40.0)]), recs([(3.0, 0.0)] * 7)], 2, 4, 0, 3)
+    @given(
+        mixed_row(),
+        st.sampled_from([1, 2]),
+        st.integers(1, 6),
+        st.integers(0, 9),
+        st.integers(1, 3),
+    )
+    def test_mixed_rows(self, cells, dims, k, seed, max_iterations):
+        # One to three Lloyd's rounds leave some cells unconverged beside
+        # converged ones.
+        config = ClusteringConfig(k=k, dims=dims, seed=seed, max_iterations=max_iterations)
+        assert cluster_cells(cells, config) == [
+            reference_kmeans.cluster_behavior(records, config) for records in cells
+        ]
+
+    def test_an_empty_cell_is_refused(self):
+        with pytest.raises(NoDataError):
+            cluster_cells([recs([(1.0, 2.0)]), []], ClusteringConfig())
 
 
 R1 = UtilityConfig(UtilityKind.R1, 60.0)
