@@ -80,7 +80,8 @@ class LogStore:
       clustering config and utility: each size's selection and
       `StateReward` (its cell's behavior clusters scored for MB, EB and
       multi-behavior models) and the interpolation notes (filled by
-      `policies.reward_row`, which clusters the row's cells in one call);
+      `policies.reward_row`, which clusters the row's cells in one call
+      and scores every size from the k-means arrays in another);
     * `solve_memo`: one (model, interpolation notes, arrival values)
       entry per MDP policy kind, model config, clustering config, utility
       and load bucket (filled by `policies.mdp_decide`);

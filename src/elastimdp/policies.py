@@ -11,7 +11,7 @@ Six policies are provided behind one `observe`/`decide` interface:
 * MDP3     -- multi-behavior model with all-target transitions; chosen
               actions are clipped back to the per-step limits.
 
-An MDP policy's model holds, for each size, the states `rewards.state_reward`
+An MDP policy's model holds, for each size, the states `rewards.score_row`
 scores from the logs at the effective load: one per behavior cluster (MDP2,
 MDP3) or its MB or EB summary (MDP_MB, MDP_EB).
 
@@ -48,10 +48,12 @@ from .rewards import (
     # Not called here, but kept bound: perfbench's traced run (`--trace 1`)
     # wraps `policies.cluster_behavior` by name and fails without it.
     cluster_behavior,
-    cluster_cells,
-    state_reward,
+    rank_cells,
     utility_eval,
 )
+# The row scorer, bound as `state_reward`: perfbench's traced run times
+# `policies.state_reward` as the `rewards.state_reward` layer.
+from .rewards import score_row as state_reward
 from .solver import PolicyDecision, decide as solve_decide, pick, reward_arrivals
 
 if TYPE_CHECKING:  # emulator imports this module
@@ -215,20 +217,19 @@ def reward_row(
     and scored once per store and kept in `store.reward_memo`; a store's
     records are fixed at construction, so a row never goes stale.  One row
     serves the MB, EB and multi-behavior models and the RL warm starts.  On
-    a miss every distinct cell of the row is clustered in one
-    `cluster_cells` call (sizes that borrow one cell share its clusters),
-    and each size is scored at its own size, even on a borrowed cell.
+    a miss every distinct cell of the row is clustered in one `rank_cells`
+    call (sizes that borrow one cell share its row), and one `score_row`
+    call scores each size at its own size, even on a borrowed cell.
     """
     key = (store.bucket(load), sizes, clustering, utility)
     row = store.reward_memo.get(key)
     if row is None:
         selections = {size: store.select_logs(size, load) for size in sizes}
         cells = {(s.vms_used, s.bucket_center): s.records for s in selections.values()}
-        clustered = dict(zip(cells, cluster_cells(list(cells.values()), clustering)))
-        rewards = {
-            size: state_reward(clustered[s.vms_used, s.bucket_center], utility, size)
-            for size, s in selections.items()
-        }
+        index = {cell: i for i, cell in enumerate(cells)}
+        ranked = rank_cells(list(cells.values()), clustering)
+        rows = [index[s.vms_used, s.bucket_center] for s in selections.values()]
+        rewards = dict(zip(sizes, state_reward(ranked, rows, sizes, utility)))
         notes = tuple(
             f"size {size}: no logs at bucket, used {len(s.records)}"
             f" record(s) from vms={s.vms_used} bucket={s.bucket_center:.0f}"

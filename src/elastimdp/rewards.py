@@ -2,19 +2,20 @@
 
 Measurements selected for one (size, load bucket) are clustered with
 k-means over min-max-normalized (latency, throughput) points.  A decision
-needs every size's cell at one load bucket, so `cluster_cells` clusters
-such a row of cells in one numpy pass over stacked arrays; a single cell
-of about a dozen records is too small for numpy calls to pay off, but a
-row of them is not.  The pass keeps numpy's summation order for each
-`dims` (see `_cluster_stack`), so it yields the clusters of the array
-form run on each cell alone, bit for bit.
+needs every size's cell at one load bucket, so `rank_cells` clusters such
+a row of cells in one numpy pass over stacked arrays; a single cell of
+about a dozen records is too small for numpy calls to pay off, but a row
+of them is not.  The pass keeps numpy's summation order for each `dims`
+(see `_cluster_stack`), so it yields the clusters of the array form run
+on each cell alone, bit for bit.
 
 Scoring the clusters gives each center's utility and weight.  A scored
 cluster is a model state (`MdpState`): the multi-behavior models take one
 per cluster, and the single-behavior models one of two summaries of the
 same clusters, the biggest cluster's center (mode behaviour, MB) or the
 population-weighted average of the centers and their utilities (expected
-behaviour, EB).
+behaviour, EB).  `score_row` scores a row from the k-means arrays in one
+pass; `state_reward` and `cluster_cells` are views over the same code.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,11 +85,7 @@ def cluster_behavior(
     per-dimension min-max-normalized points.  Returns fewer than k
     clusters when there are fewer distinct points.  Output is sorted by
     descending weight, then ascending latency, so index 0 is always the
-    mode cluster.
-
-    One cell of about a dozen records is too small for numpy calls to pay
-    off on their own; a decision clusters a whole row of cells at once
-    through `cluster_cells`, and this is its one-cell form.
+    mode cluster.  This is `cluster_cells` on one cell.
     """
     return cluster_cells([records], config)[0]
 
@@ -96,7 +93,28 @@ def cluster_behavior(
 def cluster_cells(
     cells: Sequence[Sequence[MeasurementRecord]], config: ClusteringConfig
 ) -> list[list[ClusterSummary]]:
-    """Each cell's `cluster_behavior`, from one numpy pass per record count.
+    """Each cell's `cluster_behavior`: the nonempty clusters of its
+    `rank_cells` row."""
+    return [
+        [ClusterSummary((lat, thr)[: config.dims], w) for lat, thr, w in zip(*row) if w]
+        for row in zip(*(column.tolist() for column in rank_cells(cells, config)))
+    ]
+
+
+class RankedClusters(NamedTuple):
+    """Each cell's clusters as one row of (cells, k) arrays, by descending
+    weight, then ascending center, so column 0 is the mode cluster.  A
+    row's empty clusters come last, at weight 0.0 and an inf center."""
+
+    latency: np.ndarray
+    throughput: np.ndarray  # 0.0 with dims=1
+    weight: np.ndarray  # members over the cell's records
+
+
+def rank_cells(
+    cells: Sequence[Sequence[MeasurementRecord]], config: ClusteringConfig
+) -> RankedClusters:
+    """The `RankedClusters` of `cells`, from one numpy pass per record count.
 
     Cells of equal length are stacked and clustered together
     (`_cluster_stack`), so the numpy calls' fixed cost is paid once per
@@ -108,18 +126,16 @@ def cluster_cells(
         if not records:
             raise NoDataError("cannot cluster an empty record set")
         stacks.setdefault(len(records), []).append(index)
-    clustered: list[list[ClusterSummary]] = [[] for _ in cells]
-    for indices in stacks.values():
-        stack = [cells[i] for i in indices]
-        for index, clusters in zip(indices, _cluster_stack(stack, config)):
-            clustered[index] = clusters
-    return clustered
+    ranked = [_cluster_stack([cells[i] for i in indices], config) for indices in stacks.values()]
+    order = np.argsort(list(chain.from_iterable(stacks.values())))
+    return RankedClusters(*(np.concatenate(column)[order] for column in zip(*ranked)))
 
 
 def _cluster_stack(
     cells: list[Sequence[MeasurementRecord]], config: ClusteringConfig
-) -> list[list[ClusterSummary]]:
-    """k-means of cells of n records each, on (cells, n) arrays.
+) -> RankedClusters:
+    """k-means of cells of n records each, on (cells, n) arrays, ranked
+    in `config.k` columns.
 
     It yields the floats of the array form run on each cell alone (an
     axis-0 `mean` of each cluster's members; see `tests/reference_kmeans.py`):
@@ -194,19 +210,12 @@ def _cluster_stack(
     # empty clusters last).
     center_x, center_y = cx * span_x + lo_x, cy * span_y + lo_y
     order = np.lexsort((center_y, center_x, -members))
-    columns = (
-        np.take_along_axis(center_x, order, 1).tolist(),
-        np.take_along_axis(center_y, order, 1).tolist(),
-        np.take_along_axis(members, order, 1).tolist(),
-    )
-    return [
-        [
-            ClusterSummary((latency, throughput)[:dims], size / n)
-            for latency, throughput, size in zip(*ranked)
-            if size
-        ]
-        for ranked in zip(*columns)
-    ]
+    ranked = RankedClusters(*(np.zeros((count, config.k)) for _ in RankedClusters._fields))
+    for column, values in zip(ranked, (center_x, center_y, members / n)):
+        column[:, :k] = np.take_along_axis(values, order, 1)
+    empty = ranked.weight == 0.0
+    ranked.latency[empty] = ranked.throughput[empty] = np.inf
+    return ranked
 
 
 _LATENCY = attrgetter("latency_ms")
@@ -312,25 +321,40 @@ def state_reward(
     mass = sum(c.weight for c in clusters)
     if not math.isclose(mass, 1.0, rel_tol=0.0, abs_tol=1e-9):
         raise ConfigurationError(f"cluster weights sum to {mass}, expected 1")
+    row = np.array([[(c.latency_ms, c.throughput, c.weight) for c in clusters]])
+    (scored,) = score_row(RankedClusters(*row.transpose(2, 0, 1)), [0], [vms_num], utility)
+    return scored
 
-    per_cluster = tuple(
-        MdpState(
-            vms_num,
-            index,
-            c.weight,
-            center=(c.latency_ms, c.throughput),
-            reward=utility_eval(utility, c.latency_ms, c.throughput, vms_num),
-        )
-        for index, c in enumerate(clusters)
-    )
-    mode = min(per_cluster, key=lambda s: (-s.weight, s.center[0]))
-    mb = MdpState(vms_num, center=mode.center, reward=mode.reward)
-    eb = MdpState(
-        vms_num,
-        center=(
-            sum(s.weight * s.center[0] for s in per_cluster),
-            sum(s.weight * s.center[1] for s in per_cluster),
-        ),
-        reward=sum(s.reward * s.weight for s in per_cluster),
-    )
-    return StateReward(per_cluster, mb, eb)
+
+def score_row(
+    ranked: RankedClusters, cells: Sequence[int], sizes: Sequence[int], utility: UtilityConfig
+) -> list[StateReward]:
+    """The `state_reward` of each size of a row at once: `sizes[i]`
+    scores the clusters of `ranked` row `cells[i]`, with `utility_eval`'s
+    rewards.  The EB sums add one cluster column at a time from 0.0, as
+    `sum` does up to Python 3.11 (`np.sum` adds in pairwise blocks of 8),
+    and never add an empty cluster (0.0 weight times an inf center is nan).
+    """
+    latency, throughput, weight = (column[cells] for column in ranked)
+    filled = np.isfinite(latency)
+    size_column = np.array(sizes, dtype=float)[:, None]
+    healthy = throughput / size_column if utility.kind is _R1 else 1.0 / size_column
+    reward = np.where(latency > utility.latency_threshold_ms, -1.0, healthy)
+    terms = np.zeros((3, *weight.shape))
+    np.multiply(weight, np.stack((latency, throughput, reward)), out=terms, where=filled)
+    eb = np.zeros(terms.shape[:2])
+    for column in range(terms.shape[2]):
+        eb += terms[:, :, column]
+    modes = np.lexsort((latency, -weight))[:, 0]  # heaviest, ties toward the lower latency
+    columns = (latency, throughput, weight, reward, modes, *eb)
+    rows = zip(sizes, filled.sum(axis=1).tolist(), *(column.tolist() for column in columns))
+    scored = []
+    for size, count, lat, thr, w, r, mode, eb_lat, eb_thr, eb_reward in rows:
+        per_cluster = tuple(map(MdpState, repeat(size), range(count), w, zip(lat, thr), r))
+        mb = per_cluster[mode]
+        scored.append(StateReward(
+            per_cluster,
+            MdpState(size, center=mb.center, reward=mb.reward),
+            MdpState(size, center=(eb_lat, eb_thr), reward=eb_reward),
+        ))
+    return scored

@@ -13,9 +13,10 @@ whatever the source behavior, so with `L(s) = sum_b w_b * V(s, b)`
 
 `_arrival_values` computes `L` by backward induction over sizes along each
 monotone branch, reading only the config, the behavior weights
-(normalized per size) and a payoff per state.  `best_move` then values a
-state's first moves (`ModelConfig.moves`) by their targets' arrivals, and
-`decide` clips its pick to the per-step limits.  The same sweep answers
+(normalized per size) and a payoff per state, in time linear in the
+sizes.  `best_move` then values a state's first moves
+(`ModelConfig.moves`) by their targets' arrivals, and `decide` clips its
+pick to the per-step limits.  The same sweep answers
 Pmax/Pmin queries, with payoff 1 on states satisfying the predicate
 (where the episode ends) and 0 elsewhere.
 
@@ -40,6 +41,7 @@ from .model import (
     MdpState,
     NO_OP,
     StateKey,
+    Variant,
 )
 
 # Two candidate actions whose values differ by less than this (relative to
@@ -51,6 +53,7 @@ _ORACLE_STATE_LIMIT = 100
 # Enum members read once, at import: each `ActionKind.ADD`-style read is a
 # descriptor call.
 _ADD, _REM, _NO_OP_KIND = ActionKind.ADD, ActionKind.REM, ActionKind.NO_OP
+_M3 = Variant.M3
 
 
 def tie_break_key(action: Action) -> tuple[int, int, int]:
@@ -104,26 +107,32 @@ def _arrival_values(
 
     A state in `final` ends the episode with its payoff; any other state
     takes the `best_of` its payoff (stopping) and the arrival values of
-    the sizes its direction's deltas reach.
+    the sizes its direction's deltas reach: the last `limit` sizes swept,
+    or on M3 all of them.  Arrivals are finite and never -0.0 (each is
+    `0.0 + ...`), so their best is one float in any order.
     """
     cfg = model.config
+    # Each state's share of its size and its payoff, read once for both branches.
+    scored = {}
+    for size, states in model.by_size.items():
+        mass = sum(state.weight for state in states)
+        scored[size] = [(s.weight / mass, payoff(s), s.key in final) for s in states]
+    all_targets = cfg.variant is _M3
     branches = []
-    directions = ((ActionKind.ADD, 1, reversed(cfg.sizes)), (ActionKind.REM, -1, cfg.sizes))
-    for kind, sign, sizes in directions:
+    for sizes, limit in ((cfg.sizes[::-1], cfg.add_limit), (cfg.sizes, cfg.rem_limit)):
         arrive: dict[int, float] = {}
+        onward: list[float] = []
         for size in sizes:
-            # The best onward arrival depends on the size alone.
-            onward = [arrive[size + sign * d] for d in cfg.deltas(size, kind)]
-            best_onward = best_of(onward) if onward else None
-            states = model.by_size[size]
-            mass = sum(state.weight for state in states)
+            best_onward = best_of(onward[-limit:]) if onward else None
             total = 0.0
-            for state in states:
-                value = payoff(state)
-                if best_onward is not None and state.key not in final:
+            for share, value, ends in scored[size]:
+                if best_onward is not None and not ends:
                     value = best_of(value, best_onward)
-                total += state.weight / mass * value
+                total += share * value
             arrive[size] = total
+            onward.append(total)
+            if all_targets:  # a running best over the branch
+                onward = [best_of(onward)]
         branches.append(arrive)
     return branches
 

@@ -57,6 +57,13 @@ from helpers import AddThenBoomStub, BoomStub, decision_ticks, loads
 
 # sha256 of the dumps of the default 2-run comparison's 112 solved models
 DEFAULT_SOLVE_MEMO_SHA256 = "5ee5c7744a1e15cd3ea762b740d6777de0411fbd374b4f78efa33beb69ea773e"
+# ... and of the `repr` of their arrival values
+DEFAULT_ARRIVALS_SHA256 = "e213fc788a50521de556f20413fa3d23ea9d1a361ff163b49b685d9b59754c7a"
+
+# ... and of the 63 solved models of the scaleout config below on a
+# 315-tick horizon, as the benchmark runs it (on the synthetic source)
+SCALEOUT_SOLVE_MEMO_SHA256 = "bf9ee7987ee127f27002bea14b65414d4581b844fa807d158d0a147482ef2b73"
+SCALEOUT_ARRIVALS_SHA256 = "46c097da23d0b4ae863dc5d904e7baaa193ffd3c57f9fe22aa75f32901348173"
 
 
 def tick(t, lat, utility=1.0, vms=4, decision=""):
@@ -336,9 +343,31 @@ SCALEOUT_OVERRIDES = {
     "postprocess.benefit_threshold_pct": "5",
     "postprocess.smoothing_window_ticks": "3",
 }
+BENCH_SCALEOUT_OVERRIDES = {**SCALEOUT_OVERRIDES, "schedule.horizon_ticks": "315"}
 COMPARISON_CONFIGS = pytest.mark.parametrize(
     "overrides", [{"experiment.runs": "2"}, SCALEOUT_OVERRIDES], ids=["defaults", "scaleout"]
 )
+
+
+def solve_memo_hashes(monkeypatch, overrides, count):
+    """sha256 of the dumps and of the `repr` of the arrival values of the
+    `count` models a comparison keeps in its solve memo, in (policy, load
+    bucket) order."""
+    stores = []
+    real = harness.build_store
+
+    def kept(*args):
+        stores.append(real(*args))
+        return stores[-1]
+
+    monkeypatch.setattr(harness, "build_store", kept)
+    run_comparison(parse_config(default_config_ini(), overrides))
+    (store,) = stores
+    keys = sorted(store.solve_memo, key=lambda key: (key[0].value, key[-1]))
+    assert len(keys) == count
+    dumps = "".join(store.solve_memo[key][0].dump() for key in keys)
+    arrivals = "".join(repr(store.solve_memo[key][2]) for key in keys)
+    return tuple(hashlib.sha256(text.encode()).hexdigest() for text in (dumps, arrivals))
 
 
 class TestComparison:
@@ -456,22 +485,16 @@ class TestComparison:
 
     def test_solve_memo_models_dump_byte_for_byte_as_recorded(self, monkeypatch):
         # Differential: every model the default 2-run comparison builds
-        # and solves, pinned by the hash of its dumps in (policy, load
-        # bucket) order.
-        stores = []
-        real = harness.build_store
+        # and solves, pinned by the hash of its dumps and of its arrival
+        # values in (policy, load bucket) order.
+        dumps, arrivals = solve_memo_hashes(monkeypatch, {"experiment.runs": "2"}, 112)
+        assert dumps == DEFAULT_SOLVE_MEMO_SHA256
+        assert arrivals == DEFAULT_ARRIVALS_SHA256
 
-        def kept(*args):
-            stores.append(real(*args))
-            return stores[-1]
-
-        monkeypatch.setattr(harness, "build_store", kept)
-        run_comparison(parse_config(default_config_ini(), {"experiment.runs": "2"}))
-        (store,) = stores
-        keys = sorted(store.solve_memo, key=lambda key: (key[0].value, key[-1]))
-        dumps = "".join(store.solve_memo[key][0].dump() for key in keys)
-        assert len(keys) == 112
-        assert hashlib.sha256(dumps.encode()).hexdigest() == DEFAULT_SOLVE_MEMO_SHA256
+    def test_scaleout_solve_memo_dumps_and_arrivals_as_recorded(self, monkeypatch):
+        dumps, arrivals = solve_memo_hashes(monkeypatch, BENCH_SCALEOUT_OVERRIDES, 63)
+        assert dumps == SCALEOUT_SOLVE_MEMO_SHA256
+        assert arrivals == SCALEOUT_ARRIVALS_SHA256
 
     def test_summary_mean_is_mean_of_run_means(self):
         result = run_comparison(small_config())

@@ -340,15 +340,15 @@ class TestPolicyObjects:
 
 
 def count_clustering(monkeypatch) -> list[list[int]]:
-    """Record the record counts of the cells of every `cluster_cells` call."""
+    """Record the record counts of the cells of every `rank_cells` call."""
     calls: list[list[int]] = []
-    real = policies.cluster_cells
+    real = policies.rank_cells
 
     def counted(cells, config):
         calls.append([len(records) for records in cells])
         return real(cells, config)
 
-    monkeypatch.setattr(policies, "cluster_cells", counted)
+    monkeypatch.setattr(policies, "rank_cells", counted)
     return calls
 
 
@@ -503,13 +503,13 @@ class TestRewardMemo:
             ]
             assert dumps[0] == dumps[1]
 
-    def test_state_reward_runs_once_per_size_of_a_row(self, monkeypatch):
+    def test_each_row_is_scored_in_one_call(self, monkeypatch):
         calls = []
         real = policies.state_reward
 
-        def counted(clusters, utility, size):
-            calls.append((tuple(clusters), utility, size))
-            return real(clusters, utility, size)
+        def counted(ranked, cells, sizes, utility):
+            calls.append((tuple(sizes), utility))
+            return real(ranked, cells, sizes, utility)
 
         monkeypatch.setattr(policies, "state_reward", counted)
         config, store = default_store()
@@ -530,8 +530,8 @@ class TestRewardMemo:
         first_round = len(calls)
         decisions()
         rows = store.reward_memo.values()
-        assert len(calls) == first_round == sum(len(row.rewards) for row in rows)
-        assert len(set(calls)) == len(calls)
+        assert len(calls) == first_round == len(rows) == 2
+        assert sum(len(sizes) for sizes, _ in calls) == sum(len(row.rewards) for row in rows)
 
 
 class TestSolveMemo:

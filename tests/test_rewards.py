@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_kmeans
+import reference_scoring
 from elastimdp.errors import ConfigurationError, NoDataError
 from elastimdp.harness import build_store, default_config_ini, load_dataset, parse_config
 from elastimdp.logs import MeasurementRecord
 from elastimdp.model import MdpState, ModelConfig, Variant, build_model
+from elastimdp.policies import reward_row
 from elastimdp.rewards import (
     ClusterSummary,
     ClusteringConfig,
@@ -381,3 +384,51 @@ class TestStateReward:
         ):
             slack = 1e-9 * max(1.0, max(values))
             assert min(values) - slack <= summary <= max(values) + slack
+
+
+SCORED_STORES = {
+    "default": {},
+    "4..32": STORE_OVERRIDES["scaleout"],
+    "uneven": {
+        "dataset.source": "csv",
+        "dataset.path": str(Path(__file__).parent / "data" / "uneven_logs.csv"),
+        # sizes 7 and 8 have no logs: they borrow size 6's cells
+        "model.max_vms": "8",
+    },
+}
+
+
+@functools.lru_cache(maxsize=None)
+def scored_store(name):
+    config = parse_config(default_config_ini(), SCORED_STORES[name])
+    return config, build_store(config, load_dataset(config))
+
+
+class TestRowScoringMatchesPerSize:
+    """Every size of every load bucket's `reward_row`, scored from the
+    row's k-means arrays, against the per-size scoring in
+    `reference_scoring` run on the row's `cluster_cells`: equal states,
+    float for float."""
+
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    @pytest.mark.parametrize("utility", [R1, R2], ids=["r1", "r2"])
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("name", SCORED_STORES)
+    def test_every_row(self, name, dims, utility, k):
+        config, store = scored_store(name)
+        clustering = dataclasses.replace(config.clustering, k=k, dims=dims)
+        sizes = config.model.sizes
+        most, borrowed = 0, 0
+        for bucket in sorted({bucket for _, bucket in store._buckets}):
+            row = reward_row(store, bucket * store.bucket_width, sizes, clustering, utility)
+            borrowed += len(row.notes)
+            cells = [row.selections[size].records for size in sizes]
+            for size, clusters in zip(sizes, cluster_cells(cells, clustering)):
+                scored = row.rewards[size]
+                expected = reference_scoring.state_reward(clusters, utility, size)
+                for field in ("per_cluster", "mb", "eb"):
+                    assert repr(getattr(scored, field)) == repr(getattr(expected, field))
+                most = max(most, len(clusters))
+        # k=10 sums EB over more than 8 clusters somewhere
+        assert most == k or name == "uneven"
+        assert borrowed > 0 if name == "uneven" else not borrowed

@@ -1,7 +1,10 @@
 import dataclasses
+from operator import attrgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastimdp import cli
 from elastimdp.errors import InstantiationError, SolverError
@@ -18,6 +21,7 @@ from elastimdp.model import (
 from elastimdp.solver import (
     TIE_TOL,
     ReachabilityQuery,
+    _arrival_values,
     clip_action,
     _tree_value,
     best_move,
@@ -29,6 +33,7 @@ from elastimdp.solver import (
     tie_break_key,
 )
 
+import reference_arrivals
 from instances import random_instance
 
 ADD = ActionKind.ADD
@@ -326,3 +331,54 @@ class TestReachability:
                 assert reachability_probability(model, query) == pytest.approx(
                     brute_force_reachability(model, query), abs=1e-9
                 )
+
+
+@st.composite
+def tied_models(draw):
+    """A model of any variant, span <= 12 and k <= 4, whose rewards come
+    from {-1, 0, 2.5}, so arrivals tie often, and whose weights are
+    member counts over a size's total, as clustering makes them."""
+    min_vms = draw(st.integers(1, 6))
+    max_vms = min_vms + draw(st.integers(0, 12))
+    variant = draw(st.sampled_from(list(Variant)))
+    k = 1 if variant is Variant.M1 else draw(st.integers(1, 4))
+    config = ModelConfig(
+        min_vms, max_vms, draw(st.integers(1, 4)), draw(st.integers(1, 4)), variant, k
+    )
+    states = []
+    for size in config.sizes:
+        members = draw(st.lists(st.integers(1, 9), min_size=1, max_size=k))
+        states += [
+            MdpState(
+                size, index, count / sum(members), (float(index), 0.0),
+                draw(st.sampled_from([-1.0, 0.0, 2.5])),
+            )
+            for index, count in enumerate(members)
+        ]
+    return build_model(config, states, draw(st.sampled_from(config.sizes)))
+
+
+class TestLinearSweepMatchesQuadratic:
+    """`_arrival_values` against the quadratic sweep in
+    `reference_arrivals`: equal arrivals and probabilities, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tied_models(), st.sampled_from(["max", "min"]), st.data())
+    def test_arrivals_and_probabilities(self, model, mode, data):
+        best_of = max if mode == "max" else min
+        keys = sorted(model.states)
+        final = data.draw(st.sets(st.sampled_from(keys)))
+        sat = data.draw(st.sets(st.sampled_from(keys)))
+        sweeps = [
+            (attrgetter("reward"), final),
+            (attrgetter("reward"), ()),
+            (lambda state: float(state.key in sat), sat),
+        ]
+        for payoff, ends in sweeps:
+            new = _arrival_values(model, payoff, ends, best_of)
+            old = reference_arrivals._arrival_values(model, payoff, ends, best_of)
+            assert new == old and repr(new) == repr(old)
+        query = ReachabilityQuery(mode, lambda state: state.key in sat)
+        new = reachability_probability(model, query)
+        old = reference_arrivals.reachability_probability(model, query)
+        assert new == old and repr(new) == repr(old)
