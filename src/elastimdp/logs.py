@@ -18,8 +18,7 @@ from .errors import ConfigurationError, DataFormatError, NoDataError
 
 if TYPE_CHECKING:  # emulator, rewards and policies import this module
     from .emulator import EnvironmentTape
-    from .model import MdpModel
-    from .policies import RewardRow
+    from .policies import RewardRow, SolvedModel
 
 CSV_HEADER = ("time", "vms", "load", "latency_ms", "throughput")
 
@@ -82,9 +81,11 @@ class LogStore:
       multi-behavior models) and the interpolation notes (filled by
       `policies.reward_row`, which clusters the row's cells in one call
       and scores every size from the k-means arrays in another);
-    * `solve_memo`: one (model, interpolation notes, arrival values)
-      entry per MDP policy kind, model config, clustering config, utility
-      and load bucket (filled by `policies.mdp_decide`);
+    * `solve_memo`: one `policies.SolvedModel` per MDP policy kind, model
+      config, clustering config, utility and load bucket: the model, its
+      interpolation notes and arrival values, and, filled as decisions
+      reach them, each size's `BehaviorMatcher` and each start state's
+      `PolicyDecision` (filled by `policies.mdp_decide`);
     * `tape_memo`: a run's `EnvironmentTape`, per seeded bit-generator
       state, load profile, horizon, noise fraction and utility (filled by
       `emulator.environment_tape`).  It holds the run's (load, record
@@ -108,7 +109,7 @@ class LogStore:
         self.uniform_count = counts.pop() if len(counts) == 1 else None
         self._selections: dict[tuple[int, int], LogSelection] = {}
         self.reward_memo: dict[tuple, RewardRow] = {}
-        self.solve_memo: dict[tuple, tuple[MdpModel, tuple[str, ...], list[dict[int, float]]]] = {}
+        self.solve_memo: dict[tuple, SolvedModel] = {}
         self.tape_memo: dict[tuple, EnvironmentTape] = {}
 
     def __len__(self) -> int:

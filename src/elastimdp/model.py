@@ -39,7 +39,9 @@ compares the dump with them a size at a time and refuses a dump whose
 `dataclasses.replace` all go through it.  So the implied map of any model
 is a distribution per action type whose targets lie in the size range.
 `current_state` is the one pick of the state a decision starts from, for
-`build_model`'s initial state and for a decision on a kept model.
+`build_model`'s initial state and for a decision on a kept model; a
+`BehaviorMatcher` normalizes a size's behavior centers for it, once per
+kept model and size.
 
 Models are immutable after construction and safe to share between threads:
 the first read of a model's map or of its states per size fills it
@@ -49,7 +51,7 @@ idempotently, and every reader sees the same contents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache, cached_property
 from itertools import compress, count, groupby, repeat
@@ -89,9 +91,10 @@ _ADD, _REM, _M3 = ActionKind.ADD, ActionKind.REM, Variant.M3
 class Action:
     """A sized elasticity action: add/remove `delta` VMs, or no_op.
 
-    `signed_delta` (+delta, -delta or 0) is stored at construction.  It is
-    unique per action and the same in every process, so it also gives the
-    hash that keys every transition-map lookup.
+    `signed_delta` (+delta, -delta or 0) and `label` (``add_2``, ``rem_1``,
+    ``no_op``) are stored at construction.  The signed delta is unique per
+    action and the same in every process, so it also gives the hash that
+    keys every transition-map lookup.
     """
 
     kind: ActionKind
@@ -105,16 +108,12 @@ class Action:
             raise ValueError(f"{self.kind.value} requires delta >= 1")
         signed = -self.delta if self.kind is ActionKind.REM else self.delta
         object.__setattr__(self, "signed_delta", signed)
+        label = "no_op" if signed == 0 else f"{self.kind.value}_{self.delta}"
+        object.__setattr__(self, "label", label)
 
     def __hash__(self) -> int:
         # Doubled so that rem_1 avoids -1, which CPython turns into -2.
         return 2 * self.signed_delta
-
-    @property
-    def label(self) -> str:
-        if self.kind is ActionKind.NO_OP:
-            return "no_op"
-        return f"{self.kind.value}_{self.delta}"
 
     @staticmethod
     def from_label(label: str) -> "Action":
@@ -181,7 +180,7 @@ class ModelConfig:
         return [_sized_action(d) for d in adds] + [_sized_action(-d) for d in rems]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MdpState:
     """One model state: a cluster size in a particular expected behavior.
 
@@ -204,8 +203,23 @@ class MdpState:
     reward: float = 0.0
     key: StateKey = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "key", (self.vms_num, self.behavior_index))
+    def __init__(
+        self,
+        vms_num: int,
+        behavior_index: int = 0,
+        weight: float = 1.0,
+        center: tuple[float, float] | None = None,
+        reward: float = 0.0,
+    ) -> None:
+        # Each slot is set through its member descriptor: the generated
+        # frozen `__init__` would call `object.__setattr__` per field, which
+        # costs more, and a row scores hundreds of states.
+        _set_vms_num(self, vms_num)
+        _set_behavior_index(self, behavior_index)
+        _set_weight(self, weight)
+        _set_center(self, center)
+        _set_reward(self, reward)
+        _set_key(self, (vms_num, behavior_index))
 
     @property
     def label(self) -> str:
@@ -217,6 +231,11 @@ class MdpState:
             else f"b{self.behavior_index}"
         )
         return f"s{self.vms_num}{suffix}"
+
+
+_set_vms_num, _set_behavior_index, _set_weight, _set_center, _set_reward, _set_key = (
+    getattr(MdpState, f.name).__set__ for f in fields(MdpState)
+)
 
 
 # One transition row: ((target key, probability), ...).
@@ -311,42 +330,56 @@ class MdpModel:
         return _parse_dump(text)
 
 
-def match_behavior(
-    behaviors: Sequence[MdpState],
-    observation: tuple[float, float] | None,
-) -> int:
-    """Pick the behavior index the current observation is closest to,
-    among one size's states (read for their weights and centers).
+class BehaviorMatcher:
+    """One size's states (in behavior order), with their centers min-max
+    normalized once, for picking the behavior an observation is closest
+    to (`match`).  A solve-memo entry keeps one per size, so a decision
+    on a kept model normalizes only its observation.
 
     Distance is Euclidean after min-max normalizing each dimension over
-    this size's cluster centers; falls back to the heaviest cluster when no
-    observation or no centers are available.
+    the size's cluster centers.  The pick falls back to the heaviest
+    cluster (weight ties toward the lower index) when there is no
+    observation or some center is unknown; a size of one state always
+    picks it.
     """
-    if len(behaviors) == 1:
-        return 0
-    heaviest = max(range(len(behaviors)), key=lambda i: (behaviors[i].weight, -i))
-    if observation is None:
-        return heaviest
-    centers = [b.center for b in behaviors]
-    if any(c is None for c in centers):
-        return heaviest
-    lo = [min(c[d] for c in centers) for d in (0, 1)]  # type: ignore[index]
-    hi = [max(c[d] for c in centers) for d in (0, 1)]  # type: ignore[index]
 
-    def norm(point: tuple[float, float]) -> tuple[float, float]:
-        return tuple(
-            (point[d] - lo[d]) / (hi[d] - lo[d]) if hi[d] > lo[d] else 0.0
-            for d in (0, 1)
-        )  # type: ignore[return-value]
+    __slots__ = ("states", "heaviest", "dims", "centers")
 
-    obs = norm(observation)
-    best, best_d2 = 0, math.inf
-    for i, center in enumerate(centers):
-        c = norm(center)  # type: ignore[arg-type]
-        d2 = (c[0] - obs[0]) ** 2 + (c[1] - obs[1]) ** 2
-        if d2 < best_d2 - 1e-12:
-            best, best_d2 = i, d2
-    return best
+    def __init__(self, states: Sequence[MdpState]) -> None:
+        self.states = states
+        self.heaviest = max(range(len(states)), key=lambda i: (states[i].weight, -i))
+        self.centers: list[tuple[float, float]] | None = None
+        centers = [state.center for state in states]
+        if len(states) == 1 or any(c is None for c in centers):
+            return
+        # (lo, hi - lo) per dimension; a span of 0.0 maps the dimension to 0.0.
+        dims = []
+        for d in (0, 1):
+            lo, hi = min(c[d] for c in centers), max(c[d] for c in centers)  # type: ignore[index]
+            dims.append((lo, hi - lo if hi > lo else 0.0))
+        self.dims = dims
+        self.centers = [self._norm(c) for c in centers]  # type: ignore[arg-type]
+
+    def _norm(self, point: tuple[float, float]) -> tuple[float, float]:
+        (lo0, span0), (lo1, span1) = self.dims
+        return (
+            (point[0] - lo0) / span0 if span0 else 0.0,
+            (point[1] - lo1) / span1 if span1 else 0.0,
+        )
+
+    def match(self, observation: tuple[float, float] | None) -> MdpState:
+        """The state whose normalized center is nearest `observation`;
+        scanning in behavior order, a later center wins only when its
+        squared distance is smaller by more than 1e-12."""
+        if observation is None or self.centers is None:
+            return self.states[self.heaviest]
+        o0, o1 = self._norm(observation)
+        best, best_d2 = 0, math.inf
+        for i, (c0, c1) in enumerate(self.centers):
+            d2 = (c0 - o0) ** 2 + (c1 - o1) ** 2
+            if d2 < best_d2 - 1e-12:
+                best, best_d2 = i, d2
+        return self.states[best]
 
 
 def build_model(
@@ -380,18 +413,25 @@ def current_state(
     by_size: Mapping[int, Sequence[MdpState]],
     current: ClusterSize,
     observation: tuple[float, float] | None,
+    matchers: dict[int, BehaviorMatcher] | None = None,
 ) -> MdpState:
     """The state a decision at size `current` starts from: the behavior of
-    that size closest to `observation` (see `match_behavior`).  `by_size`
-    holds each size's states in behavior order."""
+    that size closest to `observation` (see `BehaviorMatcher`).  `by_size`
+    holds each size's states in behavior order.  `matchers`, when given,
+    keeps each size's matcher for the next call at that size."""
     if not config.min_vms <= current <= config.max_vms:
         raise ConfigurationError(
             f"current size {current} outside [{config.min_vms}, {config.max_vms}]"
         )
-    states = by_size.get(current)
-    if not states:
-        raise InstantiationError(f"no state of size {current}")
-    return states[match_behavior(states, observation)]
+    matcher = matchers.get(current) if matchers is not None else None
+    if matcher is None:
+        states = by_size.get(current)
+        if not states:
+            raise InstantiationError(f"no state of size {current}")
+        matcher = BehaviorMatcher(states)
+        if matchers is not None:
+            matchers[current] = matcher
+    return matcher.match(observation)
 
 
 def size_rows(

@@ -26,17 +26,19 @@ import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import ConfigurationError, NoDataError
 from .logs import LogSelection, LogStore
 from .model import (
     Action,
     ActionKind,
+    BehaviorMatcher,
     ClusterSize,
     MdpModel,
     ModelConfig,
     NO_OP,
+    StateKey,
     Variant,
     build_model,
     current_state,
@@ -275,6 +277,17 @@ def instantiate_model(
     return model, row.notes
 
 
+class SolvedModel(NamedTuple):
+    """A `store.solve_memo` entry: one solved model with what its
+    decisions reuse."""
+
+    model: MdpModel
+    notes: tuple[str, ...]  # the interpolation notes of its reward row
+    arrivals: list[dict[int, float]]  # its `reward_arrivals`
+    matchers: dict[ClusterSize, BehaviorMatcher]  # per size, filled by `current_state`
+    decisions: dict[StateKey, PolicyDecision]  # per start state, notes included
+
+
 def mdp_decide(
     kind: PolicyKind,
     store: LogStore,
@@ -292,9 +305,11 @@ def mdp_decide(
     The model at the effective load's bucket, its interpolation notes and
     its `reward_arrivals` are built once per store and kept in
     `store.solve_memo`.  Only the initial state depends on the current
-    size and observation, so each step picks its state with
-    `current_state`, as `build_model` does, and values that state's first
-    moves."""
+    size and observation, so each later step at that bucket picks its
+    state with `current_state`, as `build_model` does, through the size's
+    `BehaviorMatcher` kept in the entry.  Each (model, state) is solved
+    once: the entry keeps the state's `PolicyDecision`, notes included,
+    and every later step that starts from that state returns it."""
     key = (kind, model_config, clustering, utility, store.bucket(load_effective))
     entry = store.solve_memo.get(key)
     if entry is None:
@@ -302,12 +317,21 @@ def mdp_decide(
             kind, store, load_effective, current, current_measurement,
             model_config, utility, clustering,
         )
-        entry = store.solve_memo[key] = (model, notes, reward_arrivals(model))
-    model, notes, arrivals = entry
-    state = current_state(model.config, model.by_size, current, _observation(current_measurement))
-    decision = solve_decide(model, state, arrivals)
-    if notes:
-        decision = dataclasses.replace(decision, notes=decision.notes + notes)
+        entry = store.solve_memo[key] = SolvedModel(model, notes, reward_arrivals(model), {}, {})
+        # `build_model` picked the initial state at this size and observation.
+        state = model.initial
+    else:
+        model = entry.model
+        state = current_state(
+            model.config, model.by_size, current, _observation(current_measurement),
+            entry.matchers,
+        )
+    decision = entry.decisions.get(state.key)
+    if decision is None:
+        decision = solve_decide(model, state, entry.arrivals)
+        if entry.notes:
+            decision = dataclasses.replace(decision, notes=decision.notes + entry.notes)
+        entry.decisions[state.key] = decision
     return decision
 
 
@@ -370,7 +394,10 @@ class Policy:
         of them before that many); window 1 is the latest raw load."""
         if not self._loads:
             raise NoDataError("no load observed yet")
-        return sum(self._loads) / len(self._loads)
+        total = 0.0
+        for load in self._loads:  # left to right: `sum` compensates from Python 3.12
+            total += load
+        return total / len(self._loads)
 
     def decide(self, current: ClusterSize) -> PolicyDecision:
         raise NotImplementedError

@@ -112,10 +112,13 @@ def _arrival_values(
     `0.0 + ...`), so their best is one float in any order.
     """
     cfg = model.config
-    # Each state's share of its size and its payoff, read once for both branches.
+    # Each state's share of its size and its payoff, read once for both
+    # branches.  The mass adds left to right: `sum` compensates from 3.12.
     scored = {}
     for size, states in model.by_size.items():
-        mass = sum(state.weight for state in states)
+        mass = 0.0
+        for state in states:
+            mass += state.weight
         scored[size] = [(s.weight / mass, payoff(s), s.key in final) for s in states]
     all_targets = cfg.variant is _M3
     branches = []

@@ -2,7 +2,8 @@
 reference: each size gathers the arrival of every size its direction's
 deltas reach and takes their best, and each branch re-reads every
 state's share and payoff.  The package's linear sweep must return what
-this returns, float for float."""
+this returns, float for float.  Floats add left to right, as they do
+there, on every Python (`sum` compensates its rounding from 3.12)."""
 
 from __future__ import annotations
 
@@ -36,7 +37,9 @@ def _arrival_values(
             onward = [arrive[size + sign * d] for d in cfg.deltas(size, kind)]
             best_onward = best_of(onward) if onward else None
             states = model.by_size[size]
-            mass = sum(state.weight for state in states)
+            mass = 0.0
+            for state in states:
+                mass += state.weight
             total = 0.0
             for state in states:
                 value = payoff(state)

@@ -1,17 +1,16 @@
 """The per-size form of `rewards.state_reward`, kept as a test-side
 reference: one size's clusters scored one cluster at a time in Python,
-with the EB sums taken by `sum`.  The package scores a whole row from its
-k-means arrays (`rewards.score_row`); each size must get the states this
-returns, float for float.
+with the EB sums added cluster by cluster.  The package scores a whole
+row from its k-means arrays (`rewards.score_row`); each size must get the
+states this returns, float for float.
 
-`sum` adds floats left to right up to Python 3.11, as `score_row` does;
-from 3.12 it compensates its rounding, so there this reference and the
-floats pinned under 3.11 can differ in the last bit."""
+Every sum here adds left to right from 0.0, as `score_row` does, and not
+through `sum`, which compensates its rounding from Python 3.12."""
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from elastimdp.errors import ConfigurationError, NoDataError
 from elastimdp.model import MdpState
@@ -33,7 +32,7 @@ def state_reward(
     """
     if not clusters:
         raise NoDataError("state_reward needs at least one cluster")
-    mass = sum(c.weight for c in clusters)
+    mass = _left_to_right(c.weight for c in clusters)
     if not math.isclose(mass, 1.0, rel_tol=0.0, abs_tol=1e-9):
         raise ConfigurationError(f"cluster weights sum to {mass}, expected 1")
 
@@ -52,9 +51,16 @@ def state_reward(
     eb = MdpState(
         vms_num,
         center=(
-            sum(s.weight * s.center[0] for s in per_cluster),
-            sum(s.weight * s.center[1] for s in per_cluster),
+            _left_to_right(s.weight * s.center[0] for s in per_cluster),
+            _left_to_right(s.weight * s.center[1] for s in per_cluster),
         ),
-        reward=sum(s.reward * s.weight for s in per_cluster),
+        reward=_left_to_right(s.reward * s.weight for s in per_cluster),
     )
     return StateReward(per_cluster, mb, eb)
+
+
+def _left_to_right(values: Iterable[float]) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total

@@ -6,6 +6,8 @@ import hashlib
 import importlib.util
 import io
 import itertools
+import math
+import pkgutil
 import re
 import sys
 from collections import Counter
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elastimdp
 from elastimdp import cli, emulator, harness, policies, solver
 from elastimdp.emulator import (
     ExperimentTrace,
@@ -48,7 +51,7 @@ from elastimdp.logs import (
     read_records_csv,
     write_records_csv,
 )
-from elastimdp.model import MdpState, ModelConfig, build_model
+from elastimdp.model import MdpState, ModelConfig, build_model, current_state
 from elastimdp.policies import MDP_KINDS, PolicyKind
 from elastimdp.rewards import ClusteringConfig, UtilityConfig, UtilityKind, utility_eval
 
@@ -363,6 +366,11 @@ def solve_memo_hashes(monkeypatch, overrides, count):
     monkeypatch.setattr(harness, "build_store", kept)
     run_comparison(parse_config(default_config_ini(), overrides))
     (store,) = stores
+    return store_hashes(store, count)
+
+
+def store_hashes(store, count):
+    """`solve_memo_hashes` of a store a comparison filled."""
     keys = sorted(store.solve_memo, key=lambda key: (key[0].value, key[-1]))
     assert len(keys) == count
     dumps = "".join(store.solve_memo[key][0].dump() for key in keys)
@@ -464,6 +472,47 @@ class TestComparison:
             assert memo == fresh
             assert memo.expected_utility.hex() == fresh.expected_utility.hex()
 
+    @COMPARISON_CONFIGS
+    def test_each_memo_decision_equals_a_fresh_solve_of_its_model(self, overrides, monkeypatch):
+        # Differential: every decision `mdp_decide` returns, most of them
+        # kept per (model, state) in the solve memo, equals a fresh solve
+        # of the kept model from the state `current_state` picks without
+        # the entry's matchers, on fresh arrivals, with the entry's notes.
+        decisions, stores = [], set()
+        real = policies.mdp_decide
+
+        def compared(kind, store, load, current, measurement, model_config, utility, clustering):
+            decision = real(kind, store, load, current, measurement, model_config, utility, clustering)
+            entry = store.solve_memo[(kind, model_config, clustering, utility, store.bucket(load))]
+            model = entry.model
+            observation = (measurement.latency_ms, measurement.throughput)
+            state = current_state(model.config, model.by_size, current, observation)
+            fresh = solver.decide(model, state, solver.reward_arrivals(model))
+            assert decision == dataclasses.replace(fresh, notes=fresh.notes + entry.notes)
+            assert decision.expected_utility.hex() == fresh.expected_utility.hex()
+            assert entry.decisions[state.key] is decision
+            decisions.append(decision)
+            stores.add(store)
+            return decision
+
+        solves = []
+        real_solve = policies.solve_decide
+
+        def counted(model, state, arrivals):
+            solves.append((model, state))
+            return real_solve(model, state, arrivals)
+
+        monkeypatch.setattr(policies, "mdp_decide", compared)
+        monkeypatch.setattr(policies, "solve_decide", counted)
+        config = parse_config(default_config_ini(), overrides)
+        run_comparison(config)
+        mdp_kinds = [kind for kind in config.policies if kind in MDP_KINDS]
+        assert len(decisions) == len(mdp_kinds) * config.runs * len(decision_ticks(config.schedule))
+        # Each (model, state) is solved once; the other decisions are hits.
+        (store,) = stores
+        solved = sum(len(entry.decisions) for entry in store.solve_memo.values())
+        assert len(store.solve_memo) < len(solves) == solved < len(decisions)
+
     def test_solve_memo_holds_one_entry_per_mdp_policy_and_bucket(self, monkeypatch):
         stores = []
         real = harness.build_store
@@ -563,6 +612,60 @@ def tape_and_live(monkeypatch, config, records=None):
     traces = {key: comparable(t) for key, t in taped.traces.items()}
     assert traces == {key: comparable(t) for key, t in live.traces.items()}
     return traces, store
+
+
+def compensated_sum(values, /, start=0):
+    """`sum` as CPython 3.12 adds floats: once the running total is a
+    float, Neumaier's compensated summation, adding the compensation at
+    the end unless it is 0 or not finite.  Other totals add as before."""
+    total, compensation = start, 0.0
+    for value in values:
+        if isinstance(total, float) and isinstance(value, float):
+            step = total + value
+            if abs(total) >= abs(value):
+                compensation += (total - step) + value
+            else:
+                compensation += (value - step) + total
+            total = step
+        else:
+            total = total + value
+    if isinstance(total, float) and compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+class TestSummationOrder:
+    """The package adds its floats left to right itself, so a Python
+    whose `sum` compensates its rounding (3.12 and later) decides, builds
+    and values alike.  Emulated by shadowing `sum` in every module."""
+
+    def test_the_emulation_compensates_as_python_3_12(self):
+        # Left to right, as `sum` up to 3.11 adds, gives 0.9999999999999999.
+        assert compensated_sum(iter([0.1] * 10)) == 1.0
+        assert compensated_sum([1e100, 1.0, -1e100]) == 1.0
+        assert compensated_sum([True, False, True]) == 2
+        assert compensated_sum([]) == 0
+
+    @pytest.mark.parametrize(
+        "overrides, count, pins",
+        [
+            ({"experiment.runs": "2"}, 112, (DEFAULT_SOLVE_MEMO_SHA256, DEFAULT_ARRIVALS_SHA256)),
+            (BENCH_SCALEOUT_OVERRIDES, 63, (SCALEOUT_SOLVE_MEMO_SHA256, SCALEOUT_ARRIVALS_SHA256)),
+        ],
+        ids=["defaults", "scaleout"],
+    )
+    def test_pins_and_traces_hold_under_a_compensating_sum(
+        self, overrides, count, pins, monkeypatch
+    ):
+        config = parse_config(default_config_ini(), overrides)
+        plain = run_comparison(config)
+        for module in pkgutil.iter_modules(elastimdp.__path__):
+            monkeypatch.setattr(f"elastimdp.{module.name}.sum", compensated_sum, raising=False)
+        compensated, store = run_keeping_store(monkeypatch, config)
+        assert store_hashes(store, count) == pins
+        assert compensated.traces.keys() == plain.traces.keys()
+        for key, trace in plain.traces.items():
+            assert comparable(compensated.traces[key]) == comparable(trace)
 
 
 class TestEnvironmentTape:

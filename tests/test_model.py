@@ -14,12 +14,14 @@ from elastimdp.errors import ConfigurationError, ElastimdpError, InstantiationEr
 from elastimdp.model import (
     Action,
     ActionKind,
+    BehaviorMatcher,
     MdpModel,
     MdpState,
     ModelConfig,
     NO_OP,
     Variant,
     build_model,
+    current_state,
     implied_transitions,
     validate_model,
 )
@@ -27,6 +29,7 @@ from elastimdp.queries import parse_query
 from elastimdp.solver import decide, reachability_probability
 
 import reference_dump
+import reference_matching
 from helpers import type_distribution
 from instances import random_instance
 
@@ -155,6 +158,79 @@ class TestMultiBehaviorModel:
         assert model.initial.key == (4, 1)
 
 
+class TestBehaviorMatcher:
+    def test_matches_the_per_call_reference_on_random_sizes(self):
+        # Differential: the matcher normalizes a size's centers once; the
+        # reference normalizes them again on every call.  Centers come from
+        # a coarse grid (equal centers, a dimension with hi == lo) or
+        # anywhere, some are unknown, and observations fall on a center,
+        # within 1e-14 of the midpoint of two (a d2 tie within 1e-12),
+        # anywhere, or are missing.
+        rng = np.random.default_rng(2114)
+        cases = dict.fromkeys(
+            ("one behavior", "no observation", "unknown center", "flat dimension",
+             "tie", "off heaviest"),
+            0,
+        )
+        for _ in range(3000):
+            n = int(rng.integers(1, 6))
+            grid = rng.random() < 0.5
+            points = rng.integers(0, 3, (n, 2)) * 10.0 if grid else rng.normal(50.0, 30.0, (n, 2))
+            centers = [(float(x), float(y)) for x, y in points]
+            if rng.random() < 0.1:
+                centers[int(rng.integers(n))] = None
+            weights = rng.choice([0.1, 0.2, 0.3], n)
+            states = [
+                MdpState(4, i, float(w), center, reward=0.0)
+                for i, (w, center) in enumerate(zip(weights, centers))
+            ]
+            pick = rng.random()
+            if pick < 0.1:
+                observation = None
+            elif pick < 0.4 and n > 1 and None not in centers:
+                i, j = rng.choice(n, 2, replace=False)
+                nudge = rng.choice([-1e-14, 0.0, 1e-14])
+                observation = tuple(
+                    (a + b) / 2 + nudge for a, b in zip(centers[i], centers[j])
+                )
+                cases["tie"] += 1
+            elif pick < 0.6 and centers[0] is not None:
+                observation = centers[0]
+            else:
+                observation = tuple(float(v) for v in rng.normal(50.0, 40.0, 2))
+            matcher = BehaviorMatcher(states)
+            want = states[reference_matching.match_behavior(states, observation)]
+            # A kept matcher answers each call alike.
+            assert matcher.match(observation) is want
+            assert matcher.match(observation) is want
+            cases["one behavior"] += n == 1
+            cases["no observation"] += observation is None
+            cases["unknown center"] += None in centers
+            cases["flat dimension"] += n > 1 and None not in centers and any(
+                len({c[d] for c in centers}) == 1 for d in (0, 1)
+            )
+            cases["off heaviest"] += want is not states[matcher.heaviest]
+        assert min(cases.values()) >= 50, cases
+
+    def test_current_state_keeps_one_matcher_per_size(self):
+        config = ModelConfig(4, 5, variant=Variant.M2, k=2)
+        states = [
+            MdpState(4, 0, 0.5, (20.0, 1000.0), reward=5.0),
+            MdpState(4, 1, 0.5, (90.0, 200.0), reward=1.0),
+            MdpState(5, 0, 1.0, (30.0, 1500.0), reward=2.0),
+        ]
+        model = build_model(config, states, 4)
+        matchers = {}
+        for observation, key in (((85.0, 250.0), (4, 1)), ((22.0, 950.0), (4, 0))):
+            picked = current_state(config, model.by_size, 4, observation, matchers)
+            assert picked.key == key
+        kept = matchers[4]
+        assert current_state(config, model.by_size, 4, None, matchers).key == (4, 0)
+        assert list(matchers) == [4] and matchers[4] is kept
+        with pytest.raises(ConfigurationError, match="outside"):
+            current_state(config, model.by_size, 6, None, matchers)
+
+
 class TestAllTargetsModel:
     def test_equal_probability_per_target(self):
         config = ModelConfig(3, 7, add_limit=2, rem_limit=1, variant=Variant.M3)
@@ -266,6 +342,18 @@ class TestAction:
         assert len(set(actions)) == len({hash(a) for a in actions}) == 7
         assert [a.signed_delta for a in actions] == [0, 1, 2, 3, -1, -2, -3]
         assert dataclasses.replace(Action(ADD, 1), delta=2) in table
+
+    def test_label_is_stored_and_survives_copies(self):
+        actions = [NO_OP] + [Action(kind, d) for kind in (ADD, REM) for d in (1, 2, 12)]
+        labels = ["no_op", "add_1", "add_2", "add_12", "rem_1", "rem_2", "rem_12"]
+        assert [a.label for a in actions] == labels
+        assert all(Action.from_label(a.label) == a for a in actions)
+        for action in actions:
+            for copied in (pickle.loads(pickle.dumps(action)), copy.deepcopy(action)):
+                assert copied.label == action.label
+        assert dataclasses.replace(Action(ADD, 1), delta=2).label == "add_2"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            NO_OP.label = "add_1"
 
 
 class TestValidation:

@@ -558,11 +558,11 @@ class TestSolveMemo:
         run_comparison(parse_config(default_config_ini(), {"experiment.runs": "2"}))
         (store,) = stores
         checked, off_heaviest = 0, 0
-        for key, (model, _, _) in store.solve_memo.items():
+        for key, (model, _, _, matchers, _) in store.solve_memo.items():
             states = model.ordered_states()
             for observation in seen[key[0], key[-1]]:
                 for size in model.config.sizes:
-                    picked = current_state(model.config, model.by_size, size, observation)
+                    picked = current_state(model.config, model.by_size, size, observation, matchers)
                     assert picked == build_model(model.config, states, size, observation).initial
                     heaviest = max(model.by_size[size], key=lambda s: (s.weight, -s.behavior_index))
                     checked += 1
