@@ -30,9 +30,13 @@ by the config and the behavior weights, so a model does not store it:
 `MdpModel.transitions` is a read-only view made on first read
 (`implied_transitions`), for the brute-force oracles (the solver never
 reads it).  A dump's `trans` lines are `trans_blocks`, one string per
-size written from the rows and never from the map; `MdpModel.loads`
-compares the dump with them a size at a time and refuses a dump whose
-`trans` lines differ, naming the first differing line.
+size written from the rows and never from the map.  `MdpModel.loads`
+builds the model from the dump's head (the lines before its first `trans`
+line), then checks the `trans` section in place, a size block at a time:
+each block must stand in the text as rendered.  It splits lines and
+compares them word by word only from the first block that differs, and
+refuses a dump whose `trans` lines differ, naming the first differing
+line.
 
 `MdpModel`'s constructor is the one check of a model's structure (see
 `_violations`), and `build_model`, `MdpModel.loads` and
@@ -54,8 +58,8 @@ import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache, cached_property
-from itertools import compress, count, groupby, repeat
-from operator import attrgetter, not_
+from itertools import chain, groupby
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -544,23 +548,80 @@ def _violations(model: MdpModel) -> Iterator[str]:
 
 
 def _parse_dump(text: str) -> MdpModel:
-    """Build the model from the dump's header, config, initial and state
-    lines, then check its `trans` lines against the blocks `trans_blocks`
-    renders for that model: a size at a time, and line by line only where
-    a block differs, passing a line whose words are the expected line's."""
-    lines = text.splitlines()
-    # A trans line stays raw text: those that start with "trans " are found
-    # in C, and only the other lines are split into words.
-    is_trans = list(map(str.startswith, lines, repeat("trans ")))
-    rest = []
-    for n, line in compress(enumerate(lines, 1), map(not_, is_trans)):
-        words = line.split()
-        if words[:1] == ["trans"]:
-            is_trans[n - 1] = True
-        elif words:
-            rest.append((n, words))
-    trans = list(compress(lines, is_trans))
-    if next((line.split() for line in lines if line.strip()), None) != ["mdpdump", "1"]:
+    """Build the model from the dump's head, the text before its first line
+    that starts with "trans ", then check the `trans` section in place: each
+    block `trans_blocks` renders must stand in the text where the last one
+    ended, followed by a line feed or the end of the text.  From the first
+    block that differs, or text left after the last block, the lines of the
+    rest are walked (`_walk_tail`).  A head that holds a line whose first
+    word is "trans", or that is no model alone (say, a state line comes
+    after the trans lines), sends the whole text to the line walk
+    (`_walk_dump`)."""
+    pos = 0 if text.startswith("trans ") else text.find("\ntrans ") + 1 or len(text)
+    rest, trans = _sort_lines(text[:pos].splitlines())
+    if trans:
+        return _walk_dump(text)
+    try:
+        model = _build_model(rest, trans)
+    except InstantiationError:
+        return _walk_dump(text)
+    blocks = trans_blocks(model)
+    for block in blocks:
+        end = pos + len(block)
+        if not text.startswith(block, pos) or end < len(text) and text[end] != "\n":
+            return _walk_tail(text, pos, model, chain([block], blocks))
+        pos = end + 1
+    return _walk_tail(text, pos, model, blocks) if pos < len(text) else model
+
+
+def _walk_tail(text: str, pos: int, model: MdpModel, blocks: Iterator[str]) -> MdpModel:
+    """Check the lines of `text` from `pos`, the start of a line, against
+    `blocks`, the blocks not yet matched in place: so no block is rendered
+    twice.  A line there that is neither blank nor a trans line would have
+    been read with the head, so it sends the whole text to `_walk_dump`."""
+    first = len(text[:pos].splitlines()) + 1
+    rest, trans = _sort_lines(text[pos:].splitlines(), first)
+    if rest:
+        return _walk_dump(text)
+    _check_trans(text, trans, blocks)
+    return model
+
+
+def _walk_dump(text: str) -> MdpModel:
+    """The line walk of the whole text: build the model from every line
+    that is not a trans line, then check the trans lines."""
+    rest, trans = _sort_lines(text.splitlines())
+    model = _build_model(rest, trans)
+    _check_trans(text, trans, trans_blocks(model))
+    return model
+
+
+NumberedLine = tuple[int, str]
+
+
+def _sort_lines(
+    lines: list[str], first: int = 1
+) -> tuple[list[tuple[int, list[str]]], list[NumberedLine]]:
+    """Number `lines` from `first` and sort them: the words of each line
+    that is neither blank nor a trans line, and the text of each trans line,
+    one that starts with "trans " or whose first word is "trans"."""
+    rest, trans = [], []
+    for number, line in enumerate(lines, first):
+        if line.startswith("trans "):
+            trans.append((number, line))
+        elif words := line.split():
+            if words[0] == "trans":
+                trans.append((number, line))
+            else:
+                rest.append((number, words))
+    return rest, trans
+
+
+def _build_model(rest: list[tuple[int, list[str]]], trans: list[NumberedLine]) -> MdpModel:
+    """The model of a dump's header, config, initial and state lines
+    (`rest`, from `_sort_lines`); `trans` only tells whether a trans line
+    comes before the header."""
+    if not rest or rest[0][1] != ["mdpdump", "1"] or trans and trans[0][0] < rest[0][0]:
         raise InstantiationError("not a model dump (missing 'mdpdump 1' header)")
 
     config: ModelConfig | None = None
@@ -623,30 +684,27 @@ def _parse_dump(text: str) -> MdpModel:
     if initial_label not in by_label:
         raise InstantiationError(f"initial state {initial_label} not defined")
 
-    model = MdpModel(
-        config=config,
-        states=states,
-        initial=states[by_label[initial_label]],
-    )
-    # `trans_blocks` is lazy, so this work is bounded by the dump's lines.
-    start = 0
-    for block in trans_blocks(model):
-        expected = block.split("\n")
-        if trans[start : start + len(expected)] != expected:
-            for j, want in enumerate(expected, start):
-                if j == len(trans):
-                    end = len(text.rstrip().splitlines()) + 1
-                    raise InstantiationError(
-                        f"model dump line {end}: expected {want!r}, found the end of the dump"
-                    )
-                if " ".join(trans[j].split()) != want:
-                    number = list(compress(count(1), is_trans))[j]
-                    raise InstantiationError(f"model dump line {number}: expected {want!r}")
-        start += len(expected)
-    if start < len(trans):
-        number = list(compress(count(1), is_trans))[start]
-        raise InstantiationError(f"model dump line {number}: expected no further trans line")
-    return model
+    return MdpModel(config=config, states=states, initial=states[by_label[initial_label]])
+
+
+def _check_trans(text: str, trans: list[NumberedLine], blocks: Iterator[str]) -> None:
+    """Check the trans lines of `text`, in order, against the lines of
+    `blocks`, passing a line whose words are the expected line's.
+    `blocks` is lazy, so this work is bounded by the dump's lines."""
+    lines = iter(trans)
+    for block in blocks:
+        for want in block.split("\n"):
+            number, line = next(lines, (0, None))
+            if line is None:
+                end = len(text.rstrip().splitlines()) + 1
+                raise InstantiationError(
+                    f"model dump line {end}: expected {want!r}, found the end of the dump"
+                )
+            if line != want and " ".join(line.split()) != want:
+                raise InstantiationError(f"model dump line {number}: expected {want!r}")
+    extra = next(lines, None)
+    if extra is not None:
+        raise InstantiationError(f"model dump line {extra[0]}: expected no further trans line")
 
 
 def finite_float(text: str) -> float:

@@ -13,6 +13,7 @@ conjunction of comparisons.  Fields: ``vms_num``, ``latency`` (ms),
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -28,13 +29,13 @@ _TOKEN_RE = re.compile(
 )
 
 _OPS: dict[str, Callable[[float, float], bool]] = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "=": lambda a, b: a == b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "=": operator.eq,
+    "==": operator.eq,
+    "!=": operator.ne,
 }
 
 
@@ -51,6 +52,10 @@ _FIELDS: dict[str, Callable[[MdpState], float]] = {
     "latency": lambda s: _metric(s, 0, "latency"),
     "throughput": lambda s: _metric(s, 1, "throughput"),
 }
+
+
+# One parsed clause: the field's getter, the operator and the number.
+Clause = tuple[Callable[[MdpState], float], Callable[[float, float], bool], float]
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,9 @@ class _Parser:
             )
         return self.take()
 
-    def comparison(self) -> tuple[str, Callable[[float, float], bool], float]:
+    def comparison(self) -> Clause:
+        """The next `field op number` clause: the field's getter, the
+        operator and the number."""
         token = self.take()
         if token.kind != "ident":
             raise QueryParseError(
@@ -111,7 +118,7 @@ class _Parser:
             )
         if token.text not in _FIELDS:
             raise QueryParseError(f"unknown field {token.text!r}", token.position)
-        field = token.text
+        getter = _FIELDS[token.text]
         op_token = self.take()
         if op_token.text not in _OPS:
             raise QueryParseError(
@@ -129,7 +136,7 @@ class _Parser:
             value = finite_float(num_token.text)
         except ValueError as exc:
             raise QueryParseError(str(exc), num_token.position) from exc
-        return field, _OPS[op_token.text], value
+        return getter, _OPS[op_token.text], value
 
 
 def parse_query(text: str) -> ReachabilityQuery:
@@ -152,9 +159,15 @@ def parse_query(text: str) -> ReachabilityQuery:
     end = parser.current
     if end.kind != "end":
         raise QueryParseError(f"trailing input {end.text!r}", end.position)
+    compiled = tuple(clauses)
 
     def predicate(state: MdpState) -> bool:
-        return all(op(_FIELDS[field](state), value) for field, op, value in clauses)
+        # In clause order, stopping at the first that fails: a later clause
+        # on a metric the state lacks then raises no error.
+        for get, op, value in compiled:
+            if not op(get(state), value):
+                return False
+        return True
 
     mode = "max" if head.text == "Pmax" else "min"
     return ReachabilityQuery(mode=mode, predicate=predicate, text=text)

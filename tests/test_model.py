@@ -877,18 +877,23 @@ EDIT_TOKENS = ("bogus", "", "-1", "0", "0.5", "2", "nan", "1e308", "3000000", "s
 @st.composite
 def edited_dumps(draw):
     """A real dump with one to three random line edits: delete a line,
-    duplicate it, or replace one of its words or `key=value` values."""
+    duplicate it, move it elsewhere (a state line among or after the
+    trans lines, a trans line among the state lines), or replace one of
+    its words or `key=value` values."""
     config, states, current = draw(config_and_states())
     text = build_model(config, states, current).dump()
     pool = EDIT_TOKENS + tuple(dump_tokens(text))
     lines = text.splitlines()
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
-        edit = draw(st.sampled_from(("delete", "duplicate", "word", "value")))
+        edit = draw(st.sampled_from(("delete", "duplicate", "move", "word", "value")))
         if edit == "delete":
             del lines[i]
         elif edit == "duplicate":
             lines.insert(i, lines[i])
+        elif edit == "move":
+            line = lines.pop(i)
+            lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), line)
         else:
             words = lines[i].split()
             j = draw(st.integers(min_value=0, max_value=len(words) - 1))
@@ -1014,7 +1019,8 @@ def respaced_dumps(draw):
     """A text from `edited_dumps` or a whole dump, maybe cut short, and a
     copy of it with other whitespace: tabs or doubled spaces between the
     words, blanks before and after them and blank lines after them, on
-    some lines or on all, and LF or CRLF line ends."""
+    some lines or on all, and LF or CRLF line ends, or CR, form feed or
+    U+2028 ones, which `str.splitlines` splits on and "\n" does not."""
     whole = config_and_states().map(lambda instance: build_model(*instance).dump())
     lines = draw(edited_dumps() | whole).splitlines()
     if draw(st.booleans()):
@@ -1028,7 +1034,7 @@ def respaced_dumps(draw):
     blank = draw(st.sampled_from(("", "\n", "\n \t\n")))
     for i in chosen:
         lines[i] = lead + gap.join(lines[i].split(" ")) + trail + blank
-    end = draw(st.sampled_from(("\n", "\r\n")))
+    end = draw(st.sampled_from(("\n", "\r\n", "\r", "\x0c", "\u2028")))
     return text, end.join(lines) + end
 
 
@@ -1084,5 +1090,19 @@ class TestDumpText:
         message = (
             "model dump line 15: expected 'trans s4b add_1 s5 1.0', found the end of the dump"
         )
+        assert refusal(text) == message
+        assert outcome(reference_dump.parse_dump, text)[1] == message
+
+    @pytest.mark.parametrize("line", [11, 17, 20])
+    @pytest.mark.parametrize("extra", ["5", " x"])
+    def test_a_block_matches_only_up_to_a_line_end(self, line, extra):
+        model = build_model(TWO_BEHAVIOR_CONFIG, TWO_BEHAVIOR_STATES, 4)
+        lines = model.dump().splitlines()
+        # lines 11, 17 and 20 close the blocks of sizes 3, 4 and 5
+        want = lines[line - 1]
+        assert want.split()[2] == "no_op"
+        lines[line - 1] += extra
+        text = "\n".join(lines) + "\n"
+        message = f"model dump line {line}: expected {want!r}"
         assert refusal(text) == message
         assert outcome(reference_dump.parse_dump, text)[1] == message

@@ -150,3 +150,67 @@ class TestEvaluation:
         query = parse_query("Pmax=? [ F latency<30 ]")
         with pytest.raises(QueryEvaluationError):
             reachability_probability(model, query)
+
+
+def reference_predicate(clauses, state):
+    """The conjunction evaluated per state as a generator over the clause
+    list, each field read by name: the form the compiled predicate
+    replaces."""
+    ops = {
+        "<": lambda a, b: a < b,
+        "<=": lambda a, b: a <= b,
+        ">": lambda a, b: a > b,
+        ">=": lambda a, b: a >= b,
+        "=": lambda a, b: a == b,
+        "==": lambda a, b: a == b,
+        "!=": lambda a, b: a != b,
+    }
+
+    def read(name):
+        if name == "vms_num":
+            return float(state.vms_num)
+        if state.center is None:
+            raise QueryEvaluationError(
+                f"state {state.label} carries no behavior center; {name} is undefined"
+            )
+        return state.center[0 if name == "latency" else 1]
+
+    return all(ops[op](read(name), value) for name, op, value in clauses)
+
+
+def verdict(predicate, state):
+    try:
+        return predicate(state)
+    except QueryEvaluationError as exc:
+        return type(exc), str(exc)
+
+
+# Values on both sides of, and equal to, the states' fields.
+CLAUSE_VALUES = st.sampled_from([-1.0, 0.0, 3.0, 4.0, 5.0, 25.0, 30.0, 40.0, 2e4, 2.5e4, 1e308])
+CLAUSES = st.lists(
+    st.tuples(
+        st.sampled_from(["vms_num", "latency", "throughput"]),
+        st.sampled_from(["<", "<=", ">", ">=", "=", "==", "!="]),
+        CLAUSE_VALUES,
+    ),
+    min_size=1,
+    max_size=4,
+)
+STATES = st.builds(
+    MdpState,
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2),
+    st.just(1.0),
+    st.none() | st.tuples(CLAUSE_VALUES, CLAUSE_VALUES),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CLAUSES, st.lists(STATES, min_size=1, max_size=5))
+def test_compiled_predicate_matches_the_per_state_conjunction(clauses, states):
+    text = "Pmax=? [ F " + " & ".join(f"{n}{op}{v!r}" for n, op, v in clauses) + " ]"
+    predicate = parse_query(text).predicate
+    for state in states:
+        assert verdict(predicate, state) == verdict(
+            lambda s: reference_predicate(clauses, s), state
+        )
