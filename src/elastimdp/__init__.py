@@ -47,7 +47,6 @@ from .rewards import (
     UtilityKind,
     cluster_behavior,
     cluster_cells,
-    state_reward,
     utility_eval,
 )
 from .solver import (

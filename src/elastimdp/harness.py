@@ -87,6 +87,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.policies:
             raise ConfigurationError("at least one policy is required")
+        for i, kind in enumerate(self.policies):
+            if kind in self.policies[:i]:
+                raise ConfigurationError(f"policy {kind.value} is listed twice")
         if not self.model.min_vms <= self.schedule.initial_vms <= self.model.max_vms:
             raise ConfigurationError(
                 f"initial_vms {self.schedule.initial_vms} outside the model range"

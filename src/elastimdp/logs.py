@@ -76,11 +76,11 @@ class LogStore:
     * the selections: one `LogSelection` per (vms, load bucket) query
       (filled by `select_logs`);
     * `reward_memo`: one `policies.RewardRow` per load bucket, size range,
-      clustering config and utility: each size's selection and
-      `StateReward` (its cell's behavior clusters scored for MB, EB and
-      multi-behavior models) and the interpolation notes (filled by
-      `policies.reward_row`, which clusters the row's cells in one call
-      and scores every size from the k-means arrays in another);
+      clustering config and utility: the model states its sizes' cells
+      make (each size's behavior clusters and their MB and EB summaries)
+      and the interpolation notes (filled by `policies.reward_row`, which
+      clusters the row's cells in one call and scores every size from the
+      k-means arrays in another);
     * `solve_memo`: one `policies.SolvedModel` per MDP policy kind, model
       config, clustering config, utility and load bucket: the model, its
       interpolation notes and arrival values, and, filled as decisions

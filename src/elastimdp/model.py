@@ -4,7 +4,7 @@ A model is a small Markov decision process whose states describe cluster
 sizes (optionally split into behavior clusters), whose actions add or
 remove VMs or do nothing, and whose states each carry a reward, a utility
 function evaluated on logged behavior.  A state (`MdpState`) is one scored
-behavior of one size, as `rewards.state_reward` makes it, and `build_model`
+behavior of one size, as `rewards.score_row` makes it, and `build_model`
 takes the states of every size in the range.  Three variants are
 supported:
 

@@ -29,13 +29,14 @@ from enum import Enum
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import ConfigurationError, NoDataError
-from .logs import LogSelection, LogStore
+from .logs import LogStore
 from .model import (
     Action,
     ActionKind,
     BehaviorMatcher,
     ClusterSize,
     MdpModel,
+    MdpState,
     ModelConfig,
     NO_OP,
     StateKey,
@@ -45,7 +46,6 @@ from .model import (
 )
 from .rewards import (
     ClusteringConfig,
-    StateReward,
     UtilityConfig,
     # Not called here, but kept bound: perfbench's traced run (`--trace 1`)
     # wraps `policies.cluster_behavior` by name and fails without it.
@@ -198,11 +198,13 @@ def rl_update(
 
 @dataclass(frozen=True, slots=True)
 class RewardRow:
-    """Every size's log selection and scored states at one load bucket,
-    with a note for each size whose logs came from another cell."""
+    """The states every size makes at one load bucket, in the form
+    `build_model` takes (see `rewards.score_row`), with a note for each
+    size whose logs came from another cell."""
 
-    selections: Mapping[int, LogSelection]
-    rewards: Mapping[int, StateReward]
+    per_cluster: tuple[MdpState, ...]  # every size's cluster states, by key
+    mb: Mapping[int, MdpState]  # size -> its mode-behaviour state
+    eb: Mapping[int, MdpState]  # size -> its expected-behaviour state
     notes: tuple[str, ...]
 
 
@@ -218,27 +220,28 @@ def reward_row(
     Each (load bucket, sizes, clustering, utility) is selected, clustered
     and scored once per store and kept in `store.reward_memo`; a store's
     records are fixed at construction, so a row never goes stale.  One row
-    serves the MB, EB and multi-behavior models and the RL warm starts.  On
-    a miss every distinct cell of the row is clustered in one `rank_cells`
-    call (sizes that borrow one cell share its row), and one `score_row`
-    call scores each size at its own size, even on a borrowed cell.
+    serves the multi-behavior models (`per_cluster`), the MB and EB models
+    (`mb`, `eb`) and the RL warm starts (`mb`).  On a miss every distinct
+    cell of the row is clustered in one `rank_cells` call (sizes that
+    borrow one cell share its row), and one `score_row` call scores each
+    size at its own size, even on a borrowed cell.  Each size's selection
+    stays in `store.select_logs`'s memo.
     """
     key = (store.bucket(load), sizes, clustering, utility)
     row = store.reward_memo.get(key)
     if row is None:
-        selections = {size: store.select_logs(size, load) for size in sizes}
-        cells = {(s.vms_used, s.bucket_center): s.records for s in selections.values()}
+        selections = [store.select_logs(size, load) for size in sizes]
+        cells = {(s.vms_used, s.bucket_center): s.records for s in selections}
         index = {cell: i for i, cell in enumerate(cells)}
         ranked = rank_cells(list(cells.values()), clustering)
-        rows = [index[s.vms_used, s.bucket_center] for s in selections.values()]
-        rewards = dict(zip(sizes, state_reward(ranked, rows, sizes, utility)))
+        rows = [index[s.vms_used, s.bucket_center] for s in selections]
         notes = tuple(
             f"size {size}: no logs at bucket, used {len(s.records)}"
             f" record(s) from vms={s.vms_used} bucket={s.bucket_center:.0f}"
-            for size, s in selections.items()
+            for size, s in zip(sizes, selections)
             if s.interpolated
         )
-        row = store.reward_memo[key] = RewardRow(selections, rewards, notes)
+        row = store.reward_memo[key] = RewardRow(*state_reward(ranked, rows, sizes, utility), notes)
     return row
 
 
@@ -267,12 +270,10 @@ def instantiate_model(
     variant = Variant.M3 if kind is PolicyKind.MDP3 else Variant.M2 if multi else Variant.M1
     config = dataclasses.replace(model_config, variant=variant, k=clustering.k if multi else 1)
     row = reward_row(store, load_effective, config.sizes, clustering, utility)
-    states = []
-    for scored in row.rewards.values():
-        if multi:
-            states.extend(scored.per_cluster)
-        else:
-            states.append(scored.eb if kind is PolicyKind.MDP_EB else scored.mb)
+    if multi:
+        states = row.per_cluster
+    else:
+        states = (row.eb if kind is PolicyKind.MDP_EB else row.mb).values()
     model = build_model(config, states, current, _observation(current_measurement))
     return model, row.notes
 
@@ -448,7 +449,7 @@ class RLPolicy(Policy):
             self.store, self.effective_load(), self.limits.sizes, self.clustering, self.utility
         )
         targets = {current + a.signed_delta for a in [NO_OP, *self.limits.moves(current)]}
-        mb_rewards = {size: row.rewards[size].mb.reward for size in targets}
+        mb_rewards = {size: row.mb[size].reward for size in targets}
         decision = rl_decide(self.qtable, current, mb_rewards, self.limits)
         self._pending = (current, decision.action)
         return decision

@@ -15,7 +15,8 @@ per cluster, and the single-behavior models one of two summaries of the
 same clusters, the biggest cluster's center (mode behaviour, MB) or the
 population-weighted average of the centers and their utilities (expected
 behaviour, EB).  `score_row` scores a row from the k-means arrays in one
-pass; `state_reward` and `cluster_cells` are views over the same code.
+pass, into the states `build_model` takes; `cluster_cells` is a view of
+the same arrays.
 """
 
 from __future__ import annotations
@@ -293,47 +294,18 @@ def utility_eval(
     return 1.0 / vms_num
 
 
-@dataclass(frozen=True, slots=True)
-class StateReward:
-    """A size's scored behavior clusters as model states: the M2 breakdown
-    and its MB and EB summaries, each a one-state behavior of weight 1."""
-
-    per_cluster: tuple[MdpState, ...]
-    mb: MdpState
-    eb: MdpState
-
-
-def state_reward(
-    clusters: Sequence[ClusterSummary],
-    utility: UtilityConfig,
-    vms_num: int,
-) -> StateReward:
-    """The model states of size `vms_num` that its behavior clusters make.
-
-    `per_cluster` holds one state per cluster, in cluster order, with the
-    center's utility as reward and the cluster's weight.  MB is the
-    heaviest cluster's reward and center (weight ties resolved toward the
-    lower-latency center); EB averages every center's utility and the
-    centers themselves by cluster weight.
-    """
-    if not clusters:
-        raise NoDataError("state_reward needs at least one cluster")
-    mass = sum(c.weight for c in clusters)
-    if not math.isclose(mass, 1.0, rel_tol=0.0, abs_tol=1e-9):
-        raise ConfigurationError(f"cluster weights sum to {mass}, expected 1")
-    row = np.array([[(c.latency_ms, c.throughput, c.weight) for c in clusters]])
-    (scored,) = score_row(RankedClusters(*row.transpose(2, 0, 1)), [0], [vms_num], utility)
-    return scored
-
-
 def score_row(
     ranked: RankedClusters, cells: Sequence[int], sizes: Sequence[int], utility: UtilityConfig
-) -> list[StateReward]:
-    """The `state_reward` of each size of a row at once: `sizes[i]`
-    scores the clusters of `ranked` row `cells[i]`, with `utility_eval`'s
-    rewards.  The EB sums add one cluster column at a time from 0.0, as
-    `sum` does up to Python 3.11 (`np.sum` adds in pairwise blocks of 8),
-    and never add an empty cluster (0.0 weight times an inf center is nan).
+) -> tuple[tuple[MdpState, ...], dict[int, MdpState], dict[int, MdpState]]:
+    """Each size's model states in a row: `sizes[i]` scores the clusters
+    of `ranked` row `cells[i]`, with `utility_eval`'s rewards.  Returns
+    every size's cluster states in key order (`sizes` ascends), then the
+    size -> MB and size -> EB state mappings.  MB is the heaviest cluster's
+    center and reward (weight ties toward the lower latency); EB averages
+    the centers and rewards by cluster weight.  The EB sums add one cluster
+    column at a time from 0.0, as `sum` does up to Python 3.11 (`np.sum`
+    adds in pairwise blocks of 8), and never add an empty cluster (0.0
+    weight times an inf center is nan).
     """
     latency, throughput, weight = (column[cells] for column in ranked)
     filled = np.isfinite(latency)
@@ -342,19 +314,15 @@ def score_row(
     reward = np.where(latency > utility.latency_threshold_ms, -1.0, healthy)
     terms = np.zeros((3, *weight.shape))
     np.multiply(weight, np.stack((latency, throughput, reward)), out=terms, where=filled)
-    eb = np.zeros(terms.shape[:2])
+    eb_sums = np.zeros(terms.shape[:2])
     for column in range(terms.shape[2]):
-        eb += terms[:, :, column]
+        eb_sums += terms[:, :, column]
     modes = np.lexsort((latency, -weight))[:, 0]  # heaviest, ties toward the lower latency
-    columns = (latency, throughput, weight, reward, modes, *eb)
+    columns = (latency, throughput, weight, reward, modes, *eb_sums)
     rows = zip(sizes, filled.sum(axis=1).tolist(), *(column.tolist() for column in columns))
-    scored = []
+    per_cluster, mb, eb = [], {}, {}
     for size, count, lat, thr, w, r, mode, eb_lat, eb_thr, eb_reward in rows:
-        per_cluster = tuple(map(MdpState, repeat(size), range(count), w, zip(lat, thr), r))
-        mb = per_cluster[mode]
-        scored.append(StateReward(
-            per_cluster,
-            MdpState(size, center=mb.center, reward=mb.reward),
-            MdpState(size, center=(eb_lat, eb_thr), reward=eb_reward),
-        ))
-    return scored
+        per_cluster.extend(map(MdpState, repeat(size), range(count), w, zip(lat, thr), r))
+        mb[size] = MdpState(size, center=(lat[mode], thr[mode]), reward=r[mode])
+        eb[size] = MdpState(size, center=(eb_lat, eb_thr), reward=eb_reward)
+    return tuple(per_cluster), mb, eb

@@ -215,7 +215,8 @@ class ReachabilityQuery:
 
 def reachability_probability(model: MdpModel, query: ReachabilityQuery) -> float:
     """Maximum (or minimum) probability over strategies of eventually
-    visiting a state satisfying the query predicate."""
+    visiting a state satisfying the query predicate, capped at 1.0 where
+    a size's behavior weights add to a rounding error over 1."""
     best_of = max if query.mode == "max" else min
     sat = {key for key, state in model.states.items() if query.predicate(state)}
     if model.initial.key in sat:
@@ -223,7 +224,7 @@ def reachability_probability(model: MdpModel, query: ReachabilityQuery) -> float
     arrivals = _arrival_values(model, lambda state: float(state.key in sat), sat, best_of)
     moves = _first_moves(model, model.initial.vms_num, arrivals)
     # no_op terminates without reaching the target set
-    return best_of([0.0] + [p for p, _ in moves])
+    return min(1.0, best_of([0.0] + [p for p, _ in moves]))
 
 
 def _check_oracle_scale(model: MdpModel) -> None:

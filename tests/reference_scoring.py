@@ -1,8 +1,8 @@
-"""The per-size form of `rewards.state_reward`, kept as a test-side
-reference: one size's clusters scored one cluster at a time in Python,
-with the EB sums added cluster by cluster.  The package scores a whole
-row from its k-means arrays (`rewards.score_row`); each size must get the
-states this returns, float for float.
+"""Per-size scoring of behavior clusters into model states, kept as a
+test-side reference: one size's clusters scored one cluster at a time in
+Python, with the EB sums added cluster by cluster.  The package scores a
+whole row from its k-means arrays (`rewards.score_row`); each size must
+get the states this returns, float for float.
 
 Every sum here adds left to right from 0.0, as `score_row` does, and not
 through `sum`, which compensates its rounding from Python 3.12."""
@@ -10,18 +10,33 @@ through `sum`, which compensates its rounding from Python 3.12."""
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from elastimdp.errors import ConfigurationError, NoDataError
 from elastimdp.model import MdpState
-from elastimdp.rewards import ClusterSummary, StateReward, UtilityConfig, utility_eval
+from elastimdp.rewards import ClusterSummary, UtilityConfig, utility_eval
+
+
+class SizeStates(NamedTuple):
+    """One size's scored clusters as model states: a state per cluster and
+    the MB and EB summaries, each a one-state behavior of weight 1."""
+
+    per_cluster: tuple[MdpState, ...]
+    mb: MdpState
+    eb: MdpState
+
+
+def row_states(row, size: int) -> SizeStates:
+    """Size `size`'s states in a package `policies.RewardRow`."""
+    per_cluster = tuple(state for state in row.per_cluster if state.vms_num == size)
+    return SizeStates(per_cluster, row.mb[size], row.eb[size])
 
 
 def state_reward(
     clusters: Sequence[ClusterSummary],
     utility: UtilityConfig,
     vms_num: int,
-) -> StateReward:
+) -> SizeStates:
     """The model states of size `vms_num` that its behavior clusters make.
 
     `per_cluster` holds one state per cluster, in cluster order, with the
@@ -56,7 +71,7 @@ def state_reward(
         ),
         reward=_left_to_right(s.reward * s.weight for s in per_cluster),
     )
-    return StateReward(per_cluster, mb, eb)
+    return SizeStates(per_cluster, mb, eb)
 
 
 def _left_to_right(values: Iterable[float]) -> float:

@@ -404,13 +404,15 @@ class TestComparison:
                 )
             )
 
-    def test_duplicate_policy_listing_is_harmless(self):
-        base = run_comparison(small_config(**{"experiment.policies": "re"}))
-        doubled = run_comparison(small_config(**{"experiment.policies": "re, re"}))
-        for a, b in zip(base.summaries[PolicyKind.RE].per_run,
-                        doubled.summaries[PolicyKind.RE].per_run):
-            assert a.mean_utility == b.mean_utility
-            assert a.violations == b.violations
+    def test_a_policy_listed_twice_is_refused(self, tmp_path, capsys):
+        # A run would run it twice and report it once.
+        with pytest.raises(ConfigurationError, match="^policy re is listed twice$"):
+            small_config(**{"experiment.policies": "re, mdp2, re"})
+        out = tmp_path / "out"
+        argv = ["run", "--set", "experiment.policies=mdp2,mdp2,re", "--out-dir", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: policy mdp2 is listed twice\n"
+        assert not out.exists()
 
     @COMPARISON_CONFIGS
     def test_every_decision_targets_a_size_in_range(self, overrides, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference_kmeans
+from reference_scoring import row_states, state_reward
 
 from elastimdp import policies
 from elastimdp.emulator import TickRecord
@@ -47,7 +48,6 @@ from elastimdp.rewards import (
     UtilityConfig,
     UtilityKind,
     cluster_behavior,
-    state_reward,
 )
 from elastimdp.solver import TIE_TOL, PolicyDecision
 
@@ -383,11 +383,10 @@ class TestRewardMemo:
                 row = reward_row(store, load, sizes, clustering, R1)
                 assert not row.notes
                 for vms in sizes:
-                    selection = row.selections[vms]
-                    assert selection is store.select_logs(vms, load)
+                    selection = store.select_logs(vms, load)
                     assert not selection.interpolated
                     fresh = reference_kmeans.cluster_behavior(selection.records, clustering)
-                    assert row.rewards[vms] == state_reward(fresh, R1, vms)
+                    assert row_states(row, vms) == state_reward(fresh, R1, vms)
                 assert reward_row(store, load + 300.0, sizes, clustering, R1) is row
         assert len(store.reward_memo) == len(configs) * len(buckets)
 
@@ -401,15 +400,15 @@ class TestRewardMemo:
         for load in loads:
             for utility in utilities:
                 row = reward_row(store, load, sizes, clustering, utility)
+                borrowed = 0
                 for size in sizes:
                     selection = store.select_logs(size, load)
-                    assert row.selections[size] is selection
                     if selection.interpolated:
                         interpolated.add((selection.vms_used, size))
+                        borrowed += 1
                     fresh = reference_kmeans.cluster_behavior(selection.records, clustering)
-                    assert row.rewards[size] == state_reward(fresh, utility, size)
-                borrowed = [s for s in row.selections.values() if s.interpolated]
-                assert len(row.notes) == len(borrowed)
+                    assert row_states(row, size) == state_reward(fresh, utility, size)
+                assert len(row.notes) == borrowed
         if keep is sparse_record:
             # borrowed cells are scored at the requested size
             assert {(5, 6), (8, 7), (10, 10)} <= interpolated
@@ -461,11 +460,12 @@ class TestRewardMemo:
         rl.decide(5)
         assert calls == [[4, 4]]
         (row,) = store.reward_memo.values()
-        assert [row.selections[size].vms_used for size in LIMITS.sizes] == [3] * 4 + [10] * 4
+        used = [store.select_logs(size, 10000.0).vms_used for size in LIMITS.sizes]
+        assert used == [3] * 4 + [10] * 4
         assert len(row.notes) == 6
         clusters = cluster_behavior(store.select_logs(3, 10000.0).records, CLUSTERING)
         for size in (3, 4, 5, 6):
-            assert row.rewards[size] == state_reward(clusters, R1, size)
+            assert row_states(row, size) == state_reward(clusters, R1, size)
 
     def test_repeated_selection_is_one_object(self, monkeypatch):
         calls = count_clustering(monkeypatch)
@@ -475,10 +475,11 @@ class TestRewardMemo:
         assert store.select_logs(5, 10000.0) is not selection
         sizes = range(4, 6)
         row = reward_row(store, 10000.0, sizes, CLUSTERING, R1)
-        assert row.selections[4] is selection
+        assert store.select_logs(4, 10000.0) is selection
         assert reward_row(store, 10200.0, sizes, CLUSTERING, R1) is row
         assert calls == [[3, 3]]
-        assert row.rewards[4] == state_reward(cluster_behavior(selection.records, CLUSTERING), R1, 4)
+        clusters = cluster_behavior(selection.records, CLUSTERING)
+        assert row_states(row, 4) == state_reward(clusters, R1, 4)
 
     @pytest.mark.parametrize("kind", MDP_KINDS)
     def test_warm_store_instantiates_like_a_cold_store(self, kind):
@@ -531,7 +532,7 @@ class TestRewardMemo:
         decisions()
         rows = store.reward_memo.values()
         assert len(calls) == first_round == len(rows) == 2
-        assert sum(len(sizes) for sizes, _ in calls) == sum(len(row.rewards) for row in rows)
+        assert sum(len(sizes) for sizes, _ in calls) == sum(len(row.mb) for row in rows)
 
 
 class TestSolveMemo:

@@ -20,11 +20,12 @@ from elastimdp.policies import reward_row
 from elastimdp.rewards import (
     ClusterSummary,
     ClusteringConfig,
+    RankedClusters,
     UtilityConfig,
     UtilityKind,
     cluster_behavior,
     cluster_cells,
-    state_reward,
+    score_row,
     utility_eval,
 )
 
@@ -293,6 +294,14 @@ class TestUtility:
             assert 1 / 16 <= value <= 1 / 4
 
 
+def state_reward(clusters, utility, vms):
+    """`score_row` on one size whose clusters, in their order, make a
+    one-row `RankedClusters`: the states of size `vms`."""
+    row = np.array([[(c.latency_ms, c.throughput, c.weight) for c in clusters]])
+    per_cluster, mb, eb = score_row(RankedClusters(*row.transpose(2, 0, 1)), [0], [vms], utility)
+    return reference_scoring.SizeStates(per_cluster, mb[vms], eb[vms])
+
+
 class TestStateReward:
     def clusters(self):
         return [
@@ -420,15 +429,20 @@ class TestRowScoringMatchesPerSize:
         sizes = config.model.sizes
         most, borrowed = 0, 0
         for bucket in sorted({bucket for _, bucket in store._buckets}):
-            row = reward_row(store, bucket * store.bucket_width, sizes, clustering, utility)
+            load = bucket * store.bucket_width
+            row = reward_row(store, load, sizes, clustering, utility)
             borrowed += len(row.notes)
-            cells = [row.selections[size].records for size in sizes]
+            cells = [store.select_logs(size, load).records for size in sizes]
+            per_cluster = []
             for size, clusters in zip(sizes, cluster_cells(cells, clustering)):
-                scored = row.rewards[size]
+                scored = reference_scoring.row_states(row, size)
                 expected = reference_scoring.state_reward(clusters, utility, size)
                 for field in ("per_cluster", "mb", "eb"):
                     assert repr(getattr(scored, field)) == repr(getattr(expected, field))
+                per_cluster.extend(expected.per_cluster)
                 most = max(most, len(clusters))
+            # every size's cluster states, in key order
+            assert repr(row.per_cluster) == repr(tuple(per_cluster))
         # k=10 sums EB over more than 8 clusters somewhere
         assert most == k or name == "uneven"
         assert borrowed > 0 if name == "uneven" else not borrowed
