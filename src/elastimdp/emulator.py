@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataFormatError
 from .logs import LogStore, MeasurementRecord
-from .model import finite_float
+from .model import finite_float, slot_setters
 from .policies import Policy, PostProcessConfig, apply_benefit_threshold
 from .rewards import UtilityConfig, utility_eval
 
@@ -100,22 +100,58 @@ def gen_synthetic_dataset(
     load_grid: Sequence[float],
     seed: int = 0,
 ) -> list[MeasurementRecord]:
-    """Noisy samples of the synthetic behavior over a (vms, load) grid."""
+    """Noisy samples of the synthetic behavior over a (vms, load) grid.
+
+    For each size, load and sample, in that order, the record's latency and
+    throughput are the curve's values at the point times a latency and a
+    throughput noise factor, each Normal(1, noise fraction), clamped at
+    zero.  Each size draws all its factors in one call of shape (loads,
+    samples, 2), the last axis latency then throughput: a Generator fills
+    an array from its stream in C order, exactly as that many scalar draws
+    would, so the per-size call leaves the stream where drawing each
+    latency and throughput factor in turn would, and makes the same
+    records.  A curve value or noisy value out of float range is a
+    ConfigurationError naming the parameters and the (vms, load) point.
+    """
     rng = np.random.default_rng(seed)
-    records = []
+    fraction, samples = params.noise_stddev_fraction, params.samples_per_point
+    records: list[MeasurementRecord] = []
     tick = 0
     for vms in sizes:
-        for load in load_grid:
-            lat = params.latency(vms, load)
-            thr = params.throughput(vms, load)
-            for _ in range(params.samples_per_point):
-                noisy_lat = max(0.0, float(lat * rng.normal(1.0, params.noise_stddev_fraction)))
-                noisy_thr = max(0.0, float(thr * rng.normal(1.0, params.noise_stddev_fraction)))
-                records.append(
-                    MeasurementRecord(tick, vms, float(load), noisy_lat, noisy_thr)
-                )
+        points = [_curve_point(params, vms, load) for load in load_grid]
+        noise = rng.normal(1.0, fraction, size=(len(points), samples, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            noisy = np.array(points).reshape(-1, 1, 2) * noise
+        noisy = np.where(noisy > 0.0, noisy, 0.0)  # `max(0.0, x)`: NaN clamps too
+        overflow = np.argwhere(np.isinf(noisy))
+        if len(overflow):
+            point, _, column = overflow[0].tolist()
+            raise ConfigurationError(
+                f"synthetic {('latency', 'throughput')[column]} {points[point][column]!r}"
+                f" at (vms={vms}, load={load_grid[point]!r}) times a noise factor of"
+                f" dataset.noise_stddev_fraction={fraction!r} is out of float range"
+            )
+        for load, values in zip(map(float, load_grid), noisy.tolist()):
+            for latency, throughput in values:
+                records.append(MeasurementRecord(tick, vms, load, latency, throughput))
                 tick += 1
     return records
+
+
+def _curve_point(params: SyntheticModelParams, vms: int, load: float) -> tuple[float, float]:
+    """The synthetic (latency, throughput) at (vms, load); a latency out of
+    float range is a ConfigurationError."""
+    try:
+        latency = params.latency(vms, load)
+    except (OverflowError, ZeroDivisionError):  # u**p out of range, or 0.0**-p
+        latency = math.inf
+    if not latency < math.inf:
+        raise ConfigurationError(
+            f"dataset.saturation_exponent={params.saturation_exponent!r} with"
+            f" dataset.base_latency_ms={params.base_latency_ms!r} puts the synthetic"
+            f" latency at (vms={vms}, load={load!r}) out of float range"
+        )
+    return latency, params.throughput(vms, load)
 
 
 @dataclass(frozen=True)
@@ -141,7 +177,7 @@ class ScheduleConfig:
             raise ConfigurationError("noise fraction must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TickRecord:
     """One emulated time unit of an episode."""
 
@@ -154,6 +190,35 @@ class TickRecord:
     violation: bool
     decision: str  # action label at decision ticks, "" otherwise
     decision_ms: float  # wall-clock cost of reaching the decision
+
+    def __init__(
+        self,
+        tick: int,
+        load: float,
+        vms: int,
+        latency_ms: float,
+        throughput: float,
+        utility: float,
+        violation: bool,
+        decision: str,
+        decision_ms: float,
+    ) -> None:
+        # Set through `slot_setters`: an episode records one per tick.
+        _set_tick(self, tick)
+        _set_load(self, load)
+        _set_vms(self, vms)
+        _set_latency_ms(self, latency_ms)
+        _set_throughput(self, throughput)
+        _set_utility(self, utility)
+        _set_violation(self, violation)
+        _set_decision(self, decision)
+        _set_decision_ms(self, decision_ms)
+
+
+(
+    _set_tick, _set_load, _set_vms, _set_latency_ms, _set_throughput,
+    _set_utility, _set_violation, _set_decision, _set_decision_ms,
+) = slot_setters(TickRecord)
 
 
 @dataclass

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
+from math import floor, inf
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigurationError, DataFormatError, NoDataError
+from .model import slot_setters
 
 if TYPE_CHECKING:  # emulator, rewards and policies import this module
     from .emulator import EnvironmentTape
@@ -23,9 +24,11 @@ if TYPE_CHECKING:  # emulator, rewards and policies import this module
 CSV_HEADER = ("time", "vms", "load", "latency_ms", "throughput")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MeasurementRecord:
-    """One monitoring sample (one tick is 30 s in the default schedule)."""
+    """One monitoring sample (one tick is 30 s in the default schedule).
+    Construction raises ValueError for a size below 1, a negative time, or
+    a measurement that is negative, NaN or infinite."""
 
     time: int
     vms: int
@@ -33,27 +36,34 @@ class MeasurementRecord:
     latency_ms: float
     throughput: float
 
-    def __post_init__(self) -> None:
-        if self.vms < 1:
-            raise ValueError(f"vms must be >= 1, got {self.vms}")
-        if self.time < 0:
-            raise ValueError(f"time must be >= 0, got {self.time}")
+    def __init__(
+        self, time: int, vms: int, load: float, latency_ms: float, throughput: float
+    ) -> None:
+        if vms < 1:
+            raise ValueError(f"vms must be >= 1, got {vms}")
+        if time < 0:
+            raise ValueError(f"time must be >= 0, got {time}")
         # One chained test per field rejects negatives, NaN and infinities.
-        if not (
-            0 <= self.load < math.inf
-            and 0 <= self.latency_ms < math.inf
-            and 0 <= self.throughput < math.inf
-        ):
+        if not (0 <= load < inf and 0 <= latency_ms < inf and 0 <= throughput < inf):
             bad = [
                 f"{name}={value!r}"
                 for name, value in (
-                    ("load", self.load),
-                    ("latency_ms", self.latency_ms),
-                    ("throughput", self.throughput),
+                    ("load", load),
+                    ("latency_ms", latency_ms),
+                    ("throughput", throughput),
                 )
-                if not 0 <= value < math.inf
+                if not 0 <= value < inf
             ]
             raise ValueError(f"measurements must be finite and >= 0: {', '.join(bad)}")
+        # Set through `slot_setters`: a data set holds thousands of records.
+        _set_time(self, time)
+        _set_vms(self, vms)
+        _set_load(self, load)
+        _set_latency_ms(self, latency_ms)
+        _set_throughput(self, throughput)
+
+
+_set_time, _set_vms, _set_load, _set_latency_ms, _set_throughput = slot_setters(MeasurementRecord)
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,10 +111,19 @@ class LogStore:
     def __init__(self, records: Iterable[MeasurementRecord] = (), bucket_width: float = 1000.0):
         if bucket_width <= 0:
             raise ValueError("bucket_width must be positive")
-        self.bucket_width = float(bucket_width)
+        self.bucket_width = width = float(bucket_width)
         self._buckets: dict[tuple[int, int], list[MeasurementRecord]] = {}
+        buckets = self._buckets
         for record in records:
-            self._buckets.setdefault((record.vms, self.bucket(record.load)), []).append(record)
+            try:  # `bucket(record.load)`, inlined: a data set holds thousands of records
+                key = (record.vms, floor(record.load / width + 0.5))
+            except OverflowError:
+                raise _no_bucket(record.load, width) from None
+            cell = buckets.get(key)
+            if cell is None:
+                buckets[key] = [record]
+            else:
+                cell.append(record)
         counts = set(map(len, self._buckets.values()))
         self.uniform_count = counts.pop() if len(counts) == 1 else None
         self._selections: dict[tuple[int, int], LogSelection] = {}
@@ -119,11 +138,9 @@ class LogStore:
         """Index of the load bucket `load` falls in (nearest bucket center).
         A width too small for `load` puts it in no finite bucket."""
         try:
-            return math.floor(load / self.bucket_width + 0.5)
+            return floor(load / self.bucket_width + 0.5)
         except OverflowError:
-            raise ConfigurationError(
-                f"load {load!r} over bucket width {self.bucket_width!r} has no finite bucket"
-            ) from None
+            raise _no_bucket(load, self.bucket_width) from None
 
     def select_logs(self, vms_num: int, load: float) -> LogSelection:
         """Records for `vms_num` in the load bucket nearest `load`.
@@ -168,6 +185,10 @@ class LogStore:
         )
 
 
+def _no_bucket(load: float, width: float) -> ConfigurationError:
+    return ConfigurationError(f"load {load!r} over bucket width {width!r} has no finite bucket")
+
+
 def parse_records_csv(text: str, source: str = "<string>") -> list[MeasurementRecord]:
     """Parse the `time,vms,load,latency_ms,throughput` CSV format.
 
@@ -188,18 +209,14 @@ def parse_records_csv(text: str, source: str = "<string>") -> list[MeasurementRe
     records = []
     bad: list[str] = []
     for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
+        if not "".join(row).strip():  # no cell holds more than whitespace
             continue
         try:
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
             records.append(
                 MeasurementRecord(
-                    time=int(row[0]),
-                    vms=int(row[1]),
-                    load=float(row[2]),
-                    latency_ms=float(row[3]),
-                    throughput=float(row[4]),
+                    int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4])
                 )
             )
         except ValueError as exc:
@@ -210,7 +227,9 @@ def parse_records_csv(text: str, source: str = "<string>") -> list[MeasurementRe
 
 
 def read_records_csv(path: str) -> list[MeasurementRecord]:
-    with open(path, encoding="utf-8") as handle:
+    """`parse_records_csv` of the file at `path`, read as UTF-8; a leading
+    byte-order mark, as some spreadsheet exports write, is dropped."""
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_records_csv(handle.read(), source=path)
 
 

@@ -61,7 +61,7 @@ from functools import cache, cached_property
 from itertools import chain, groupby
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigurationError, InstantiationError
 
@@ -215,9 +215,7 @@ class MdpState:
         center: tuple[float, float] | None = None,
         reward: float = 0.0,
     ) -> None:
-        # Each slot is set through its member descriptor: the generated
-        # frozen `__init__` would call `object.__setattr__` per field, which
-        # costs more, and a row scores hundreds of states.
+        # Set through `slot_setters`: a row scores hundreds of states.
         _set_vms_num(self, vms_num)
         _set_behavior_index(self, behavior_index)
         _set_weight(self, weight)
@@ -237,8 +235,17 @@ class MdpState:
         return f"s{self.vms_num}{suffix}"
 
 
+def slot_setters(cls: type) -> tuple[Callable[[object, object], None], ...]:
+    """The slot setter of each field of the slotted dataclass `cls`, in
+    field order.  Setting a slot through its member descriptor bypasses a
+    frozen class's `__setattr__`, so a hand-written `__init__` can fill a
+    frozen record for less than the generated one, which calls
+    `object.__setattr__` per field."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
 _set_vms_num, _set_behavior_index, _set_weight, _set_center, _set_reward, _set_key = (
-    getattr(MdpState, f.name).__set__ for f in fields(MdpState)
+    slot_setters(MdpState)
 )
 
 

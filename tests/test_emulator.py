@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from elastimdp.emulator import (
     LoadProfile,
+    TickRecord,
     LoadVariation,
     ScheduleConfig,
     SyntheticModelParams,
@@ -19,13 +23,14 @@ from elastimdp.emulator import (
     trace_from_csv,
     trace_to_csv,
 )
-from elastimdp.errors import DataFormatError, ElastimdpError, NoDataError
+from elastimdp.errors import ConfigurationError, DataFormatError, ElastimdpError, NoDataError
 from elastimdp.logs import LogStore, MeasurementRecord
 from elastimdp.model import Action, ActionKind, ModelConfig
 from elastimdp.policies import PolicyKind, make_policy
 from elastimdp.rewards import ClusteringConfig, UtilityConfig, UtilityKind
 from elastimdp.solver import PolicyDecision
 
+import reference_dataset
 from helpers import BoomStub, NoOpStub, decision_ticks
 
 LV1 = LoadProfile()
@@ -77,6 +82,99 @@ class TestSyntheticDataset:
         params = SyntheticModelParams(samples_per_point=5)
         records = gen_synthetic_dataset(params, [4, 5], [1000.0, 2000.0])
         assert len(records) == 2 * 2 * 5
+
+    @pytest.mark.parametrize(
+        "changes, loads, message",
+        [
+            ({"saturation_exponent": 1000.0}, [1000.0, 40000.0],
+             "dataset.saturation_exponent=1000.0 with dataset.base_latency_ms=25.0 puts"
+             " the synthetic latency at (vms=4, load=40000.0) out of float range"),
+            ({"saturation_exponent": -1000.0}, [1000.0, 40000.0],
+             "dataset.saturation_exponent=-1000.0 with dataset.base_latency_ms=25.0 puts"
+             " the synthetic latency at (vms=4, load=1000.0) out of float range"),
+            # 0.0 ** -1.0 raises ZeroDivisionError
+            ({"saturation_exponent": -1.0}, [0.0],
+             "dataset.saturation_exponent=-1.0 with dataset.base_latency_ms=25.0 puts"
+             " the synthetic latency at (vms=4, load=0.0) out of float range"),
+            ({"base_latency_ms": 1e308}, [1000.0, 40000.0],
+             "dataset.saturation_exponent=2.5 with dataset.base_latency_ms=1e+308 puts"
+             " the synthetic latency at (vms=4, load=40000.0) out of float range"),
+            ({"noise_stddev_fraction": 1e308}, [1000.0, 40000.0],
+             "synthetic latency 25.019256720620547 at (vms=4, load=1000.0) times a noise"
+             " factor of dataset.noise_stddev_fraction=1e+308 is out of float range"),
+            # seed 0 draws twelve throughput factors of order 1e300, some positive
+            ({"noise_stddev_fraction": 1e300, "per_vm_capacity": 1e308}, [1.7e308],
+             "synthetic throughput 1.7e+308 at (vms=4, load=1.7e+308) times a noise"
+             " factor of dataset.noise_stddev_fraction=1e+300 is out of float range"),
+        ],
+    )
+    def test_out_of_range_values_name_the_parameters_and_point(self, changes, loads, message):
+        params = dataclasses.replace(SyntheticModelParams(), **changes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the vector product warns of nothing
+            with pytest.raises(ConfigurationError) as err:
+                gen_synthetic_dataset(params, [4, 5], loads)
+        assert str(err.value) == message
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    noise=st.sampled_from([0.0, 0.05, 3.0]),
+    samples=st.integers(1, 20),
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+    # load 0 makes a zero throughput, which a negative draw turns into -0.0
+    loads=st.lists(st.just(0.0) | st.floats(0.0, 2e5), min_size=1, max_size=6),
+    exponent=st.floats(0.5, 4.0),
+    seed=st.integers(0, 2**32),
+    width=st.sampled_from([1e-3, 500.0, 2000.0]),
+)
+def test_dataset_matches_the_per_sample_draws(noise, samples, sizes, loads, exponent, seed, width):
+    """The per-size draws make the records, to the sign of a zero, of two
+    scalar draws per sample; the store buckets them as `bucket` does."""
+    params = SyntheticModelParams(
+        saturation_exponent=exponent, noise_stddev_fraction=noise, samples_per_point=samples
+    )
+    records = gen_synthetic_dataset(params, sizes, loads, seed=seed)
+    expected = reference_dataset.gen_synthetic_dataset(params, sizes, loads, seed=seed)
+    assert repr(records) == repr(expected)
+    cells = LogStore(records, bucket_width=width)._buckets
+    assert list(cells.items()) == list(reference_dataset.buckets(records, width).items())
+
+
+def tick_record(**changes):
+    fields = dict(
+        tick=3, load=1000.0, vms=4, latency_ms=25.0, throughput=990.0,
+        utility=1.5, violation=False, decision="add_1", decision_ms=0.25,
+    )
+    return TickRecord(**{**fields, **changes})
+
+
+class TestTickRecord:
+    def test_keyword_and_positional_construction_agree(self):
+        record = tick_record()
+        assert record == TickRecord(3, 1000.0, 4, 25.0, 990.0, 1.5, False, "add_1", 0.25)
+        assert dataclasses.astuple(record) == (3, 1000.0, 4, 25.0, 990.0, 1.5, False, "add_1", 0.25)
+
+    def test_repr(self):
+        assert repr(tick_record()) == (
+            "TickRecord(tick=3, load=1000.0, vms=4, latency_ms=25.0, throughput=990.0,"
+            " utility=1.5, violation=False, decision='add_1', decision_ms=0.25)"
+        )
+
+    def test_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tick_record().vms = 5
+
+    def test_pickle_deepcopy_and_replace(self):
+        record = tick_record()
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert copy.deepcopy(record) == record
+        assert dataclasses.replace(record, decision="") == tick_record(decision="")
+
+    def test_equality_and_hash_follow_the_fields(self):
+        assert tick_record() == tick_record() and hash(tick_record()) == hash(tick_record())
+        assert tick_record() != tick_record(decision_ms=0.5)
+        assert len({tick_record(), tick_record(), tick_record(vms=5)}) == 2
 
 
 class TestEmulateState:

@@ -1227,6 +1227,19 @@ GARBAGE = [
     ("gen-dataset", "--out", "{out}", "--set", "dataset.seed=-1"),
     ("gen-dataset", "--out", "{out}", "--set", "clustering.load_bucket_width_reqs=1e-300"),
     ("gen-dataset", "--out", "{out}", "--set", "load.load_min_reqs=-3000"),
+    ("gen-dataset", "--out", "{out}", "--set", "dataset.saturation_exponent=1000"),
+    ("gen-dataset", "--out", "{out}", "--set", "dataset.saturation_exponent=-1000"),
+    ("gen-dataset", "--out", "{out}", "--set", "dataset.noise_stddev_fraction=1e308"),
+    ("gen-dataset", "--out", "{out}", "--set", "dataset.base_latency_ms=1e308"),
+    (
+        "gen-dataset", "--out", "{out}",
+        "--set", "dataset.saturation_exponent=-1", "--set", "load.load_min_reqs=0",
+    ),
+    ("run", "--set", "dataset.saturation_exponent=1000"),
+    ("run", "--set", "dataset.saturation_exponent=-1000"),
+    ("run", "--set", "dataset.noise_stddev_fraction=1e308"),
+    ("run", "--set", "dataset.base_latency_ms=1e308"),
+    ("query", "Pmax=? [ F vms_num=5 ]", "--set", "dataset.saturation_exponent=1000"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--model-dump", "{garbage}"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--model-dump", "{binary}"),
     ("query", "Pmax=? [ F vms_num=5 ]", "--model-dump", "{phase}"),
@@ -1402,6 +1415,27 @@ def _perfbench_workloads():
 
 
 WORKLOADS = _perfbench_workloads()
+
+# (record count, sha256 of the `write_records_csv` file) of the default
+# dataset and of the benchmark's scaleout dataset at seed 0, as the
+# generator made them with two scalar noise draws per record.
+DATASET_PINS = {
+    "default": (7176, "328dac86a416706285eaab9cd806f241c732dc6404cef4f9693c2e60c2567478"),
+    "scaleout": (15660, "d11d5c2635f1da300d8ce4d563b3b14165c481839fe98921367eaa3c28d3f6d9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DATASET_PINS))
+def test_dataset_file_is_pinned(name, tmp_path):
+    if name == "default":
+        config = parse_config(default_config_ini())
+    else:
+        config = WORKLOADS.EpisodeWorkload(name, WORKLOADS.SCALEOUT, 0).config
+    records = load_dataset(config)
+    path = tmp_path / "data.csv"
+    write_records_csv(str(path), records)
+    assert (len(records), hashlib.sha256(path.read_bytes()).hexdigest()) == DATASET_PINS[name]
+    assert repr(read_records_csv(str(path))) == repr(records)
 
 
 def _variant_sweep_overrides():

@@ -1,4 +1,7 @@
+import copy
 import csv
+import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,8 @@ from elastimdp.logs import (
     read_records_csv,
     write_records_csv,
 )
+
+import reference_dataset
 
 
 def rec(time, vms, load, lat=20.0, thr=5000.0):
@@ -36,6 +41,71 @@ class TestRecord:
         fields = {"load": 1000.0, "latency_ms": 20.0, "throughput": 100.0, field: value}
         with pytest.raises(ValueError, match=f"{field}="):
             MeasurementRecord(0, 4, **fields)
+
+
+    def test_keyword_and_positional_construction_agree(self):
+        record = MeasurementRecord(time=0, vms=4, load=1000.0, latency_ms=20.0, throughput=5000.0)
+        assert record == rec(0, 4, 1000.0)
+        assert dataclasses.astuple(record) == (0, 4, 1000.0, 20.0, 5000.0)
+
+    def test_repr(self):
+        assert repr(rec(0, 4, 1000.0)) == (
+            "MeasurementRecord(time=0, vms=4, load=1000.0, latency_ms=20.0, throughput=5000.0)"
+        )
+
+    def test_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec(0, 4, 1000.0).load = 5.0
+
+    def test_pickle_and_deepcopy(self):
+        record = rec(7, 4, 1000.0)
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert copy.deepcopy(record) == record
+
+    def test_replace_checks_the_new_fields(self):
+        assert dataclasses.replace(rec(0, 4, 1000.0), vms=5) == rec(0, 5, 1000.0)
+        with pytest.raises(ValueError, match="^vms must be >= 1, got 0$"):
+            dataclasses.replace(rec(0, 4, 1000.0), vms=0)
+        with pytest.raises(ValueError, match="^measurements must be finite and >= 0: load=-1.0$"):
+            dataclasses.replace(rec(0, 4, 1000.0), load=-1.0)
+
+    def test_equality_and_hash_follow_the_fields(self):
+        assert rec(0, 4, 1000.0) == rec(0, 4, 1000.0)
+        assert hash(rec(0, 4, 1000.0)) == hash(rec(0, 4, 1000.0))
+        assert rec(0, 4, 1000.0) != rec(1, 4, 1000.0)
+        assert len({rec(0, 4, 1000.0), rec(0, 4, 1000.0), rec(0, 4, 1000.5)}) == 2
+
+
+def outcome(make, *args, **kwargs):
+    """What `make` returns, by repr (so -0.0 and 0.0 differ), or the type
+    and message of what it raises."""
+    try:
+        return repr(make(*args, **kwargs))
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+
+
+RECORD_FIELD = st.one_of(
+    st.integers(-2, 3),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 2**63, None, "1"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[RECORD_FIELD] * 5), st.booleans())
+def test_record_checks_match_the_post_init_reference(values, by_keyword):
+    """The constructor refuses what the `__post_init__` check refuses, in
+    the same order and with the same message, and keeps what it keeps."""
+    if by_keyword:
+        kwargs = dict(zip(CSV_HEADER, values))
+        assert outcome(MeasurementRecord, **kwargs) == outcome(
+            reference_dataset.MeasurementRecord, **kwargs
+        )
+    else:
+        assert outcome(MeasurementRecord, *values) == outcome(
+            reference_dataset.MeasurementRecord, *values
+        )
 
 
 class TestSelection:
@@ -126,6 +196,12 @@ class TestCsv:
         write_records_csv(path, records)
         assert read_records_csv(str(path)) == records
 
+    def test_a_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_records_csv(plain, parse_records_csv(CSV_OK))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert repr(read_records_csv(str(marked))) == repr(read_records_csv(str(plain)))
+
     def test_malformed_rows_reported_with_line_numbers(self):
         with pytest.raises(DataFormatError) as err:
             parse_records_csv(CSV_BAD)
@@ -183,3 +259,45 @@ def test_any_csv_text_parses_or_raises_a_typed_error(text):
     except ElastimdpError:
         return
     assert all(isinstance(record, MeasurementRecord) for record in records)
+
+
+# Rows of cells the row loop must tell apart: blank and whitespace rows it
+# skips, short and long rows, words `int` or `float` refuse, and NaN,
+# negative and signed-zero measurements the record refuses or keeps.
+ROW_CELLS = st.sampled_from(
+    ["0", "3", "4", "-1", "1000", " 20.5 ", "-0.0", "nan", "-inf", "1e999", "4.0", "four",
+     "", " ", "\t"]
+)
+GOOD_ROW = st.tuples(
+    st.sampled_from(["0", "3", "1000"]),
+    st.sampled_from(["1", "4", " 6 "]),
+    *[st.sampled_from(["0", "-0.0", " 20.5 ", "1e3", "4.0"])] * 3,
+).map(list)
+ROWS_TEXT = st.builds(
+    lambda rows, end, last: end.join([",".join(CSV_HEADER), *rows]) + last * end,
+    st.lists(
+        st.one_of(
+            GOOD_ROW,
+            st.lists(ROW_CELLS, min_size=5, max_size=5),
+            st.lists(ROW_CELLS, max_size=7),
+            st.lists(st.sampled_from(["", " ", "\t"]), max_size=6),
+        ).map(",".join),
+        max_size=8,
+    ),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ROWS_TEXT)
+def test_rows_parse_as_the_keyword_row_loop(text):
+    """The positional row loop keeps and refuses what the keyword loop does,
+    record for record and message for message; its records bucket as
+    `LogStore.bucket` places them."""
+    got = outcome(parse_records_csv, text, source="logs.csv")
+    assert got == outcome(reference_dataset.parse_records_csv, text, source="logs.csv")
+    if isinstance(got, str):
+        records = parse_records_csv(text)
+        cells = LogStore(records, bucket_width=250.0)._buckets
+        assert list(cells.items()) == list(reference_dataset.buckets(records, 250.0).items())
