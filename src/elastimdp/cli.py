@@ -16,6 +16,9 @@ line on stderr for any configuration, parse or input error.  That includes
 a model dump that `MdpModel.loads` refuses: a dump loads only as a valid
 model whose `trans` lines are those `query --dump-model` writes, so
 `validate` on a dump exits 0 or 2.
+
+Every file a command reads (config, model dump, trace) may start with a
+UTF-8 byte-order mark, as a CSV log may.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ def _config(args: argparse.Namespace) -> harness.ExperimentConfig:
         if not sep:
             raise ElastimdpError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
         overrides[dotted.strip()] = value.strip()
-    text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    text = Path(args.config).read_text(encoding="utf-8-sig") if args.config else ""
     return harness.parse_config(text, overrides)
 
 
@@ -130,7 +133,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.model_dump:
         if args.config or args.overrides:
             raise ElastimdpError("query takes --model-dump or --config/--set, not both")
-        model = MdpModel.loads(Path(args.model_dump).read_text(encoding="utf-8"))
+        model = MdpModel.loads(Path(args.model_dump).read_text(encoding="utf-8-sig"))
     else:
         config = _config(args)
         store = harness.build_store(config, harness.load_dataset(config))
@@ -162,14 +165,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         _config(args)
         sys.stdout.write(f"config ok: {args.config}\n")
     if args.model_dump:
-        MdpModel.loads(Path(args.model_dump).read_text(encoding="utf-8"))
+        MdpModel.loads(Path(args.model_dump).read_text(encoding="utf-8-sig"))
         sys.stdout.write(f"model ok: {args.model_dump}\n")
     return 0
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     utility = _config(args).utility
-    trace = trace_from_csv(Path(args.trace).read_text(encoding="utf-8"))
+    trace = trace_from_csv(Path(args.trace).read_text(encoding="utf-8-sig"))
     trace.records = [
         dataclasses.replace(
             record,

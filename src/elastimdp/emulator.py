@@ -139,8 +139,13 @@ def gen_synthetic_dataset(
 
 
 def _curve_point(params: SyntheticModelParams, vms: int, load: float) -> tuple[float, float]:
-    """The synthetic (latency, throughput) at (vms, load); a latency out of
-    float range is a ConfigurationError."""
+    """The synthetic (latency, throughput) at (vms, load); a capacity or a
+    latency out of float range is a ConfigurationError."""
+    if not vms * params.per_vm_capacity < math.inf:
+        raise ConfigurationError(
+            f"dataset.per_vm_capacity_reqs={params.per_vm_capacity!r} puts the capacity"
+            f" of {vms} VMs out of float range"
+        )
     try:
         latency = params.latency(vms, load)
     except (OverflowError, ZeroDivisionError):  # u**p out of range, or 0.0**-p

@@ -30,7 +30,11 @@ by the config and the behavior weights, so a model does not store it:
 `MdpModel.transitions` is a read-only view made on first read
 (`implied_transitions`), for the brute-force oracles (the solver never
 reads it).  A dump's `trans` lines are `trans_blocks`, one string per
-size written from the rows and never from the map.  `MdpModel.loads`
+size written from the rows and never from the map.  A probability is a
+type share times a behavior weight, so the values repeat, and
+`trans_blocks` formats each distinct one once per call (and each state's
+label once).  Zeros are left out of that: 0.0 and -0.0 are equal floats
+whose reprs differ, and a loaded model may hold either.  `MdpModel.loads`
 builds the model from the dump's head (the lines before its first `trans`
 line), then checks the `trans` section in place, a size block at a time:
 each block must stand in the text as rendered.  It splits lines and
@@ -481,17 +485,29 @@ def implied_transitions(
 def trans_blocks(model: MdpModel) -> Iterator[str]:
     """The `trans` lines of `model`'s dump, made lazily, one string per
     size: sources in key order, each source's actions by sort key and its
-    no_op self-loop last.  Each row's text (and label) is made once per
-    size and written for each of the size's behaviors."""
+    no_op self-loop last.  Each row's text is made once per size and
+    written for each of the size's behaviors.  Each state's label is made
+    once per call, and so is the `repr` of each distinct probability: a
+    probability is a type share times a behavior weight, so the values
+    repeat.  A zero is formatted each time it occurs, because 0.0 and -0.0
+    are equal keys whose reprs differ."""
     labels = {key: state.label for key, state in model.states.items()}
+    reprs: dict[float, str] = {}
     for size, rows in size_rows(model.config, model.by_size):
-        tails = [
-            f" {name} {labels[t]} {p!r}" for a, row in rows for name in [a.label] for t, p in row
-        ]
+        tails = []
+        for action, row in rows:
+            name = action.label
+            for target, p in row:
+                text = reprs.get(p)
+                if text is None:
+                    text = repr(p)
+                    if p:
+                        reprs[p] = text
+                tails.append(f" {name} {labels[target]} {text}")
         # Joined in C: "\ntrans s4" before each of s4's tails, less the first "\n".
         yield "".join(
-            ("\ntrans " + s.label).join(["", *tails, f" no_op {s.label} 1.0"])
-            for s in model.by_size[size]
+            ("\ntrans " + label).join(["", *tails, f" no_op {label} 1.0"])
+            for label in [labels[s.key] for s in model.by_size[size]]
         )[1:]
 
 

@@ -102,10 +102,18 @@ class TestSyntheticDataset:
             ({"noise_stddev_fraction": 1e308}, [1000.0, 40000.0],
              "synthetic latency 25.019256720620547 at (vms=4, load=1000.0) times a noise"
              " factor of dataset.noise_stddev_fraction=1e+308 is out of float range"),
-            # seed 0 draws twelve throughput factors of order 1e300, some positive
-            ({"noise_stddev_fraction": 1e300, "per_vm_capacity": 1e308}, [1.7e308],
+            # seed 0 draws twelve throughput factors of order 1e300, some positive;
+            # 4 VMs of 4.25e307 hold 1.7e308, and size 4's noise is refused
+            # before size 5's capacity, which is out of float range
+            ({"noise_stddev_fraction": 1e300, "per_vm_capacity": 4.25e307}, [1.7e308],
              "synthetic throughput 1.7e+308 at (vms=4, load=1.7e+308) times a noise"
              " factor of dataset.noise_stddev_fraction=1e+300 is out of float range"),
+            ({"per_vm_capacity": 1e308}, [1000.0],
+             "dataset.per_vm_capacity_reqs=1e+308 puts the capacity of 4 VMs out of"
+             " float range"),
+            ({"per_vm_capacity": 4e307}, [1000.0],
+             "dataset.per_vm_capacity_reqs=4e+307 puts the capacity of 5 VMs out of"
+             " float range"),
         ],
     )
     def test_out_of_range_values_name_the_parameters_and_point(self, changes, loads, message):

@@ -1,3 +1,4 @@
+import codecs
 import configparser
 import contextlib
 import csv
@@ -941,6 +942,16 @@ class TestSharedEmulation:
                 assert seen is kept
 
 
+GOLDEN_DUMP = Path(__file__).parent / "data" / "reference_model_dump.txt"
+
+
+def bom_copy(path: Path) -> Path:
+    """A copy of the text file `path` that starts with a UTF-8 byte-order mark."""
+    copy = path.with_name(f"bom_{path.name}")
+    copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return copy
+
+
 def write_small_ini(path: Path, **extra) -> Path:
     lines = [default_config_ini()]
     config_file = path / "exp.ini"
@@ -1183,6 +1194,45 @@ class TestCli:
         missing = str(tmp_path / "nope.csv")
         assert self.run_cli("replay", "--trace", missing, "--set", "utility.kind=r2") == 2
 
+    # Each file a command reads may start with a UTF-8 byte-order mark.
+    def test_a_bom_config_gives_the_plain_config(self, tmp_path, capsys):
+        plain = tmp_path / "small.ini"
+        plain.write_text(
+            "[model]\nmax_vms = 6\n[dataset]\nsamples_per_point = 2\n", encoding="utf-8"
+        )
+        outputs = []
+        for ini in (plain, bom_copy(plain)):
+            assert self.run_cli("validate", "--config", str(ini)) == 0
+            assert capsys.readouterr().out == f"config ok: {ini}\n"
+            out = tmp_path / f"{ini.stem}.csv"
+            assert self.run_cli("gen-dataset", "--config", str(ini), "--out", str(out)) == 0
+            outputs.append((capsys.readouterr().out.replace(str(out), "OUT"), out.read_text()))
+        assert outputs[0] == outputs[1]
+        assert {r.vms for r in read_records_csv(str(out))} == {4, 5, 6}
+
+    def test_a_bom_model_dump_gives_the_plain_model(self, tmp_path, capsys):
+        plain = tmp_path / "golden.txt"
+        plain.write_text(GOLDEN_DUMP.read_text(encoding="utf-8"), encoding="utf-8")
+        for dump in (plain, bom_copy(plain)):
+            assert self.run_cli("validate", "--model-dump", str(dump)) == 0
+            assert capsys.readouterr().out == f"model ok: {dump}\n"
+            redump = tmp_path / f"re_{dump.name}"
+            query = ("query", "Pmax=? [ F vms_num=7 ]", "--model-dump", str(dump))
+            assert self.run_cli(*query, "--dump-model", str(redump)) == 0
+            assert capsys.readouterr().out == "1.0\n"
+            assert redump.read_bytes() == plain.read_bytes()
+
+    def test_a_bom_trace_replays_as_the_plain_trace(self, tmp_path, cli_inputs, capsys):
+        plain = cli_inputs["trace"]
+        outputs = []
+        for trace in (plain, bom_copy(plain)):
+            out = tmp_path / f"replay_{trace.name}"
+            replay = ("replay", "--trace", str(trace), "--set", "utility.kind=r2")
+            assert self.run_cli(*replay, "--out", str(out)) == 0
+            outputs.append((capsys.readouterr().out.replace(str(out), "OUT"), out.read_text()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].startswith(TRACE_HEADER)
+
 
 TRACE_HEADER = "tick,load,vms,latency_ms,throughput,utility,violation,decision,decision_ms"
 
@@ -1231,6 +1281,7 @@ GARBAGE = [
     ("gen-dataset", "--out", "{out}", "--set", "dataset.saturation_exponent=-1000"),
     ("gen-dataset", "--out", "{out}", "--set", "dataset.noise_stddev_fraction=1e308"),
     ("gen-dataset", "--out", "{out}", "--set", "dataset.base_latency_ms=1e308"),
+    ("gen-dataset", "--out", "{out}", "--set", "dataset.per_vm_capacity_reqs=1e308"),
     (
         "gen-dataset", "--out", "{out}",
         "--set", "dataset.saturation_exponent=-1", "--set", "load.load_min_reqs=0",

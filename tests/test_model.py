@@ -572,13 +572,18 @@ def config_and_states(draw):
     states = []
     for size in config.sizes:
         n = 1 if variant is Variant.M1 else draw(st.integers(min_value=1, max_value=k))
-        raw = [draw(st.integers(min_value=1, max_value=9)) for _ in range(n)]
+        raw = [draw(st.integers(min_value=0, max_value=9)) for _ in range(n)]
+        if not any(raw):  # at least one positive weight per size
+            pick = draw(st.integers(min_value=0, max_value=n - 1))
+            raw[pick] = draw(st.integers(min_value=1, max_value=9))
         total = sum(raw)
+        # A zero weight of either sign: 0.0 and -0.0 are equal, but dump apart.
+        weights = [w / total if w else draw(st.sampled_from((0.0, -0.0))) for w in raw]
         states += [
             MdpState(
                 size,
                 index,
-                weight=w / total,
+                weight=w,
                 reward=draw(st.floats(min_value=-1, max_value=10, allow_nan=False)),
                 center=draw(
                     st.none()
@@ -588,7 +593,7 @@ def config_and_states(draw):
                     )
                 ),
             )
-            for index, w in enumerate(raw)
+            for index, w in enumerate(weights)
         ]
     current = draw(st.integers(min_value=config.min_vms, max_value=config.max_vms))
     return config, states, current
@@ -1054,6 +1059,22 @@ class TestReferenceDump:
     def test_loads_agrees_with_the_reference(self, texts):
         for text in texts:
             assert outcome(MdpModel.loads, text) == outcome(reference_dump.parse_dump, text)
+
+    def test_zero_probabilities_of_either_sign_dump_apart(self):
+        # Each size's behavior 1 has weight 0.0 at odd sizes and -0.0 at even
+        # ones, so the dump holds both zeros: equal floats, different text.
+        config = ModelConfig(4, 7, variant=Variant.M2, k=2)
+        states = [
+            state
+            for size in config.sizes
+            for state in (MdpState(size, 0, 1.0), MdpState(size, 1, 0.0 if size % 2 else -0.0))
+        ]
+        model = build_model(config, states, 4)
+        text = model.dump()
+        assert text == reference_dump.dump(model)
+        assert " s5b 0.0\n" in text and " s4b -0.0\n" in text
+        loaded = MdpModel.loads(text)
+        assert loaded == model and loaded.dump() == text
 
 
 class TestDumpText:
