@@ -9,7 +9,9 @@ Subcommands:
 * ``replay``      -- re-score a trace CSV under a config's utility
 
 A command that reads a config gets it from `_config` alone; ``query``
-answers from a ``--model-dump`` instead when given one.
+answers from a ``--model-dump`` instead when given one, and then refuses
+the flags that make or place a live model.  ``query`` parses its query
+before it makes, loads or writes any model.
 
 Exit status is 0 on success, 1 when a run aborts, and 2 with one `error:`
 line on stderr for any configuration, parse or input error.  That includes
@@ -62,9 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_flags(query)
     query.add_argument(
         "--policy",
-        default="mdp2",
+        default=None,
         choices=[k.value for k in MDP_KINDS],
-        help="model variant for live instantiation",
+        help="model variant for live instantiation (default mdp2)",
     )
     query.add_argument("--load", type=float, default=None, help="incoming load (req/s)")
     query.add_argument("--vms", type=int, default=None, help="current cluster size")
@@ -130,9 +132,19 @@ def _cmd_gen_dataset(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    query = parse_query(args.query)
     if args.model_dump:
-        if args.config or args.overrides:
-            raise ElastimdpError("query takes --model-dump or --config/--set, not both")
+        # The dump holds the model and its initial state: every flag that
+        # makes or places a live model would be ignored, so it is refused.
+        live = {
+            "--config/--set": args.config or args.overrides,
+            "--policy": args.policy,
+            "--load": args.load,
+            "--vms": args.vms,
+        }
+        given = [flag for flag, value in live.items() if value not in (None, [])]
+        if given:
+            raise ElastimdpError(f"query takes --model-dump or {given[0]}, not both")
         model = MdpModel.loads(Path(args.model_dump).read_text(encoding="utf-8-sig"))
     else:
         config = _config(args)
@@ -142,7 +154,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             raise ElastimdpError(f"--load must be finite and >= 0, got {load!r}")
         vms = args.vms if args.vms is not None else config.schedule.initial_vms
         model, _ = instantiate_model(
-            PolicyKind(args.policy),
+            PolicyKind(args.policy or "mdp2"),
             store,
             load,
             vms,
@@ -153,7 +165,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         )
     if args.dump_model:
         Path(args.dump_model).write_text(model.dump(), encoding="utf-8")
-    probability = reachability_probability(model, parse_query(args.query))
+    probability = reachability_probability(model, query)
     sys.stdout.write(f"{probability!r}\n")
     return 0
 

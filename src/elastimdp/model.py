@@ -37,10 +37,12 @@ label once).  Zeros are left out of that: 0.0 and -0.0 are equal floats
 whose reprs differ, and a loaded model may hold either.  `MdpModel.loads`
 builds the model from the dump's head (the lines before its first `trans`
 line), then checks the `trans` section in place, a size block at a time:
-each block must stand in the text as rendered.  It splits lines and
-compares them word by word only from the first block that differs, and
-refuses a dump whose `trans` lines differ, naming the first differing
-line.
+each block must stand in the text as rendered.  A head as `dump()` writes
+it is matched one compiled pattern per line; any other head (respaced,
+reordered, CRLF or hand-edited) is walked line by line, and the walk gives
+a refusal its message.  Loading splits `trans` lines and compares them
+word by word only from the first block that differs, and refuses a dump
+whose `trans` lines differ, naming the first differing line.
 
 `MdpModel`'s constructor is the one check of a model's structure (see
 `_violations`), and `build_model`, `MdpModel.loads` and
@@ -59,6 +61,7 @@ idempotently, and every reader sees the same contents.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache, cached_property
@@ -458,11 +461,14 @@ def size_rows(
     behavior of the target size.  The no_op self-loop is the caller's."""
     for size in by_size:
         moves, rows = config.moves(size), []
-        adds = len(config.deltas(size, ActionKind.ADD))
+        adds = len(config.deltas(size, _ADD))
+        rems = len(moves) - adds
+        add_share = 1.0 / adds if adds else 0.0
+        rem_share = 1.0 / rems if rems else 0.0
         for action in moves:
-            share = 1.0 / (adds if action.signed_delta > 0 else len(moves) - adds)
+            share = add_share if action.signed_delta > 0 else rem_share
             targets = by_size.get(size + action.signed_delta, ())
-            rows.append((action, tuple((t.key, share * t.weight) for t in targets)))
+            rows.append((action, tuple([(t.key, share * t.weight) for t in targets])))
         yield size, rows
 
 
@@ -574,20 +580,25 @@ def _parse_dump(text: str) -> MdpModel:
     """Build the model from the dump's head, the text before its first line
     that starts with "trans ", then check the `trans` section in place: each
     block `trans_blocks` renders must stand in the text where the last one
-    ended, followed by a line feed or the end of the text.  From the first
-    block that differs, or text left after the last block, the lines of the
-    rest are walked (`_walk_tail`).  A head that holds a line whose first
-    word is "trans", or that is no model alone (say, a state line comes
-    after the trans lines), sends the whole text to the line walk
+    ended, followed by a line feed or the end of the text.  A head as
+    `dump()` writes it is read one compiled pattern per line
+    (`_read_head`); any other head is walked line by line (`_sort_lines`,
+    `_build_model`), which also gives a refusal its message.  From the
+    first block that differs, or text left after the last block, the lines
+    of the rest are walked (`_walk_tail`).  A head that holds a line whose
+    first word is "trans", or that is no model alone (say, a state line
+    comes after the trans lines), sends the whole text to the line walk
     (`_walk_dump`)."""
     pos = 0 if text.startswith("trans ") else text.find("\ntrans ") + 1 or len(text)
-    rest, trans = _sort_lines(text[:pos].splitlines())
-    if trans:
-        return _walk_dump(text)
-    try:
-        model = _build_model(rest, trans)
-    except InstantiationError:
-        return _walk_dump(text)
+    model = _read_head(text, pos)
+    if model is None:
+        rest, trans = _sort_lines(text[:pos].splitlines())
+        if trans:
+            return _walk_dump(text)
+        try:
+            model = _build_model(rest, trans)
+        except InstantiationError:
+            return _walk_dump(text)
     blocks = trans_blocks(model)
     for block in blocks:
         end = pos + len(block)
@@ -595,6 +606,56 @@ def _parse_dump(text: str) -> MdpModel:
             return _walk_tail(text, pos, model, chain([block], blocks))
         pos = end + 1
     return _walk_tail(text, pos, model, blocks) if pos < len(text) else model
+
+
+# The header, config and initial lines, and one state line, as `dump()`
+# writes them: single spaces, fields in order, each line ended by "\n".
+_HEAD_LINES = re.compile(
+    r"mdpdump 1\nconfig min_vms=([0-9]+) max_vms=([0-9]+) add_limit=([0-9]+)"
+    r" rem_limit=([0-9]+) variant=(\S+) k=([0-9]+)\ninitial (\S+)\n"
+)
+_STATE_LINE = re.compile(
+    r"state (\S+) vms=([0-9]+) behavior=([0-9]+) weight=(\S+) reward=(\S+)"
+    r" phase=decision prev=none center=(?:-|([^\s,]+),([^\s,]+))\n"
+)
+
+
+def _read_head(text: str, pos: int) -> MdpModel | None:
+    """The model of `text[:pos]` when that head is exactly as `dump()`
+    writes it, else None: a line the patterns do not match, a state whose
+    label is not the one its fields make, a key given twice, an initial
+    label that names no state, or a value that `int`, `float`, `Variant` or
+    a constructor refuses.  The walk then reads the head, and gives any
+    refusal its message.  A non-finite number is read by `float` and
+    refused by `MdpModel`'s constructor, so it too goes to the walk."""
+    head = _HEAD_LINES.match(text, 0, pos)
+    if head is None:
+        return None
+    min_vms, max_vms, add_limit, rem_limit, variant, k, initial = head.groups()
+    states: dict[StateKey, MdpState] = {}
+    by_label: dict[str, StateKey] = {}
+    at = head.end()
+    try:
+        config = ModelConfig(
+            int(min_vms), int(max_vms), int(add_limit), int(rem_limit), Variant(variant), int(k)
+        )
+        while at < pos:
+            line = _STATE_LINE.match(text, at, pos)
+            if line is None:
+                return None
+            label, vms, behavior, weight, reward, lat, thr = line.groups()
+            center = None if lat is None else (float(lat), float(thr))
+            state = MdpState(int(vms), int(behavior), float(weight), center, float(reward))
+            if state.key in states or state.label != label:
+                return None
+            states[state.key] = state
+            by_label[label] = state.key
+            at = line.end()
+        if initial not in by_label:
+            return None
+        return MdpModel(config=config, states=states, initial=states[by_label[initial]])
+    except (ValueError, ConfigurationError, InstantiationError):
+        return None
 
 
 def _walk_tail(text: str, pos: int, model: MdpModel, blocks: Iterator[str]) -> MdpModel:

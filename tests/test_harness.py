@@ -1067,14 +1067,41 @@ class TestCli:
         assert self.run_cli(*query, "--config", str(write_small_ini(tmp_path))) == 0
         assert capsys.readouterr().out == answer
 
-    @pytest.mark.parametrize("config", [("--config", "{ini}"), ("--set", "model.max_vms=12")])
-    def test_query_refuses_a_model_dump_with_a_config(self, config, cli_inputs, capsys):
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            pytest.param(("--config", "{ini}"), "--config/--set", id="config"),
+            pytest.param(("--set", "model.max_vms=12"), "--config/--set", id="set"),
+            # A dump answers from its own model and initial state, so the
+            # flags that make or place a live model would be ignored.
+            pytest.param(("--policy", "mdp2"), "--policy", id="policy"),
+            pytest.param(("--load", "1e9"), "--load", id="load"),
+            pytest.param(("--load", "0"), "--load", id="load 0"),
+            pytest.param(("--vms", "5"), "--vms", id="vms"),
+            pytest.param(("--vms", "5", "--load", "1e9"), "--load", id="vms and load"),
+        ],
+    )
+    def test_query_refuses_a_model_dump_with_a_config(self, flags, named, cli_inputs, capsys):
         dump = ("--model-dump", str(cli_inputs["phase"]))
-        argv = [arg.format(**cli_inputs) for arg in config]
+        argv = [arg.format(**cli_inputs) for arg in flags]
         assert self.run_cli("query", "Pmax=? [ F vms_num=5 ]", *dump, *argv) == 2
-        assert capsys.readouterr().err == (
-            "error: query takes --model-dump or --config/--set, not both\n"
-        )
+        assert capsys.readouterr().err == f"error: query takes --model-dump or {named}, not both\n"
+
+    def test_query_without_a_policy_instantiates_mdp2(self, capsys):
+        query = ("query", "Pmax=? [ F latency<40 & vms_num<=12 ]", "--load", "30000")
+        answers = []
+        for policy in ((), ("--policy", "mdp2")):
+            assert self.run_cli(*query, *policy) == 0
+            answers.append(capsys.readouterr().out)
+        assert answers[0] == answers[1]
+
+    def test_a_malformed_query_is_refused_before_the_model_is_made(self, tmp_path, capsys):
+        dump = tmp_path / "q.txt"
+        code = self.run_cli("query", "Pmax=? [ F bogus<1 ]", "--dump-model", str(dump))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: unknown field 'bogus' (at offset 11)\n"
+        assert not dump.exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -524,6 +524,12 @@ class TestDump:
             ("config", "min_vms=3 ", "", 2, "missing min_vms="),
             ("state s4", "reward=4.0", "reward=nan", 5, "non-finite"),
             ("state s5", "weight=1.0", "weight=inf", 6, "non-finite"),
+            # Canonical lines whose values the head's patterns read, but which
+            # the constructors refuse: the walk gives the refusal its message.
+            ("state s4", "center=-", "center=nan,600.0", 5, "non-finite number 'nan'$"),
+            ("state s5", "reward=5.0", "reward=-inf", 6, "non-finite number '-inf'$"),
+            ("config", "k=1", "k=0", 2, "k must be >= 1$"),
+            ("config", "variant=M1", "variant=M4", 2, "'M4' is not a valid Variant$"),
             ("initial", "s4", "s4\ninitial s3", 4, "second initial line"),
             (
                 "config", "k=1",
@@ -1075,6 +1081,96 @@ class TestReferenceDump:
         assert " s5b 0.0\n" in text and " s4b -0.0\n" in text
         loaded = MdpModel.loads(text)
         assert loaded == model and loaded.dump() == text
+
+
+def walked_load(text):
+    """`MdpModel.loads(text)`'s outcome, and whether the line walk built
+    the model of the dump's head (`model._build_model`)."""
+    build = model_module._build_model
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module, "_build_model", counted)
+        return outcome(MdpModel.loads, text), bool(calls)
+
+
+class TestCanonicalHead:
+    """A head as `dump()` writes it is read by the patterns alone; any
+    other text goes to the line walk, which loads it or refuses it as
+    `reference_dump` does."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(config_and_states())
+    def test_a_canonical_dump_never_reaches_the_walk(self, instance):
+        model = build_model(*instance)
+        text = model.dump()
+
+        def refused(*args):
+            raise AssertionError("the line walk built a canonical dump's head")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_module, "_build_model", refused)
+            loaded = MdpModel.loads(text)
+        assert loaded == model and loaded.dump() == text
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (" center=-\nstate s5", " center=nan,600.0\nstate s5"),
+            (" center=-\nstate s5", " center=20.0,inf\nstate s5"),
+            ("reward=5.0", "reward=nan"),
+            ("weight=1.0 reward=6.0", "weight=-1.0 reward=6.0"),
+            ("k=1", "k=0"),
+            ("max_vms=7", "max_vms=2"),
+            ("variant=M1", "variant=m1"),
+            ("initial s4", "initial s9"),
+            ("initial s4", "initial s4a"),
+            # a label that is not the one its fields make
+            ("state s6 vms=6", "state s6a vms=6"),
+            ("state s6 vms=6", "state s5 vms=6"),
+            # a key given twice
+            ("state s6 vms=6", "state s5 vms=5"),
+            # an extra key=value field, which the walk ignores
+            (" center=-\nstate s5", " center=- note=x\nstate s5"),
+            ("k=1\n", "k=1 seed=3\n"),
+            # reordered fields and lines, and text before the trans lines
+            ("vms=4 behavior=0", "behavior=0 vms=4"),
+            ("initial s4\n", ""),
+            ("\ntrans s3 add_1", "\n\ntrans s3 add_1"),
+            ("\ntrans s3 add_1", "\n# note\ntrans s3 add_1"),
+            ("center=-\ntrans s3 add_1", "center=-  \ntrans s3 add_1"),
+        ],
+    )
+    def test_any_other_head_goes_to_the_walk(self, old, new):
+        text = edited_dump(chain_model(), old, new)
+        assert walked_load(text) == (outcome(reference_dump.parse_dump, text), True)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("weight=1.0 reward=3.0", "weight=+1.0 reward=3.0"),
+            ("reward=3.0", "reward=3"),
+            ("reward=3.0", "reward=3_0.0"),
+            ("vms=3 behavior=0", "vms=03 behavior=0"),
+            ("min_vms=3", "min_vms=003"),
+        ],
+    )
+    def test_other_spellings_of_a_value_read_as_the_walk_reads_them(self, old, new):
+        # The patterns pass a value's text to the walk's own `int` and
+        # `float`, so another spelling of the same value gives its model.
+        text = edited_dump(chain_model(), old, new)
+        assert walked_load(text) == (outcome(reference_dump.parse_dump, text), False)
+
+    def test_respaced_state_lines_load_through_the_walk(self):
+        model = build_model(TWO_BEHAVIOR_CONFIG, TWO_BEHAVIOR_STATES, 4)
+        text = model.dump()
+        assert walked_load(text) == ((model, text), False)
+        respaced = text.replace(" vms=", "  vms=")
+        assert walked_load(respaced) == ((model, text), True)
 
 
 class TestDumpText:
