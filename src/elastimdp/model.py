@@ -23,26 +23,26 @@ Transition probabilities are given per sized action (``add_2``, ``rem_1``,
 within its action type, so that the total mass of one action *type* from a
 state sums to 1.  The per-entry probability is therefore
 ``type_share * target_behavior_weight``, which is exactly the edge label a
-reader expects next to each arrow in a drawing of the model.  An action's
-outcome does not depend on the source behavior, so `size_rows`, the one
-home of that arithmetic, makes each row once per size.  The map is implied
-by the config and the behavior weights, so a model does not store it:
-`MdpModel.transitions` is a read-only view made on first read
-(`implied_transitions`), for the brute-force oracles (the solver never
-reads it).  A dump's `trans` lines are `trans_blocks`, one string per
-size written from the rows and never from the map.  A probability is a
-type share times a behavior weight, so the values repeat, and
-`trans_blocks` formats each distinct one once per call (and each state's
-label once).  Zeros are left out of that: 0.0 and -0.0 are equal floats
-whose reprs differ, and a loaded model may hold either.  `MdpModel.loads`
-builds the model from the dump's head (the lines before its first `trans`
-line), then checks the `trans` section in place, a size block at a time:
-each block must stand in the text as rendered.  A head as `dump()` writes
-it is matched one compiled pattern per line; any other head (respaced,
-reordered, CRLF or hand-edited) is walked line by line, and the walk gives
-a refusal its message.  Loading splits `trans` lines and compares them
-word by word only from the first block that differs, and refuses a dump
-whose `trans` lines differ, naming the first differing line.
+reader expects next to each arrow in a drawing of the model.  Which sized
+moves a size has, and each one's type share, come from one helper,
+`size_moves`; an action's outcome does not depend on the source behavior,
+so each row is made once per size.  The map is implied by the config and
+the behavior weights, so a model does not store it: `MdpModel.transitions`
+is a read-only view made on first read (`implied_transitions`), for the
+brute-force oracles (the solver never reads it).  A dump's `trans` lines
+are `trans_blocks`, one string per size written from `size_moves` and a
+per-call table of each size's (label, weight) pairs, never from the map.
+Each distinct probability is formatted once per call (the values repeat),
+except zeros: 0.0 and -0.0 are equal floats whose reprs differ, and a
+loaded model may hold either.  `MdpModel.loads` builds the model from the
+dump's head (the lines before its first `trans` line), then checks the
+`trans` section in place, a size block at a time: each block must stand in
+the text as rendered.  A head as `dump()` writes it is matched one
+compiled pattern per line; any other head (respaced, reordered, CRLF or
+hand-edited) is walked line by line, and the walk gives a refusal its
+message.  Loading splits `trans` lines and compares them word by word only
+from the first block that differs, and refuses a dump whose `trans` lines
+differ, naming the first differing line.
 
 `MdpModel`'s constructor is the one check of a model's structure (see
 `_violations`), and `build_model`, `MdpModel.loads` and
@@ -325,6 +325,7 @@ class MdpModel:
     def dump(self) -> str:
         """Deterministic text serialization (round-trips via `loads`)."""
         cfg = self.config
+        labels = {key: state.label for key, state in self.states.items()}
         lines = [
             "mdpdump 1",
             f"config min_vms={cfg.min_vms} max_vms={cfg.max_vms}"
@@ -335,12 +336,12 @@ class MdpModel:
         for state in self.ordered_states():
             center = f"{state.center[0]!r},{state.center[1]!r}" if state.center else "-"
             lines.append(
-                f"state {state.label} vms={state.vms_num}"
+                f"state {labels[state.key]} vms={state.vms_num}"
                 f" behavior={state.behavior_index} weight={state.weight!r}"
                 f" reward={state.reward!r} phase=decision prev=none"
                 f" center={center}"
             )
-        lines.extend(trans_blocks(self))
+        lines.extend(trans_blocks(self, labels))
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -452,35 +453,28 @@ def current_state(
     return matcher.match(observation)
 
 
-def size_rows(
-    config: ModelConfig, by_size: Mapping[int, Sequence[MdpState]]
-) -> Iterator[tuple[int, list[tuple[Action, TransitionRow]]]]:
-    """Each size of `by_size` (as in `MdpModel.by_size`) with the rows of
-    its sized actions in `Action.sort_key` order, one row per action for
-    all of the size's behaviors: `type_share * target_weight` for each
-    behavior of the target size.  The no_op self-loop is the caller's."""
-    for size in by_size:
-        moves, rows = config.moves(size), []
-        adds = len(config.deltas(size, _ADD))
-        rems = len(moves) - adds
-        add_share = 1.0 / adds if adds else 0.0
-        rem_share = 1.0 / rems if rems else 0.0
-        for action in moves:
-            share = add_share if action.signed_delta > 0 else rem_share
-            targets = by_size.get(size + action.signed_delta, ())
-            rows.append((action, tuple([(t.key, share * t.weight) for t in targets])))
-        yield size, rows
+def size_moves(config: ModelConfig, size: int) -> list[tuple[int, float]]:
+    """(signed delta, type share) of each sized move enabled at `size`, in
+    `Action.sort_key` order; a move's row is `type_share * target_weight`
+    for each behavior of the target size, whatever the source behavior."""
+    adds, rems = config.deltas(size, _ADD), config.deltas(size, _REM)
+    return [(d, 1.0 / len(adds)) for d in adds] + [(-d, 1.0 / len(rems)) for d in rems]
 
 
 def implied_transitions(
     config: ModelConfig, by_size: Mapping[int, Sequence[MdpState]]
 ) -> dict[tuple[StateKey, Action], TransitionRow]:
     """The transition map that `config` and the behavior weights of the
-    states of each size imply: every behavior of a size shares the size's
-    rows (`size_rows`), plus its no_op self-loop."""
+    states of each size (as in `MdpModel.by_size`) imply: every behavior of
+    a size shares the rows of the size's moves (`size_moves`), plus its
+    no_op self-loop."""
     transitions: dict[tuple[StateKey, Action], TransitionRow] = {}
-    for size, rows in size_rows(config, by_size):
-        for source in by_size[size]:
+    for size, sources in by_size.items():
+        rows = []
+        for delta, share in size_moves(config, size):
+            targets = by_size.get(size + delta, ())
+            rows.append((_sized_action(delta), tuple([(t.key, share * t.weight) for t in targets])))
+        for source in sources:
             key = source.key
             for action, row in rows:
                 transitions[(key, action)] = row
@@ -488,32 +482,35 @@ def implied_transitions(
     return transitions
 
 
-def trans_blocks(model: MdpModel) -> Iterator[str]:
+def trans_blocks(model: MdpModel, labels: Mapping[StateKey, str] | None = None) -> Iterator[str]:
     """The `trans` lines of `model`'s dump, made lazily, one string per
-    size: sources in key order, each source's actions by sort key and its
-    no_op self-loop last.  Each row's text is made once per size and
-    written for each of the size's behaviors.  Each state's label is made
-    once per call, and so is the `repr` of each distinct probability: a
-    probability is a type share times a behavior weight, so the values
-    repeat.  A zero is formatted each time it occurs, because 0.0 and -0.0
-    are equal keys whose reprs differ."""
-    labels = {key: state.label for key, state in model.states.items()}
+    size: sources in key order, each source's moves by sort key and its
+    no_op self-loop last.  A size's lines are written from `size_moves` and
+    a per-call table of each size's (label, weight) pairs, with `labels`
+    (each state's, made here when not given): a move's tails, " add_2 s6a
+    0.25", are made once per size and written for each of its behaviors.
+    The `repr` of each distinct nonzero probability is made once per call
+    (0.0 and -0.0 are equal keys whose reprs differ)."""
+    if labels is None:
+        labels = {key: state.label for key, state in model.states.items()}
+    config = model.config
+    table = {n: [(labels[s.key], s.weight) for s in group] for n, group in model.by_size.items()}
     reprs: dict[float, str] = {}
-    for size, rows in size_rows(model.config, model.by_size):
+    for size, sources in table.items():
         tails = []
-        for action, row in rows:
-            name = action.label
-            for target, p in row:
+        for delta, share in size_moves(config, size):
+            name = _sized_action(delta).label
+            for label, weight in table.get(size + delta, ()):
+                p = share * weight
                 text = reprs.get(p)
                 if text is None:
                     text = repr(p)
                     if p:
                         reprs[p] = text
-                tails.append(f" {name} {labels[target]} {text}")
+                tails.append(f" {name} {label} {text}")
         # Joined in C: "\ntrans s4" before each of s4's tails, less the first "\n".
         yield "".join(
-            ("\ntrans " + label).join(["", *tails, f" no_op {label} 1.0"])
-            for label in [labels[s.key] for s in model.by_size[size]]
+            ("\ntrans " + label).join(["", *tails, f" no_op {label} 1.0"]) for label, _ in sources
         )[1:]
 
 
@@ -579,8 +576,9 @@ def _violations(model: MdpModel) -> Iterator[str]:
 def _parse_dump(text: str) -> MdpModel:
     """Build the model from the dump's head, the text before its first line
     that starts with "trans ", then check the `trans` section in place: each
-    block `trans_blocks` renders must stand in the text where the last one
-    ended, followed by a line feed or the end of the text.  A head as
+    block `trans_blocks` renders (from the labels the head read has
+    checked) must stand in the text where the last one ended, followed by
+    a line feed or the end of the text.  A head as
     `dump()` writes it is read one compiled pattern per line
     (`_read_head`); any other head is walked line by line (`_sort_lines`,
     `_build_model`), which also gives a refusal its message.  From the
@@ -590,7 +588,7 @@ def _parse_dump(text: str) -> MdpModel:
     comes after the trans lines), sends the whole text to the line walk
     (`_walk_dump`)."""
     pos = 0 if text.startswith("trans ") else text.find("\ntrans ") + 1 or len(text)
-    model = _read_head(text, pos)
+    model, labels = _read_head(text, pos) or (None, None)
     if model is None:
         rest, trans = _sort_lines(text[:pos].splitlines())
         if trans:
@@ -599,7 +597,7 @@ def _parse_dump(text: str) -> MdpModel:
             model = _build_model(rest, trans)
         except InstantiationError:
             return _walk_dump(text)
-    blocks = trans_blocks(model)
+    blocks = trans_blocks(model, labels)
     for block in blocks:
         end = pos + len(block)
         if not text.startswith(block, pos) or end < len(text) and text[end] != "\n":
@@ -620,19 +618,21 @@ _STATE_LINE = re.compile(
 )
 
 
-def _read_head(text: str, pos: int) -> MdpModel | None:
-    """The model of `text[:pos]` when that head is exactly as `dump()`
-    writes it, else None: a line the patterns do not match, a state whose
-    label is not the one its fields make, a key given twice, an initial
-    label that names no state, or a value that `int`, `float`, `Variant` or
-    a constructor refuses.  The walk then reads the head, and gives any
-    refusal its message.  A non-finite number is read by `float` and
-    refused by `MdpModel`'s constructor, so it too goes to the walk."""
+def _read_head(text: str, pos: int) -> tuple[MdpModel, dict[StateKey, str]] | None:
+    """The model of `text[:pos]` and its states' labels when that head is
+    exactly as `dump()` writes it, else None: a line the patterns do not
+    match, a state whose label is not the one its fields make, a key given
+    twice, an initial label that names no state, or a value that `int`,
+    `float`, `Variant` or a constructor refuses.  The walk then reads the
+    head, and gives any refusal its message.  A non-finite number is read
+    by `float` and refused by `MdpModel`'s constructor, so it too goes to
+    the walk."""
     head = _HEAD_LINES.match(text, 0, pos)
     if head is None:
         return None
     min_vms, max_vms, add_limit, rem_limit, variant, k, initial = head.groups()
     states: dict[StateKey, MdpState] = {}
+    labels: dict[StateKey, str] = {}
     by_label: dict[str, StateKey] = {}
     at = head.end()
     try:
@@ -649,11 +649,12 @@ def _read_head(text: str, pos: int) -> MdpModel | None:
             if state.key in states or state.label != label:
                 return None
             states[state.key] = state
+            labels[state.key] = label
             by_label[label] = state.key
             at = line.end()
         if initial not in by_label:
             return None
-        return MdpModel(config=config, states=states, initial=states[by_label[initial]])
+        return MdpModel(config=config, states=states, initial=states[by_label[initial]]), labels
     except (ValueError, ConfigurationError, InstantiationError):
         return None
 

@@ -300,9 +300,9 @@ def score_row(
     """Each size's model states in a row: `sizes[i]` scores the clusters
     of `ranked` row `cells[i]`, with `utility_eval`'s rewards.  Returns
     every size's cluster states in key order (`sizes` ascends), then the
-    size -> MB and size -> EB state mappings.  MB is the heaviest cluster's
-    center and reward (weight ties toward the lower latency); EB averages
-    the centers and rewards by cluster weight.  The EB sums add one cluster
+    size -> MB and size -> EB state mappings.  MB is the center and reward
+    of column 0, the mode cluster (see `RankedClusters`); EB averages the
+    centers and rewards by cluster weight.  The EB sums add one cluster
     column at a time from 0.0, as `sum` does up to Python 3.11 (`np.sum`
     adds in pairwise blocks of 8), and never add an empty cluster (0.0
     weight times an inf center is nan).
@@ -317,12 +317,11 @@ def score_row(
     eb_sums = np.zeros(terms.shape[:2])
     for column in range(terms.shape[2]):
         eb_sums += terms[:, :, column]
-    modes = np.lexsort((latency, -weight))[:, 0]  # heaviest, ties toward the lower latency
-    columns = (latency, throughput, weight, reward, modes, *eb_sums)
+    columns = (latency, throughput, weight, reward, *eb_sums)
     rows = zip(sizes, filled.sum(axis=1).tolist(), *(column.tolist() for column in columns))
     per_cluster, mb, eb = [], {}, {}
-    for size, count, lat, thr, w, r, mode, eb_lat, eb_thr, eb_reward in rows:
+    for size, count, lat, thr, w, r, eb_lat, eb_thr, eb_reward in rows:
         per_cluster.extend(map(MdpState, repeat(size), range(count), w, zip(lat, thr), r))
-        mb[size] = MdpState(size, center=(lat[mode], thr[mode]), reward=r[mode])
+        mb[size] = MdpState(size, center=(lat[0], thr[0]), reward=r[0])
         eb[size] = MdpState(size, center=(eb_lat, eb_thr), reward=eb_reward)
     return tuple(per_cluster), mb, eb

@@ -1,9 +1,10 @@
-"""Readers of traces, schedules and models that only tests call, and stub
-policies."""
+"""Readers of traces, schedules and models that only tests call, stub
+policies, and a store that forgets."""
 
 from __future__ import annotations
 
 from elastimdp.emulator import ExperimentTrace, ScheduleConfig
+from elastimdp.logs import LogStore
 from elastimdp.model import NO_OP, Action, ActionKind, MdpModel, StateKey
 from elastimdp.policies import Policy, PolicyKind
 from elastimdp.solver import PolicyDecision
@@ -64,3 +65,23 @@ def type_distribution(model: MdpModel, key: StateKey, kind: ActionKind) -> dict[
         for target, p in row:
             dist[target] = dist.get(target, 0.0) + p
     return dist
+
+
+# The memos of a `LogStore`, each a dict filled by `memo[key] = value`.
+MEMOS = ("_selections", "reward_memo", "solve_memo", "tape_memo")
+
+
+class Forgetful(dict):
+    """A memo that keeps nothing: `memo[key] = value` drops the entry."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def forget(store: LogStore) -> LogStore:
+    """`store`, with each of its `MEMOS` swapped for a `Forgetful` one.
+    Every `x = memo[key] = value` in the package still binds `x`, so each
+    call computes afresh and each episode draws its own tape."""
+    for name in MEMOS:
+        setattr(store, name, Forgetful())
+    return store

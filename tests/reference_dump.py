@@ -3,22 +3,49 @@ reference: `trans_lines` yields one `trans` line at a time, and
 `parse_dump` splits every line into words and compares each `trans`
 line with the next expected one.  The package's block renderer and loader
 must write byte-identical dumps, and must load or refuse every text
-exactly as these do, with the same message."""
+exactly as these do, with the same message.  The rows are made here
+(`size_rows`), from `Action` objects and (key, probability) tuples, so the
+renderer is checked against code it shares no arithmetic with."""
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Mapping, Sequence
 
 from elastimdp.errors import ConfigurationError, InstantiationError
 from elastimdp.model import (
+    Action,
+    ActionKind,
     MdpModel,
     MdpState,
     ModelConfig,
     StateKey,
     Variant,
     finite_float,
-    size_rows,
 )
+
+Row = tuple[tuple[StateKey, float], ...]
+
+
+def size_rows(
+    config: ModelConfig, by_size: Mapping[int, Sequence[MdpState]]
+) -> Iterator[tuple[int, list[tuple[Action, Row]]]]:
+    """Each size of `by_size` with the rows of its sized actions, adds
+    then rems, each by ascending delta: `type_share * target_weight` for
+    each behavior of the target size, where an action's type share is one
+    over the number of sized actions of its type at that size.  A move
+    stays within the range and, except on M3, within its per-step limit."""
+    for size in by_size:
+        up, down = config.max_vms - size, size - config.min_vms
+        if config.variant is not Variant.M3:
+            up, down = min(up, config.add_limit), min(down, config.rem_limit)
+        moves = [Action(ActionKind.ADD, d) for d in range(1, up + 1)]
+        moves += [Action(ActionKind.REM, d) for d in range(1, down + 1)]
+        rows = []
+        for action in moves:
+            share = 1.0 / (up if action.kind is ActionKind.ADD else down)
+            targets = by_size.get(size + action.signed_delta, ())
+            rows.append((action, tuple((t.key, share * t.weight) for t in targets)))
+        yield size, rows
 
 
 def dump(model: MdpModel) -> str:

@@ -57,7 +57,7 @@ from elastimdp.policies import MDP_KINDS, PolicyKind
 from elastimdp.rewards import ClusteringConfig, UtilityConfig, UtilityKind, utility_eval
 
 import reference_config
-from helpers import AddThenBoomStub, BoomStub, decision_ticks, loads
+from helpers import MEMOS, AddThenBoomStub, BoomStub, Forgetful, decision_ticks, forget, loads
 
 # sha256 of the dumps of the default 2-run comparison's 112 solved models
 DEFAULT_SOLVE_MEMO_SHA256 = "5ee5c7744a1e15cd3ea762b740d6777de0411fbd374b4f78efa33beb69ea773e"
@@ -615,6 +615,95 @@ def tape_and_live(monkeypatch, config, records=None):
     traces = {key: comparable(t) for key, t in taped.traces.items()}
     assert traces == {key: comparable(t) for key, t in live.traces.items()}
     return traces, store
+
+
+def forgetting(config, records=None):
+    """`run_comparison` on a store that forgets (`helpers.forget`), checked
+    to hold no entry at the end."""
+    build = harness.build_store
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "build_store", lambda *args: forget(build(*args)))
+        result, store = run_keeping_store(patch, config, records)
+    assert not any(getattr(store, name) for name in MEMOS)
+    return result
+
+
+def without_the_memos_alike(config):
+    """Check that `config`'s comparison writes the same traces, all but
+    `decision_ms`, on a store that keeps its memos and on one that forgets."""
+    records = load_dataset(config)
+    kept, forgot = run_comparison(config, records), forgetting(config, records)
+    assert {key: comparable(t) for key, t in kept.traces.items()} == {
+        key: comparable(t) for key, t in forgot.traces.items()
+    }
+
+
+@st.composite
+def small_overrides(draw):
+    """A small comparison: 1-6 sizes, limits 1-3, k 1-3, dims 1 or 2, LV1
+    or LV2, r1 or r2, a 0 or 5% benefit threshold, 1- or 3-tick smoothing,
+    at most 60 ticks and a decision every 2-10, on the synthetic source or
+    the uneven CSV."""
+    min_vms = draw(st.integers(1, 6))
+    max_vms = min_vms + draw(st.integers(0, 5))
+    overrides = {
+        "experiment.runs": str(draw(st.integers(1, 2))),
+        "model.min_vms": str(min_vms),
+        "model.max_vms": str(max_vms),
+        "model.add_limit": str(draw(st.integers(1, 3))),
+        "model.rem_limit": str(draw(st.integers(1, 3))),
+        "clustering.k": str(draw(st.integers(1, 3))),
+        "clustering.dims": str(draw(st.sampled_from([1, 2]))),
+        "load.variation": draw(st.sampled_from(["LV1", "LV2"])),
+        "utility.kind": draw(st.sampled_from(["r1", "r2"])),
+        "postprocess.benefit_threshold_pct": draw(st.sampled_from(["0", "5"])),
+        "postprocess.smoothing_window_ticks": draw(st.sampled_from(["1", "3"])),
+        "schedule.horizon_ticks": str(draw(st.integers(11, 60))),
+        "schedule.decision_every_ticks": str(draw(st.integers(2, 10))),
+        # the load swings up to about the largest size's capacity (4500
+        # req/s a VM by default), so the policies scale both ways
+        "load.period_ticks": str(draw(st.integers(10, 120))),
+        "load.load_max_reqs": str(draw(st.sampled_from([0.6, 1.0, 1.3])) * 4500 * max_vms),
+        "schedule.initial_vms": str(draw(st.integers(min_vms, max_vms))),
+    }
+    if draw(st.booleans()):
+        overrides.update({"dataset.source": "csv", "dataset.path": str(UNEVEN_LOGS)})
+    return overrides
+
+
+class TestStoreThatForgets:
+    """`run_comparison` writes the same traces whether or not its store
+    keeps what it derives: every memo key names all that its entry
+    depends on."""
+
+    def test_every_dict_of_a_store_but_its_buckets_is_a_memo_that_forgets(self):
+        store = LogStore(load_dataset(small_config()))
+        dicts = {name for name, value in vars(store).items() if isinstance(value, dict)}
+        assert dicts == {"_buckets", *MEMOS}
+        forget(store)
+        assert all(type(getattr(store, name)) is Forgetful for name in MEMOS)
+        assert store.select_logs(4, 5000.0) is not store.select_logs(4, 5000.0)
+        assert not store._selections
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"clustering.k": "10", "utility.kind": "r2"},
+            {"postprocess.smoothing_window_ticks": "3", "postprocess.benefit_threshold_pct": "5"},
+            SCALEOUT_OVERRIDES,
+        ],
+        ids=["defaults", "k10_r2", "smoothed", "scaleout"],
+    )
+    def test_named_configs(self, overrides):
+        without_the_memos_alike(
+            parse_config(default_config_ini(), {**overrides, "experiment.runs": "2"})
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_overrides())
+    def test_small_configs(self, overrides):
+        without_the_memos_alike(parse_config(default_config_ini(), overrides))
 
 
 def compensated_sum(values, /, start=0):

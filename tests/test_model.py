@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 import time
 from pathlib import Path
 
@@ -992,16 +993,17 @@ class TestDumpBoundary:
         config = ModelConfig(1, 9, add_limit=3, rem_limit=2, variant=variant, k=k)
         states = [MdpState(v, i, 1 / k, reward=float(v)) for v in config.sizes for i in range(k)]
         model = build_model(config, states, 4)
-        size_rows = model_module.size_rows
+        trans_blocks = model_module.trans_blocks
         made = []
 
         def counted(*args):
-            for size, rows in size_rows(*args):
-                made.append(size)
-                yield size, rows
+            # the size of each block rendered, read from its first source
+            for block in trans_blocks(*args):
+                made.append(int(re.match("trans s([0-9]+)", block)[1]))
+                yield block
 
         text = model.dump()
-        monkeypatch.setattr(model_module, "size_rows", counted)
+        monkeypatch.setattr(model_module, "trans_blocks", counted)
         assert MdpModel.loads(text) == model
         assert made == list(config.sizes)
         for size in config.sizes[:-1]:
@@ -1065,6 +1067,29 @@ class TestReferenceDump:
     def test_loads_agrees_with_the_reference(self, texts):
         for text in texts:
             assert outcome(MdpModel.loads, text) == outcome(reference_dump.parse_dump, text)
+
+    @pytest.mark.parametrize("variant", [Variant.M2, Variant.M3])
+    def test_behavior_indices_past_z_dump_and_load(self, variant):
+        # 30 behaviors at size 5, so its labels run from s5a past s5z to
+        # s5b26..s5b29, as sources and as targets.
+        config = ModelConfig(3, 7, add_limit=2, rem_limit=1, variant=variant, k=30)
+        states = [
+            MdpState(size, i, w, (20.0 + i, 100.0 * size), reward=float(size + i))
+            for size in config.sizes
+            if size != 5
+            for i, w in enumerate((0.25, 0.75))
+        ]
+        states += [
+            MdpState(5, i, (i + 1) / 465, (30.0 + i, 50.0 * i), reward=0.5 * i) for i in range(30)
+        ]
+        model = build_model(config, states, 5)
+        text = model.dump()
+        assert text == reference_dump.dump(model)
+        assert "\nstate s5b29 vms=5 behavior=29 " in text
+        assert "\ntrans s5b26 add_1 s6b " in text and " rem_1 s5b29 " in text
+        loaded = MdpModel.loads(text)
+        assert loaded == model == reference_dump.parse_dump(text)
+        assert loaded.dump() == text
 
     def test_zero_probabilities_of_either_sign_dump_apart(self):
         # Each size's behavior 1 has weight 0.0 at odd sizes and -0.0 at even

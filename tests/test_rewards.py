@@ -25,6 +25,7 @@ from elastimdp.rewards import (
     UtilityKind,
     cluster_behavior,
     cluster_cells,
+    rank_cells,
     score_row,
     utility_eval,
 )
@@ -295,9 +296,11 @@ class TestUtility:
 
 
 def state_reward(clusters, utility, vms):
-    """`score_row` on one size whose clusters, in their order, make a
-    one-row `RankedClusters`: the states of size `vms`."""
-    row = np.array([[(c.latency_ms, c.throughput, c.weight) for c in clusters]])
+    """`score_row` on one size whose clusters make a one-row
+    `RankedClusters`, ranked as `rank_cells` ranks them (descending weight,
+    then ascending latency, then throughput): the states of size `vms`."""
+    ranked = sorted(clusters, key=lambda c: (-c.weight, c.latency_ms, c.throughput))
+    row = np.array([[(c.latency_ms, c.throughput, c.weight) for c in ranked]])
     per_cluster, mb, eb = score_row(RankedClusters(*row.transpose(2, 0, 1)), [0], [vms], utility)
     return reference_scoring.SizeStates(per_cluster, mb[vms], eb[vms])
 
@@ -340,6 +343,17 @@ class TestStateReward:
         result = state_reward(tied, R1, 4)
         # the 30 ms center wins the tie
         assert result.mb == MdpState(4, center=(30.0, 1000.0), reward=250.0)
+
+    @settings(max_examples=200, deadline=None)
+    # Two clusters of two records each: equal weights, the lower latency first.
+    @example([recs([(9.0, 1.0), (2.0, 5.0), (9.0, 1.0), (2.0, 5.0)])], 2, 2, 0)
+    @given(mixed_row(), st.sampled_from([1, 2]), st.integers(1, 5), st.integers(0, 9))
+    def test_column_0_is_the_mode(self, cells, dims, k, seed):
+        # `score_row` reads each size's MB from column 0: the heaviest
+        # cluster, weight ties toward the lower latency, as a stable
+        # lexsort of each row picks it.
+        ranked = rank_cells(cells, ClusteringConfig(k=k, dims=dims, seed=seed))
+        assert (np.lexsort((ranked.latency, -ranked.weight))[:, 0] == 0).all()
 
     def test_per_cluster_breakdown_for_model_building(self):
         result = state_reward(self.clusters(), R1, 4)
