@@ -16,8 +16,9 @@ before it makes, loads or writes any model.
 Exit status is 0 on success, 1 when a run aborts, and 2 with one `error:`
 line on stderr for any configuration, parse or input error.  That includes
 a model dump that `MdpModel.loads` refuses: a dump loads only as a valid
-model whose `trans` lines are those `query --dump-model` writes, so
-`validate` on a dump exits 0 or 2.
+model whose lines, whitespace, blank lines and line ends aside, are those
+`query --dump-model` writes, in order, so `validate` on a dump exits 0 or
+2, and the error names the first line that differs.
 
 Every file a command reads (config, model dump, trace) may start with a
 UTF-8 byte-order mark, as a CSV log may.

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataFormatError
 from .logs import LogStore, MeasurementRecord
-from .model import finite_float, slot_setters
+from .model import Action, finite_float, slot_setters
 from .policies import Policy, PostProcessConfig, apply_benefit_threshold
 from .rewards import UtilityConfig, utility_eval
 
@@ -257,7 +257,8 @@ def trace_from_csv(text: str, policy: str = "") -> ExperimentTrace:
     """Parse `trace_to_csv` output; a malformed row raises DataFormatError
     naming its 1-based line.  A row must hold what an episode can record:
     the tick, size and measurements within `MeasurementRecord`'s bounds, a
-    finite utility, a violation of 0 or 1 and a finite `decision_ms` >= 0."""
+    finite utility, a violation of 0 or 1, no decision or an `Action`'s
+    label, and a finite `decision_ms` >= 0."""
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != TRACE_HEADER:
         raise DataFormatError(f"expected trace header {TRACE_HEADER!r}")
@@ -273,6 +274,8 @@ def trace_from_csv(text: str, policy: str = "") -> ExperimentTrace:
             violation, decision_ms = int(parts[6]), finite_float(parts[8])
             if violation not in (0, 1):
                 raise ValueError(f"violation must be 0 or 1, got {violation}")
+            if parts[7] and Action.from_label(parts[7]).label != parts[7]:
+                raise ValueError(f"not an action label: {parts[7]!r}")
             if decision_ms < 0:
                 raise ValueError(f"decision_ms must be >= 0, got {decision_ms!r}")
             records.append(

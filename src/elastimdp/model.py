@@ -34,15 +34,15 @@ are `trans_blocks`, one string per size written from `size_moves` and a
 per-call table of each size's (label, weight) pairs, never from the map.
 Each distinct probability is formatted once per call (the values repeat),
 except zeros: 0.0 and -0.0 are equal floats whose reprs differ, and a
-loaded model may hold either.  `MdpModel.loads` builds the model from the
-dump's head (the lines before its first `trans` line), then checks the
-`trans` section in place, a size block at a time: each block must stand in
-the text as rendered.  A head as `dump()` writes it is matched one
-compiled pattern per line; any other head (respaced, reordered, CRLF or
-hand-edited) is walked line by line, and the walk gives a refusal its
-message.  Loading splits `trans` lines and compares them word by word only
-from the first block that differs, and refuses a dump whose `trans` lines
-differ, naming the first differing line.
+loaded model may hold either.
+
+`MdpModel.loads` reads one format: whitespace, blank lines and line ends
+aside, a dump's lines must be the ones `dump()` writes, in order (a head
+number may take any spelling that `int` or `float` reads as the same
+value).  The head is matched one compiled pattern per line, and the `trans`
+section is checked in place, a size block at a time; a text that does not
+read as written is read again with its words joined by single spaces.  A
+refusal names the first line that differs and what was expected there.
 
 `MdpModel`'s constructor is the one check of a model's structure (see
 `_violations`), and `build_model`, `MdpModel.loads` and
@@ -65,7 +65,7 @@ import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache, cached_property
-from itertools import chain, groupby
+from itertools import groupby
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -346,7 +346,24 @@ class MdpModel:
 
     @staticmethod
     def loads(text: str) -> "MdpModel":
-        return _parse_dump(text)
+        """The model whose dump is `text`, whose lines, whitespace, blank
+        lines and line ends aside, must be the ones `dump()` writes, in
+        order (a head number may take any spelling that `int` or `float`
+        reads as the same value); else an InstantiationError naming the
+        first line that differs and what was expected there.  A text that
+        `_read_dump` refuses is read again with each non-blank line's words
+        joined by single spaces, unless that changes only the final line end."""
+        try:
+            return _read_dump(text)
+        except InstantiationError:
+            lines = [(number, line.split()) for number, line in enumerate(text.splitlines(), 1)]
+            kept = [(number, " ".join(words)) for number, words in lines if words]
+            plain = "".join([line + "\n" for _, line in kept])
+            if plain in (text, text + "\n"):
+                raise
+        # Each plain line's number in `text`, and the number after the last.
+        numbers = [number for number, _ in kept] + [kept[-1][0] + 1 if kept else 1]
+        return _read_dump(plain, numbers)
 
 
 class BehaviorMatcher:
@@ -573,223 +590,106 @@ def _violations(model: MdpModel) -> Iterator[str]:
         yield f"initial state {model.initial.label} not among model states"
 
 
-def _parse_dump(text: str) -> MdpModel:
-    """Build the model from the dump's head, the text before its first line
-    that starts with "trans ", then check the `trans` section in place: each
-    block `trans_blocks` renders (from the labels the head read has
-    checked) must stand in the text where the last one ended, followed by
-    a line feed or the end of the text.  A head as
-    `dump()` writes it is read one compiled pattern per line
-    (`_read_head`); any other head is walked line by line (`_sort_lines`,
-    `_build_model`), which also gives a refusal its message.  From the
-    first block that differs, or text left after the last block, the lines
-    of the rest are walked (`_walk_tail`).  A head that holds a line whose
-    first word is "trans", or that is no model alone (say, a state line
-    comes after the trans lines), sends the whole text to the line walk
-    (`_walk_dump`)."""
-    pos = 0 if text.startswith("trans ") else text.find("\ntrans ") + 1 or len(text)
-    model, labels = _read_head(text, pos) or (None, None)
-    if model is None:
-        rest, trans = _sort_lines(text[:pos].splitlines())
-        if trans:
-            return _walk_dump(text)
-        try:
-            model = _build_model(rest, trans)
-        except InstantiationError:
-            return _walk_dump(text)
-    blocks = trans_blocks(model, labels)
-    for block in blocks:
-        end = pos + len(block)
-        if not text.startswith(block, pos) or end < len(text) and text[end] != "\n":
-            return _walk_tail(text, pos, model, chain([block], blocks))
-        pos = end + 1
-    return _walk_tail(text, pos, model, blocks) if pos < len(text) else model
+def _head_line(template: str) -> tuple[re.Pattern[str], str]:
+    """A head line's pattern, which reads each <...> field of `template` as
+    a word, and `template`, what a refusal says was expected there."""
+    return re.compile(re.sub("<[^>]*>", r"(\\S+)", template) + r"(?:\n|\Z)"), template
 
 
-# The header, config and initial lines, and one state line, as `dump()`
-# writes them: single spaces, fields in order, each line ended by "\n".
-_HEAD_LINES = re.compile(
-    r"mdpdump 1\nconfig min_vms=([0-9]+) max_vms=([0-9]+) add_limit=([0-9]+)"
-    r" rem_limit=([0-9]+) variant=(\S+) k=([0-9]+)\ninitial (\S+)\n"
-)
-_STATE_LINE = re.compile(
-    r"state (\S+) vms=([0-9]+) behavior=([0-9]+) weight=(\S+) reward=(\S+)"
-    r" phase=decision prev=none center=(?:-|([^\s,]+),([^\s,]+))\n"
-)
+_HEADER, _CONFIG, _INITIAL, _STATE = map(_head_line, (
+    "mdpdump 1",
+    "config min_vms=<int> max_vms=<int> add_limit=<int> rem_limit=<int> variant=<M1|M2|M3> k=<int>",
+    "initial <label>",
+    "state <label> vms=<int> behavior=<int> weight=<float> reward=<float>"
+    " phase=decision prev=none center=<float,float|->",
+))
 
 
-def _read_head(text: str, pos: int) -> tuple[MdpModel, dict[StateKey, str]] | None:
-    """The model of `text[:pos]` and its states' labels when that head is
-    exactly as `dump()` writes it, else None: a line the patterns do not
-    match, a state whose label is not the one its fields make, a key given
-    twice, an initial label that names no state, or a value that `int`,
-    `float`, `Variant` or a constructor refuses.  The walk then reads the
-    head, and gives any refusal its message.  A non-finite number is read
-    by `float` and refused by `MdpModel`'s constructor, so it too goes to
-    the walk."""
-    head = _HEAD_LINES.match(text, 0, pos)
-    if head is None:
-        return None
-    min_vms, max_vms, add_limit, rem_limit, variant, k, initial = head.groups()
-    states: dict[StateKey, MdpState] = {}
-    labels: dict[StateKey, str] = {}
-    by_label: dict[str, StateKey] = {}
-    at = head.end()
+def _read_dump(text: str, numbers: Sequence[int] | None = None) -> MdpModel:
+    """The model of `text` if its lines are the ones `dump()` writes, in
+    order, each ended by a line feed (the last may lack it); else the
+    refusal of the first line that is not (`_refusal`).  The head is read
+    one compiled pattern per line, its state lines up to the first line
+    that starts with "trans ", and a model the constructor refuses is
+    refused at the line after them.  Then each block that `trans_blocks`
+    renders must stand in the text where the last one ended; only a block
+    that does not is split into lines, to find the first that differs."""
+    at = 0
     try:
+        at = _match(_HEADER, text, at).end()
+        line = _match(_CONFIG, text, at)
+        min_vms, max_vms, add_limit, rem_limit, variant, k = line.groups()
         config = ModelConfig(
             int(min_vms), int(max_vms), int(add_limit), int(rem_limit), Variant(variant), int(k)
         )
-        while at < pos:
-            line = _STATE_LINE.match(text, at, pos)
-            if line is None:
-                return None
-            label, vms, behavior, weight, reward, lat, thr = line.groups()
-            center = None if lat is None else (float(lat), float(thr))
-            state = MdpState(int(vms), int(behavior), float(weight), center, float(reward))
-            if state.key in states or state.label != label:
-                return None
+        at = line.end()
+        line = _match(_INITIAL, text, at)
+        initial, initial_at, at = line[1], at, line.end()
+        states: dict[StateKey, MdpState] = {}
+        labels: dict[StateKey, str] = {}
+        by_label: dict[str, StateKey] = {}
+        head_end = text.find("\ntrans ") + 1 or len(text)
+        while at < head_end:
+            line = _STATE[0].match(text, at) or _match(_STATE, text, at)  # _match refuses
+            label, vms, behavior, weight, reward, point = line.groups()
+            size, index, w, r = int(vms), int(behavior), float(weight), float(reward)
+            lat, _, thr = point.partition(",")
+            center = None if point == "-" else (float(lat), float(thr))
+            if not math.isfinite(w + r + (center[0] + center[1] if center else 0.0)):
+                for value in (weight, reward, lat, thr)[: 4 if center else 2]:
+                    finite_float(value)  # refuses the first non-finite value
+            state = MdpState(size, index, w, center, r)
+            if state.label != label:
+                raise ValueError(f"state {label} has the fields of {state.label}")
+            if state.key in states:
+                raise ValueError(f"state {label} is defined twice")
             states[state.key] = state
             labels[state.key] = label
             by_label[label] = state.key
             at = line.end()
         if initial not in by_label:
-            return None
-        return MdpModel(config=config, states=states, initial=states[by_label[initial]]), labels
-    except (ValueError, ConfigurationError, InstantiationError):
-        return None
-
-
-def _walk_tail(text: str, pos: int, model: MdpModel, blocks: Iterator[str]) -> MdpModel:
-    """Check the lines of `text` from `pos`, the start of a line, against
-    `blocks`, the blocks not yet matched in place: so no block is rendered
-    twice.  A line there that is neither blank nor a trans line would have
-    been read with the head, so it sends the whole text to `_walk_dump`."""
-    first = len(text[:pos].splitlines()) + 1
-    rest, trans = _sort_lines(text[pos:].splitlines(), first)
-    if rest:
-        return _walk_dump(text)
-    _check_trans(text, trans, blocks)
+            at = initial_at
+            raise ValueError(f"initial state {initial} not defined")
+        model = MdpModel(config=config, states=states, initial=states[by_label[initial]])
+    except (ValueError, ConfigurationError, InstantiationError) as exc:
+        raise _refusal(text, at, numbers, str(exc)) from None
+    for block in trans_blocks(model, labels):
+        end = at + len(block)
+        if not text.startswith(block, at) or end < len(text) and text[end] != "\n":
+            for want in block.split("\n"):  # refuse the first line that differs
+                end = at + len(want)
+                if not text.startswith(want, at) or end < len(text) and text[end] != "\n":
+                    raise _refusal(text, at, numbers, _expected(want, text, at))
+                at = end + 1
+        at = end + 1
+    if at < len(text):
+        raise _refusal(text, at, numbers, "expected the end of the dump")
     return model
 
 
-def _walk_dump(text: str) -> MdpModel:
-    """The line walk of the whole text: build the model from every line
-    that is not a trans line, then check the trans lines."""
-    rest, trans = _sort_lines(text.splitlines())
-    model = _build_model(rest, trans)
-    _check_trans(text, trans, trans_blocks(model))
-    return model
+def _match(line: tuple[re.Pattern[str], str], text: str, at: int) -> re.Match[str]:
+    """The match of `line`'s pattern at `at`, or a ValueError saying what
+    was expected there."""
+    pattern, template = line
+    found = pattern.match(text, at)
+    if found is None:
+        raise ValueError(_expected(template, text, at))
+    return found
 
 
-NumberedLine = tuple[int, str]
+def _expected(line: str, text: str, at: int) -> str:
+    """The refusal that says `line` was expected at `at`."""
+    return f"expected {line!r}" + (", found the end of the dump" if at >= len(text) else "")
 
 
-def _sort_lines(
-    lines: list[str], first: int = 1
-) -> tuple[list[tuple[int, list[str]]], list[NumberedLine]]:
-    """Number `lines` from `first` and sort them: the words of each line
-    that is neither blank nor a trans line, and the text of each trans line,
-    one that starts with "trans " or whose first word is "trans"."""
-    rest, trans = [], []
-    for number, line in enumerate(lines, first):
-        if line.startswith("trans "):
-            trans.append((number, line))
-        elif words := line.split():
-            if words[0] == "trans":
-                trans.append((number, line))
-            else:
-                rest.append((number, words))
-    return rest, trans
-
-
-def _build_model(rest: list[tuple[int, list[str]]], trans: list[NumberedLine]) -> MdpModel:
-    """The model of a dump's header, config, initial and state lines
-    (`rest`, from `_sort_lines`); `trans` only tells whether a trans line
-    comes before the header."""
-    if not rest or rest[0][1] != ["mdpdump", "1"] or trans and trans[0][0] < rest[0][0]:
-        raise InstantiationError("not a model dump (missing 'mdpdump 1' header)")
-
-    config: ModelConfig | None = None
-    initial_label: str | None = None
-    states: dict[StateKey, MdpState] = {}
-    by_label: dict[str, StateKey] = {}
-
-    for number, words in rest[1:]:
-        try:
-            if words[0] == "state":
-                _, label, *fields = words
-                attrs = dict(field.split("=", 1) for field in fields if "=" in field)
-                center = None
-                if attrs["center"] != "-":
-                    lat, thr = attrs["center"].split(",")
-                    center = (finite_float(lat), finite_float(thr))
-                if (attrs["phase"], attrs["prev"]) != ("decision", "none"):
-                    raise ValueError(
-                        f"phase={attrs['phase']} prev={attrs['prev']}, but every state"
-                        " has phase=decision prev=none"
-                    )
-                state = MdpState(
-                    vms_num=int(attrs["vms"]),
-                    behavior_index=int(attrs["behavior"]),
-                    weight=finite_float(attrs["weight"]),
-                    center=center,
-                    reward=finite_float(attrs["reward"]),
-                )
-                if label != state.label:
-                    raise ValueError(f"state {label} has the fields of {state.label}")
-                if state.key in states:
-                    raise ValueError(f"state {label} is defined twice")
-                states[state.key] = state
-                by_label[label] = state.key
-            elif words[0] == "config":
-                if config is not None:
-                    raise ValueError("second config line")
-                attrs = dict(field.split("=", 1) for field in words if "=" in field)
-                config = ModelConfig(
-                    min_vms=int(attrs["min_vms"]),
-                    max_vms=int(attrs["max_vms"]),
-                    add_limit=int(attrs["add_limit"]),
-                    rem_limit=int(attrs["rem_limit"]),
-                    variant=Variant(attrs["variant"]),
-                    k=int(attrs["k"]),
-                )
-            elif words[0] == "initial":
-                if initial_label is not None:
-                    raise ValueError("second initial line")
-                _, initial_label = words
-            else:
-                raise ValueError(f"unrecognized dump line {' '.join(words)!r}")
-        except KeyError as exc:
-            raise InstantiationError(f"model dump line {number}: missing {exc.args[0]}=") from exc
-        except (ValueError, ConfigurationError) as exc:
-            raise InstantiationError(f"model dump line {number}: {exc}") from exc
-
-    if config is None or initial_label is None:
-        raise InstantiationError("model dump lacks its config or initial line")
-    if initial_label not in by_label:
-        raise InstantiationError(f"initial state {initial_label} not defined")
-
-    return MdpModel(config=config, states=states, initial=states[by_label[initial_label]])
-
-
-def _check_trans(text: str, trans: list[NumberedLine], blocks: Iterator[str]) -> None:
-    """Check the trans lines of `text`, in order, against the lines of
-    `blocks`, passing a line whose words are the expected line's.
-    `blocks` is lazy, so this work is bounded by the dump's lines."""
-    lines = iter(trans)
-    for block in blocks:
-        for want in block.split("\n"):
-            number, line = next(lines, (0, None))
-            if line is None:
-                end = len(text.rstrip().splitlines()) + 1
-                raise InstantiationError(
-                    f"model dump line {end}: expected {want!r}, found the end of the dump"
-                )
-            if line != want and " ".join(line.split()) != want:
-                raise InstantiationError(f"model dump line {number}: expected {want!r}")
-    extra = next(lines, None)
-    if extra is not None:
-        raise InstantiationError(f"model dump line {extra[0]}: expected no further trans line")
+def _refusal(text: str, at: int, numbers: Sequence[int] | None, what: str) -> InstantiationError:
+    """The refusal `what` of the line of `text` that starts at `at` (at or
+    past the end, of the line after the last), named by its number in the
+    text the caller loads: `numbers[i]` for line i, or i + 1 when None."""
+    at = min(at, len(text))
+    line = text.count("\n", 0, at) + (0 < at and text[at - 1] != "\n")
+    number = line + 1 if numbers is None else numbers[line]
+    return InstantiationError(f"model dump line {number}: {what}")
 
 
 def finite_float(text: str) -> float:

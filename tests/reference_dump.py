@@ -1,11 +1,13 @@
 """The line-at-a-time dump writer and loader, kept as a test-side
 reference: `trans_lines` yields one `trans` line at a time, and
-`parse_dump` splits every line into words and compares each `trans`
-line with the next expected one.  The package's block renderer and loader
-must write byte-identical dumps, and must load or refuse every text
-exactly as these do, with the same message.  The rows are made here
-(`size_rows`), from `Action` objects and (key, probability) tuples, so the
-renderer is checked against code it shares no arithmetic with."""
+`parse_dump` reads a dump one line at a time, a head line's fields by
+position, and compares each `trans` line with the next expected one.
+The package's block renderer and loader must write byte-identical dumps,
+and must load or refuse every text exactly as these do, with the same
+message.  The rows are made here (`size_rows`), from `Action` objects and
+(key, probability) tuples, so the renderer is checked against code it
+shares no arithmetic with; the loader shares no pattern or helper with
+the package's."""
 
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from elastimdp.model import (
     ModelConfig,
     StateKey,
     Variant,
-    finite_float,
 )
 
 Row = tuple[tuple[StateKey, float], ...]
@@ -86,93 +87,126 @@ def trans_lines(model: MdpModel) -> Iterator[str]:
             yield f"{head} no_op {source.label} 1.0"
 
 
+# The head lines a refusal says it expected, as the loader's contract
+# states them.
+HEADER = "mdpdump 1"
+CONFIG = (
+    "config min_vms=<int> max_vms=<int> add_limit=<int> rem_limit=<int>"
+    " variant=<M1|M2|M3> k=<int>"
+)
+INITIAL = "initial <label>"
+STATE = (
+    "state <label> vms=<int> behavior=<int> weight=<float> reward=<float>"
+    " phase=decision prev=none center=<float,float|->"
+)
+
+
+class Refused(Exception):
+    """A refusal of the kept line at `index`, or of the end when past them."""
+
+    def __init__(self, index: int, what: str):
+        super().__init__(what)
+        self.index = index
+
+
+def fields(line: str, template: str) -> list[str] | None:
+    """The values of `line`'s <...> fields, read by position against
+    `template`'s words, or None when its other words differ."""
+    words, wants = line.split(" "), template.split(" ")
+    if len(words) != len(wants):
+        return None
+    values = []
+    for word, want in zip(words, wants):
+        name, _, field = want.partition("<")
+        if not field:
+            if word != want:
+                return None
+        elif not word.startswith(name) or word == name:
+            return None
+        else:
+            values.append(word[len(name) :])
+    return values
+
+
+def finite(text: str) -> float:
+    """`float(text)`, refusing NaN and infinities."""
+    value = float(text)
+    if value != value or value in (float("inf"), float("-inf")):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
 def parse_dump(text: str) -> MdpModel:
-    """Build the model from the dump's header, config, initial and state
-    lines, then check its `trans` lines, word by word and in order,
-    against the lines `trans_lines` writes for that model."""
-    lines = [(n, line.split()) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
-    if not lines or lines[0][1] != ["mdpdump", "1"]:
-        raise InstantiationError("not a model dump (missing 'mdpdump 1' header)")
+    """Read the dump a line at a time: each non-blank line, with its words
+    joined by single spaces, must be in order the header, the config and
+    initial lines, the state lines up to the first line that starts with
+    "trans ", then the lines `trans_lines` writes for their model, then
+    nothing.  A head line's fields are read by position, its values in
+    line order, then each float of a state line must be finite.  A
+    refusal names the line's number in `text` (the line after the last
+    non-blank one at the end) and what was expected there."""
+    lines = [(n, " ".join(line.split())) for n, line in enumerate(text.splitlines(), 1)]
+    lines = [(n, line) for n, line in lines if line]
+    try:
+        return read_lines([line for _, line in lines])
+    except Refused as refused:
+        i = refused.index
+        n = lines[i][0] if i < len(lines) else (lines[-1][0] if lines else 0) + 1
+        raise InstantiationError(f"model dump line {n}: {refused}") from None
 
-    config: ModelConfig | None = None
-    initial_label: str | None = None
-    states: dict[StateKey, MdpState] = {}
-    by_label: dict[str, StateKey] = {}
-    trans: list[tuple[int, list[str]]] = []
 
-    for number, words in lines[1:]:
-        try:
-            if words[0] == "trans":
-                trans.append((number, words))
-            elif words[0] == "state":
-                _, label, *fields = words
-                attrs = dict(field.split("=", 1) for field in fields if "=" in field)
-                center = None
-                if attrs["center"] != "-":
-                    lat, thr = attrs["center"].split(",")
-                    center = (finite_float(lat), finite_float(thr))
-                if (attrs["phase"], attrs["prev"]) != ("decision", "none"):
-                    raise ValueError(
-                        f"phase={attrs['phase']} prev={attrs['prev']}, but every state"
-                        " has phase=decision prev=none"
-                    )
-                state = MdpState(
-                    vms_num=int(attrs["vms"]),
-                    behavior_index=int(attrs["behavior"]),
-                    weight=finite_float(attrs["weight"]),
-                    center=center,
-                    reward=finite_float(attrs["reward"]),
-                )
-                if label != state.label:
-                    raise ValueError(f"state {label} has the fields of {state.label}")
-                if state.key in states:
-                    raise ValueError(f"state {label} is defined twice")
-                states[state.key] = state
-                by_label[label] = state.key
-            elif words[0] == "config":
-                if config is not None:
-                    raise ValueError("second config line")
-                attrs = dict(field.split("=", 1) for field in words if "=" in field)
-                config = ModelConfig(
-                    min_vms=int(attrs["min_vms"]),
-                    max_vms=int(attrs["max_vms"]),
-                    add_limit=int(attrs["add_limit"]),
-                    rem_limit=int(attrs["rem_limit"]),
-                    variant=Variant(attrs["variant"]),
-                    k=int(attrs["k"]),
-                )
-            elif words[0] == "initial":
-                if initial_label is not None:
-                    raise ValueError("second initial line")
-                _, initial_label = words
-            else:
-                raise ValueError(f"unrecognized dump line {' '.join(words)!r}")
-        except KeyError as exc:
-            raise InstantiationError(f"model dump line {number}: missing {exc.args[0]}=") from exc
-        except (ValueError, ConfigurationError) as exc:
-            raise InstantiationError(f"model dump line {number}: {exc}") from exc
+def read_lines(lines: list[str]) -> MdpModel:
+    """The model of a dump's kept lines, or the refusal of one of them."""
+    def expect(i: int, template: str) -> list[str]:
+        values = fields(lines[i], template) if i < len(lines) else None
+        if values is None:
+            end = ", found the end of the dump" if i >= len(lines) else ""
+            raise Refused(i, f"expected {template!r}{end}")
+        return values
 
-    if config is None or initial_label is None:
-        raise InstantiationError("model dump lacks its config or initial line")
-    if initial_label not in by_label:
-        raise InstantiationError(f"initial state {initial_label} not defined")
-
-    model = MdpModel(
-        config=config,
-        states=states,
-        initial=states[by_label[initial_label]],
-    )
+    i = 0
+    try:
+        expect(0, HEADER)
+        i = 1
+        *limits, variant, k = expect(1, CONFIG)
+        config = ModelConfig(*map(int, limits), Variant(variant), int(k))
+        i = 2
+        (initial,) = expect(2, INITIAL)
+        states: dict[StateKey, MdpState] = {}
+        by_label: dict[str, StateKey] = {}
+        for i in range(3, len(lines) + 1):
+            if i == len(lines) or lines[i].startswith("trans "):
+                break
+            label, vms, behavior, weight, reward, point = expect(i, STATE)
+            values = [int(vms), int(behavior), float(weight), float(reward)]
+            if point != "-":
+                lat, _, thr = point.partition(",")
+                values += [float(lat), float(thr)]
+            for value in [weight, reward] + ([lat, thr] if point != "-" else []):
+                finite(value)
+            size, index, w, r, *center = values
+            state = MdpState(size, index, w, tuple(center) or None, r)
+            if state.label != label:
+                raise ValueError(f"state {label} has the fields of {state.label}")
+            if state.key in states:
+                raise ValueError(f"state {label} is defined twice")
+            states[state.key] = state
+            by_label[label] = state.key
+        if initial not in by_label:
+            i = 2
+            raise ValueError(f"initial state {initial} not defined")
+        model = MdpModel(config=config, states=states, initial=states[by_label[initial]])
+    except (ValueError, ConfigurationError, InstantiationError) as exc:
+        raise Refused(i, str(exc)) from None
     # `trans_lines` is lazy, so this work is bounded by the dump's lines.
     expected = trans_lines(model)
-    for number, words in trans:
+    for i in range(i, len(lines)):
         want = next(expected, None)
         if want is None:
-            raise InstantiationError(f"model dump line {number}: expected no further trans line")
-        if " ".join(words) != want:
-            raise InstantiationError(f"model dump line {number}: expected {want!r}")
+            raise Refused(i, "expected the end of the dump")
+        if lines[i] != want:
+            raise Refused(i, f"expected {want!r}")
     want = next(expected, None)
     if want is not None:
-        raise InstantiationError(
-            f"model dump line {lines[-1][0] + 1}: expected {want!r}, found the end of the dump"
-        )
+        raise Refused(len(lines), f"expected {want!r}, found the end of the dump")
     return model

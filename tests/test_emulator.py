@@ -351,6 +351,8 @@ class TestTraceCsv:
             ("0,1000.0,4,20.0,900.0,225.0,-1,no_op,0.5", "violation must be 0 or 1, got -1"),
             ("0,1000.0,4,20.0,900.0,225.0,0,no_op,-0.5", "decision_ms must be >= 0, got -0.5"),
             ("-1,1000.0,4,20.0,900.0,225.0,0,no_op,0.5", "time must be >= 0, got -1"),
+            ("0,1000.0,4,20.0,900.0,225.0,0,bogus,0.5", "not an action label: 'bogus'$"),
+            ("0,1000.0,4,20.0,900.0,225.0,0,add_02,0.5", "not an action label: 'add_02'$"),
         ],
     )
     def test_malformed_row_names_its_line(self, row, message):
@@ -404,4 +406,5 @@ def test_any_trace_text_parses_or_raises_a_typed_error(text):
     for record in trace.records:
         assert record.vms >= 1 and record.tick >= 0 and record.decision_ms >= 0
         assert min(record.load, record.latency_ms, record.throughput) >= 0
+        assert record.decision == "" or Action.from_label(record.decision).label == record.decision
     assert trace_from_csv(trace_to_csv(trace)).records == trace.records

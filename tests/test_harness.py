@@ -1266,8 +1266,8 @@ class TestCli:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == (
-            "error: model dump line 5: phase=bogus prev=none,"
-            " but every state has phase=decision prev=none\n"
+            "error: model dump line 5: expected 'state <label> vms=<int> behavior=<int>"
+            " weight=<float> reward=<float> phase=decision prev=none center=<float,float|->'\n"
         )
 
     def test_validate_malformed_dump_exit_code(self, tmp_path, capsys):
@@ -1276,8 +1276,9 @@ class TestCli:
         dump = tmp_path / "model.txt"
         dump.write_text(model.dump().replace(" center=-", "", 1), encoding="utf-8")
         assert self.run_cli("validate", "--model-dump", str(dump)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "missing center=" in err
+        assert capsys.readouterr().err.startswith(
+            "error: model dump line 4: expected 'state <label> vms=<int>"
+        )
 
     def test_replay_rescoring(self, tmp_path, capsys):
         lines = ["tick,load,vms,latency_ms,throughput,utility,violation,decision,decision_ms"]

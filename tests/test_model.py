@@ -387,7 +387,7 @@ class TestValidation:
             dataclasses.replace(chain_model().states[(4, 0)], previous_action="rem")
         old, new = "reward=4.0 phase=decision prev=none", "reward=4.0 phase=decision prev=rem"
         text = edited_dump(chain_model(), old, new)
-        assert refusal(text).startswith("model dump line 5: phase=decision prev=rem, but")
+        assert refusal(text) == f"model dump line 5: expected {reference_dump.STATE!r}"
 
     def test_missing_no_op_loop(self):
         model = chain_model()
@@ -410,11 +410,11 @@ class TestValidation:
         with pytest.raises(TypeError):
             dataclasses.replace(chain_model().states[(4, 0)], phase_label="accepted")
         text = edited_dump(chain_model(), "reward=4.0 phase=decision", "reward=4.0 phase=accepted")
-        assert refusal(text).startswith("model dump line 5: phase=accepted prev=none, but")
+        assert refusal(text) == f"model dump line 5: expected {reference_dump.STATE!r}"
 
     def test_phase_order_violation(self):
         text = edited_dump(chain_model(), "reward=5.0 phase=decision", "reward=5.0 phase=control")
-        assert refusal(text).startswith("model dump line 6: phase=control prev=none, but")
+        assert refusal(text) == f"model dump line 6: expected {reference_dump.STATE!r}"
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -471,11 +471,11 @@ class TestValidation:
         return build_model(TWO_BEHAVIOR_CONFIG, TWO_BEHAVIOR_STATES, current=3)
 
     def test_m1_edited_dump_is_refused(self):
+        # A model the constructor refuses is refused at the line after the states.
         text = edited_dump(self.two_behavior_model(), "variant=M2 k=2", "variant=M1 k=1")
-        with pytest.raises(
-            InstantiationError, match=r"^state s4b has behavior 1, but variant M1 with k=1 admits 1"
-        ):
-            MdpModel.loads(text)
+        assert refusal(text) == (
+            "model dump line 8: state s4b has behavior 1, but variant M1 with k=1 admits 1 per size"
+        )
 
     def test_behavior_outside_k_is_refused(self):
         text = self.two_behavior_model().dump()
@@ -483,7 +483,7 @@ class TestValidation:
         seven = text.replace("vms=4 behavior=1", "vms=4 behavior=7")
         assert refusal(seven) == "model dump line 6: state s4b has the fields of s4h"
         assert refusal(seven.replace("s4b", "s4h")) == (
-            "state s4h has behavior 7, but variant M2 with k=2 admits 2 per size"
+            "model dump line 8: state s4h has behavior 7, but variant M2 with k=2 admits 2 per size"
         )
         twice = text.replace("s4a vms=4 behavior=0", "s4b vms=4 behavior=1")
         assert refusal(twice) == "model dump line 6: state s4b is defined twice"
@@ -518,24 +518,26 @@ class TestDump:
     @pytest.mark.parametrize(
         "prefix, old, new, line, message",
         [
-            ("state s4", " center=-", "", 5, "missing center="),
+            ("state s4", " center=-", "", 5, "expected 'state <label> vms=<int> "),
             ("trans s3 add_1", "add_1", "add_0", 9, "expected 'trans s3 add_1 s4 0.5'$"),
             ("trans s3 add_1", " s4 ", " s9 ", 9, "expected 'trans s3 add_1 s4 0.5'$"),
             ("state s4", "reward=4.0", "reward=abc", 5, "abc"),
-            ("config", "min_vms=3 ", "", 2, "missing min_vms="),
+            ("config", "min_vms=3 ", "", 2, "expected 'config min_vms=<int> max_vms=<int> "),
             ("state s4", "reward=4.0", "reward=nan", 5, "non-finite"),
             ("state s5", "weight=1.0", "weight=inf", 6, "non-finite"),
             # Canonical lines whose values the head's patterns read, but which
-            # the constructors refuse: the walk gives the refusal its message.
+            # the constructors refuse.
             ("state s4", "center=-", "center=nan,600.0", 5, "non-finite number 'nan'$"),
             ("state s5", "reward=5.0", "reward=-inf", 6, "non-finite number '-inf'$"),
             ("config", "k=1", "k=0", 2, "k must be >= 1$"),
             ("config", "variant=M1", "variant=M4", 2, "'M4' is not a valid Variant$"),
-            ("initial", "s4", "s4\ninitial s3", 4, "second initial line"),
+            # A second initial or config line stands where a state or the
+            # initial line is expected.
+            ("initial", "s4", "s4\ninitial s3", 4, "expected 'state <label> vms=<int> "),
             (
                 "config", "k=1",
                 "k=1\nconfig min_vms=3 max_vms=7 add_limit=1 rem_limit=1 variant=M1 k=1",
-                3, "second config line",
+                3, "expected 'initial <label>'$",
             ),
         ],
     )
@@ -946,14 +948,15 @@ class TestDumpBoundary:
     def test_unknown_phase_is_refused(self):
         text = edited_dump(chain_model(), "reward=5.0 phase=decision", "reward=5.0 phase=bogus")
         assert refusal(text) == (
-            "model dump line 6: phase=bogus prev=none, but every state has phase=decision prev=none"
+            "model dump line 6: expected 'state <label> vms=<int> behavior=<int> weight=<float>"
+            " reward=<float> phase=decision prev=none center=<float,float|->'"
         )
 
     @pytest.mark.parametrize(
         "case, message",
         [
             ("no s5", "no state of size 5$"),
-            ("extra entry", "^model dump line 25: expected no further trans line$"),
+            ("extra entry", "^model dump line 25: expected the end of the dump$"),
             ("3M sizes", "no state of size 4$"),
             (
                 "1500 states",
@@ -1108,94 +1111,121 @@ class TestReferenceDump:
         assert loaded == model and loaded.dump() == text
 
 
-def walked_load(text):
-    """`MdpModel.loads(text)`'s outcome, and whether the line walk built
-    the model of the dump's head (`model._build_model`)."""
-    build = model_module._build_model
+def counted_load(text):
+    """`MdpModel.loads(text)`'s outcome, and how many times it read a text
+    (`model._read_dump`)."""
+    read = model_module._read_dump
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return build(*args)
+        return read(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(model_module, "_build_model", counted)
-        return outcome(MdpModel.loads, text), bool(calls)
+        patch.setattr(model_module, "_read_dump", counted)
+        return outcome(MdpModel.loads, text), len(calls)
 
 
 class TestCanonicalHead:
-    """A head as `dump()` writes it is read by the patterns alone; any
-    other text goes to the line walk, which loads it or refuses it as
-    `reference_dump` does."""
+    """Text as `dump()` writes it is read once; other whitespace is read
+    twice, to the same model; any other head is refused, naming its line
+    and what was expected there, as `reference_dump` does."""
 
     @settings(max_examples=100, deadline=None)
     @given(config_and_states())
-    def test_a_canonical_dump_never_reaches_the_walk(self, instance):
+    def test_a_dump_is_read_once(self, instance):
         model = build_model(*instance)
         text = model.dump()
+        assert counted_load(text) == ((model, text), 1)
 
-        def refused(*args):
-            raise AssertionError("the line walk built a canonical dump's head")
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(model_module, "_build_model", refused)
-            loaded = MdpModel.loads(text)
-        assert loaded == model and loaded.dump() == text
+    @settings(max_examples=100, deadline=None)
+    @given(config_and_states())
+    def test_respaced_and_crlf_copies_are_read_twice(self, instance):
+        model = build_model(*instance)
+        text = model.dump()
+        for copy in (text.replace(" ", "  "), text.replace("\n", "\r\n")):
+            assert counted_load(copy) == ((model, text), 2)
 
     @pytest.mark.parametrize(
         "old, new",
         [
-            (" center=-\nstate s5", " center=nan,600.0\nstate s5"),
-            (" center=-\nstate s5", " center=20.0,inf\nstate s5"),
-            ("reward=5.0", "reward=nan"),
-            ("weight=1.0 reward=6.0", "weight=-1.0 reward=6.0"),
-            ("k=1", "k=0"),
-            ("max_vms=7", "max_vms=2"),
-            ("variant=M1", "variant=m1"),
-            ("initial s4", "initial s9"),
-            ("initial s4", "initial s4a"),
-            # a label that is not the one its fields make
-            ("state s6 vms=6", "state s6a vms=6"),
-            ("state s6 vms=6", "state s5 vms=6"),
-            # a key given twice
-            ("state s6 vms=6", "state s5 vms=5"),
-            # an extra key=value field, which the walk ignores
-            (" center=-\nstate s5", " center=- note=x\nstate s5"),
-            ("k=1\n", "k=1 seed=3\n"),
-            # reordered fields and lines, and text before the trans lines
-            ("vms=4 behavior=0", "behavior=0 vms=4"),
-            ("initial s4\n", ""),
+            # blank and blank-ended lines before the trans lines
             ("\ntrans s3 add_1", "\n\ntrans s3 add_1"),
-            ("\ntrans s3 add_1", "\n# note\ntrans s3 add_1"),
             ("center=-\ntrans s3 add_1", "center=-  \ntrans s3 add_1"),
+            ("vms=4 behavior=0", "vms=4\tbehavior=0"),
         ],
     )
-    def test_any_other_head_goes_to_the_walk(self, old, new):
+    def test_other_whitespace_in_the_head_loads(self, old, new):
+        model = chain_model()
+        assert counted_load(edited_dump(model, old, new)) == ((model, model.dump()), 2)
+
+    @pytest.mark.parametrize(
+        "old, new, line, message",
+        [
+            (" center=-\nstate s5", " center=nan,600.0\nstate s5", 5, "non-finite number 'nan'"),
+            (" center=-\nstate s5", " center=20.0,inf\nstate s5", 5, "non-finite number 'inf'"),
+            (" center=-\nstate s5", " center=20.0\nstate s5", 5,
+             "could not convert string to float: ''"),
+            ("reward=5.0", "reward=nan", 6, "non-finite number 'nan'"),
+            # a model the constructor refuses, at the line after the states
+            ("s6 vms=6 behavior=0 weight=1.0", "s6a vms=6 behavior=0 weight=-1.0", 9,
+             "behavior weight -1.0 of state s6a outside [0, 1]"),
+            ("max_vms=7", "max_vms=8", 9, "no state of size 8"),
+            ("k=1", "k=0", 2, "k must be >= 1"),
+            ("max_vms=7", "max_vms=2", 2, "need 1 <= min_vms <= max_vms, got [3, 2]"),
+            ("variant=M1", "variant=m1", 2, "'m1' is not a valid Variant"),
+            ("initial s4", "initial s9", 3, "initial state s9 not defined"),
+            ("initial s4", "initial s4a", 3, "initial state s4a not defined"),
+            # a label that is not the one its fields make
+            ("state s6 vms=6", "state s6a vms=6", 7, "state s6a has the fields of s6"),
+            ("state s6 vms=6", "state s5 vms=6", 7, "state s5 has the fields of s6"),
+            # a key given twice
+            ("state s6 vms=6", "state s5 vms=5", 7, "state s5 is defined twice"),
+            # an extra field, reordered fields and a missing or unknown line
+            (" center=-\nstate s5", " center=- note=x\nstate s5", 5, "expected STATE"),
+            ("k=1\n", "k=1 seed=3\n", 2, "expected CONFIG"),
+            ("vms=4 behavior=0", "behavior=0 vms=4", 5, "expected STATE"),
+            ("initial s4\n", "", 3, "expected 'initial <label>'"),
+            ("\ntrans s3 add_1", "\n# note\ntrans s3 add_1", 9, "expected STATE"),
+            ("mdpdump 1", "mdpdump  2", 1, "expected 'mdpdump 1'"),
+        ],
+    )
+    def test_any_other_head_is_refused_at_its_line(self, old, new, line, message):
         text = edited_dump(chain_model(), old, new)
-        assert walked_load(text) == (outcome(reference_dump.parse_dump, text), True)
+        message = message.replace("STATE", repr(reference_dump.STATE))
+        message = message.replace("CONFIG", repr(reference_dump.CONFIG))
+        refused = (InstantiationError, f"model dump line {line}: {message}")
+        assert counted_load(text)[0] == outcome(reference_dump.parse_dump, text) == refused
+
+    @pytest.mark.parametrize("moved", ["state s3 ", "state s7 ", "initial s4", "config "])
+    def test_a_head_line_after_the_trans_lines_is_refused(self, moved):
+        model = chain_model()
+        lines = model.dump().splitlines()
+        [line] = [line for line in lines if line.startswith(moved)]
+        lines.remove(line)
+        lines.append(line)
+        text = "\n".join(lines) + "\n"
+        message = refusal(text)
+        assert message.startswith("model dump line ")
+        assert outcome(reference_dump.parse_dump, text) == (InstantiationError, message)
 
     @pytest.mark.parametrize(
         "old, new",
         [
             ("weight=1.0 reward=3.0", "weight=+1.0 reward=3.0"),
             ("reward=3.0", "reward=3"),
-            ("reward=3.0", "reward=3_0.0"),
+            ("reward=3.0", "reward=30e-1"),
             ("vms=3 behavior=0", "vms=03 behavior=0"),
+            ("vms=3 behavior=0", "vms=+3 behavior=0"),
             ("min_vms=3", "min_vms=003"),
         ],
     )
-    def test_other_spellings_of_a_value_read_as_the_walk_reads_them(self, old, new):
-        # The patterns pass a value's text to the walk's own `int` and
-        # `float`, so another spelling of the same value gives its model.
-        text = edited_dump(chain_model(), old, new)
-        assert walked_load(text) == (outcome(reference_dump.parse_dump, text), False)
-
-    def test_respaced_state_lines_load_through_the_walk(self):
-        model = build_model(TWO_BEHAVIOR_CONFIG, TWO_BEHAVIOR_STATES, 4)
-        text = model.dump()
-        assert walked_load(text) == ((model, text), False)
-        respaced = text.replace(" vms=", "  vms=")
-        assert walked_load(respaced) == ((model, text), True)
+    def test_other_spellings_of_a_head_number_read_as_its_value(self, old, new):
+        # Another spelling that `int` or `float` reads as the same value
+        # gives the same model, read once.
+        model, text = chain_model(), edited_dump(chain_model(), old, new)
+        assert counted_load(text) == ((model, model.dump()), 1)
+        assert reference_dump.parse_dump(text) == model
 
 
 class TestDumpText:
