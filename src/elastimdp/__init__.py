@@ -34,7 +34,6 @@ from .policies import (
     apply_benefit_threshold,
     instantiate_model,
     make_policy,
-    mdp_decide,
     re_decide,
     rl_decide,
     rl_update,

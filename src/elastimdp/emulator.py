@@ -41,10 +41,12 @@ class LoadProfile:
     variation: LoadVariation = LoadVariation.LV1
 
     def __post_init__(self) -> None:
-        if self.load_min < 0:
+        if not 0 <= self.load_min:
             raise ConfigurationError(f"load_min must be >= 0, got {self.load_min!r}")
-        if self.load_min >= self.load_max:
+        if not self.load_min < self.load_max:
             raise ConfigurationError("load_min must be below load_max")
+        if not self.load_max < math.inf:
+            raise ConfigurationError(f"load_max must be finite, got {self.load_max!r}")
         if self.period_ticks < 2:
             raise ConfigurationError("period must be at least 2 ticks")
 
@@ -170,7 +172,7 @@ class ScheduleConfig:
     emulation_noise_fraction: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.tick_seconds <= 0:
+        if not 0 < self.tick_seconds < math.inf:
             raise ConfigurationError("tick_seconds must be positive")
         if self.decision_every_ticks < 1:
             raise ConfigurationError("decision interval must be >= 1 tick")
@@ -178,7 +180,7 @@ class ScheduleConfig:
             raise ConfigurationError("horizon must be >= 1 tick")
         if self.initial_vms < 1:
             raise ConfigurationError("initial_vms must be >= 1")
-        if self.emulation_noise_fraction < 0:
+        if not 0 <= self.emulation_noise_fraction < math.inf:
             raise ConfigurationError("noise fraction must be >= 0")
 
 

@@ -95,7 +95,7 @@ class LogStore:
       config, clustering config, utility and load bucket: the model, its
       interpolation notes and arrival values, and, filled as decisions
       reach them, each size's `BehaviorMatcher` and each start state's
-      `PolicyDecision` (filled by `policies.mdp_decide`);
+      `PolicyDecision` (filled by `policies.MdpPolicy.decide`);
     * `tape_memo`: a run's `EnvironmentTape`, per seeded bit-generator
       state, load profile, horizon, noise fraction and utility (filled by
       `emulator.environment_tape`).  It holds the run's (load, record
@@ -109,7 +109,7 @@ class LogStore:
     """
 
     def __init__(self, records: Iterable[MeasurementRecord] = (), bucket_width: float = 1000.0):
-        if bucket_width <= 0:
+        if not 0 < bucket_width < inf:
             raise ValueError("bucket_width must be positive")
         self.bucket_width = width = float(bucket_width)
         self._buckets: dict[tuple[int, int], list[MeasurementRecord]] = {}
@@ -145,10 +145,11 @@ class LogStore:
     def select_logs(self, vms_num: int, load: float) -> LogSelection:
         """Records for `vms_num` in the load bucket nearest `load`.
 
-        Falls back to the closest populated bucket of the same size, then
-        to the closest size (ties toward fewer VMs), flagging the result
-        as interpolated.  Repeated queries of one (vms, load bucket) pair
-        return the same selection.
+        Without records in that cell, the nearest populated cell stands in,
+        flagged as interpolated: the nearest size first (ties toward fewer
+        VMs), then the nearest bucket of that size (ties toward the lower
+        bucket).  Repeated queries of one (vms, load bucket) pair return
+        the same selection.
         """
         if not self._buckets:
             raise NoDataError("log store is empty")
@@ -159,29 +160,13 @@ class LogStore:
         return selection
 
     def _select(self, vms_num: int, bucket: int) -> LogSelection:
-        exact = self._buckets.get((vms_num, bucket))
-        if exact:
-            return LogSelection(tuple(exact), False, vms_num, bucket * self.bucket_width)
-
-        same_size = [b for v, b in self._buckets if v == vms_num]
-        if same_size:
-            nearest = min(same_size, key=lambda b: (abs(b - bucket), b))
-            return LogSelection(
-                tuple(self._buckets[(vms_num, nearest)]),
-                True,
-                vms_num,
-                nearest * self.bucket_width,
-            )
-
-        nearest_vms, nearest_bucket = min(
-            self._buckets,
-            key=lambda key: (abs(key[0] - vms_num), key[0], abs(key[1] - bucket), key[1]),
+        """The exact cell, else the populated one least by (size gap, size, bucket gap, bucket)."""
+        query = (vms_num, bucket)
+        cell = query if query in self._buckets else min(
+            self._buckets, key=lambda c: (abs(c[0] - vms_num), c[0], abs(c[1] - bucket), c[1])
         )
         return LogSelection(
-            tuple(self._buckets[(nearest_vms, nearest_bucket)]),
-            True,
-            nearest_vms,
-            nearest_bucket * self.bucket_width,
+            tuple(self._buckets[cell]), cell != query, cell[0], cell[1] * self.bucket_width
         )
 
 

@@ -13,7 +13,9 @@ Six policies are provided behind one `observe`/`decide` interface:
 
 An MDP policy's model holds, for each size, the states `rewards.score_row`
 scores from the logs at the effective load: one per behavior cluster (MDP2,
-MDP3) or its MB or EB summary (MDP_MB, MDP_EB).
+MDP3) or its MB or EB summary (MDP_MB, MDP_EB).  Each step of an MDP policy
+takes that model from the store's solve memo and starts where `current_state`
+picks (see `MdpPolicy.decide`).
 
 Post-processing: the incoming load can be smoothed over a sliding window
 before model instantiation, and a benefit threshold can veto actions whose
@@ -23,6 +25,7 @@ expected relative utility gain is too small.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -134,7 +137,7 @@ class PostProcessConfig:
     smoothing_window: int = 1
 
     def __post_init__(self) -> None:
-        if self.benefit_threshold_pct < 0:
+        if not 0 <= self.benefit_threshold_pct <= math.inf:  # inf vetoes every action
             raise ConfigurationError("benefit threshold must be >= 0")
         if self.smoothing_window < 1:
             raise ConfigurationError("smoothing window must be >= 1")
@@ -289,53 +292,6 @@ class SolvedModel(NamedTuple):
     decisions: dict[StateKey, PolicyDecision]  # per start state, notes included
 
 
-def mdp_decide(
-    kind: PolicyKind,
-    store: LogStore,
-    load_effective: float,
-    current: ClusterSize,
-    current_measurement: TickRecord | None,
-    model_config: ModelConfig,
-    utility: UtilityConfig,
-    clustering: ClusteringConfig,
-) -> PolicyDecision:
-    """One elasticity step of an MDP policy: the (possibly bounded) first
-    optimal action from the current size's behavior closest to the latest
-    measurement.
-
-    The model at the effective load's bucket, its interpolation notes and
-    its `reward_arrivals` are built once per store and kept in
-    `store.solve_memo`.  Only the initial state depends on the current
-    size and observation, so each later step at that bucket picks its
-    state with `current_state`, as `build_model` does, through the size's
-    `BehaviorMatcher` kept in the entry.  Each (model, state) is solved
-    once: the entry keeps the state's `PolicyDecision`, notes included,
-    and every later step that starts from that state returns it."""
-    key = (kind, model_config, clustering, utility, store.bucket(load_effective))
-    entry = store.solve_memo.get(key)
-    if entry is None:
-        model, notes = instantiate_model(
-            kind, store, load_effective, current, current_measurement,
-            model_config, utility, clustering,
-        )
-        entry = store.solve_memo[key] = SolvedModel(model, notes, reward_arrivals(model), {}, {})
-        # `build_model` picked the initial state at this size and observation.
-        state = model.initial
-    else:
-        model = entry.model
-        state = current_state(
-            model.config, model.by_size, current, _observation(current_measurement),
-            entry.matchers,
-        )
-    decision = entry.decisions.get(state.key)
-    if decision is None:
-        decision = solve_decide(model, state, entry.arrivals)
-        if entry.notes:
-            decision = dataclasses.replace(decision, notes=decision.notes + entry.notes)
-        entry.decisions[state.key] = decision
-    return decision
-
-
 def apply_benefit_threshold(
     decision: PolicyDecision,
     current_utility: float,
@@ -476,16 +432,38 @@ class MdpPolicy(Policy):
         self.clustering = clustering
 
     def decide(self, current: ClusterSize) -> PolicyDecision:
-        return mdp_decide(
-            self.kind,
-            self.store,
-            self.effective_load(),
-            current,
-            self._latest,
-            self.limits,
-            self.utility,
-            self.clustering,
+        """One elasticity step: the (possibly bounded) first optimal action
+        from the current size's behavior closest to the latest measurement.
+
+        The model at the effective load's bucket, its interpolation notes
+        and its `reward_arrivals` are built once per store and kept in
+        `store.solve_memo`.  Only the start state depends on the current
+        size and observation, so every step, the first included, picks it
+        with `current_state`, as `build_model` picks the initial state,
+        through the size's `BehaviorMatcher` kept in the entry.  Each
+        (model, state) is solved once: the entry keeps the state's
+        `PolicyDecision`, notes included, and every later step that starts
+        from that state returns it."""
+        memo, load = self.store.solve_memo, self.effective_load()
+        key = (self.kind, self.limits, self.clustering, self.utility, self.store.bucket(load))
+        entry = memo.get(key)
+        if entry is None:
+            model, notes = instantiate_model(
+                self.kind, self.store, load, current, self._latest,
+                self.limits, self.utility, self.clustering,
+            )
+            entry = memo[key] = SolvedModel(model, notes, reward_arrivals(model), {}, {})
+        model = entry.model
+        state = current_state(
+            model.config, model.by_size, current, _observation(self._latest), entry.matchers
         )
+        decision = entry.decisions.get(state.key)
+        if decision is None:
+            decision = solve_decide(model, state, entry.arrivals)
+            if entry.notes:
+                decision = dataclasses.replace(decision, notes=decision.notes + entry.notes)
+            entry.decisions[state.key] = decision
+        return decision
 
 
 def make_policy(

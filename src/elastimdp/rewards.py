@@ -51,7 +51,7 @@ class ClusteringConfig:
             raise ConfigurationError("k must be >= 1")
         if self.dims not in (1, 2):
             raise ConfigurationError("dims must be 1 or 2")
-        if self.load_bucket_width <= 0:
+        if not 0 < self.load_bucket_width < math.inf:
             raise ConfigurationError("load_bucket_width must be positive")
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")

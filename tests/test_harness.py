@@ -53,7 +53,7 @@ from elastimdp.logs import (
     write_records_csv,
 )
 from elastimdp.model import MdpState, ModelConfig, build_model, current_state
-from elastimdp.policies import MDP_KINDS, PolicyKind
+from elastimdp.policies import MDP_KINDS, PolicyKind, PostProcessConfig
 from elastimdp.rewards import ClusteringConfig, UtilityConfig, UtilityKind, utility_eval
 
 import reference_config
@@ -239,6 +239,43 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=f"{key}: non-finite"):
             small_config(**{key: value})
 
+    @pytest.mark.parametrize(
+        "make, error, message, value",
+        [
+            pytest.param(make, error, message, value, id=f"{field}={value}")
+            for field, make, error, message in [
+                (
+                    "load_bucket_width", lambda x: ClusteringConfig(load_bucket_width=x),
+                    ConfigurationError, "^load_bucket_width must be positive$",
+                ),
+                ("bucket_width", lambda x: LogStore(bucket_width=x), ValueError, "^bucket_width must be positive$"),
+                ("load_min", lambda x: LoadProfile(load_min=x), ConfigurationError, "^load_min must be "),
+                ("load_max", lambda x: LoadProfile(1000.0, x), ConfigurationError, "load_max"),
+                (
+                    "tick_seconds", lambda x: ScheduleConfig(tick_seconds=x),
+                    ConfigurationError, "^tick_seconds must be positive$",
+                ),
+                (
+                    "emulation_noise_fraction", lambda x: ScheduleConfig(emulation_noise_fraction=x),
+                    ConfigurationError, "^noise fraction must be >= 0$",
+                ),
+                (
+                    "benefit_threshold_pct", lambda x: PostProcessConfig(benefit_threshold_pct=x),
+                    ConfigurationError, "^benefit threshold must be >= 0$",
+                ),
+            ]
+            for value in (math.nan, math.inf, -math.inf)
+            # An infinite benefit threshold is the setting that vetoes every
+            # action (`test_infinite_threshold_vetoes_every_action`).
+            if not (field == "benefit_threshold_pct" and value == math.inf)
+        ],
+    )
+    def test_non_finite_value_refused_by_its_config(self, make, error, message, value):
+        # NaN and the infinities are refused with the field's error type;
+        # a value refused before keeps its message.
+        with pytest.raises(error, match=message):
+            make(value)
+
     def test_percent_is_read_literally(self, tmp_path):
         records = load_dataset(small_config())[:40]
         data = tmp_path / "50%data.csv"
@@ -353,6 +390,14 @@ COMPARISON_CONFIGS = pytest.mark.parametrize(
 )
 
 
+def memo_key(policy):
+    """The `store.solve_memo` key of an MDP policy's next decision."""
+    return (
+        policy.kind, policy.limits, policy.clustering, policy.utility,
+        policy.store.bucket(policy.effective_load()),
+    )
+
+
 def solve_memo_hashes(monkeypatch, overrides, count):
     """sha256 of the dumps and of the `repr` of the arrival values of the
     `count` models a comparison keeps in its solve memo, in (policy, load
@@ -453,18 +498,19 @@ class TestComparison:
         records = load_dataset(config)
         fresh_store = build_store(config, records)
         stores, pairs = set(), []
-        real = policies.mdp_decide
+        real = policies.MdpPolicy.decide
 
-        def compared(kind, store, load, current, measurement, *configs):
-            decision = real(kind, store, load, current, measurement, *configs)
+        def compared(policy, current):
+            decision = real(policy, current)
             model, notes = policies.instantiate_model(
-                kind, fresh_store, load, current, measurement, *configs
+                policy.kind, fresh_store, policy.effective_load(), current, policy._latest,
+                policy.limits, policy.utility, policy.clustering,
             )
             pairs.append((decision, dataclasses.replace(solver.decide(model), notes=notes)))
-            stores.add(store)
+            stores.add(policy.store)
             return decision
 
-        monkeypatch.setattr(policies, "mdp_decide", compared)
+        monkeypatch.setattr(policies.MdpPolicy, "decide", compared)
         run_comparison(config, records)
         mdp_kinds = [kind for kind in config.policies if kind in MDP_KINDS]
         assert len(pairs) == len(mdp_kinds) * config.runs * len(decision_ticks(config.schedule))
@@ -477,18 +523,20 @@ class TestComparison:
 
     @COMPARISON_CONFIGS
     def test_each_memo_decision_equals_a_fresh_solve_of_its_model(self, overrides, monkeypatch):
-        # Differential: every decision `mdp_decide` returns, most of them
-        # kept per (model, state) in the solve memo, equals a fresh solve
-        # of the kept model from the state `current_state` picks without
-        # the entry's matchers, on fresh arrivals, with the entry's notes.
+        # Differential: every decision `MdpPolicy.decide` returns, most of
+        # them kept per (model, state) in the solve memo, equals a fresh
+        # solve of the kept model from the state `current_state` picks
+        # without the entry's matchers, on fresh arrivals, with the entry's
+        # notes.
         decisions, stores = [], set()
-        real = policies.mdp_decide
+        real = policies.MdpPolicy.decide
 
-        def compared(kind, store, load, current, measurement, model_config, utility, clustering):
-            decision = real(kind, store, load, current, measurement, model_config, utility, clustering)
-            entry = store.solve_memo[(kind, model_config, clustering, utility, store.bucket(load))]
+        def compared(policy, current):
+            decision = real(policy, current)
+            store = policy.store
+            entry = store.solve_memo[memo_key(policy)]
             model = entry.model
-            observation = (measurement.latency_ms, measurement.throughput)
+            observation = (policy._latest.latency_ms, policy._latest.throughput)
             state = current_state(model.config, model.by_size, current, observation)
             fresh = solver.decide(model, state, solver.reward_arrivals(model))
             assert decision == dataclasses.replace(fresh, notes=fresh.notes + entry.notes)
@@ -505,7 +553,7 @@ class TestComparison:
             solves.append((model, state))
             return real_solve(model, state, arrivals)
 
-        monkeypatch.setattr(policies, "mdp_decide", compared)
+        monkeypatch.setattr(policies.MdpPolicy, "decide", compared)
         monkeypatch.setattr(policies, "solve_decide", counted)
         config = parse_config(default_config_ini(), overrides)
         run_comparison(config)
@@ -515,6 +563,34 @@ class TestComparison:
         (store,) = stores
         solved = sum(len(entry.decisions) for entry in store.solve_memo.values())
         assert len(store.solve_memo) < len(solves) == solved < len(decisions)
+
+    @COMPARISON_CONFIGS
+    def test_a_memo_miss_starts_from_the_built_models_initial_state(self, overrides, monkeypatch):
+        # `MdpPolicy.decide` picks every start state with `current_state`
+        # through the memo entry, on a miss too: there the pick is the
+        # initial state `build_model` gave the model it has just built.
+        misses, stores = [], set()
+        real = policies.MdpPolicy.decide
+
+        def compared(policy, current):
+            store, key = policy.store, memo_key(policy)
+            missed = key not in store.solve_memo
+            decision = real(policy, current)
+            if missed:
+                entry = store.solve_memo[key]
+                model = entry.model
+                observation = (policy._latest.latency_ms, policy._latest.throughput)
+                assert current_state(model.config, model.by_size, current, observation) == model.initial
+                assert list(entry.decisions) == [model.initial.key]
+                assert entry.decisions[model.initial.key] is decision
+                misses.append(key)
+            stores.add(store)
+            return decision
+
+        monkeypatch.setattr(policies.MdpPolicy, "decide", compared)
+        run_comparison(parse_config(default_config_ini(), overrides))
+        (store,) = stores
+        assert len(misses) == len(set(misses)) == len(store.solve_memo)
 
     def test_solve_memo_holds_one_entry_per_mdp_policy_and_bucket(self, monkeypatch):
         stores = []

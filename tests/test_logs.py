@@ -18,6 +18,7 @@ from elastimdp.logs import (
 )
 
 import reference_dataset
+import reference_selection
 
 
 def rec(time, vms, load, lat=20.0, thr=5000.0):
@@ -171,6 +172,53 @@ class TestSelection:
         before = len(store)
         store.select_logs(5, 99000.0)
         assert len(store) == before
+
+    def test_equidistant_sizes_tie_toward_fewer_vms(self):
+        store = LogStore([rec(0, 3, 10000.0), rec(1, 5, 10000.0)])
+        selection = store.select_logs(4, 10000.0)
+        assert (selection.vms_used, selection.bucket_center) == (3, 10000.0)
+        assert selection.interpolated
+
+    def test_equidistant_buckets_tie_toward_the_lower_bucket(self):
+        store = LogStore([rec(0, 4, 8000.0), rec(1, 4, 12000.0), rec(2, 3, 10000.0)])
+        selection = store.select_logs(4, 10000.0)
+        assert (selection.vms_used, selection.bucket_center) == (4, 8000.0)
+        assert selection.interpolated
+
+    def test_a_far_bucket_of_the_same_size_beats_a_near_cell_of_another_size(self):
+        store = LogStore([rec(0, 4, 30000.0), rec(1, 5, 10000.0), rec(2, 3, 11000.0)])
+        selection = store.select_logs(4, 10000.0)
+        assert (selection.vms_used, selection.bucket_center) == (4, 30000.0)
+        assert selection.records == (rec(0, 4, 30000.0),)
+
+
+SPARSE_RECORDS = st.lists(
+    st.tuples(st.integers(1, 8), st.integers(0, 24)).map(
+        lambda cell: rec(0, cell[0], cell[1] * 250.0, lat=float(cell[0]), thr=cell[1] * 250.0)
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    SPARSE_RECORDS,
+    st.sampled_from([500.0, 1000.0, 2500.0]),
+    st.lists(st.tuples(st.integers(1, 8), st.integers(0, 24)), min_size=1, max_size=8),
+)
+def test_selection_matches_the_three_step_reference(records, width, queries):
+    """Over sparse stores, the one ordering of the populated cells selects
+    what the exact / same size / nearest size rule selects, field for
+    field, repeated queries included."""
+    store = LogStore(records, bucket_width=width)
+    for vms, step in queries:
+        load = step * 250.0
+        selection = store.select_logs(vms, load)
+        expected = reference_selection.select_logs(records, width, vms, load)
+        assert (
+            selection.records, selection.interpolated, selection.vms_used, selection.bucket_center
+        ) == expected
 
 
 CSV_OK = """\

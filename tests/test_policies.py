@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference_kmeans
+from helpers import observed_mdp_policy
 from reference_scoring import row_states, state_reward
 
 from elastimdp import policies
@@ -37,7 +38,6 @@ from elastimdp.policies import (
     apply_benefit_threshold,
     instantiate_model,
     make_policy,
-    mdp_decide,
     re_decide,
     reward_row,
     rl_decide,
@@ -162,36 +162,28 @@ class TestMdpDecide:
         # throughput v^2 makes r1 = v: strictly increasing with size
         per_size = {v: (30.0, float(v * v)) for v in LIMITS.sizes}
         store = store_with(per_size)
-        decision = mdp_decide(
-            PolicyKind.MDP_MB, store, 10000.0, 5, None, LIMITS, R1, CLUSTERING
-        )
+        decision = mdp_step(PolicyKind.MDP_MB, store, 10000.0, 5)
         assert decision.action == Action(ADD, 3)
 
     def test_all_below_current_no_op(self):
         per_size = {v: (90.0, 1000.0) for v in LIMITS.sizes}
         per_size[5] = (30.0, 1000.0)  # only the current size is healthy
         store = store_with(per_size)
-        decision = mdp_decide(
-            PolicyKind.MDP_MB, store, 10000.0, 5, None, LIMITS, R1, CLUSTERING
-        )
+        decision = mdp_step(PolicyKind.MDP_MB, store, 10000.0, 5)
         assert decision.action == NO_OP
 
     def test_all_targets_decision_is_bounded(self):
         per_size = {v: (90.0, 1000.0) for v in LIMITS.sizes}
         per_size[10] = (20.0, 50000.0)  # optimum five sizes above current
         store = store_with(per_size)
-        decision = mdp_decide(
-            PolicyKind.MDP3, store, 10000.0, 5, None, LIMITS, R1, CLUSTERING
-        )
+        decision = mdp_step(PolicyKind.MDP3, store, 10000.0, 5)
         assert decision.action == Action(ADD, 3)
         assert decision.bounded
 
     def test_interpolation_noted(self):
         per_size = {v: (30.0, 8000.0) for v in LIMITS.sizes if v != 7}
         store = store_with(per_size)
-        decision = mdp_decide(
-            PolicyKind.MDP_EB, store, 10000.0, 5, None, LIMITS, R1, CLUSTERING
-        )
+        decision = mdp_step(PolicyKind.MDP_EB, store, 10000.0, 5)
         assert any("size 7" in note for note in decision.notes)
 
     def test_non_mdp_kind_rejected(self):
@@ -211,9 +203,7 @@ class TestMdpDecide:
             store = store_with(per_size)
             current = int(rng.integers(LIMITS.min_vms, LIMITS.max_vms + 1))
             for kind in MDP_KINDS:
-                decision = mdp_decide(
-                    kind, store, 10000.0, current, None, LIMITS, R1, CLUSTERING
-                )
+                decision = mdp_step(kind, store, 10000.0, current)
                 assert abs(decision.action.delta) <= (
                     LIMITS.add_limit if decision.action.kind is ADD else LIMITS.rem_limit
                 )
@@ -270,6 +260,13 @@ def observed(tick, vms, load, latency, throughput):
     """The record an episode hands a policy at `tick`: what a policy reads
     of it is the load, the latency and the throughput."""
     return TickRecord(tick, load, vms, latency, throughput, 0.0, False, "", 0.0)
+
+
+def mdp_step(kind, store, load, current, limits=LIMITS, utility=R1, clustering=CLUSTERING):
+    """`MdpPolicy.decide` at `current` VMs of a policy that has observed
+    one tick at `load` (see `helpers.observed_mdp_policy`)."""
+    policy = observed_mdp_policy(kind, store, load, current, limits, utility, clustering)
+    return policy.decide(current)
 
 
 def smoothed(loads, window):
@@ -427,7 +424,7 @@ class TestRewardMemo:
                     for clustering in (config.clustering, ClusteringConfig(k=2)):
                         for utility in (R1, UtilityConfig(UtilityKind.R2)):
                             for kind in MDP_KINDS:
-                                mdp_decide(kind, store, load, 6, None, limits, utility, clustering)
+                                mdp_step(kind, store, load, 6, limits, utility, clustering)
                             keys.add((store.bucket(load), limits.sizes, clustering, utility))
         assert len(calls) == len(keys) == len(store.reward_memo) == 16
         # every call clusters the row's cells, one per size
@@ -444,11 +441,11 @@ class TestRewardMemo:
         for kind in (PolicyKind.MDP_MB, PolicyKind.MDP_EB, PolicyKind.MDP2):
             model, notes = instantiate_model(kind, store, 10400.0, 5, None, LIMITS, R1, CLUSTERING)
             assert notes == row.notes
-        mdp_decide(PolicyKind.MDP3, store, 9600.0, 5, None, LIMITS, R1, CLUSTERING)
+        mdp_step(PolicyKind.MDP3, store, 9600.0, 5)
         rl.observe(observed(1, 5, 9800.0, 30.0, 25.0))
         rl.decide(5)
         assert len(calls) == 1 and len(store.reward_memo) == 1
-        mdp_decide(PolicyKind.MDP2, store, 10000.0, 5, None, LIMITS, R1, ClusteringConfig(k=3))
+        mdp_step(PolicyKind.MDP2, store, 10000.0, 5, clustering=ClusteringConfig(k=3))
         assert len(calls) == 2
 
     def test_sizes_on_one_borrowed_cell_cluster_it_once(self, monkeypatch):
@@ -518,10 +515,7 @@ class TestRewardMemo:
         def decisions():
             for kind in MDP_KINDS:
                 for load in (5000.0, 20000.0, 20400.0):
-                    mdp_decide(
-                        kind, store, load, 8, None,
-                        config.model, config.utility, config.clustering,
-                    )
+                    mdp_step(kind, store, load, 8, config.model, config.utility, config.clustering)
             rl = RLPolicy(store, config.model, config.utility, config.clustering)
             for load, current in ((5000.0, 8), (20000.0, 8), (20000.0, 9)):
                 rl.observe(observed(0, current, load, 30.0, load))
@@ -544,18 +538,19 @@ class TestSolveMemo:
     def test_current_state_matches_a_fresh_build_at_every_size(self, monkeypatch):
         # Differential: on every model the default comparison keeps, at
         # every size and at every observation a decision at its bucket saw,
-        # the lookup a memo hit makes picks the initial state of a model
-        # built afresh from the same rewards.
+        # the lookup each step makes through the memo entry picks the
+        # initial state of a model built afresh from the same rewards.
         seen, stores = {}, set()
-        real = policies.mdp_decide
+        real = policies.MdpPolicy.decide
 
-        def recorded(kind, store, load, current, measurement, *configs):
-            observation = (measurement.latency_ms, measurement.throughput)
-            seen.setdefault((kind, store.bucket(load)), set()).add(observation)
-            stores.add(store)
-            return real(kind, store, load, current, measurement, *configs)
+        def recorded(policy, current):
+            observation = (policy._latest.latency_ms, policy._latest.throughput)
+            bucket = policy.store.bucket(policy.effective_load())
+            seen.setdefault((policy.kind, bucket), set()).add(observation)
+            stores.add(policy.store)
+            return real(policy, current)
 
-        monkeypatch.setattr(policies, "mdp_decide", recorded)
+        monkeypatch.setattr(policies.MdpPolicy, "decide", recorded)
         run_comparison(parse_config(default_config_ini(), {"experiment.runs": "2"}))
         (store,) = stores
         checked, off_heaviest = 0, 0
@@ -574,8 +569,8 @@ class TestSolveMemo:
 
     def test_current_size_outside_the_range_is_refused_on_a_hit(self):
         store = store_with({v: (30.0, 8000.0) for v in LIMITS.sizes})
-        mdp_decide(PolicyKind.MDP2, store, 10000.0, 5, None, LIMITS, R1, CLUSTERING)
+        mdp_step(PolicyKind.MDP2, store, 10000.0, 5)
         for current in (LIMITS.min_vms - 1, LIMITS.max_vms + 1):
             with pytest.raises(ConfigurationError, match="outside"):
-                mdp_decide(PolicyKind.MDP2, store, 10000.0, current, None, LIMITS, R1, CLUSTERING)
+                mdp_step(PolicyKind.MDP2, store, 10000.0, current)
         assert len(store.solve_memo) == 1
