@@ -8,14 +8,16 @@ Supported form, mirroring the usual model-checker reachability syntax:
 i.e. the maximum/minimum probability over strategies of eventually
 reaching a state whose labels and behavior-center metrics satisfy a
 conjunction of comparisons.  Fields: ``vms_num``, ``latency`` (ms),
-``throughput`` (req/s).  Operators: ``< <= > >= = == !=``.
+``throughput`` (req/s).  Operators: ``< <= > >= = == !=``.  Since no_op
+ends the episode and no path returns to its initial size, Pmin is 1 if the
+current state satisfies the conjunction and 0 otherwise, and Pmax is 0
+unless a state at another size satisfies it.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import QueryEvaluationError, QueryParseError
@@ -58,14 +60,11 @@ _FIELDS: dict[str, Callable[[MdpState], float]] = {
 Clause = tuple[Callable[[MdpState], float], Callable[[float, float], bool], float]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "op" | "num" | "ident" | "end"
-    text: str
-    position: int
+# One token: its kind ("op" | "num" | "ident" | "end"), text and position.
+Token = tuple[str, str, int]
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[Token]:
     tokens = []
     pos = 0
     while pos < len(text):
@@ -77,88 +76,79 @@ def _tokenize(text: str) -> list[_Token]:
             where = len(text) - len(stripped)
             raise QueryParseError(f"unexpected character {text[where]!r}", where)
         kind = match.lastgroup or "op"
-        tokens.append(_Token(kind, match.group(kind), match.start(kind)))
+        tokens.append((kind, match.group(kind), match.start(kind)))
         pos = match.end()
-    tokens.append(_Token("end", "", len(text)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
 
     @property
-    def current(self) -> _Token:
+    def current(self) -> Token:
         return self.tokens[self.index]
 
-    def take(self) -> _Token:
-        token = self.current
+    def take(self) -> Token:
+        token = self.tokens[self.index]
         self.index += 1
         return token
 
-    def expect(self, text: str, what: str) -> _Token:
-        token = self.current
-        if token.text != text:
+    def expect(self, text: str, what: str) -> None:
+        _, found, position = self.take()
+        if found != text:
             raise QueryParseError(
-                f"expected {what} {text!r}, found {token.text or 'end of input'!r}",
-                token.position,
+                f"expected {what} {text!r}, found {found or 'end of input'!r}", position
             )
-        return self.take()
 
     def comparison(self) -> Clause:
         """The next `field op number` clause: the field's getter, the
         operator and the number."""
-        token = self.take()
-        if token.kind != "ident":
+        kind, name, position = self.take()
+        if kind != "ident":
             raise QueryParseError(
-                f"expected a field name, found {token.text or 'end of input'!r}",
-                token.position,
+                f"expected a field name, found {name or 'end of input'!r}", position
             )
-        if token.text not in _FIELDS:
-            raise QueryParseError(f"unknown field {token.text!r}", token.position)
-        getter = _FIELDS[token.text]
-        op_token = self.take()
-        if op_token.text not in _OPS:
+        if name not in _FIELDS:
+            raise QueryParseError(f"unknown field {name!r}", position)
+        _, op, position = self.take()
+        if op not in _OPS:
             raise QueryParseError(
-                f"expected a comparison operator, found"
-                f" {op_token.text or 'end of input'!r}",
-                op_token.position,
+                f"expected a comparison operator, found {op or 'end of input'!r}", position
             )
-        num_token = self.take()
-        if num_token.kind != "num":
+        kind, number, position = self.take()
+        if kind != "num":
             raise QueryParseError(
-                f"expected a number, found {num_token.text or 'end of input'!r}",
-                num_token.position,
+                f"expected a number, found {number or 'end of input'!r}", position
             )
         try:
-            value = finite_float(num_token.text)
+            value = finite_float(number)
         except ValueError as exc:
-            raise QueryParseError(str(exc), num_token.position) from exc
-        return getter, _OPS[op_token.text], value
+            raise QueryParseError(str(exc), position) from exc
+        return _FIELDS[name], _OPS[op], value
 
 
 def parse_query(text: str) -> ReachabilityQuery:
     """Parse a full ``Pmax=? [ F ... ]`` / ``Pmin=? [ F ... ]`` query."""
     parser = _Parser(text)
-    head = parser.take()
-    if head.text not in ("Pmax", "Pmin"):
+    _, head, position = parser.take()
+    if head not in ("Pmax", "Pmin"):
         raise QueryParseError(
-            f"expected 'Pmax' or 'Pmin', found {head.text or 'end of input'!r}",
-            head.position,
+            f"expected 'Pmax' or 'Pmin', found {head or 'end of input'!r}", position
         )
     parser.expect("=?", "operator")
     parser.expect("[", "bracket")
     parser.expect("F", "reachability operator")
     clauses = [parser.comparison()]
-    while parser.current.text == "&":
+    while parser.current[1] == "&":
         parser.take()
         clauses.append(parser.comparison())
     parser.expect("]", "bracket")
-    end = parser.current
-    if end.kind != "end":
-        raise QueryParseError(f"trailing input {end.text!r}", end.position)
+    kind, trailing, position = parser.current
+    if kind != "end":
+        raise QueryParseError(f"trailing input {trailing!r}", position)
     compiled = tuple(clauses)
 
     def predicate(state: MdpState) -> bool:
@@ -169,5 +159,5 @@ def parse_query(text: str) -> ReachabilityQuery:
                 return False
         return True
 
-    mode = "max" if head.text == "Pmax" else "min"
+    mode = "max" if head == "Pmax" else "min"
     return ReachabilityQuery(mode=mode, predicate=predicate, text=text)

@@ -16,9 +16,11 @@ monotone branch, reading only the config, the behavior weights
 (normalized per size) and a payoff per state, in time linear in the
 sizes.  `best_move` then values a state's first moves
 (`ModelConfig.moves`) by their targets' arrivals, and `decide` clips its
-pick to the per-step limits.  The same sweep answers
-Pmax/Pmin queries, with payoff 1 on states satisfying the predicate
-(where the episode ends) and 0 elsewhere.
+pick to the per-step limits.  A path never returns to its initial size
+and no_op ends the episode, so Pmin is 1 if the initial state satisfies
+the query predicate and 0 otherwise, and Pmax is 0 when no state at
+another size satisfies it; any other Pmax runs the sweep with payoff 1
+on satisfying states (where the episode ends) and 0 elsewhere.
 
 `brute_force_oracle` (the counterpart of `best_move` at every state) and
 `brute_force_reachability` re-derive the same quantities from the
@@ -99,17 +101,16 @@ def _arrival_values(
     model: MdpModel,
     payoff: Callable[[MdpState], float],
     final: Collection[StateKey],
-    best_of: Callable,
 ) -> list[dict[int, float]]:
     """Backward induction over sizes along both monotone branches: the
-    expected payoff of arriving at each size on an add-locked and on a
-    rem-locked path.
+    maximum expected payoff of arriving at each size on an add-locked and
+    on a rem-locked path.
 
     A state in `final` ends the episode with its payoff; any other state
-    takes the `best_of` its payoff (stopping) and the arrival values of
-    the sizes its direction's deltas reach: the last `limit` sizes swept,
-    or on M3 all of them.  Arrivals are finite and never -0.0 (each is
-    `0.0 + ...`), so their best is one float in any order.
+    takes the max of its payoff (stopping) and the arrival values of the
+    sizes its direction's deltas reach: the last `limit` sizes swept, or
+    on M3 all of them.  Arrivals are finite and never -0.0 (each is
+    `0.0 + ...`), so their max is one float in any order.
     """
     cfg = model.config
     # Each state's share of its size and its payoff, read once for both
@@ -126,16 +127,16 @@ def _arrival_values(
         arrive: dict[int, float] = {}
         onward: list[float] = []
         for size in sizes:
-            best_onward = best_of(onward[-limit:]) if onward else None
+            best_onward = max(onward[-limit:]) if onward else None
             total = 0.0
             for share, value, ends in scored[size]:
                 if best_onward is not None and not ends:
-                    value = best_of(value, best_onward)
+                    value = max(value, best_onward)
                 total += share * value
             arrive[size] = total
             onward.append(total)
             if all_targets:  # a running best over the branch
-                onward = [best_of(onward)]
+                onward = [max(onward)]
         branches.append(arrive)
     return branches
 
@@ -156,7 +157,7 @@ def reward_arrivals(model: MdpModel) -> list[dict[int, float]]:
     """Maximum expected terminal reward of arriving at each size, on the
     add-locked and on the rem-locked branch.  They do not depend on the
     initial state, so one model's arrivals serve a decision at any state."""
-    return _arrival_values(model, attrgetter("reward"), (), max)
+    return _arrival_values(model, attrgetter("reward"), ())
 
 
 def best_move(
@@ -216,15 +217,23 @@ class ReachabilityQuery:
 def reachability_probability(model: MdpModel, query: ReachabilityQuery) -> float:
     """Maximum (or minimum) probability over strategies of eventually
     visiting a state satisfying the query predicate, capped at 1.0 where
-    a size's behavior weights add to a rounding error over 1."""
-    best_of = max if query.mode == "max" else min
+    a size's behavior weights add to a rounding error over 1.
+
+    Both are 1.0 if the initial state satisfies the predicate.  Else Pmin
+    is 0.0 (no_op ends the episode), so it only tells whether the current
+    state satisfies it, and Pmax is 0.0 unless a state at another size
+    does (no path returns to its initial size).  The predicate is first
+    evaluated on every state, so a state it cannot read always raises."""
     sat = {key for key, state in model.states.items() if query.predicate(state)}
     if model.initial.key in sat:
         return 1.0
-    arrivals = _arrival_values(model, lambda state: float(state.key in sat), sat, best_of)
-    moves = _first_moves(model, model.initial.vms_num, arrivals)
+    size = model.initial.vms_num
+    if query.mode == "min" or all(key[0] == size for key in sat):
+        return 0.0
+    arrivals = _arrival_values(model, lambda state: float(state.key in sat), sat)
+    moves = _first_moves(model, size, arrivals)
     # no_op terminates without reaching the target set
-    return min(1.0, best_of([0.0] + [p for p, _ in moves]))
+    return min(1.0, max([0.0] + [p for p, _ in moves]))
 
 
 def _check_oracle_scale(model: MdpModel) -> None:

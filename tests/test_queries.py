@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -8,6 +9,8 @@ from elastimdp.errors import ElastimdpError, QueryEvaluationError, QueryParseErr
 from elastimdp.model import MdpState, ModelConfig, Variant, build_model
 from elastimdp.queries import _tokenize, parse_query
 from elastimdp.solver import reachability_probability
+
+import reference_tokens
 
 
 def annotated_chain():
@@ -112,9 +115,23 @@ def test_any_query_text_parses_or_raises_a_typed_error(text):
         query = parse_query(text)
     except ElastimdpError:
         return
-    numbers = [float(token.text) for token in _tokenize(text) if token.kind == "num"]
+    numbers = [float(token) for kind, token, _ in _tokenize(text) if kind == "num"]
     assert numbers and all(math.isfinite(number) for number in numbers)
     assert query.predicate(MdpState(5, center=(30.0, 20000.0))) in (True, False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(QUERY_TEXT)
+def test_tuple_tokens_match_the_dataclass_tokens(text):
+    def triples_or_refusal(tokenize, as_triple):
+        try:
+            return [as_triple(token) for token in tokenize(text)]
+        except QueryParseError as exc:
+            return type(exc), str(exc), exc.position
+
+    assert triples_or_refusal(_tokenize, tuple) == triples_or_refusal(
+        reference_tokens._tokenize, dataclasses.astuple
+    )
 
 
 class TestEvaluation:

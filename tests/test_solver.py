@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastimdp import cli
-from elastimdp.errors import InstantiationError, SolverError
+from elastimdp import cli, solver
+from elastimdp.errors import InstantiationError, QueryEvaluationError, SolverError
 from elastimdp.harness import build_store, default_config_ini, load_dataset, parse_config
 from elastimdp.model import (
     Action,
@@ -366,6 +366,52 @@ class TestReachability:
         assert capsys.readouterr().out == "1.0\n"
 
 
+class TestClosedForms:
+    """Pmin and target-free Pmax are answered without the sweep."""
+
+    def test_pmin_is_whether_the_initial_state_satisfies(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            model = random_instance(rng)
+            keys = sorted(model.states)
+            sat = {key for key in keys if rng.random() < 0.4}
+            query = ReachabilityQuery("min", lambda state: state.key in sat)
+            answer = reachability_probability(model, query)
+            assert answer == float(query.predicate(model.initial))
+            assert answer == brute_force_reachability(model, query)
+
+    def test_pmax_without_a_target_at_another_size_skips_the_sweep(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(solver, "_arrival_values", no_sweep)
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            model = random_instance(rng)
+            initial = model.initial
+            at_initial_size = {
+                key for key in model.states if key[0] == initial.vms_num and key != initial.key
+            }
+            for sat in (set(), at_initial_size):
+                query = ReachabilityQuery("max", lambda state: state.key in sat)
+                assert reachability_probability(model, query) == 0.0
+                assert brute_force_reachability(model, query) == 0.0
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_a_state_without_center_at_another_size_still_raises(self, mode):
+        config = ModelConfig(4, 6, variant=Variant.M2, k=2)
+        states = [
+            MdpState(4, 0, 0.5, (50.0, 900.0), reward=1.0),
+            MdpState(4, 1, 0.5, (20.0, 900.0), reward=1.0),
+            MdpState(5, 0, 1.0, (40.0, 900.0), reward=1.0),
+            MdpState(6, reward=1.0),
+        ]
+        model = build_model(config, states, current=4)
+        query = parse_query(f"P{mode}=? [ F latency<30 ]")
+        with pytest.raises(QueryEvaluationError, match="s6 carries no behavior center"):
+            reachability_probability(model, query)
+
+
 @st.composite
 def tied_models(draw):
     """A model of any variant, span <= 12 and k <= 4, whose rewards come
@@ -392,14 +438,14 @@ def tied_models(draw):
 
 
 class TestLinearSweepMatchesQuadratic:
-    """`_arrival_values` against the quadratic sweep in
-    `reference_arrivals`: equal arrivals and probabilities, bit for bit,
-    once the reference's probability is capped at 1.0 as the package's is."""
+    """`_arrival_values` against the `max` arrivals of the quadratic sweep
+    in `reference_arrivals`, and `reachability_probability` in both modes
+    against the reference's full-sweep answer: equal bit for bit, once the
+    reference's probability is capped at 1.0 as the package's is."""
 
     @settings(max_examples=400, deadline=None)
     @given(tied_models(), st.sampled_from(["max", "min"]), st.data())
     def test_arrivals_and_probabilities(self, model, mode, data):
-        best_of = max if mode == "max" else min
         keys = sorted(model.states)
         final = data.draw(st.sets(st.sampled_from(keys)))
         sat = data.draw(st.sets(st.sampled_from(keys)))
@@ -409,8 +455,8 @@ class TestLinearSweepMatchesQuadratic:
             (lambda state: float(state.key in sat), sat),
         ]
         for payoff, ends in sweeps:
-            new = _arrival_values(model, payoff, ends, best_of)
-            old = reference_arrivals._arrival_values(model, payoff, ends, best_of)
+            new = _arrival_values(model, payoff, ends)
+            old = reference_arrivals._arrival_values(model, payoff, ends, max)
             assert new == old and repr(new) == repr(old)
         query = ReachabilityQuery(mode, lambda state: state.key in sat)
         new = reachability_probability(model, query)
