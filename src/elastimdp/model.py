@@ -30,11 +30,11 @@ so each row is made once per size.  The map is implied by the config and
 the behavior weights, so a model does not store it: `MdpModel.transitions`
 is a read-only view made on first read (`implied_transitions`), for the
 brute-force oracles (the solver never reads it).  A dump's `trans` lines
-are `trans_blocks`, one string per size written from `size_moves` and a
-per-call table of each size's (label, weight) pairs, never from the map.
-Each distinct probability is formatted once per call (the values repeat),
-except zeros: 0.0 and -0.0 are equal floats whose reprs differ, and a
-loaded model may hold either.
+are `trans_blocks`, one string per size written from `size_moves` and
+each size's (label, weight) pairs, never from the map; each distinct
+nonzero probability is formatted once per call (a loaded model may hold
+0.0 or -0.0, equal floats whose reprs differ).  One slot keeps the last
+section dumped or read whole under what it is made of (`_trans_key`).
 
 `MdpModel.loads` reads one format: whitespace, blank lines and line ends
 aside, a dump's lines must be the ones `dump()` writes, in order (a head
@@ -67,6 +67,7 @@ from enum import Enum
 from functools import cache, cached_property
 from itertools import groupby
 from operator import attrgetter
+from struct import pack
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -323,7 +324,8 @@ class MdpModel:
         return [(t, p / mass) for t, p in row]
 
     def dump(self) -> str:
-        """Deterministic text serialization (round-trips via `loads`)."""
+        """Deterministic text serialization (round-trips via `loads`); the
+        trans section is the slot's if it has this model's `_trans_key`."""
         cfg = self.config
         labels = {key: state.label for key, state in self.states.items()}
         lines = [
@@ -341,8 +343,11 @@ class MdpModel:
                 f" reward={state.reward!r} phase=decision prev=none"
                 f" center={center}"
             )
-        lines.extend(trans_blocks(self, labels))
-        return "\n".join(lines) + "\n"
+        global _last_trans
+        key, slot = _trans_key(self), _last_trans
+        if slot[0] != key:
+            slot = _last_trans = (key, "\n".join(trans_blocks(self, labels)))
+        return "\n".join([*lines, slot[1]]) + "\n"
 
     @staticmethod
     def loads(text: str) -> "MdpModel":
@@ -352,7 +357,8 @@ class MdpModel:
         reads as the same value); else an InstantiationError naming the
         first line that differs and what was expected there.  A text that
         `_read_dump` refuses is read again with each non-blank line's words
-        joined by single spaces, unless that changes only the final line end."""
+        joined by single spaces, unless that changes only the final line end.
+        Its trans section is compared whole with the slot's if it has the head's key."""
         try:
             return _read_dump(text)
         except InstantiationError:
@@ -499,17 +505,15 @@ def implied_transitions(
     return transitions
 
 
-def trans_blocks(model: MdpModel, labels: Mapping[StateKey, str] | None = None) -> Iterator[str]:
+def trans_blocks(model: MdpModel, labels: Mapping[StateKey, str]) -> Iterator[str]:
     """The `trans` lines of `model`'s dump, made lazily, one string per
     size: sources in key order, each source's moves by sort key and its
     no_op self-loop last.  A size's lines are written from `size_moves` and
     a per-call table of each size's (label, weight) pairs, with `labels`
-    (each state's, made here when not given): a move's tails, " add_2 s6a
-    0.25", are made once per size and written for each of its behaviors.
-    The `repr` of each distinct nonzero probability is made once per call
-    (0.0 and -0.0 are equal keys whose reprs differ)."""
-    if labels is None:
-        labels = {key: state.label for key, state in model.states.items()}
+    (each state's): a move's tails, " add_2 s6a 0.25", are made once per
+    size and written for each of its behaviors.  The `repr` of each
+    distinct nonzero probability is made once per call (0.0 and -0.0 are
+    equal keys whose reprs differ)."""
     config = model.config
     table = {n: [(labels[s.key], s.weight) for s in group] for n, group in model.by_size.items()}
     reprs: dict[float, str] = {}
@@ -611,9 +615,11 @@ def _read_dump(text: str, numbers: Sequence[int] | None = None) -> MdpModel:
     refusal of the first line that is not (`_refusal`).  The head is read
     one compiled pattern per line, its state lines up to the first line
     that starts with "trans ", and a model the constructor refuses is
-    refused at the line after them.  Then each block that `trans_blocks`
-    renders must stand in the text where the last one ended; only a block
-    that does not is split into lines, to find the first that differs."""
+    refused at the line after them.  Then, unless the rest of the text is
+    the slot's section of the head's `_trans_key`, each block that
+    `trans_blocks` renders must stand in the text where the last one ended
+    (only a block that does not is split into lines, to find the first that
+    differs), and a section read to the end is left in the slot."""
     at = 0
     try:
         at = _match(_HEADER, text, at).end()
@@ -653,6 +659,10 @@ def _read_dump(text: str, numbers: Sequence[int] | None = None) -> MdpModel:
         model = MdpModel(config=config, states=states, initial=states[by_label[initial]])
     except (ValueError, ConfigurationError, InstantiationError) as exc:
         raise _refusal(text, at, numbers, str(exc)) from None
+    global _last_trans
+    key, (held, section), start = _trans_key(model), _last_trans, at
+    if held == key and text.startswith(section, at) and text[at + len(section) :] in ("", "\n"):
+        return model
     for block in trans_blocks(model, labels):
         end = at + len(block)
         if not text.startswith(block, at) or end < len(text) and text[end] != "\n":
@@ -664,7 +674,20 @@ def _read_dump(text: str, numbers: Sequence[int] | None = None) -> MdpModel:
         at = end + 1
     if at < len(text):
         raise _refusal(text, at, numbers, "expected the end of the dump")
+    _last_trans = (key, text[start:end])
     return model
+
+
+# The last trans section dumped or read whole, and its `_trans_key`: one
+# (key, text) pair, replaced whole, so a thread reads a pair that agrees.
+_last_trans: tuple[tuple | None, str] = (None, "")
+
+
+def _trans_key(model: MdpModel) -> tuple:
+    """All `model`'s trans section is made of: the config, the state keys in
+    order and their weights' bits (0.0 and -0.0 print apart; labels follow)."""
+    keys = tuple(sorted(model.states))
+    return model.config, keys, pack(f"{len(keys)}d", *[model.states[k].weight for k in keys])
 
 
 def _match(line: tuple[re.Pattern[str], str], text: str, at: int) -> re.Match[str]:

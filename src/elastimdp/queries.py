@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import operator
 import re
+from functools import lru_cache
 from typing import Callable
 
 from .errors import QueryEvaluationError, QueryParseError
@@ -130,8 +131,9 @@ class _Parser:
         return _FIELDS[name], _OPS[op], value
 
 
+@lru_cache(maxsize=32)
 def parse_query(text: str) -> ReachabilityQuery:
-    """Parse a full ``Pmax=? [ F ... ]`` / ``Pmin=? [ F ... ]`` query."""
+    """Parse a full ``Pmax=? [ F ... ]`` / ``Pmin=? [ F ... ]`` query (the last 32 are kept)."""
     parser = _Parser(text)
     _, head, position = parser.take()
     if head not in ("Pmax", "Pmin"):

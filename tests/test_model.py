@@ -986,6 +986,10 @@ class TestDumpBoundary:
                 " prev=none center=-"
                 for v in range(1, 1501)
             ]
+        # Another model's section in the slot: the load still walks the blocks.
+        other = chain_model(max_vms=9)
+        other.dump()
+        assert model_module._last_trans[0] == model_module._trans_key(other)
         started = time.perf_counter()
         with pytest.raises(InstantiationError, match=message):
             MdpModel.loads("\n".join(lines))
@@ -1007,17 +1011,29 @@ class TestDumpBoundary:
 
         text = model.dump()
         monkeypatch.setattr(model_module, "trans_blocks", counted)
+        # The slot dump() left holds the section: the load renders none.
+        assert MdpModel.loads(text) == model
+        assert made == []
+        # A cleared slot: the load renders every size once, and keeps the
+        # section for the redump, which renders none.
+        monkeypatch.setattr(model_module, "_last_trans", (None, ""))
         assert MdpModel.loads(text) == model
         assert made == list(config.sizes)
+        made.clear()
+        assert model.dump() == text and made == []
         for size in config.sizes[:-1]:
             lines = cut_after(model, size)
             next_line = cut_after(model, size + 1)[len(lines)]
-            # cut at the end of size `size`, and after the first line past it
-            for text in ("\n".join(lines), "\n".join([*lines, next_line])):
-                made.clear()
-                with pytest.raises(InstantiationError, match="found the end of the dump$"):
-                    MdpModel.loads(text)
-                assert made == list(range(config.min_vms, size + 2))
+            # cut at the end of size `size`, and after the first line past
+            # it; with the slot warm (cut_after dumps the model) and cleared
+            for cut in ("\n".join(lines), "\n".join([*lines, next_line])):
+                for slot in (model_module._last_trans, (None, "")):
+                    assert slot[0] in (None, model_module._trans_key(model))
+                    monkeypatch.setattr(model_module, "_last_trans", slot)
+                    made.clear()
+                    with pytest.raises(InstantiationError, match="found the end of the dump$"):
+                        MdpModel.loads(cut)
+                    assert made == list(range(config.min_vms, size + 2))
 
 
 def outcome(load, text):
@@ -1109,6 +1125,88 @@ class TestReferenceDump:
         assert " s5b 0.0\n" in text and " s4b -0.0\n" in text
         loaded = MdpModel.loads(text)
         assert loaded == model and loaded.dump() == text
+
+
+def slots(*models):
+    """The trans slot cleared, then as each model's `dump()` leaves it."""
+    held = [(None, "")]
+    with pytest.MonkeyPatch.context() as patch:
+        for model in models:
+            patch.setattr(model_module, "_last_trans", (None, ""))
+            model.dump()
+            held.append(model_module._last_trans)
+    return held
+
+
+class TestTransSlot:
+    """`dump()` and `loads` share one slot holding the last trans section
+    dumped or read whole, keyed by the config, the state keys and the
+    weights' bits: whatever it holds, they write and read as the
+    line-at-a-time reference does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(config_and_states(), config_and_states(), st.data())
+    def test_any_slot_dumps_and_loads_as_the_reference(self, instance, another, data):
+        model, other = build_model(*instance), build_model(*another)
+        lines = reference_dump.dump(model).splitlines()
+        cut = data.draw(st.integers(min_value=1, max_value=len(lines)))
+        trans = [i for i, line in enumerate(lines) if line.startswith("trans ")]
+        edited = list(lines)
+        i = data.draw(st.sampled_from(trans))
+        edited[i] = edited[i].replace(" 1.0", " 1.00").replace("_", "-", 1)
+        whole = "\n".join(lines) + "\n"
+        texts = [whole, whole + lines[-1], "\n".join(lines[:cut]), "\n".join(edited) + "\n"]
+        with pytest.MonkeyPatch.context() as patch:
+            for slot in slots(model, other):
+                patch.setattr(model_module, "_last_trans", slot)
+                assert model.dump() == reference_dump.dump(model)
+                for text in texts:
+                    patch.setattr(model_module, "_last_trans", slot)
+                    assert outcome(MdpModel.loads, text) == outcome(reference_dump.parse_dump, text)
+
+    @pytest.mark.parametrize(
+        "config, twins",
+        [
+            # Equal models, since 0.0 == -0.0, whose dumps differ.
+            (
+                ModelConfig(4, 7, variant=Variant.M2, k=2),
+                [
+                    [s for v in range(4, 8) for s in (MdpState(v, 0, 1.0), MdpState(v, 1, zero))]
+                    for zero in (0.0, -0.0)
+                ],
+            ),
+            # Weights 1.0, 0.0, 1.0 in key order: two behaviors at size 4, or at 5.
+            (
+                ModelConfig(4, 5, variant=Variant.M2, k=2),
+                [
+                    [MdpState(4, 0, 1.0), MdpState(4, 1, 0.0), MdpState(5)],
+                    [MdpState(4), MdpState(5, 0, 0.0), MdpState(5, 1, 1.0)],
+                ],
+            ),
+        ],
+        ids=["zero signs", "weights split otherwise"],
+    )
+    def test_twins_dump_and_load_back_to_back(self, config, twins):
+        twins = [build_model(config, states, 4) for states in twins]
+        texts = [twin.dump() for twin in twins]
+        assert texts[0] != texts[1]
+        for _ in range(2):
+            for twin, text in zip(twins, texts):
+                assert twin.dump() == text == reference_dump.dump(twin)
+                loaded = MdpModel.loads(text)
+                assert loaded == twin and loaded.dump() == text
+
+    def test_an_edited_trans_line_behind_a_warm_slot_is_refused_at_its_line(self):
+        model = build_model(TWO_BEHAVIOR_CONFIG, TWO_BEHAVIOR_STATES, 4)
+        text = edited_dump(model, "trans s4b rem_1 s3 1.0", "trans s4b rem_1 s3 1.00")
+        with pytest.MonkeyPatch.context() as patch:
+            messages = set()
+            for slot in slots(model, chain_model()):
+                patch.setattr(model_module, "_last_trans", slot)
+                messages.add(refusal(text))
+        line = text.splitlines().index("trans s4b rem_1 s3 1.00") + 1
+        assert messages == {f"model dump line {line}: expected 'trans s4b rem_1 s3 1.0'"}
+        assert outcome(reference_dump.parse_dump, text) == (InstantiationError, messages.pop())
 
 
 def counted_load(text):

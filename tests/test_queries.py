@@ -75,6 +75,23 @@ class TestParsing:
         with pytest.raises(QueryParseError):
             parse_query("Pmax=? [ F latency < # ]").predicate
 
+    def test_a_repeated_text_returns_the_same_query(self):
+        text = "Pmax=? [ F latency<30 & vms_num=7 ]"
+        query = parse_query(text)
+        assert parse_query(text) is query
+        # An equal text made anew is the same key.
+        assert parse_query(" ".join(text.split(" "))) is query
+        assert parse_query(text.replace("30", "31")) is not query
+
+    @pytest.mark.parametrize("text", ["Pmax=? [F vms=", "Pmax=? [ F latency< ]", "Pboth=?"])
+    def test_a_refused_text_is_refused_on_every_call(self, text):
+        refusals = []
+        for _ in range(3):
+            with pytest.raises(QueryParseError) as err:
+                parse_query(text)
+            refusals.append((str(err.value), err.value.position))
+        assert refusals == refusals[:1] * 3
+
     @pytest.mark.parametrize(
         "number", ["1e999", "-1e999", "9" * 400], ids=["1e999", "-1e999", "400-nines"]
     )
