@@ -34,7 +34,7 @@ are `trans_blocks`, one string per size written from `size_moves` and
 each size's (label, weight) pairs, never from the map; each distinct
 nonzero probability is formatted once per call (a loaded model may hold
 0.0 or -0.0, equal floats whose reprs differ).  One slot keeps the last
-section dumped or read whole under what it is made of (`_trans_key`).
+section dumped under what it is made of (`_trans_key`).
 
 `MdpModel.loads` reads one format: whitespace, blank lines and line ends
 aside, a dump's lines must be the ones `dump()` writes, in order (a head
@@ -325,7 +325,7 @@ class MdpModel:
 
     def dump(self) -> str:
         """Deterministic text serialization (round-trips via `loads`); the
-        trans section is the slot's if it has this model's `_trans_key`."""
+        trans section it renders is left in the slot under `_trans_key`."""
         cfg = self.config
         labels = {key: state.label for key, state in self.states.items()}
         lines = [
@@ -344,10 +344,9 @@ class MdpModel:
                 f" center={center}"
             )
         global _last_trans
-        key, slot = _trans_key(self), _last_trans
-        if slot[0] != key:
-            slot = _last_trans = (key, "\n".join(trans_blocks(self, labels)))
-        return "\n".join([*lines, slot[1]]) + "\n"
+        section = "\n".join(trans_blocks(self, labels))
+        _last_trans = (_trans_key(self), section)
+        return "\n".join([*lines, section]) + "\n"
 
     @staticmethod
     def loads(text: str) -> "MdpModel":
@@ -358,7 +357,8 @@ class MdpModel:
         first line that differs and what was expected there.  A text that
         `_read_dump` refuses is read again with each non-blank line's words
         joined by single spaces, unless that changes only the final line end.
-        Its trans section is compared whole with the slot's if it has the head's key."""
+        Its trans section is compared whole with the slot's if it has the
+        head's key, as when `text` is the last `dump()`."""
         try:
             return _read_dump(text)
         except InstantiationError:
@@ -616,10 +616,10 @@ def _read_dump(text: str, numbers: Sequence[int] | None = None) -> MdpModel:
     one compiled pattern per line, its state lines up to the first line
     that starts with "trans ", and a model the constructor refuses is
     refused at the line after them.  Then, unless the rest of the text is
-    the slot's section of the head's `_trans_key`, each block that
-    `trans_blocks` renders must stand in the text where the last one ended
-    (only a block that does not is split into lines, to find the first that
-    differs), and a section read to the end is left in the slot."""
+    the slot's section of the head's `_trans_key` (the last `dump()`'s),
+    each block that `trans_blocks` renders must stand in the text where the
+    last one ended; only a block that does not is split into lines, to find
+    the first that differs."""
     at = 0
     try:
         at = _match(_HEADER, text, at).end()
@@ -659,9 +659,8 @@ def _read_dump(text: str, numbers: Sequence[int] | None = None) -> MdpModel:
         model = MdpModel(config=config, states=states, initial=states[by_label[initial]])
     except (ValueError, ConfigurationError, InstantiationError) as exc:
         raise _refusal(text, at, numbers, str(exc)) from None
-    global _last_trans
-    key, (held, section), start = _trans_key(model), _last_trans, at
-    if held == key and text.startswith(section, at) and text[at + len(section) :] in ("", "\n"):
+    held, section = _last_trans
+    if held == _trans_key(model) and text.startswith(section, at) and text[at + len(section) :] in ("", "\n"):
         return model
     for block in trans_blocks(model, labels):
         end = at + len(block)
@@ -674,11 +673,10 @@ def _read_dump(text: str, numbers: Sequence[int] | None = None) -> MdpModel:
         at = end + 1
     if at < len(text):
         raise _refusal(text, at, numbers, "expected the end of the dump")
-    _last_trans = (key, text[start:end])
     return model
 
 
-# The last trans section dumped or read whole, and its `_trans_key`: one
+# The last trans section `dump()` rendered, and its `_trans_key`: one
 # (key, text) pair, replaced whole, so a thread reads a pair that agrees.
 _last_trans: tuple[tuple | None, str] = (None, "")
 

@@ -19,8 +19,8 @@ sizes.  `best_move` then values a state's first moves
 pick to the per-step limits.  A path never returns to its initial size
 and no_op ends the episode, so Pmin is 1 if the initial state satisfies
 the query predicate and 0 otherwise, and Pmax is 0 when no state at
-another size satisfies it; any other Pmax sweeps the branches toward such
-states, with payoff 1 on satisfying states (ending there) and 0 elsewhere.
+another size satisfies it; any other Pmax runs the sweep with payoff 1
+on satisfying states (where the episode ends) and 0 elsewhere.
 
 `brute_force_oracle` (the counterpart of `best_move` at every state) and
 `brute_force_reachability` re-derive the same quantities from the
@@ -101,12 +101,10 @@ def _arrival_values(
     model: MdpModel,
     payoff: Callable[[MdpState], float],
     final: Collection[StateKey],
-    swept: tuple[bool, bool] = (True, True),
 ) -> list[dict[int, float]]:
     """Backward induction over sizes along both monotone branches: the
     maximum expected payoff of arriving at each size on an add-locked and
-    on a rem-locked path.  A branch not `swept` (add, rem) is valued 0.0 at
-    every size, for a caller that knows no payoff lies along it.
+    on a rem-locked path.
 
     A state in `final` ends the episode with its payoff; any other state
     takes the max of its payoff (stopping) and the arrival values of the
@@ -125,11 +123,10 @@ def _arrival_values(
         scored[size] = [(s.weight / mass, payoff(s), s.key in final) for s in states]
     all_targets = cfg.variant is _M3
     branches = []
-    directions = ((cfg.sizes[::-1], cfg.add_limit), (cfg.sizes, cfg.rem_limit))
-    for (sizes, limit), sweep in zip(directions, swept):
-        arrive: dict[int, float] = {} if sweep else dict.fromkeys(sizes, 0.0)
+    for sizes, limit in ((cfg.sizes[::-1], cfg.add_limit), (cfg.sizes, cfg.rem_limit)):
+        arrive: dict[int, float] = {}
         onward: list[float] = []
-        for size in sizes if sweep else ():
+        for size in sizes:
             best_onward = max(onward[-limit:]) if onward else None
             total = 0.0
             for share, value, ends in scored[size]:
@@ -225,17 +222,15 @@ def reachability_probability(model: MdpModel, query: ReachabilityQuery) -> float
     Both are 1.0 if the initial state satisfies the predicate.  Else Pmin
     is 0.0 (no_op ends the episode), so it only tells whether the current
     state satisfies it, and Pmax is 0.0 unless a state at another size
-    does (no path returns to its initial size), and only branches toward
-    such states are swept.  The predicate is first evaluated on every
-    state, so a state it cannot read always raises."""
+    does (no path returns to its initial size).  The predicate is first
+    evaluated on every state, so a state it cannot read always raises."""
     sat = {key for key, state in model.states.items() if query.predicate(state)}
     if model.initial.key in sat:
         return 1.0
     size = model.initial.vms_num
-    swept = (any(key[0] > size for key in sat), any(key[0] < size for key in sat))
-    if query.mode == "min" or not any(swept):
+    if query.mode == "min" or all(key[0] == size for key in sat):
         return 0.0
-    arrivals = _arrival_values(model, lambda state: float(state.key in sat), sat, swept)
+    arrivals = _arrival_values(model, lambda state: float(state.key in sat), sat)
     moves = _first_moves(model, size, arrivals)
     # no_op terminates without reaching the target set
     return min(1.0, max([0.0] + [p for p, _ in moves]))

@@ -24,7 +24,9 @@ def test_the_newest_bench_file_is_well_formed():
     assert bench["traces"]["count"] == 60
     for workload in bench_file.WORKLOADS:
         for name in bench_file.METRICS:
-            for kind in ("ref", "raw"):
+            kinds = ("ref",) if name in bench_file.NO_RAW else ("ref", "raw")
+            assert tuple(bench["perfbench"]["workloads"][workload][name]) == kinds
+            for kind in kinds:
                 stat = bench["perfbench"]["workloads"][workload][name][kind]
                 assert len(stat["samples"]) == bench["perfbench"]["runs"] >= 3
                 assert min(stat["samples"]) <= stat["median"] <= max(stat["samples"])
@@ -45,6 +47,16 @@ def test_the_newest_bench_file_is_well_formed():
             True,
             "whatif.ops_per_s.ref.median has the wrong type",
         ),
+        (
+            ("perfbench", "workloads", "whatif", "op_ms_p95", "raw"),
+            None,
+            "whatif.op_ms_p95.raw should be an object",
+        ),
+        (
+            ("perfbench", "workloads", "whatif", "peak_rss_mb", "raw"),
+            {"median": 50.0, "iqr": 0.0, "samples": [50.0, 50.0, 50.0]},
+            "whatif.peak_rss_mb has no raw figure",
+        ),
     ],
 )
 def test_a_damaged_file_is_refused(path, value, problem):
@@ -55,6 +67,29 @@ def test_a_damaged_file_is_refused(path, value, problem):
     where[path[-1]] = value
     problems = bench_file.schema_problems(bench)
     assert len(problems) == 1 and problems[0].startswith(problem)
+
+
+def perfbench_output(dropped=None):
+    """What `perfbench/run.py` prints, cut to the lines `perfbench_run`
+    reads, without the `dropped` metric's line."""
+    metrics = {name: {"value": 1.5} for name in bench_file.METRICS}
+    lines = [
+        f"  {name:<32} {1.5:>14.6g} unit     note; raw {2.5:.6g} s"
+        for name in bench_file.METRICS
+        if name not in bench_file.NO_RAW and name != dropped
+    ]
+    return "\n".join([*lines, json.dumps({"correct": True, "metrics": metrics})]) + "\n"
+
+
+def test_each_raw_value_is_read_and_a_missing_one_stops_the_run(monkeypatch):
+    monkeypatch.setattr(bench_file, "timed", lambda command, checkout: (0.0, perfbench_output()))
+    values = bench_file.perfbench_run(ROOT, "whatif", 1.0)
+    assert values["peak_rss_mb"] == {"ref": 1.5}
+    assert values["ops_per_s"] == {"ref": 1.5, "raw": 2.5}
+    output = perfbench_output(dropped="op_ms_p50")
+    monkeypatch.setattr(bench_file, "timed", lambda command, checkout: (0.0, output))
+    with pytest.raises(SystemExit, match="printed no raw op_ms_p50"):
+        bench_file.perfbench_run(ROOT, "whatif", 1.0)
 
 
 def test_newest_is_by_number(tmp_path):

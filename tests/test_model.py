@@ -1014,13 +1014,15 @@ class TestDumpBoundary:
         # The slot dump() left holds the section: the load renders none.
         assert MdpModel.loads(text) == model
         assert made == []
-        # A cleared slot: the load renders every size once, and keeps the
-        # section for the redump, which renders none.
+        # A cleared slot: the load renders every size once and leaves the
+        # slot cleared; a dump renders every size once and fills it.
         monkeypatch.setattr(model_module, "_last_trans", (None, ""))
         assert MdpModel.loads(text) == model
         assert made == list(config.sizes)
+        assert model_module._last_trans == (None, "")
         made.clear()
-        assert model.dump() == text and made == []
+        assert model.dump() == text and made == list(config.sizes)
+        assert model_module._last_trans[0] == model_module._trans_key(model)
         for size in config.sizes[:-1]:
             lines = cut_after(model, size)
             next_line = cut_after(model, size + 1)[len(lines)]
@@ -1140,7 +1142,7 @@ def slots(*models):
 
 class TestTransSlot:
     """`dump()` and `loads` share one slot holding the last trans section
-    dumped or read whole, keyed by the config, the state keys and the
+    dumped, keyed by the config, the state keys and the
     weights' bits: whatever it holds, they write and read as the
     line-at-a-time reference does."""
 

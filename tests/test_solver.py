@@ -462,28 +462,3 @@ class TestLinearSweepMatchesQuadratic:
         new = reachability_probability(model, query)
         old = min(1.0, reference_arrivals.reachability_probability(model, query))
         assert new == old and repr(new) == repr(old)
-
-    @settings(max_examples=300, deadline=None)
-    @given(tied_models(), st.booleans(), st.data())
-    def test_pmax_with_targets_on_one_side_sweeps_that_side(self, model, above, data):
-        size, keys = model.initial.vms_num, sorted(model.states)
-        side = [key for key in keys if (key[0] > size if above else key[0] < size)]
-        at_size = [key for key in keys if key[0] == size and key != model.initial.key]
-        sat = data.draw(st.sets(st.sampled_from(side), min_size=1)) if side else set()
-        if at_size:  # targets at the initial size change no sweep
-            sat |= data.draw(st.sets(st.sampled_from(at_size)))
-        swept = []
-
-        def recorded(*args):
-            swept.append(args[3])
-            return _arrival_values(*args)
-
-        query = ReachabilityQuery("max", lambda state: state.key in sat)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver, "_arrival_values", recorded)
-            new = reachability_probability(model, query)
-        old = min(1.0, reference_arrivals.reachability_probability(model, query))
-        assert new == old and repr(new) == repr(old)
-        assert swept == ([(above, not above)] if side else [])
-        if len(model.states) <= 12:
-            assert new == pytest.approx(brute_force_reachability(model, query), abs=1e-9)
