@@ -92,10 +92,11 @@ class LogStore:
       clusters the row's cells in one call and scores every size from the
       k-means arrays in another);
     * `solve_memo`: one `policies.SolvedModel` per MDP policy kind, model
-      config, clustering config, utility and load bucket: the model, its
-      interpolation notes and arrival values, and, filled as decisions
-      reach them, each size's `BehaviorMatcher` and each start state's
-      `PolicyDecision` (filled by `policies.MdpPolicy.decide`);
+      config, clustering config, utility and load bucket: the model (which
+      keeps each size's `BehaviorMatcher` as `MdpModel.start` reaches it),
+      its interpolation notes and arrival values, and, filled as decisions
+      reach them, each start state's `PolicyDecision` (filled by
+      `policies.MdpPolicy.decide`);
     * `tape_memo`: a run's `EnvironmentTape`, per seeded bit-generator
       state, load profile, horizon, noise fraction and utility (filled by
       `emulator.environment_tape`).  It holds the run's (load, record

@@ -24,17 +24,17 @@ within its action type, so that the total mass of one action *type* from a
 state sums to 1.  The per-entry probability is therefore
 ``type_share * target_behavior_weight``, which is exactly the edge label a
 reader expects next to each arrow in a drawing of the model.  Which sized
-moves a size has, and each one's type share, come from one helper,
-`size_moves`; an action's outcome does not depend on the source behavior,
-so each row is made once per size.  The map is implied by the config and
-the behavior weights, so a model does not store it: `MdpModel.transitions`
-is a read-only view made on first read (`implied_transitions`), for the
-brute-force oracles (the solver never reads it).  A dump's `trans` lines
-are `trans_blocks`, one string per size written from `size_moves` and
-each size's (label, weight) pairs, never from the map; each distinct
-nonzero probability is formatted once per call (a loaded model may hold
-0.0 or -0.0, equal floats whose reprs differ).  One slot keeps the last
-section dumped under what it is made of (`_trans_key`).
+moves a size has, in what order, and each one's type share, come from one
+list, `ModelConfig.moves`; an action's outcome does not depend on the source
+behavior, so each row is made once per size.  The map is implied by the
+config and the behavior weights, so a model does not store it:
+`MdpModel.transitions` is a read-only view made on first read
+(`implied_transitions`), for the brute-force oracles (the solver never reads
+it).  A dump's `trans` lines are `trans_blocks`, one string per size written
+from `ModelConfig.moves` and each size's (label, weight) pairs, never from
+the map; each distinct nonzero probability is formatted once per call (a
+loaded model may hold 0.0 or -0.0, equal floats whose reprs differ).  One
+slot keeps the last section dumped under what it is made of (`_trans_key`).
 
 `MdpModel.loads` reads one format: whitespace, blank lines and line ends
 aside, a dump's lines must be the ones `dump()` writes, in order (a head
@@ -48,14 +48,14 @@ refusal names the first line that differs and what was expected there.
 `_violations`), and `build_model`, `MdpModel.loads` and
 `dataclasses.replace` all go through it.  So the implied map of any model
 is a distribution per action type whose targets lie in the size range.
-`current_state` is the one pick of the state a decision starts from, for
-`build_model`'s initial state and for a decision on a kept model; a
+`MdpModel.start` is the one pick of the state a decision starts from; a
 `BehaviorMatcher` normalizes a size's behavior centers for it, once per
-kept model and size.
+model and size, and `build_model` keeps the one that picked its initial
+state.
 
 Models are immutable after construction and safe to share between threads:
-the first read of a model's map or of its states per size fills it
-idempotently, and every reader sees the same contents.
+the first read of a model's map, of its states per size or of a size's
+matcher fills it idempotently, and every reader sees the same contents.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class ActionKind(str, Enum):
 
 
 # Enum members read once, at import: each `ActionKind.ADD`-style read is a
-# descriptor call, and hashing a member runs `Enum.__hash__` in Python.
+# descriptor call.
 _ADD, _REM, _M3 = ActionKind.ADD, ActionKind.REM, Variant.M3
 
 
@@ -104,9 +104,7 @@ class Action:
     """A sized elasticity action: add/remove `delta` VMs, or no_op.
 
     `signed_delta` (+delta, -delta or 0) and `label` (``add_2``, ``rem_1``,
-    ``no_op``) are stored at construction.  The signed delta is unique per
-    action and the same in every process, so it also gives the hash that
-    keys every transition-map lookup.
+    ``no_op``) are stored at construction.
     """
 
     kind: ActionKind
@@ -123,10 +121,6 @@ class Action:
         label = "no_op" if signed == 0 else f"{self.kind.value}_{self.delta}"
         object.__setattr__(self, "label", label)
 
-    def __hash__(self) -> int:
-        # Doubled so that rem_1 avoids -1, which CPython turns into -2.
-        return 2 * self.signed_delta
-
     @staticmethod
     def from_label(label: str) -> "Action":
         if label == "no_op":
@@ -136,10 +130,6 @@ class Action:
             return Action(ActionKind(kind), int(num))
         except ValueError as exc:
             raise ValueError(f"not an action label: {label!r}") from exc
-
-    def sort_key(self) -> tuple[int, int]:
-        kind = self.kind
-        return (0 if kind is _ADD else 1 if kind is _REM else 2, self.delta)
 
 
 NO_OP = Action(ActionKind.NO_OP, 0)
@@ -185,11 +175,16 @@ class ModelConfig:
             room, limit = size - self.min_vms, self.rem_limit
         return range(1, (room if self.variant is _M3 else min(limit, room)) + 1)
 
-    def moves(self, size: int) -> list[Action]:
-        """The sized actions enabled at `size`, in `Action.sort_key` order:
-        the shared `Action` of each add delta, then of each rem delta."""
+    def moves(self, size: int) -> list[tuple[Action, float]]:
+        """Each sized action enabled at `size` with its type share, the equal
+        share of its type's mass: the shared `Action` of each add delta, then
+        of each rem delta, by delta.  A move's row is `type_share *
+        target_weight` for each behavior of the target size, whatever the
+        source behavior."""
         adds, rems = self.deltas(size, _ADD), self.deltas(size, _REM)
-        return [_sized_action(d) for d in adds] + [_sized_action(-d) for d in rems]
+        return [(_sized_action(d), 1.0 / len(adds)) for d in adds] + [
+            (_sized_action(-d), 1.0 / len(rems)) for d in rems
+        ]
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -265,8 +260,8 @@ TransitionRow = tuple[tuple[StateKey, float], ...]
 class MdpModel:
     """An instantiated decision model: the config and the states, each
     with its reward.  Construction raises InstantiationError on the first
-    broken invariant.  Do not mutate the mapping; `transitions` and
-    `by_size` are views of it."""
+    broken invariant.  Do not mutate the mapping; `transitions`, `by_size`
+    and `matchers` are made from it."""
 
     config: ModelConfig
     states: Mapping[StateKey, MdpState]
@@ -292,30 +287,39 @@ class MdpModel:
             by_size.setdefault(key[0], []).append(self.states[key])
         return by_size
 
+    @cached_property
+    def matchers(self) -> dict[int, BehaviorMatcher]:
+        """The `BehaviorMatcher` of each size `start` has picked at, made
+        on its first pick there and kept."""
+        return {}
+
     def __getstate__(self) -> dict:
-        # Copies and pickles leave the cached views out (a mappingproxy
-        # cannot be pickled) and make their own on first read.
-        return {k: v for k, v in vars(self).items() if k not in ("transitions", "by_size")}
+        # Copies and pickles keep the fields only (a mappingproxy cannot be
+        # pickled) and make their own cached views on first read.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def start(self, current: ClusterSize, observation: tuple[float, float] | None) -> MdpState:
+        """The state a decision at size `current` starts from: the behavior
+        of that size closest to `observation` (see `BehaviorMatcher`),
+        picked through the size's kept matcher."""
+        matcher = self.matchers.get(current)
+        if matcher is None:
+            matcher = self.matchers[current] = _matcher(self.config, self.by_size, current)
+        return matcher.match(observation)
 
     def ordered_states(self) -> list[MdpState]:
         return [self.states[k] for k in sorted(self.states)]
 
     def actions_from(self, key: StateKey, lock: ActionKind | None = None) -> list[Action]:
-        """Sized actions enabled at `key`, honoring a direction lock.
+        """The actions enabled at `key`, honoring a direction lock: its
+        size's sized moves (`ModelConfig.moves`), then no_op.
 
         `lock=ADD` (resp. REM) restricts to additions (removals) plus
         no_op, the restriction that applies once a path has committed to a
         direction.
         """
-        out = []
-        for (skey, action) in self.transitions:
-            if skey != key:
-                continue
-            if lock is not None and action.kind not in (lock, ActionKind.NO_OP):
-                continue
-            out.append(action)
-        out.sort(key=Action.sort_key)
-        return out
+        moves = self.config.moves(key[0])
+        return [*(a for a, _ in moves if lock is None or a.kind is lock), NO_OP]
 
     def outcome_distribution(self, key: StateKey, action: Action) -> list[tuple[StateKey, float]]:
         """Normalized outcome distribution of choosing one sized action."""
@@ -375,8 +379,8 @@ class MdpModel:
 class BehaviorMatcher:
     """One size's states (in behavior order), with their centers min-max
     normalized once, for picking the behavior an observation is closest
-    to (`match`).  A solve-memo entry keeps one per size, so a decision
-    on a kept model normalizes only its observation.
+    to (`match`).  A model keeps one per size (`MdpModel.matchers`), so a
+    decision on a kept model normalizes only its observation.
 
     Distance is Euclidean after min-max normalizing each dimension over
     the size's cluster centers.  The pick falls back to the heaviest
@@ -435,53 +439,33 @@ def build_model(
     `states` are the states of every size in the configured range, each
     size's behaviors numbered from 0 with weights that sum to 1 (the
     constructor checks them).  `current_behavior` is the latest
-    (latency_ms, throughput) observation; `current_state` picks the initial
-    state with it.
+    (latency_ms, throughput) observation; the initial state is the one
+    `MdpModel.start` picks with it, and the model keeps the matcher.
     """
     ordered = sorted(states, key=attrgetter("key"))
     by_size = {size: list(group) for size, group in groupby(ordered, attrgetter("vms_num"))}
     keyed = {state.key: state for state in ordered}
     if len(keyed) < len(ordered):
         raise InstantiationError("two states share a (size, behavior) key")
-    return MdpModel(
-        config=config,
-        states=keyed,
-        initial=current_state(config, by_size, current, current_behavior),
-    )
+    matcher = _matcher(config, by_size, current)
+    model = MdpModel(config=config, states=keyed, initial=matcher.match(current_behavior))
+    model.matchers[current] = matcher
+    return model
 
 
-def current_state(
-    config: ModelConfig,
-    by_size: Mapping[int, Sequence[MdpState]],
-    current: ClusterSize,
-    observation: tuple[float, float] | None,
-    matchers: dict[int, BehaviorMatcher] | None = None,
-) -> MdpState:
-    """The state a decision at size `current` starts from: the behavior of
-    that size closest to `observation` (see `BehaviorMatcher`).  `by_size`
-    holds each size's states in behavior order.  `matchers`, when given,
-    keeps each size's matcher for the next call at that size."""
+def _matcher(
+    config: ModelConfig, by_size: Mapping[int, Sequence[MdpState]], current: ClusterSize
+) -> BehaviorMatcher:
+    """The `BehaviorMatcher` of size `current`'s states (`by_size` holds
+    each size's states in behavior order)."""
     if not config.min_vms <= current <= config.max_vms:
         raise ConfigurationError(
             f"current size {current} outside [{config.min_vms}, {config.max_vms}]"
         )
-    matcher = matchers.get(current) if matchers is not None else None
-    if matcher is None:
-        states = by_size.get(current)
-        if not states:
-            raise InstantiationError(f"no state of size {current}")
-        matcher = BehaviorMatcher(states)
-        if matchers is not None:
-            matchers[current] = matcher
-    return matcher.match(observation)
-
-
-def size_moves(config: ModelConfig, size: int) -> list[tuple[int, float]]:
-    """(signed delta, type share) of each sized move enabled at `size`, in
-    `Action.sort_key` order; a move's row is `type_share * target_weight`
-    for each behavior of the target size, whatever the source behavior."""
-    adds, rems = config.deltas(size, _ADD), config.deltas(size, _REM)
-    return [(d, 1.0 / len(adds)) for d in adds] + [(-d, 1.0 / len(rems)) for d in rems]
+    states = by_size.get(current)
+    if not states:
+        raise InstantiationError(f"no state of size {current}")
+    return BehaviorMatcher(states)
 
 
 def implied_transitions(
@@ -489,14 +473,14 @@ def implied_transitions(
 ) -> dict[tuple[StateKey, Action], TransitionRow]:
     """The transition map that `config` and the behavior weights of the
     states of each size (as in `MdpModel.by_size`) imply: every behavior of
-    a size shares the rows of the size's moves (`size_moves`), plus its
-    no_op self-loop."""
+    a size shares the rows of the size's moves (`ModelConfig.moves`), plus
+    its no_op self-loop."""
     transitions: dict[tuple[StateKey, Action], TransitionRow] = {}
     for size, sources in by_size.items():
         rows = []
-        for delta, share in size_moves(config, size):
-            targets = by_size.get(size + delta, ())
-            rows.append((_sized_action(delta), tuple([(t.key, share * t.weight) for t in targets])))
+        for action, share in config.moves(size):
+            targets = by_size.get(size + action.signed_delta, ())
+            rows.append((action, tuple([(t.key, share * t.weight) for t in targets])))
         for source in sources:
             key = source.key
             for action, row in rows:
@@ -507,21 +491,21 @@ def implied_transitions(
 
 def trans_blocks(model: MdpModel, labels: Mapping[StateKey, str]) -> Iterator[str]:
     """The `trans` lines of `model`'s dump, made lazily, one string per
-    size: sources in key order, each source's moves by sort key and its
-    no_op self-loop last.  A size's lines are written from `size_moves` and
-    a per-call table of each size's (label, weight) pairs, with `labels`
-    (each state's): a move's tails, " add_2 s6a 0.25", are made once per
-    size and written for each of its behaviors.  The `repr` of each
-    distinct nonzero probability is made once per call (0.0 and -0.0 are
-    equal keys whose reprs differ)."""
+    size: sources in key order, each source's moves in `ModelConfig.moves`
+    order and its no_op self-loop last.  A size's lines are written from
+    `ModelConfig.moves` and a per-call table of each size's (label, weight)
+    pairs, with `labels` (each state's): a move's tails, " add_2 s6a 0.25",
+    are made once per size and written for each of its behaviors.  The
+    `repr` of each distinct nonzero probability is made once per call (0.0
+    and -0.0 are equal keys whose reprs differ)."""
     config = model.config
     table = {n: [(labels[s.key], s.weight) for s in group] for n, group in model.by_size.items()}
     reprs: dict[float, str] = {}
     for size, sources in table.items():
         tails = []
-        for delta, share in size_moves(config, size):
-            name = _sized_action(delta).label
-            for label, weight in table.get(size + delta, ()):
+        for action, share in config.moves(size):
+            name = action.label
+            for label, weight in table.get(size + action.signed_delta, ()):
                 p = share * weight
                 text = reprs.get(p)
                 if text is None:

@@ -14,8 +14,9 @@ Six policies are provided behind one `observe`/`decide` interface:
 An MDP policy's model holds, for each size, the states `rewards.score_row`
 scores from the logs at the effective load: one per behavior cluster (MDP2,
 MDP3) or its MB or EB summary (MDP_MB, MDP_EB).  Each step of an MDP policy
-takes that model from the store's solve memo and starts where `current_state`
-picks (see `MdpPolicy.decide`).
+takes that model from the store's solve memo and starts where the model's
+`MdpModel.start` picks (see `MdpPolicy.decide`); every list of a size's
+moves is `ModelConfig.moves`.
 
 Post-processing: the incoming load can be smoothed over a sliding window
 before model instantiation, and a benefit threshold can veto actions whose
@@ -36,7 +37,6 @@ from .logs import LogStore
 from .model import (
     Action,
     ActionKind,
-    BehaviorMatcher,
     ClusterSize,
     MdpModel,
     MdpState,
@@ -45,7 +45,6 @@ from .model import (
     StateKey,
     Variant,
     build_model,
-    current_state,
 )
 from .rewards import (
     ClusteringConfig,
@@ -174,7 +173,7 @@ def rl_decide(
 ) -> PolicyDecision:
     """Greedy action over the Q-table, warm-starting unseen entries from
     the mode-behaviour reward estimate of each action's target size."""
-    actions = [NO_OP, *limits.moves(current)]
+    actions = [NO_OP, *(a for a, _ in limits.moves(current))]
     for action in actions:
         key = (current, action.label)
         if key not in qtable.values:
@@ -193,7 +192,8 @@ def rl_update(
 ) -> None:
     """One Q-learning step:
     Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') - Q(s,a))."""
-    future = max(qtable.get(new_size, a) for a in [NO_OP, *limits.moves(new_size)])
+    actions = [NO_OP, *(a for a, _ in limits.moves(new_size))]
+    future = max(qtable.get(new_size, a) for a in actions)
     key = (prev_size, action.label)
     q = qtable.values.get(key, 0.0)
     qtable.values[key] = q + qtable.rl.alpha * (realized_reward + qtable.rl.gamma * future - q)
@@ -288,7 +288,6 @@ class SolvedModel(NamedTuple):
     model: MdpModel
     notes: tuple[str, ...]  # the interpolation notes of its reward row
     arrivals: list[dict[int, float]]  # its `reward_arrivals`
-    matchers: dict[ClusterSize, BehaviorMatcher]  # per size, filled by `current_state`
     decisions: dict[StateKey, PolicyDecision]  # per start state, notes included
 
 
@@ -404,8 +403,7 @@ class RLPolicy(Policy):
         row = reward_row(
             self.store, self.effective_load(), self.limits.sizes, self.clustering, self.utility
         )
-        targets = {current + a.signed_delta for a in [NO_OP, *self.limits.moves(current)]}
-        mb_rewards = {size: row.mb[size].reward for size in targets}
+        mb_rewards = {size: state.reward for size, state in row.mb.items()}
         decision = rl_decide(self.qtable, current, mb_rewards, self.limits)
         self._pending = (current, decision.action)
         return decision
@@ -439,8 +437,8 @@ class MdpPolicy(Policy):
         and its `reward_arrivals` are built once per store and kept in
         `store.solve_memo`.  Only the start state depends on the current
         size and observation, so every step, the first included, picks it
-        with `current_state`, as `build_model` picks the initial state,
-        through the size's `BehaviorMatcher` kept in the entry.  Each
+        with the kept model's `MdpModel.start`, which on a miss reuses the
+        matcher that picked the built model's initial state.  Each
         (model, state) is solved once: the entry keeps the state's
         `PolicyDecision`, notes included, and every later step that starts
         from that state returns it."""
@@ -452,11 +450,9 @@ class MdpPolicy(Policy):
                 self.kind, self.store, load, current, self._latest,
                 self.limits, self.utility, self.clustering,
             )
-            entry = memo[key] = SolvedModel(model, notes, reward_arrivals(model), {}, {})
+            entry = memo[key] = SolvedModel(model, notes, reward_arrivals(model), {})
         model = entry.model
-        state = current_state(
-            model.config, model.by_size, current, _observation(self._latest), entry.matchers
-        )
+        state = model.start(current, _observation(self._latest))
         decision = entry.decisions.get(state.key)
         if decision is None:
             decision = solve_decide(model, state, entry.arrivals)

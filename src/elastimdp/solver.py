@@ -149,7 +149,7 @@ def _first_moves(
     add, rem = arrivals
     return [
         ((add if action.signed_delta > 0 else rem)[size + action.signed_delta], action)
-        for action in model.config.moves(size)
+        for action, _ in model.config.moves(size)
     ]
 
 

@@ -52,7 +52,7 @@ from elastimdp.logs import (
     read_records_csv,
     write_records_csv,
 )
-from elastimdp.model import MdpState, ModelConfig, build_model, current_state
+from elastimdp.model import BehaviorMatcher, MdpState, ModelConfig, build_model
 from elastimdp.policies import MDP_KINDS, PolicyKind, PostProcessConfig
 from elastimdp.rewards import ClusteringConfig, UtilityConfig, UtilityKind, utility_eval
 
@@ -525,9 +525,9 @@ class TestComparison:
     def test_each_memo_decision_equals_a_fresh_solve_of_its_model(self, overrides, monkeypatch):
         # Differential: every decision `MdpPolicy.decide` returns, most of
         # them kept per (model, state) in the solve memo, equals a fresh
-        # solve of the kept model from the state `current_state` picks
-        # without the entry's matchers, on fresh arrivals, with the entry's
-        # notes.
+        # solve of the kept model from the state a fresh `BehaviorMatcher`
+        # picks, which the model's `start` picks too, on fresh arrivals,
+        # with the entry's notes.
         decisions, stores = [], set()
         real = policies.MdpPolicy.decide
 
@@ -537,7 +537,8 @@ class TestComparison:
             entry = store.solve_memo[memo_key(policy)]
             model = entry.model
             observation = (policy._latest.latency_ms, policy._latest.throughput)
-            state = current_state(model.config, model.by_size, current, observation)
+            state = BehaviorMatcher(model.by_size[current]).match(observation)
+            assert model.start(current, observation) == state
             fresh = solver.decide(model, state, solver.reward_arrivals(model))
             assert decision == dataclasses.replace(fresh, notes=fresh.notes + entry.notes)
             assert decision.expected_utility.hex() == fresh.expected_utility.hex()
@@ -566,9 +567,10 @@ class TestComparison:
 
     @COMPARISON_CONFIGS
     def test_a_memo_miss_starts_from_the_built_models_initial_state(self, overrides, monkeypatch):
-        # `MdpPolicy.decide` picks every start state with `current_state`
-        # through the memo entry, on a miss too: there the pick is the
-        # initial state `build_model` gave the model it has just built.
+        # `MdpPolicy.decide` picks every start state with the kept model's
+        # `start`, on a miss too: there the pick is the initial state
+        # `build_model` gave the model it has just built, and a fresh
+        # matcher picks it too.
         misses, stores = [], set()
         real = policies.MdpPolicy.decide
 
@@ -580,7 +582,8 @@ class TestComparison:
                 entry = store.solve_memo[key]
                 model = entry.model
                 observation = (policy._latest.latency_ms, policy._latest.throughput)
-                assert current_state(model.config, model.by_size, current, observation) == model.initial
+                assert model.start(current, observation) == model.initial
+                assert BehaviorMatcher(model.by_size[current]).match(observation) == model.initial
                 assert list(entry.decisions) == [model.initial.key]
                 assert entry.decisions[model.initial.key] is decision
                 misses.append(key)

@@ -22,7 +22,6 @@ from elastimdp.model import (
     NO_OP,
     Variant,
     build_model,
-    current_state,
     implied_transitions,
     validate_model,
 )
@@ -31,6 +30,7 @@ from elastimdp.solver import decide, reachability_probability
 
 import reference_dump
 import reference_matching
+import reference_moves
 from helpers import type_distribution
 from instances import random_instance
 
@@ -213,23 +213,27 @@ class TestBehaviorMatcher:
             cases["off heaviest"] += want is not states[matcher.heaviest]
         assert min(cases.values()) >= 50, cases
 
-    def test_current_state_keeps_one_matcher_per_size(self):
+    def test_start_keeps_one_matcher_per_size(self):
         config = ModelConfig(4, 5, variant=Variant.M2, k=2)
         states = [
             MdpState(4, 0, 0.5, (20.0, 1000.0), reward=5.0),
             MdpState(4, 1, 0.5, (90.0, 200.0), reward=1.0),
             MdpState(5, 0, 1.0, (30.0, 1500.0), reward=2.0),
         ]
-        model = build_model(config, states, 4)
-        matchers = {}
+        model = build_model(config, states, 4, (85.0, 250.0))
+        # the build keeps the matcher that picked the initial state
+        assert model.initial.key == (4, 1) and list(model.matchers) == [4]
+        kept = model.matchers[4]
         for observation, key in (((85.0, 250.0), (4, 1)), ((22.0, 950.0), (4, 0))):
-            picked = current_state(config, model.by_size, 4, observation, matchers)
-            assert picked.key == key
-        kept = matchers[4]
-        assert current_state(config, model.by_size, 4, None, matchers).key == (4, 0)
-        assert list(matchers) == [4] and matchers[4] is kept
-        with pytest.raises(ConfigurationError, match="outside"):
-            current_state(config, model.by_size, 6, None, matchers)
+            assert model.start(4, observation).key == key
+        assert model.start(4, None).key == (4, 0)
+        assert list(model.matchers) == [4] and model.matchers[4] is kept
+        assert model.start(5, (85.0, 250.0)).key == (5, 0)
+        assert list(model.matchers) == [4, 5]
+        for outside in (3, 6):
+            with pytest.raises(ConfigurationError, match="outside"):
+                model.start(outside, None)
+        assert list(model.matchers) == [4, 5]
 
 
 class TestAllTargetsModel:
@@ -792,11 +796,23 @@ class TestImpliedMap:
         assert validate_model(model).ok
 
     def test_copies_make_their_own_map(self):
-        model = chain_model()
-        first = model.transitions
+        # Copies carry the fields only: each makes its own cached views
+        # (the map, the states per size, the matchers) on first read.
+        model = build_model(TWO_BEHAVIOR_CONFIG, TWO_BEHAVIOR_STATES, current=4)
+        views = {"transitions": model.transitions, "by_size": model.by_size}
+        assert model.start(3, None).key == (3, 0)
+        matchers = dict(model.matchers)
+        assert list(matchers) == [4, 3]
         for copied in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
             assert copied == model
-            assert copied.transitions == first and copied.transitions is not first
+            assert set(vars(copied)) == {"config", "states", "initial"}
+            for name, view in views.items():
+                assert getattr(copied, name) == view and getattr(copied, name) is not view
+            assert copied.matchers == {}
+            for size, matcher in matchers.items():
+                assert copied.start(size, None) == matcher.match(None)
+                assert copied.matchers[size] is not matcher
+            assert model.matchers == matchers
 
     def test_map_follows_replaced_states(self):
         model = build_model(TWO_BEHAVIOR_CONFIG, TWO_BEHAVIOR_STATES, current=3)
@@ -847,10 +863,10 @@ class TestState:
 
 class TestMoves:
     def test_moves_are_the_sized_actions_of_the_map_at_every_state(self):
-        # Differential: the solver and the RL policy enumerate
-        # `ModelConfig.moves`; the oracles scan the explicit map.  Both
-        # must list every delta whose target is in range and, except on
-        # M3, within the per-step limit, in sort-key order.
+        # `ModelConfig.moves` is every delta whose target is in range and,
+        # except on M3, within the per-step limit: adds, then rems, each by
+        # delta, each with an equal share of its type.  The map's rows and
+        # `actions_from` (no_op last) follow it.
         rng = np.random.default_rng(1606)
         states = dict.fromkeys(Variant, 0)
         for _ in range(200):
@@ -859,8 +875,10 @@ class TestMoves:
             states[cfg.variant] += len(model.states)
             for (size, _), state in model.states.items():
                 moves = cfg.moves(size)
-                sized = [a for a in model.actions_from(state.key) if a.kind is not ActionKind.NO_OP]
-                assert moves == sized
+                actions = [action for action, _ in moves]
+                in_map = [a for key, a in model.transitions if key == state.key and a is not NO_OP]
+                assert actions == in_map
+                assert model.actions_from(state.key) == [*actions, NO_OP]
                 spec = [
                     Action(kind, delta)
                     for kind, limit in ((ADD, cfg.add_limit), (REM, cfg.rem_limit))
@@ -868,14 +886,38 @@ class TestMoves:
                     if cfg.min_vms <= size + (delta if kind is ADD else -delta) <= cfg.max_vms
                     and (cfg.variant is Variant.M3 or delta <= limit)
                 ]
-                assert moves == spec
+                assert actions == spec
+                for kind in (ADD, REM):
+                    shares = [share for action, share in moves if action.kind is kind]
+                    assert all(share == 1.0 / len(shares) for share in shares)
         assert min(states.values()) > 100
 
     def test_moves_share_one_action_each(self):
         config = ModelConfig(1, 9, add_limit=3, rem_limit=2, variant=Variant.M3)
         for size in config.sizes:
             again = config.moves(size)
-            assert all(a is b for a, b in zip(config.moves(size), again, strict=True))
+            assert all(a is b for (a, _), (b, _) in zip(config.moves(size), again, strict=True))
+
+    @settings(max_examples=100, deadline=None)
+    @given(config_and_states())
+    def test_moves_and_actions_match_the_parent_map_scan(self, instance):
+        # Differential: `ModelConfig.moves` against the parent's
+        # `size_moves` (actions, order and share bits), and `actions_from`
+        # against the parent's scan of its map sorted by (kind, delta), at
+        # every state under every lock.
+        model = build_model(*instance)
+        cfg = model.config
+        for size in cfg.sizes:
+            assert [(a.signed_delta, share.hex()) for a, share in cfg.moves(size)] == [
+                (delta, share.hex()) for delta, share in reference_moves.size_moves(cfg, size)
+            ]
+        parent_map = reference_moves.implied_transitions(cfg, model.by_size)
+        assert dict(model.transitions) == parent_map
+        for key in model.states:
+            for lock in (None, ADD, REM):
+                assert model.actions_from(key, lock) == reference_moves.actions_from(
+                    parent_map, key, lock
+                )
 
 
 def dump_tokens(text):

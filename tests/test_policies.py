@@ -7,6 +7,7 @@ import reference_kmeans
 from helpers import observed_mdp_policy
 from reference_scoring import row_states, state_reward
 
+from elastimdp import model as model_module
 from elastimdp import policies
 from elastimdp.emulator import TickRecord
 from elastimdp.errors import ConfigurationError, NoDataError
@@ -21,10 +22,10 @@ from elastimdp.logs import LogStore, MeasurementRecord
 from elastimdp.model import (
     Action,
     ActionKind,
+    BehaviorMatcher,
     ModelConfig,
     NO_OP,
     build_model,
-    current_state,
 )
 from elastimdp.policies import (
     MDP_KINDS,
@@ -81,7 +82,9 @@ class TestReactive:
         assert decision.action == Action(REM, 2)
 
     def test_between_thresholds_no_op(self):
-        assert re_decide(REConfig(60.0), 45.0, 5, LIMITS).action == NO_OP
+        # both thresholds are exclusive: a latency exactly at one does nothing
+        for latency in (45.0, 60.0, 30.0):
+            assert re_decide(REConfig(60.0), latency, 5, LIMITS).action == NO_OP
 
     def test_fixed_step_size(self):
         config = REConfig(60.0, step_size=1)
@@ -96,8 +99,10 @@ class TestReactive:
     def test_lower_defaults_to_half_upper(self):
         config = REConfig(60.0)
         assert config.lower_latency() == 30.0
-        with pytest.raises(ConfigurationError):
-            REConfig(60.0, lower_latency_ms=80.0)
+        assert REConfig(60.0, lower_latency_ms=1e-9).lower_latency() == 1e-9
+        for lower in (80.0, 60.0, 0.0):
+            with pytest.raises(ConfigurationError):
+                REConfig(60.0, lower_latency_ms=lower)
 
 
 class TestQLearning:
@@ -147,10 +152,12 @@ class TestQLearning:
 
     def test_rates_are_an_rl_config(self):
         assert QTable().rl == RLConfig()
-        with pytest.raises(ConfigurationError, match="alpha"):
-            QTable(RLConfig(alpha=5.0))
-        with pytest.raises(ConfigurationError, match="gamma"):
-            QTable(RLConfig(gamma=-3.0))
+        for alpha in (5.0, 0.0):
+            with pytest.raises(ConfigurationError, match="alpha"):
+                QTable(RLConfig(alpha=alpha))
+        for gamma in (-3.0, 1.0):
+            with pytest.raises(ConfigurationError, match="gamma"):
+                QTable(RLConfig(gamma=gamma))
         with pytest.raises(TypeError):
             QTable(alpha=0.5)
         policy = RLPolicy(store_with({}), LIMITS, R1, CLUSTERING, RLConfig(alpha=0.5, gamma=0.25))
@@ -222,8 +229,9 @@ class TestPostProcessing:
 
     def test_sufficient_gain_kept(self):
         post = PostProcessConfig(benefit_threshold_pct=5.0)
-        result = apply_benefit_threshold(self.decision(106.0), 100.0, post)
-        assert result.action == Action(ADD, 1)
+        for expected in (106.0, 105.0):  # a gain exactly at the threshold is kept
+            result = apply_benefit_threshold(self.decision(expected), 100.0, post)
+            assert result.action == Action(ADD, 1)
 
     def test_zero_threshold_disables(self):
         post = PostProcessConfig(benefit_threshold_pct=0.0)
@@ -233,6 +241,7 @@ class TestPostProcessing:
         post = PostProcessConfig(benefit_threshold_pct=50.0)
         assert apply_benefit_threshold(self.decision(0.01), 0.0, post).action == Action(ADD, 1)
         assert apply_benefit_threshold(self.decision(-0.01), 0.0, post).action == NO_OP
+        assert apply_benefit_threshold(self.decision(0.0), 0.0, post).action == NO_OP
 
     def test_negative_current_utility(self):
         post = PostProcessConfig(benefit_threshold_pct=5.0)
@@ -332,8 +341,10 @@ class TestPolicyObjects:
         assert policy.qtable.values[key] == 8.0 + 0.5 * (40.0 / 8 - 8.0)
 
     def test_moves_clip_at_bounds(self):
-        assert LIMITS.moves(9) == [Action(ADD, 1), Action(REM, 1), Action(REM, 2)]
-        assert LIMITS.moves(3) == [Action(ADD, 1), Action(ADD, 2), Action(ADD, 3)]
+        assert LIMITS.moves(9) == [
+            (Action(ADD, 1), 1.0), (Action(REM, 1), 0.5), (Action(REM, 2), 0.5)
+        ]
+        assert LIMITS.moves(3) == [(Action(ADD, d), 1 / 3) for d in (1, 2, 3)]
 
 
 def count_clustering(monkeypatch) -> list[list[int]]:
@@ -535,13 +546,20 @@ class TestSolveMemo:
     `tests.test_harness.TestComparison::test_memo_decisions_match_a_fresh_solve`
     checks the memo against a fresh solve on every comparison decision."""
 
-    def test_current_state_matches_a_fresh_build_at_every_size(self, monkeypatch):
+    def test_start_matches_a_fresh_build_at_every_size(self, monkeypatch):
         # Differential: on every model the default comparison keeps, at
         # every size and at every observation a decision at its bucket saw,
-        # the lookup each step makes through the memo entry picks the
-        # initial state of a model built afresh from the same rewards.
+        # the kept model's `start` picks what a fresh matcher picks and the
+        # initial state of a model built afresh from the same rewards.  The
+        # comparison makes each size's matcher once per kept model: a miss
+        # reuses the one its build picked the initial state with.
         seen, stores = {}, set()
         real = policies.MdpPolicy.decide
+        made = []
+        real_matcher = model_module.BehaviorMatcher
+        monkeypatch.setattr(
+            model_module, "BehaviorMatcher", lambda states: made.append(1) or real_matcher(states)
+        )
 
         def recorded(policy, current):
             observation = (policy._latest.latency_ms, policy._latest.throughput)
@@ -553,12 +571,14 @@ class TestSolveMemo:
         monkeypatch.setattr(policies.MdpPolicy, "decide", recorded)
         run_comparison(parse_config(default_config_ini(), {"experiment.runs": "2"}))
         (store,) = stores
+        assert len(made) == sum(len(entry.model.matchers) for entry in store.solve_memo.values())
         checked, off_heaviest = 0, 0
-        for key, (model, _, _, matchers, _) in store.solve_memo.items():
+        for key, (model, _, _, _) in store.solve_memo.items():
             states = model.ordered_states()
             for observation in seen[key[0], key[-1]]:
                 for size in model.config.sizes:
-                    picked = current_state(model.config, model.by_size, size, observation, matchers)
+                    picked = model.start(size, observation)
+                    assert picked == BehaviorMatcher(model.by_size[size]).match(observation)
                     assert picked == build_model(model.config, states, size, observation).initial
                     heaviest = max(model.by_size[size], key=lambda s: (s.weight, -s.behavior_index))
                     checked += 1
